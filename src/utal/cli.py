@@ -72,7 +72,6 @@ EXIT_NUMERIC = 3
 @dataclass
 class RunConfig:
     seed: int = 7
-    threads: int = 1
     data: DataConfig = field(default_factory=DataConfig)
     proposals: ProposalConfig = field(default_factory=ProposalConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -81,7 +80,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         out = {
             "seed": self.seed,
-            "threads": self.threads,
             "data": asdict(self.data),
             "proposals": asdict(self.proposals),
             "train": asdict(self.train),
@@ -90,8 +88,6 @@ class RunConfig:
         return out
 
     def validate(self) -> None:
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
         self.data.validate()
         self.proposals.validate()
         self.train.validate()
@@ -101,13 +97,6 @@ class RunConfig:
 def _coerce(text: str, current):
     """Parse a config-file value into the type of the current/default value."""
     text = text.strip()
-    if isinstance(current, bool):
-        low = text.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"expected a boolean, got {text!r}")
     if isinstance(current, int):
         return int(text)
     if isinstance(current, float):
@@ -147,9 +136,6 @@ def apply_config_entries(cfg: RunConfig, entries: dict[str, str]) -> RunConfig:
         if key == "seed":
             cfg.seed = int(value)
             continue
-        if key == "threads":
-            cfg.threads = int(value)
-            continue
         if "." not in key:
             raise ConfigError(f"unknown config key {key!r} (expected section.key)")
         section_name, field_name = key.split(".", 1)
@@ -164,12 +150,11 @@ def apply_config_entries(cfg: RunConfig, entries: dict[str, str]) -> RunConfig:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = apply_config_entries(cfg, parse_config_file(args.config))
+    entries = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    cfg = apply_config_entries(RunConfig(), entries)
     seed = cfg.seed
     env_seed = os.environ.get("UTAL_SEED")
-    if env_seed is not None and "seed" not in _explicit_file_keys(args):
+    if env_seed is not None and "seed" not in entries:
         try:
             seed = int(env_seed)
         except ValueError as exc:
@@ -182,19 +167,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         cfg.train.loss_mode = args.loss
     if getattr(args, "condition_mode", None):
         cfg.train.condition_mode = args.condition_mode
-    if getattr(args, "threads", None) is not None:
-        cfg.threads = args.threads
     cfg.validate()
     return cfg
-
-
-def _explicit_file_keys(args: argparse.Namespace) -> set[str]:
-    if not getattr(args, "config", None):
-        return set()
-    try:
-        return set(parse_config_file(args.config))
-    except ConfigError:
-        return set()
 
 
 def _write_config_echo(cfg: RunConfig, out_dir: Path) -> None:
@@ -614,7 +588,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--loss", choices=["l1", "kl_l1", "sampled_l1", "expected_l1"], default=None)
     parser.add_argument("--condition-mode", dest="condition_mode", choices=["he", "paper"], default=None)
-    parser.add_argument("--threads", type=int, default=None, help="worker cap (runs use 1 strand)")
     parser.add_argument("--out", type=str, default=None, help="output directory")
 
 

@@ -332,45 +332,30 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read manifest {manifest_path}: {exc}") from exc
     base = manifest_path.parent
-    d_feat = int(manifest["d_feat"])
-    num_classes = int(manifest["num_classes"])
-    class_names = [f"class_{c:02d}" for c in range(num_classes)]
-    table = manifest.get("class_table")
-    if table and (base / table).exists():
-        class_names = (base / table).read_text().splitlines()
-        if len(class_names) != num_classes:
-            raise ConfigError(
-                f"class table lists {len(class_names)} names, manifest says {num_classes}"
-            )
-    videos: list[VideoItem] = []
-    for rec in manifest["videos"]:
-        t_units = int(rec["T"])
-        if t_units < 1:
-            raise ConfigError(f"video {rec['video_id']}: T must be >= 1")
-        if int(rec["d_feat"]) != d_feat:
-            raise ConfigError(f"video {rec['video_id']}: d_feat mismatch")
-        raw = (base / rec["feature_file"]).read_bytes()
-        feats = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        if feats.size != t_units * d_feat:
-            raise ConfigError(
-                f"video {rec['video_id']}: feature file holds {feats.size} floats, "
-                f"expected {t_units * d_feat}"
-            )
-        feats = feats.reshape(t_units, d_feat)
-        if not np.all(np.isfinite(feats)):
-            raise ConfigError(f"video {rec['video_id']}: non-finite feature values")
-        annotations = []
-        for a in rec["annotations"]:
-            ann = ActionAnnotation(int(a["class_id"]), float(a["start"]), float(a["end"]))
-            if not 0 <= ann.start < ann.end <= t_units:
+    where = "top level"
+    try:
+        d_feat = int(manifest["d_feat"])
+        num_classes = int(manifest["num_classes"])
+        class_names = [f"class_{c:02d}" for c in range(num_classes)]
+        table = manifest.get("class_table")
+        if table and (base / table).exists():
+            class_names = (base / table).read_text().splitlines()
+            if len(class_names) != num_classes:
                 raise ConfigError(
-                    f"video {rec['video_id']}: annotation [{ann.start}, {ann.end}] "
-                    f"outside [0, {t_units}]"
+                    f"class table lists {len(class_names)} names, manifest says {num_classes}"
                 )
-            if not 0 <= ann.class_id < num_classes:
-                raise ConfigError(f"video {rec['video_id']}: class_id {ann.class_id} out of range")
-            annotations.append(ann)
-        videos.append(VideoItem(UnitFeatureSequence(rec["video_id"], feats), annotations))
+        videos: list[VideoItem] = []
+        for index, rec in enumerate(manifest["videos"]):
+            where = f"video record {index}"
+            videos.append(_load_video(rec, base, d_feat, num_classes))
+    except KeyError as exc:
+        raise ConfigError(f"manifest {manifest_path}: {where} lacks key {exc.args[0]!r}") from exc
+    except OSError as exc:
+        raise ConfigError(
+            f"manifest {manifest_path}: {where}: cannot read {exc.filename}: {exc.strerror}"
+        ) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"manifest {manifest_path}: {where}: {exc}") from exc
     return Dataset(
         videos=videos,
         class_names=class_names,
@@ -379,6 +364,37 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         seed=manifest.get("seed"),
         generator_config=manifest.get("generator_config"),
     )
+
+
+def _load_video(rec: dict, base: Path, d_feat: int, num_classes: int) -> VideoItem:
+    """One manifest video record plus its feature file, with every invariant checked."""
+    t_units = int(rec["T"])
+    if t_units < 1:
+        raise ConfigError(f"video {rec['video_id']}: T must be >= 1")
+    if int(rec["d_feat"]) != d_feat:
+        raise ConfigError(f"video {rec['video_id']}: d_feat mismatch")
+    raw = (base / rec["feature_file"]).read_bytes()
+    feats = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    if feats.size != t_units * d_feat:
+        raise ConfigError(
+            f"video {rec['video_id']}: feature file holds {feats.size} floats, "
+            f"expected {t_units * d_feat}"
+        )
+    feats = feats.reshape(t_units, d_feat)
+    if not np.all(np.isfinite(feats)):
+        raise ConfigError(f"video {rec['video_id']}: non-finite feature values")
+    annotations = []
+    for a in rec["annotations"]:
+        ann = ActionAnnotation(int(a["class_id"]), float(a["start"]), float(a["end"]))
+        if not 0 <= ann.start < ann.end <= t_units:
+            raise ConfigError(
+                f"video {rec['video_id']}: annotation [{ann.start}, {ann.end}] "
+                f"outside [0, {t_units}]"
+            )
+        if not 0 <= ann.class_id < num_classes:
+            raise ConfigError(f"video {rec['video_id']}: class_id {ann.class_id} out of range")
+        annotations.append(ann)
+    return VideoItem(UnitFeatureSequence(rec["video_id"], feats), annotations)
 
 
 def sliding_windows(t_units: float, scales, overlap: float) -> list[Proposal]:

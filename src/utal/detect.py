@@ -23,7 +23,7 @@ from utal.data import (
     tiou,
 )
 from utal.errors import ConfigError
-from utal.model import HeadOutput, Model
+from utal.model import Model
 from utal.net import softmax
 
 _MIN_LENGTH = 1.0  # fallback span, in units, for degenerate refinements
@@ -81,83 +81,81 @@ class EvalReport:
         }
 
 
-def apply_offsets(prop: Proposal, y_s: float, y_e: float, t_max: float) -> Proposal:
+def apply_offsets(
+    starts: np.ndarray, ends: np.ndarray, y_s: np.ndarray, y_e: np.ndarray, t_max: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of offset computation: shift boundaries by offset * length.
 
-    The result is clamped to [0, t_max]; if the boundaries cross, a window of
-    minimum length centered at their midpoint is used instead.
+    Elementwise over windows [starts, ends].  Each result is clamped to
+    [0, t_max]; where the boundaries cross, a window of minimum length
+    centered at their midpoint (pushed back inside [0, t_max]) is used.
     """
-    length = prop.length
-    if length <= 0:
+    length = ends - starts
+    if np.any(length <= 0):
         raise ConfigError("proposal length must be positive")
-    s = min(max(prop.start + y_s * length, 0.0), t_max)
-    e = min(max(prop.end + y_e * length, 0.0), t_max)
-    if s >= e:
-        span = min(_MIN_LENGTH, t_max)
-        mid = 0.5 * (s + e)
-        s = mid - 0.5 * span
-        e = mid + 0.5 * span
-        if s < 0.0:
-            s, e = 0.0, span
-        elif e > t_max:
-            s, e = t_max - span, t_max
-    return Proposal(s, e, prop.scale_id)
+    s = np.minimum(np.maximum(starts + y_s * length, 0.0), t_max)
+    e = np.minimum(np.maximum(ends + y_e * length, 0.0), t_max)
+    span = min(_MIN_LENGTH, t_max)
+    mid = 0.5 * (s + e)
+    lo, hi = mid - 0.5 * span, mid + 0.5 * span
+    under = lo < 0.0
+    over = ~under & (hi > t_max)
+    crossed = s >= e
+    s = np.where(crossed, np.where(under, 0.0, np.where(over, t_max - span, lo)), s)
+    e = np.where(crossed, np.where(under, span, np.where(over, t_max, hi)), e)
+    return s, e
 
 
-def _refine_batch(
-    model: Model, video: UnitFeatureSequence, proposals: list[Proposal], steps: int
-) -> tuple[list[Proposal], list[HeadOutput]]:
-    """Run the shared-parameter cascade on many proposals at once.
+def refine_cascade(
+    model: Model,
+    video: UnitFeatureSequence,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    steps: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run the shared-parameter cascade on windows [starts, ends].
 
-    Each step pools, forwards, and moves every live proposal by the argmax
-    class offsets; a proposal that degenerates stops refining and keeps its
-    last state.  Returns final proposals and the head outputs of the last
+    Each step pools, forwards, and moves every live window by its argmax
+    class offsets; a window whose refinement degenerates stops refining and
+    keeps its last state.  Returns the final (starts, ends) and the
+    actioness scores [N] and class logits [N x C] of each window's last
     forward pass.
     """
     if steps < 1:
         raise ConfigError("cascade needs at least one step")
     t_max = float(video.num_units)
-    current = list(proposals)
-    heads: list[HeadOutput] = [None] * len(current)  # type: ignore[list-item]
-    live = list(range(len(current)))
+    starts = np.array(starts, dtype=np.float64)
+    ends = np.array(ends, dtype=np.float64)
+    y_a = np.zeros(starts.shape[0])
+    logits = np.zeros((starts.shape[0], model.num_classes))
+    live = np.arange(starts.shape[0])
     for _ in range(steps):
-        if not live:
+        if live.size == 0:
             break
-        x = np.stack([pool_k_parts(video, current[i], model.k) for i in live])
+        x = np.stack(
+            [
+                pool_k_parts(video, Proposal(s, e), model.k)
+                for s, e in zip(starts[live].tolist(), ends[live].tolist())
+            ]
+        )
         fwd = model.forward_batch(x)
+        y_a[live] = fwd.y_a
+        logits[live] = fwd.logits
+        rows = np.arange(live.size)
         best = fwd.logits.argmax(axis=1)
-        next_live = []
-        for row, i in enumerate(live):
-            c = int(best[row])
-            if model.uncertainty:
-                offsets = np.stack(
-                    [fwd.mu[row, :, 0], fwd.alpha[row, :, 0], fwd.mu[row, :, 1], fwd.alpha[row, :, 1]],
-                    axis=1,
-                )
-            else:
-                offsets = fwd.mu[row]
-            heads[i] = HeadOutput(float(fwd.y_a[row]), fwd.logits[row].copy(), offsets)
-            refined = apply_offsets(
-                current[i], float(fwd.mu[row, c, 0]), float(fwd.mu[row, c, 1]), t_max
-            )
-            if refined.length > 1e-9:
-                current[i] = refined
-                next_live.append(i)
-        live = next_live
-    return current, heads
+        s, e = apply_offsets(
+            starts[live], ends[live], fwd.mu[rows, best, 0], fwd.mu[rows, best, 1], t_max
+        )
+        moved = e - s > 1e-9
+        live = live[moved]
+        starts[live] = s[moved]
+        ends[live] = e[moved]
+    return starts, ends, y_a, logits
 
 
-def refine_cascade(
-    model: Model, video: UnitFeatureSequence, prop: Proposal, steps: int
-) -> tuple[Proposal, HeadOutput]:
-    """Cascade one proposal; returns the final window and last head output."""
-    final, heads = _refine_batch(model, video, [prop], steps)
-    return final[0], heads[0]
-
-
-def fuse_scores(out: HeadOutput) -> np.ndarray:
-    """Per-class detection scores: actioness times the class posterior."""
-    return out.y_a * softmax(out.class_logits)
+def fuse_scores(y_a: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    """Per-class detection scores [N x C]: actioness times the class posterior."""
+    return y_a[:, None] * softmax(logits)
 
 
 def _det_sort_key(det: Detection):
@@ -231,18 +229,23 @@ def video_detections(
     """Full single-video inference: windows -> cascade -> fusion -> NMS."""
     windows = sliding_windows(video.num_units, prop_cfg.scales, prop_cfg.overlap)
     windows.sort(key=lambda p: (p.start, p.scale_id))
-    refined, heads = _refine_batch(model, video, windows, det_cfg.cascade_steps)
-    per_class: dict[int, list[Detection]] = {}
-    for prop, head in zip(refined, heads):
-        fused = fuse_scores(head)
-        for c in range(fused.shape[0]):
-            if fused[c] >= det_cfg.score_floor:
-                per_class.setdefault(c, []).append(
-                    Detection(video.video_id, prop.start, prop.end, c, float(fused[c]))
-                )
+    starts, ends, y_a, logits = refine_cascade(
+        model,
+        video,
+        np.array([p.start for p in windows]),
+        np.array([p.end for p in windows]),
+        det_cfg.cascade_steps,
+    )
+    fused = fuse_scores(y_a, logits)
     out: list[Detection] = []
-    for c in sorted(per_class):
-        out.extend(nms(per_class[c], det_cfg.nms_thr))
+    for c in range(fused.shape[1]):
+        rows = np.flatnonzero(fused[:, c] >= det_cfg.score_floor)
+        if rows.size:
+            dets = [
+                Detection(video.video_id, float(starts[i]), float(ends[i]), c, float(fused[i, c]))
+                for i in rows
+            ]
+            out.extend(nms(dets, det_cfg.nms_thr))
     return out
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from utal.errors import ConfigError
-from utal.numerics import Rng, erf
+from utal.numerics import Rng
 
 ALPHA_CLAMP = 10.0
 
@@ -220,7 +220,7 @@ def expected_l1(d: float, sigma: float) -> tuple[float, float, float]:
         raise ValueError("sigma must be positive")
     z = d / (sigma * math.sqrt(2.0))
     gauss = math.exp(-(d * d) / (2.0 * sigma * sigma))
-    d_d = erf(z)
+    d_d = math.erf(z)
     value = d * d_d + sigma * _SQRT_2_OVER_PI * gauss
     return value, d_d, _SQRT_2_OVER_PI * gauss
 
@@ -235,7 +235,7 @@ def _expected_l1_foil(d: float, sigma: float) -> float:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     z = d / (sigma * math.sqrt(2.0))
-    return d * erf(z) + sigma * math.exp(-(d * d) / (sigma * sigma)) / math.sqrt(2.0 * math.pi)
+    return d * math.erf(z) + sigma * math.exp(-(d * d) / (sigma * sigma)) / math.sqrt(2.0 * math.pi)
 
 
 def expected_l1_training(

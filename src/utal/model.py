@@ -73,7 +73,6 @@ class TrainConfig:
     w_bin: float = 1.0
     w_cls: float = 1.0
     w_reg: float = 1.0
-    pad_head_to_six: bool = False  # widen class rows to 6 columns; extra is never read
 
     def validate(self) -> None:
         if self.loss_mode not in LOSS_MODES:
@@ -95,31 +94,8 @@ class TrainConfig:
 
 
 @dataclass
-class HeadOutput:
-    """Network outputs for one proposal."""
-
-    y_a: float
-    class_logits: np.ndarray  # [C]
-    offsets: np.ndarray  # [C x 4] uncertainty mode, [C x 2] baseline
-
-    def mu_pair(self, class_id: int) -> tuple[float, float]:
-        row = self.offsets[class_id]
-        if row.shape[0] == 4:
-            return float(row[0]), float(row[2])
-        return float(row[0]), float(row[1])
-
-    def gaussian_pair(self, class_id: int) -> tuple[GaussianOffset, GaussianOffset]:
-        row = self.offsets[class_id]
-        if row.shape[0] != 4:
-            raise ConfigError("baseline head carries no variance parameters")
-        return GaussianOffset(float(row[0]), float(row[1])), GaussianOffset(
-            float(row[2]), float(row[3])
-        )
-
-
-@dataclass
 class BatchForward:
-    """Cached batched forward pass (training/eval internals)."""
+    """Outputs of one batched forward pass, cached for the backward pass."""
 
     z_a: np.ndarray  # [B] raw actioness logits
     y_a: np.ndarray  # [B] sigmoid scores
@@ -157,7 +133,6 @@ class Model:
         k: int,
         hidden: int,
         uncertainty: bool,
-        pad_head_to_six: bool,
         seed: int,
     ):
         self.d_feat = d_feat
@@ -165,10 +140,9 @@ class Model:
         self.k = k
         self.hidden = hidden
         self.uncertainty = uncertainty
-        self.pad_head_to_six = pad_head_to_six and uncertainty
         self.seed = seed
         self.offset_cols = 4 if uncertainty else 2
-        self.head_cols = 1 + self.offset_cols + (1 if self.pad_head_to_six else 0)
+        self.head_cols = 1 + self.offset_cols
 
         rng = Rng(seed).split("model-init")
         in_dim = k * d_feat
@@ -212,17 +186,6 @@ class Model:
             alpha, alpha_pass = None, None
         return BatchForward(z_a, sigmoid(z_a), logits, mu, alpha, alpha_pass)
 
-    def forward(self, x: np.ndarray) -> HeadOutput:
-        out = self.forward_batch(np.asarray(x, dtype=np.float64)[None, :])
-        if self.uncertainty:
-            offsets = np.stack(
-                [out.mu[0, :, 0], out.alpha[0, :, 0], out.mu[0, :, 1], out.alpha[0, :, 1]],
-                axis=1,
-            )
-        else:
-            offsets = out.mu[0]
-        return HeadOutput(float(out.y_a[0]), out.logits[0].copy(), offsets)
-
     def backward_batch(
         self,
         fwd: BatchForward,
@@ -258,7 +221,6 @@ def init_model(cfg: TrainConfig, d_feat: int, num_classes: int, seed: int) -> Mo
         k=cfg.k,
         hidden=cfg.hidden,
         uncertainty=cfg.loss_mode != "l1",
-        pad_head_to_six=cfg.pad_head_to_six,
         seed=seed,
     )
 
@@ -457,7 +419,6 @@ def save_checkpoint(model: Model, path: str | Path, cfg: TrainConfig) -> Path:
         "k": model.k,
         "hidden": model.hidden,
         "uncertainty": model.uncertainty,
-        "pad_head_to_six": model.pad_head_to_six,
         "seed": model.seed,
     }
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
@@ -465,25 +426,34 @@ def save_checkpoint(model: Model, path: str | Path, cfg: TrainConfig) -> Path:
 
 
 def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
+    """Rebuild a model from save_checkpoint's weights and sidecar.
+
+    Any unreadable, truncated or mismatched file raises ConfigError naming
+    the file (and the offending key, where there is one).
+    """
     path = Path(path)
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.exists():
         raise ConfigError(f"checkpoint sidecar missing: {sidecar_path}")
-    sidecar = json.loads(sidecar_path.read_text())
-    cfg = TrainConfig(**sidecar["train_config"])
-    model = Model(
-        d_feat=sidecar["d_feat"],
-        num_classes=sidecar["num_classes"],
-        k=sidecar["k"],
-        hidden=sidecar["hidden"],
-        uncertainty=sidecar["uncertainty"],
-        pad_head_to_six=sidecar["pad_head_to_six"],
-        seed=sidecar["seed"],
-    )
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read checkpoint sidecar {sidecar_path}: {exc}") from exc
+    try:
+        cfg = TrainConfig(**sidecar["train_config"])
+        model_keys = ("d_feat", "num_classes", "k", "hidden", "uncertainty", "seed")
+        model = Model(**{key: sidecar[key] for key in model_keys})
+    except KeyError as exc:
+        raise ConfigError(f"checkpoint sidecar {sidecar_path} lacks key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"checkpoint sidecar {sidecar_path}: {exc}") from exc
     arrays = load_arrays(path)
     for layer in model.dense_layers:
-        w = arrays[f"{layer.name}.weights"]
-        b = arrays[f"{layer.name}.biases"]
+        try:
+            w = arrays[f"{layer.name}.weights"]
+            b = arrays[f"{layer.name}.biases"]
+        except KeyError as exc:
+            raise ConfigError(f"checkpoint {path} has no array {exc.args[0]!r}") from exc
         if w.shape != layer.weights.shape or b.shape != layer.biases.shape:
             raise ConfigError(
                 f"checkpoint shape mismatch for {layer.name}: "

@@ -225,23 +225,33 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
-    """Read a "UTAL1" file back into float64 arrays (exact float32 values)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ConfigError(f"bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        (count,) = struct.unpack("<I", fh.read(4))
-        arrays: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            n_items = int(np.prod(shape)) if ndim else 1
-            payload = fh.read(4 * n_items)
-            if len(payload) != 4 * n_items:
-                raise ConfigError(f"truncated checkpoint payload for entry {name!r}")
-            arrays[name] = (
-                np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(shape)
-            )
-        return arrays
+    """Read a "UTAL1" file back into float64 arrays (exact float32 values).
+
+    A missing, truncated or corrupt file raises ConfigError naming it.
+    """
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(len(CHECKPOINT_MAGIC))
+            if magic != CHECKPOINT_MAGIC:
+                raise ConfigError(
+                    f"{path}: bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"
+                )
+            (count,) = struct.unpack("<I", fh.read(4))
+            arrays: dict[str, np.ndarray] = {}
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", fh.read(2))
+                name = fh.read(name_len).decode("utf-8")
+                (ndim,) = struct.unpack("<B", fh.read(1))
+                shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+                n_items = int(np.prod(shape)) if ndim else 1
+                payload = fh.read(4 * n_items)
+                if len(payload) != 4 * n_items:
+                    raise ConfigError(f"{path}: truncated checkpoint payload for entry {name!r}")
+                arrays[name] = (
+                    np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(shape)
+                )
+            return arrays
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"truncated or corrupt checkpoint {path}: {exc}") from exc

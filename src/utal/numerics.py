@@ -125,28 +125,12 @@ class Rng:
         return perm
 
 
-def erf(x: float) -> float:
-    """Gauss error function.
-
-    Odd, strictly increasing, range (-1, 1).  Delegates to the C library
-    implementation (well under the 1.5e-7 absolute-error budget everywhere),
-    which keeps the analytic partials of the expected-l1 loss consistent with
-    finite differences of its value.
-    """
-    return math.erf(x)
-
-
 _SQRT_HALF = math.sqrt(0.5)
 
 
 def std_normal_cdf(x: float) -> float:
     """Standard normal CDF via the identity with erf: 0.5*(1 + erf(x/sqrt(2)))."""
-    return 0.5 * (1.0 + erf(x * _SQRT_HALF))
-
-
-def sample_std_normal(rng: Rng) -> float:
-    """One N(0,1) draw from the given stream (polar method, deterministic)."""
-    return rng.normal()
+    return 0.5 * (1.0 + math.erf(x * _SQRT_HALF))
 
 
 def finite_diff(f, x: float, h: float = 1e-5) -> float:

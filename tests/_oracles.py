@@ -92,6 +92,44 @@ def greedy_nms_oracle(dets, thr: float):
     return kept
 
 
+def cascade_oracle(model, video, windows, steps: int):
+    """The refinement cascade one window at a time, in scalar arithmetic.
+
+    Each window is pooled and forwarded alone, then moved by the offsets of
+    its argmax class times its length and clamped to [0, T].  Crossed
+    boundaries fall back to a unit window at their midpoint, pushed back
+    inside [0, T].  A refinement not longer than 1e-9 stops the window,
+    which keeps its last state.  Returns (start, end, y_a, logits) per
+    window, from the window's last forward pass.
+    """
+    from utal.data import Proposal, pool_k_parts
+
+    t_max = float(video.num_units)
+    out = []
+    for start, end in windows:
+        for _ in range(steps):
+            x = pool_k_parts(video, Proposal(start, end), model.k)
+            fwd = model.forward_batch(x[None, :])
+            y_a, logits = float(fwd.y_a[0]), fwd.logits[0].copy()
+            c = int(np.argmax(logits))
+            length = end - start
+            s = min(max(start + float(fwd.mu[0, c, 0]) * length, 0.0), t_max)
+            e = min(max(end + float(fwd.mu[0, c, 1]) * length, 0.0), t_max)
+            if s >= e:
+                span = min(1.0, t_max)
+                mid = 0.5 * (s + e)
+                s, e = mid - 0.5 * span, mid + 0.5 * span
+                if s < 0.0:
+                    s, e = 0.0, span
+                elif e > t_max:
+                    s, e = t_max - span, t_max
+            if not e - s > 1e-9:
+                break
+            start, end = s, e
+        out.append((start, end, y_a, logits))
+    return out
+
+
 def ap_enumeration_oracle(dets, gts, thr: float) -> float:
     """AP by exhaustive prefix enumeration of the sorted detection list.
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from utal.cli import (
     verify_monotonicity,
 )
 from utal.errors import ConfigError
+from utal.net import load_arrays, save_arrays
 
 
 def _write_config(path, text):
@@ -62,11 +64,6 @@ class TestConfigFile:
         path = _write_config(tmp_path / "run.cfg", "data.num_videos 6\n")
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_file(path)
-
-    def test_boolean_coercion(self, tmp_path):
-        path = _write_config(tmp_path / "run.cfg", "train.pad_head_to_six = true\n")
-        cfg = apply_config_entries(RunConfig(), parse_config_file(path))
-        assert cfg.train.pad_head_to_six is True
 
 
 class TestGenData:
@@ -282,6 +279,33 @@ class TestTrainCommand:
         )
         assert code == EXIT_CONFIG
 
+    def _copy_data(self, cli_workspace, tmp_path):
+        _, cfg_path, data_dir, _, _ = cli_workspace
+        shutil.copytree(data_dir, tmp_path / "data")
+        return cfg_path, tmp_path / "data" / "manifest.json"
+
+    def _train_error(self, cfg_path, manifest, tmp_path, capsys) -> str:
+        args = ["train", "--config", str(cfg_path), "--manifest", str(manifest)]
+        assert main(args + ["--out", str(tmp_path / "t")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(manifest) in err
+        return err
+
+    def test_missing_feature_file_names_manifest_and_file(self, cli_workspace, tmp_path, capsys):
+        cfg_path, manifest = self._copy_data(cli_workspace, tmp_path)
+        (manifest.parent / "features" / "vid0002.f32").unlink()
+        assert "vid0002.f32" in self._train_error(cfg_path, manifest, tmp_path, capsys)
+
+    @pytest.mark.parametrize("key", ["T", "feature_file", "d_feat"])
+    def test_video_record_without_key_names_manifest_and_key(
+        self, cli_workspace, tmp_path, capsys, key
+    ):
+        cfg_path, manifest = self._copy_data(cli_workspace, tmp_path)
+        doc = json.loads(manifest.read_text())
+        del doc["videos"][1][key]
+        manifest.write_text(json.dumps(doc))
+        assert repr(key) in self._train_error(cfg_path, manifest, tmp_path, capsys)
+
 
 class TestEvalCommand:
     def test_report_and_detections_written(self, cli_workspace):
@@ -344,6 +368,52 @@ class TestEvalCommand:
             ]
         )
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            ("truncated-count", "checkpoint.utal"),
+            ("truncated-header", "checkpoint.utal"),
+            ("sidecar-not-json", "checkpoint.utal.json"),
+            ("sidecar-with-padded-head-keys", "'pad_head_to_six'"),
+            ("sidecar-missing-key", "'hidden'"),
+            ("checkpoint-missing-array", "'head.weights'"),
+        ],
+    )
+    def test_damaged_checkpoint_is_config_error(self, cli_workspace, tmp_path, capsys, damage, named):
+        _, cfg_path, data_dir, train_dir, _ = cli_workspace
+        ckpt, sidecar = tmp_path / "checkpoint.utal", tmp_path / "checkpoint.utal.json"
+        shutil.copy(train_dir / ckpt.name, ckpt)
+        shutil.copy(train_dir / sidecar.name, sidecar)
+        doc = json.loads(sidecar.read_text())
+        if damage == "truncated-count":
+            ckpt.write_bytes(ckpt.read_bytes()[:7])
+        elif damage == "truncated-header":
+            ckpt.write_bytes(ckpt.read_bytes()[:20])
+        elif damage == "sidecar-not-json":
+            sidecar.write_text("{not json")
+        elif damage == "sidecar-with-padded-head-keys":
+            doc["pad_head_to_six"] = doc["train_config"]["pad_head_to_six"] = False
+            sidecar.write_text(json.dumps(doc))
+        elif damage == "sidecar-missing-key":
+            del doc["hidden"]
+            sidecar.write_text(json.dumps(doc))
+        else:
+            arrays = load_arrays(ckpt)
+            del arrays["head.weights"]
+            save_arrays(ckpt, arrays)
+        code = main(
+            [
+                "eval",
+                "--config", str(cfg_path),
+                "--checkpoint", str(ckpt),
+                "--manifest", str(data_dir / "manifest.json"),
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and str(ckpt) in err and named in err
 
     def test_oracle_row_renders_all_hundreds(self):
         report = {"map_by_tiou": {repr(t): 1.0 for t in (0.3, 0.4, 0.5, 0.6, 0.7)}}

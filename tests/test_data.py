@@ -211,17 +211,20 @@ class TestOffsets:
 
     def test_round_trip_through_apply(self):
         rng = np.random.default_rng(0)
+        props, gts = [], []
         for _ in range(100):
             s = rng.uniform(0, 50)
             length = rng.uniform(1, 30)
             gs = rng.uniform(0, 60)
             glen = rng.uniform(1, 30)
-            prop = Proposal(s, s + length)
-            gt = ActionAnnotation(0, gs, gs + glen)
-            t_s, t_e = compute_offsets(prop, gt)
-            refined = apply_offsets(prop, t_s, t_e, t_max=100.0)
-            assert refined.start == pytest.approx(gt.start, abs=1e-9)
-            assert refined.end == pytest.approx(gt.end, abs=1e-9)
+            props.append(Proposal(s, s + length))
+            gts.append(ActionAnnotation(0, gs, gs + glen))
+        t_s, t_e = np.array([compute_offsets(p, g) for p, g in zip(props, gts)]).T
+        starts, ends = apply_offsets(
+            np.array([p.start for p in props]), np.array([p.end for p in props]), t_s, t_e, 100.0
+        )
+        np.testing.assert_allclose(starts, [g.start for g in gts], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(ends, [g.end for g in gts], rtol=0, atol=1e-9)
 
 
 class TestLabeling:
@@ -262,16 +265,16 @@ class TestLabeling:
         for item in dataset.videos[:4]:
             props = sliding_windows(item.sequence.num_units, (8, 16, 32), 0.5)
             labeled = label_proposals(item.sequence.video_id, props, item.annotations)
-            for lp in labeled:
-                if lp.t_a != 1:
-                    continue
-                refined = apply_offsets(
-                    lp.proposal, lp.t_s, lp.t_e, float(item.sequence.num_units)
-                )
-                err = min(
-                    max(abs(refined.start - a.start), abs(refined.end - a.end))
-                    for a in item.annotations
-                )
+            pos = [lp for lp in labeled if lp.t_a == 1]
+            starts, ends = apply_offsets(
+                np.array([lp.proposal.start for lp in pos]),
+                np.array([lp.proposal.end for lp in pos]),
+                np.array([lp.t_s for lp in pos]),
+                np.array([lp.t_e for lp in pos]),
+                float(item.sequence.num_units),
+            )
+            for start, end in zip(starts, ends):
+                err = min(max(abs(start - a.start), abs(end - a.end)) for a in item.annotations)
                 assert err < 1e-9
 
 

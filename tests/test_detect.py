@@ -1,10 +1,19 @@
-"""Cascade refinement, NMS against its oracle, AP against enumeration, mAP."""
+"""Cascade refinement against its one-window oracle, NMS against its oracle,
+AP against enumeration, mAP."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import OracleModel, aligned_oracle_dataset, ap_enumeration_oracle, greedy_nms_oracle
-from utal.data import Proposal, ProposalConfig, UnitFeatureSequence
+from _oracles import (
+    OracleModel,
+    aligned_oracle_dataset,
+    ap_enumeration_oracle,
+    cascade_oracle,
+    greedy_nms_oracle,
+)
+from utal.data import ProposalConfig, UnitFeatureSequence
 from utal.detect import (
     DetectConfig,
     Detection,
@@ -16,32 +25,39 @@ from utal.detect import (
     refine_cascade,
 )
 from utal.errors import ConfigError
-from utal.model import HeadOutput, TrainConfig, init_model
+from utal.model import LOSS_MODES, BatchForward, TrainConfig, init_model
 from utal.numerics import Rng
+
+
+def _offsets(starts, ends, y_s, y_e, t_max):
+    s, e = apply_offsets(np.array(starts), np.array(ends), np.array(y_s), np.array(y_e), t_max)
+    return s.tolist(), e.tolist()
 
 
 class TestApplyOffsets:
     def test_zero_offsets_identity(self):
-        prop = Proposal(10.0, 20.0, 1)
-        out = apply_offsets(prop, 0.0, 0.0, 64.0)
-        assert (out.start, out.end, out.scale_id) == (10.0, 20.0, 1)
+        assert _offsets([10.0, 0.5], [20.0, 3.0], [0.0, 0.0], [0.0, 0.0], 64.0) == (
+            [10.0, 0.5],
+            [20.0, 3.0],
+        )
 
     def test_hand_arithmetic(self):
-        out = apply_offsets(Proposal(10.0, 20.0), 0.2, 0.2, 64.0)
-        assert (out.start, out.end) == (12.0, 22.0)
+        assert _offsets([10.0, 0.0], [20.0, 8.0], [0.2, 0.5], [0.2, -0.25], 64.0) == (
+            [12.0, 4.0],
+            [22.0, 6.0],
+        )
 
     def test_clamped_to_video(self):
-        out = apply_offsets(Proposal(0.0, 10.0), -0.5, 2.0, 16.0)
-        assert out.start == 0.0 and out.end == 16.0
+        assert _offsets([0.0], [10.0], [-0.5], [2.0], 16.0) == ([0.0], [16.0])
 
     def test_crossed_boundaries_fall_back_to_unit_window(self):
-        out = apply_offsets(Proposal(10.0, 20.0), 1.5, -1.5, 64.0)
-        assert out.end - out.start == pytest.approx(1.0)
-        assert 0.0 <= out.start < out.end <= 64.0
+        # midpoints 15, 0.2 and 63.9: centered, pushed right, pushed left
+        s, e = _offsets([10.0, 0.0, 62.0], [20.0, 2.0, 64.0], [1.5, 0.1, 2.0], [-1.5, -0.9, -0.1], 64.0)
+        assert (s, e) == ([14.5, 0.0, 63.0], [15.5, 1.0, 64.0])
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ConfigError):
-            apply_offsets(Proposal(5.0, 5.0), 0.0, 0.0, 10.0)
+            _offsets([1.0, 5.0], [2.0, 5.0], [0.0, 0.0], [0.0, 0.0], 10.0)
 
 
 def _zero_model(d_feat=8, num_classes=3, k=2, mode="kl_l1"):
@@ -52,74 +68,129 @@ def _zero_model(d_feat=8, num_classes=3, k=2, mode="kl_l1"):
     return model
 
 
-class TestRefineCascade:
-    def _video(self, t_units=32, d_feat=8):
-        rng = Rng(4)
-        feats = rng.uniforms(t_units * d_feat).reshape(t_units, d_feat)
-        return UnitFeatureSequence("v", feats)
+class _RowByRow:
+    """Forwards one row at a time, so that the size of a batch cannot change
+    a bit of the outputs; optionally overwrites every start offset with
+    0.5 - gap and every end offset with gap - 0.5, which moves a window's
+    boundaries to within 2 * gap * length of each other (or across)."""
 
+    def __init__(self, model, gap=None):
+        self.model, self.gap = model, gap
+        self.k, self.num_classes = model.k, model.num_classes
+
+    def forward_batch(self, x):
+        rows = [self.model.forward_batch(row[None, :]) for row in x]
+        z_a, y_a, logits, mu = (
+            np.concatenate([getattr(r, name) for r in rows]) for name in ("z_a", "y_a", "logits", "mu")
+        )
+        if self.gap is not None:
+            mu[:, :, 0] = 0.5 - self.gap
+            mu[:, :, 1] = self.gap - 0.5
+        return BatchForward(z_a, y_a, logits, mu, None, None)
+
+
+def _video(t_units=32, d_feat=8, seed=4):
+    feats = Rng(seed).uniforms(t_units * d_feat).reshape(t_units, d_feat)
+    return UnitFeatureSequence("v", feats)
+
+
+@st.composite
+def _cascade_cases(draw):
+    t_units = draw(st.integers(1, 40))
+    d_feat = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**16))
+    cfg = TrainConfig(loss_mode=draw(st.sampled_from(LOSS_MODES)), hidden=8, k=k)
+    model = init_model(cfg, d_feat, draw(st.integers(2, 4)), seed)
+    # a large head gain pushes offsets past the clamps and across each other
+    gain = draw(st.sampled_from([0.0, 1.0, 30.0]))
+    model.fc_head.weights *= gain
+    model.fc_head.biases *= gain
+    # gap 0 makes the boundaries meet (crossed, or an ulp apart); 1e-12 leaves
+    # a refinement too short to keep
+    gap = draw(st.sampled_from([None, None, 0.0, 1e-12]))
+    coord = st.floats(0.0, float(t_units), allow_nan=False)
+    pairs = draw(st.lists(st.tuples(coord, coord).filter(lambda p: p[0] != p[1]), min_size=1, max_size=8))
+    windows = [tuple(sorted(p)) for p in pairs]
+    video = _video(t_units, d_feat, seed)
+    return _RowByRow(model, gap), video, windows, draw(st.integers(1, 4))
+
+
+class TestRefineCascade:
     def test_zero_offset_model_is_fixed_point(self):
         model = _zero_model()
-        video = self._video()
-        prop = Proposal(4.0, 12.0)
         for steps in (1, 2, 5):
-            out, head = refine_cascade(model, video, prop, steps)
-            assert (out.start, out.end) == (4.0, 12.0)
-            assert head.y_a == 0.5
+            starts, ends, y_a, logits = refine_cascade(
+                model, _video(), np.array([4.0, 0.0]), np.array([12.0, 32.0]), steps
+            )
+            assert starts.tolist() == [4.0, 0.0] and ends.tolist() == [12.0, 32.0]
+            assert y_a.tolist() == [0.5, 0.5]
+            np.testing.assert_array_equal(logits, np.zeros((2, 3)))
 
     def test_exact_offsets_reach_target_in_one_step(self):
-        video = self._video()
-        prop = Proposal(8.0, 16.0)
+        start, end = 8.0, 16.0
         target = (10.0, 18.0)
 
         class StubModel:
             k = 2
-            uncertainty = False
             num_classes = 2
 
             def forward_batch(self, x):
-                from utal.model import BatchForward
-
                 batch = x.shape[0]
                 mu = np.zeros((batch, 2, 2))
-                mu[:, 0, 0] = (target[0] - prop.start) / prop.length
-                mu[:, 0, 1] = (target[1] - prop.end) / prop.length
+                mu[:, 0, 0] = (target[0] - start) / (end - start)
+                mu[:, 0, 1] = (target[1] - end) / (end - start)
                 logits = np.zeros((batch, 2))
                 logits[:, 0] = 5.0
-                return BatchForward(
-                    np.zeros(batch), np.full(batch, 0.9), logits, mu, None, None
-                )
+                return BatchForward(np.zeros(batch), np.full(batch, 0.9), logits, mu, None, None)
 
-        out, _ = refine_cascade(StubModel(), video, prop, 1)
-        assert out.start == pytest.approx(target[0], abs=1e-12)
-        assert out.end == pytest.approx(target[1], abs=1e-12)
+        starts, ends, y_a, _ = refine_cascade(StubModel(), _video(), [start], [end], 1)
+        assert starts[0] == pytest.approx(target[0], abs=1e-12)
+        assert ends[0] == pytest.approx(target[1], abs=1e-12)
+        assert y_a.tolist() == [0.9]
 
     def test_two_steps_equal_two_single_steps(self):
         model = init_model(TrainConfig(loss_mode="kl_l1", hidden=16, k=2), 8, 3, seed=8)
-        video = self._video()
-        prop = Proposal(6.0, 18.0)
-        once, _ = refine_cascade(model, video, prop, 1)
-        twice_chained, head_chained = refine_cascade(model, video, once, 1)
-        twice, head = refine_cascade(model, video, prop, 2)
-        assert (twice.start, twice.end) == (twice_chained.start, twice_chained.end)
-        np.testing.assert_array_equal(head.class_logits, head_chained.class_logits)
+        video = _video()
+        starts, ends = np.array([6.0, 0.0, 20.0]), np.array([18.0, 8.0, 32.0])
+        once = refine_cascade(model, video, starts, ends, 1)
+        chained = refine_cascade(model, video, once[0], once[1], 1)
+        twice = refine_cascade(model, video, starts, ends, 2)
+        for a, b in zip(twice, chained):
+            np.testing.assert_array_equal(a, b)
+
+    def test_degenerate_refinement_keeps_last_window(self):
+        model = _RowByRow(_zero_model(), gap=1e-12)
+        starts, ends, y_a, _ = refine_cascade(model, _video(), [4.0], [12.0], 3)
+        assert (starts.tolist(), ends.tolist(), y_a.tolist()) == ([4.0], [12.0], [0.5])
+
+    @given(_cascade_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_window_oracle(self, case):
+        model, video, windows, steps = case
+        starts, ends, y_a, logits = refine_cascade(
+            model, video, [w[0] for w in windows], [w[1] for w in windows], steps
+        )
+        expected = cascade_oracle(model, video, windows, steps)
+        assert starts.tolist() == [r[0] for r in expected]
+        assert ends.tolist() == [r[1] for r in expected]
+        assert y_a.tolist() == [r[2] for r in expected]
+        np.testing.assert_array_equal(logits, np.stack([r[3] for r in expected]))
 
 
 class TestFuseScores:
     def test_zero_actioness_zeroes_everything(self):
-        head = HeadOutput(0.0, np.array([1.0, 2.0, 3.0]), np.zeros((3, 2)))
-        np.testing.assert_array_equal(fuse_scores(head), np.zeros(3))
+        fused = fuse_scores(np.zeros(2), np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 4.0]]))
+        np.testing.assert_array_equal(fused, np.zeros((2, 3)))
 
     def test_uniform_logits(self):
-        head = HeadOutput(1.0, np.zeros(5), np.zeros((5, 2)))
-        np.testing.assert_allclose(fuse_scores(head), np.full(5, 0.2), atol=1e-12)
+        np.testing.assert_allclose(fuse_scores(np.ones(3), np.zeros((3, 5))), np.full((3, 5), 0.2), atol=1e-12)
 
     def test_sums_to_actioness(self):
         rng = Rng(6)
-        for _ in range(20):
-            y_a = rng.uniform()
-            head = HeadOutput(y_a, rng.uniforms(4) * 6 - 3, np.zeros((4, 2)))
-            assert fuse_scores(head).sum() == pytest.approx(y_a, abs=1e-9)
+        y_a = rng.uniforms(20)
+        logits = (rng.uniforms(20 * 4) * 6 - 3).reshape(20, 4)
+        np.testing.assert_allclose(fuse_scores(y_a, logits).sum(axis=1), y_a, atol=1e-9)
 
 
 def _rand_dets(rng, n, video="v", class_id=0):

@@ -62,14 +62,6 @@ class TestInitModel:
         np.testing.assert_array_equal(base.fc1.weights, unc.fc1.weights)
         np.testing.assert_array_equal(base.fc_act.weights, unc.fc_act.weights)
 
-    def test_padded_head_is_six_wide_and_unread(self):
-        cfg = TrainConfig(loss_mode="kl_l1", hidden=16, pad_head_to_six=True)
-        model = init_model(cfg, 8, 3, seed=2)
-        assert model.head_cols == 6
-        assert model.fc_head.out_dim == 18
-        out = model.forward(np.ones(8 * cfg.k))
-        assert out.offsets.shape == (3, 4)
-
 
 class TestForward:
     def test_zero_weights_give_neutral_outputs(self):
@@ -77,29 +69,33 @@ class TestForward:
         for layer in model.dense_layers:
             layer.weights[...] = 0.0
             layer.biases[...] = 0.0
-        out = model.forward(np.ones(8 * 4))
-        assert out.y_a == 0.5
-        np.testing.assert_array_equal(out.class_logits, np.zeros(4))
-        np.testing.assert_array_equal(out.offsets, np.zeros((4, 4)))
+        out = model.forward_batch(np.ones((2, 8 * 4)))
+        np.testing.assert_array_equal(out.y_a, [0.5, 0.5])
+        np.testing.assert_array_equal(out.logits, np.zeros((2, 4)))
+        np.testing.assert_array_equal(out.mu, np.zeros((2, 4, 2)))
+        np.testing.assert_array_equal(out.alpha, np.zeros((2, 4, 2)))
 
     def test_deterministic(self):
         model = init_model(TrainConfig(hidden=16), 8, 3, seed=5)
-        x = Rng(1).uniforms(8 * 4)
-        a = model.forward(x)
-        b = model.forward(x)
-        assert a.y_a == b.y_a
-        np.testing.assert_array_equal(a.offsets, b.offsets)
+        x = Rng(1).uniforms(3 * 8 * 4).reshape(3, -1)
+        a = model.forward_batch(x)
+        b = model.forward_batch(x)
+        for name in ("z_a", "y_a", "logits", "mu", "alpha"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_dimension_mismatch_hard_error(self):
         model = init_model(TrainConfig(hidden=16), 8, 3, seed=5)
         with pytest.raises(ConfigError):
-            model.forward(np.ones(7))
+            model.forward_batch(np.ones((1, 7)))
+        with pytest.raises(ConfigError):
+            model.forward_batch(np.ones(8 * 4))
 
     def test_alpha_rows_clamped(self):
         model = init_model(TrainConfig(loss_mode="kl_l1", hidden=8), 4, 2, seed=1)
         model.fc_head.biases[...] = 99.0  # push raw alphas far out of range
-        out = model.forward(np.ones(16))
-        assert np.all(out.offsets[:, (1, 3)] <= 10.0)
+        out = model.forward_batch(np.ones((1, 16)))
+        assert np.all(out.alpha == 10.0)
+        assert not np.any(out.alpha_pass)
 
 
 def _total_loss_for_model(model, cfg, x_batch, t_a, t_c, t_s, t_e, eps_values):
@@ -312,13 +308,12 @@ class TestCheckpoint:
         path = save_checkpoint(model, tmp_path / "model.utal", cfg)
         loaded, cfg2 = load_checkpoint(path)
         assert cfg2 == cfg
-        x = Rng(2).uniforms(8 * cfg.k)
-        out_a = loaded.forward(x)
+        x = Rng(2).uniforms(3 * 8 * cfg.k).reshape(3, -1)
+        out_a = loaded.forward_batch(x)
         reloaded, _ = load_checkpoint(save_checkpoint(loaded, tmp_path / "again.utal", cfg))
-        out_b = reloaded.forward(x)
-        assert out_a.y_a == out_b.y_a
-        np.testing.assert_array_equal(out_a.class_logits, out_b.class_logits)
-        np.testing.assert_array_equal(out_a.offsets, out_b.offsets)
+        out_b = reloaded.forward_batch(x)
+        for name in ("y_a", "logits", "mu", "alpha"):
+            np.testing.assert_array_equal(getattr(out_a, name), getattr(out_b, name))
 
     def test_second_save_is_byte_identical(self, tmp_path):
         cfg = TrainConfig(loss_mode="l1", hidden=12)
