@@ -94,8 +94,9 @@ class RunConfig:
         self.detect.validate()
 
 
-def _coerce(text: str, current):
-    """Parse a config-file value into the type of the current/default value."""
+def _coerce(text: str, current, annotation: str):
+    """Parse a config-file value into the type of the current/default value;
+    a fixed-size tuple (annotated without `...`) takes as many values as it holds."""
     text = text.strip()
     if isinstance(current, int):
         return int(text)
@@ -103,6 +104,8 @@ def _coerce(text: str, current):
         return float(text)
     if isinstance(current, tuple):
         parts = [p for p in (s.strip() for s in text.split(",")) if p]
+        if "..." not in annotation and len(parts) != len(current):
+            raise ValueError(f"expected {len(current)} comma-separated values, got {len(parts)}")
         elem = current[0] if current else 0
         return tuple(int(p) if isinstance(elem, int) else float(p) for p in parts)
     return text
@@ -131,27 +134,36 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 _SECTIONS = ("data", "proposals", "train", "detect")
 
 
-def apply_config_entries(cfg: RunConfig, entries: dict[str, str]) -> RunConfig:
+def apply_config_entries(
+    cfg: RunConfig, entries: dict[str, str], source: str = "config file"
+) -> RunConfig:
+    """Set each `section.key` (or `seed`); a value that does not parse names `source`."""
     for key, value in entries.items():
         if key == "seed":
-            cfg.seed = int(value)
-            continue
-        if "." not in key:
-            raise ConfigError(f"unknown config key {key!r} (expected section.key)")
-        section_name, field_name = key.split(".", 1)
-        if section_name not in _SECTIONS:
-            raise ConfigError(f"unknown config section {section_name!r}")
-        section = getattr(cfg, section_name)
-        names = {f.name for f in fields(section)}
-        if field_name not in names:
-            raise ConfigError(f"unknown config key {key!r}")
-        setattr(section, field_name, _coerce(value, getattr(section, field_name)))
+            section, field_name, annotation = cfg, "seed", "int"
+        else:
+            if "." not in key:
+                raise ConfigError(f"unknown config key {key!r} (expected section.key)")
+            section_name, field_name = key.split(".", 1)
+            if section_name not in _SECTIONS:
+                raise ConfigError(f"unknown config section {section_name!r}")
+            section = getattr(cfg, section_name)
+            types = {f.name: str(f.type) for f in fields(section)}
+            if field_name not in types:
+                raise ConfigError(f"unknown config key {key!r}")
+            annotation = types[field_name]
+        try:
+            parsed = _coerce(value, getattr(section, field_name), annotation)
+        except ValueError as exc:
+            raise ConfigError(f"{source}: bad value for {key}: {value!r} ({exc})") from exc
+        setattr(section, field_name, parsed)
     return cfg
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    entries = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    cfg = apply_config_entries(RunConfig(), entries)
+    config_file = getattr(args, "config", None)
+    entries = parse_config_file(config_file) if config_file else {}
+    cfg = apply_config_entries(RunConfig(), entries, config_file or "config file")
     seed = cfg.seed
     env_seed = os.environ.get("UTAL_SEED")
     if env_seed is not None and "seed" not in entries:

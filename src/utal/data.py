@@ -474,38 +474,52 @@ def label_proposals(
     return out
 
 
-def pool_k_parts(video: UnitFeatureSequence, prop: Proposal, k: int) -> np.ndarray:
-    """Coverage-weighted average pooling over k equal sub-spans, concatenated.
+def pairwise_tiou(s1, e1, s2, e2) -> np.ndarray:
+    """tIoU of intervals [s1, e1] and [s2, e2], elementwise with broadcasting.
 
-    Each unit contributes to a sub-span with weight equal to their overlap
-    length, so fractional (refined) boundaries pool smoothly.  A zero-length
-    sub-span falls back to the unit containing it.
+    The same arithmetic as `tiou`, so every value equals `tiou` bit for bit.
+    """
+    inter = np.minimum(e1, e2) - np.maximum(s1, s2)
+    union = (e1 - s1) + (e2 - s2) - inter
+    ok = (inter > 0.0) & (union > 0.0)
+    return np.where(ok, inter / np.where(ok, union, 1.0), 0.0)
+
+
+def pool_k_parts(video: UnitFeatureSequence, starts, ends, k: int) -> np.ndarray:
+    """Coverage-weighted average pooling of windows [starts, ends], [N x k*d_feat].
+
+    Each window's k equal sub-spans are clipped to [0, T] and average the
+    units they overlap, weighted by overlap length.  With F the piecewise-
+    linear cumulative sum of the unit features (an integral image), the mean
+    over [lo, hi] is (F(hi) - F(lo)) / (hi - lo).  A zero-length sub-span
+    falls back to the unit containing its midpoint.
     """
     if k < 1:
         raise ConfigError("k must be at least 1")
     feats = video.features
     t_units = feats.shape[0]
-    parts = np.empty((k, feats.shape[1]))
-    span = prop.length / k
-    for j in range(k):
-        lo = prop.start + j * span
-        hi = lo + span
-        u0 = max(int(math.floor(lo)), 0)
-        u1 = min(int(math.ceil(hi)), t_units)
-        if hi <= lo or u1 <= u0:
-            u = min(max(int(math.floor((lo + hi) / 2.0)), 0), t_units - 1)
-            parts[j] = feats[u]
-            continue
-        units = np.arange(u0, u1, dtype=np.float64)
-        weights = np.minimum(hi, units + 1.0) - np.maximum(lo, units)
-        weights = np.clip(weights, 0.0, None)
-        total = weights.sum()
-        if total <= 0.0:
-            u = min(max(int(math.floor((lo + hi) / 2.0)), 0), t_units - 1)
-            parts[j] = feats[u]
-        else:
-            parts[j] = weights @ feats[u0:u1] / total
-    return parts.reshape(-1)
+    starts = np.asarray(starts, dtype=np.float64)
+    ends = np.asarray(ends, dtype=np.float64)
+    span = (ends - starts) / k
+    lo = starts[:, None] + np.arange(k)[None, :] * span[:, None]  # [N x k]
+    hi = lo + span[:, None]
+    lo_c = np.clip(lo, 0.0, t_units)
+    hi_c = np.clip(hi, 0.0, t_units)
+    cum = np.zeros((t_units + 1, feats.shape[1]))
+    np.cumsum(feats, axis=0, out=cum[1:])
+    # F(t) = C[u] + (t - u) * x[u], u = floor(t) (T - 1 at t = T); the C terms
+    # cancel exactly when both ends lie in one unit
+    u_lo = np.minimum(np.floor(lo_c), t_units - 1).astype(np.intp)
+    u_hi = np.minimum(np.floor(hi_c), t_units - 1).astype(np.intp)
+    num = cum[u_hi] - cum[u_lo] + (hi_c - u_hi)[..., None] * feats[u_hi]
+    num -= (lo_c - u_lo)[..., None] * feats[u_lo]
+    length = hi_c - lo_c
+    covered = length > 0.0
+    pooled = num / np.where(covered, length, 1.0)[..., None]
+    if not covered.all():
+        mid = np.clip(np.floor((lo + hi) / 2.0), 0, t_units - 1).astype(np.intp)
+        pooled[~covered] = feats[mid[~covered]]
+    return pooled.reshape(starts.shape[0], k * feats.shape[1])
 
 
 def build_training_set(
@@ -517,13 +531,12 @@ def build_training_set(
     for item in sorted(dataset.videos, key=lambda v: v.sequence.video_id):
         windows = sliding_windows(item.sequence.num_units, prop_cfg.scales, prop_cfg.overlap)
         windows.sort(key=lambda p: (p.start, p.scale_id))
-        for lp in label_proposals(
-            item.sequence.video_id,
-            windows,
-            item.annotations,
-            prop_cfg.pos_thr,
-            prop_cfg.neg_thr,
-        ):
-            lp.x = pool_k_parts(item.sequence, lp.proposal, k)
-            labeled.append(lp)
+        video_labeled = label_proposals(
+            item.sequence.video_id, windows, item.annotations, prop_cfg.pos_thr, prop_cfg.neg_thr
+        )
+        starts = np.array([lp.proposal.start for lp in video_labeled])
+        ends = np.array([lp.proposal.end for lp in video_labeled])
+        for lp, x in zip(video_labeled, pool_k_parts(item.sequence, starts, ends, k)):
+            lp.x = x
+        labeled.extend(video_labeled)
     return labeled

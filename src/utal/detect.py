@@ -15,9 +15,9 @@ import numpy as np
 
 from utal.data import (
     Dataset,
-    Proposal,
     ProposalConfig,
     UnitFeatureSequence,
+    pairwise_tiou,
     pool_k_parts,
     sliding_windows,
     tiou,
@@ -132,13 +132,7 @@ def refine_cascade(
     for _ in range(steps):
         if live.size == 0:
             break
-        x = np.stack(
-            [
-                pool_k_parts(video, Proposal(s, e), model.k)
-                for s, e in zip(starts[live].tolist(), ends[live].tolist())
-            ]
-        )
-        fwd = model.forward_batch(x)
+        fwd = model.forward_batch(pool_k_parts(video, starts[live], ends[live], model.k))
         y_a[live] = fwd.y_a
         logits[live] = fwd.logits
         rows = np.arange(live.size)
@@ -166,14 +160,20 @@ def nms(dets: list[Detection], tiou_thr: float) -> list[Detection]:
     """Greedy NMS over detections of one video and class.
 
     Sorted by score (ties by video then start); a detection is kept iff its
-    tIoU with every kept detection is below the threshold.
+    tIoU with every kept detection is below the threshold.  Each kept
+    detection suppresses the later ones in one vector tIoU update.
     """
+    ordered = sorted(dets, key=_det_sort_key)
+    starts = np.array([d.start for d in ordered])
+    ends = np.array([d.end for d in ordered])
+    alive = np.ones(len(ordered), dtype=bool)
     kept: list[Detection] = []
-    for det in sorted(dets, key=_det_sort_key):
-        if all(
-            tiou((det.start, det.end), (k.start, k.end)) < tiou_thr for k in kept
-        ):
+    for i, det in enumerate(ordered):
+        if alive[i]:
             kept.append(det)
+            alive[i + 1 :] &= (
+                pairwise_tiou(starts[i + 1 :], ends[i + 1 :], starts[i], ends[i]) < tiou_thr
+            )
     return kept
 
 
@@ -214,9 +214,7 @@ def average_precision(
     precision = tp_cum / np.arange(1, len(dets) + 1)
     # precision envelope over recall, all-point interpolation
     mrec = np.concatenate([[0.0], recall, [recall[-1]]])
-    mpre = np.concatenate([[1.0], precision, [0.0]])
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(np.concatenate([[1.0], precision, [0.0]])[::-1])[::-1]
     return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
 
 
@@ -280,13 +278,15 @@ def evaluate_detections(
     """AP per class per threshold, mAP over classes with ground truth."""
     classes = sorted(gts_by_class)
     num_gt = sum(len(v) for v in gts_by_class.values())
+    dets_by_class: dict[int, list[Detection]] = {c: [] for c in classes}
+    for det in all_dets:
+        dets_by_class.get(det.class_id, []).append(det)
     map_by_tiou: dict[float, float] = {}
     per_class_ap: dict[float, dict[int, float | None]] = {}
     for thr in tiou_thresholds:
         aps: dict[int, float | None] = {}
         for c in classes:
-            dets_c = [d for d in all_dets if d.class_id == c]
-            aps[c] = average_precision(dets_c, gts_by_class[c], thr)
+            aps[c] = average_precision(dets_by_class[c], gts_by_class[c], thr)
         per_class_ap[thr] = aps
         valid = [ap for ap in aps.values() if ap is not None]
         map_by_tiou[thr] = float(np.mean(valid)) if valid else 0.0

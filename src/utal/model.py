@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -405,13 +406,17 @@ def collect_offset_stats(
 
 
 def save_checkpoint(model: Model, path: str | Path, cfg: TrainConfig) -> Path:
-    """Binary weights plus a JSON sidecar describing shapes and config."""
+    """Binary weights plus a JSON sidecar describing shapes and config.
+
+    Both go to temporaries beside them and are renamed into place, so a
+    failed write leaves the previous checkpoint whole.
+    """
     path = Path(path)
+    sidecar_path = Path(str(path) + ".json")
     arrays: dict[str, np.ndarray] = {}
     for layer in model.dense_layers:
         arrays[f"{layer.name}.weights"] = layer.weights
         arrays[f"{layer.name}.biases"] = layer.biases
-    save_arrays(path, arrays)
     sidecar = {
         "train_config": asdict(cfg),
         "d_feat": model.d_feat,
@@ -421,7 +426,15 @@ def save_checkpoint(model: Model, path: str | Path, cfg: TrainConfig) -> Path:
         "uncertainty": model.uncertainty,
         "seed": model.seed,
     }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    temps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, sidecar_path)]
+    try:
+        save_arrays(temps[0], arrays)
+        temps[1].write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        os.replace(temps[0], path)
+        os.replace(temps[1], sidecar_path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
     return path
 
 

@@ -92,6 +92,38 @@ def greedy_nms_oracle(dets, thr: float):
     return kept
 
 
+def pool_k_parts_oracle(video, start: float, end: float, k: int) -> np.ndarray:
+    """k-part coverage-weighted pooling of one window, unit by unit.
+
+    Each of the k equal sub-spans of [start, end] averages the units it
+    overlaps, weighted by overlap length; units outside [0, T] do not exist.
+    A sub-span that covers no unit takes the unit containing its midpoint.
+    """
+    feats = video.features
+    t_units = feats.shape[0]
+    parts = np.empty((k, feats.shape[1]))
+    span = (end - start) / k
+    for j in range(k):
+        lo = start + j * span
+        hi = lo + span
+        u0 = max(int(math.floor(lo)), 0)
+        u1 = min(int(math.ceil(hi)), t_units)
+        if hi <= lo or u1 <= u0:
+            u = min(max(int(math.floor((lo + hi) / 2.0)), 0), t_units - 1)
+            parts[j] = feats[u]
+            continue
+        units = np.arange(u0, u1, dtype=np.float64)
+        weights = np.minimum(hi, units + 1.0) - np.maximum(lo, units)
+        weights = np.clip(weights, 0.0, None)
+        total = weights.sum()
+        if total <= 0.0:
+            u = min(max(int(math.floor((lo + hi) / 2.0)), 0), t_units - 1)
+            parts[j] = feats[u]
+        else:
+            parts[j] = weights @ feats[u0:u1] / total
+    return parts.reshape(-1)
+
+
 def cascade_oracle(model, video, windows, steps: int):
     """The refinement cascade one window at a time, in scalar arithmetic.
 
@@ -102,14 +134,14 @@ def cascade_oracle(model, video, windows, steps: int):
     which keeps its last state.  Returns (start, end, y_a, logits) per
     window, from the window's last forward pass.
     """
-    from utal.data import Proposal, pool_k_parts
+    from utal.data import pool_k_parts
 
     t_max = float(video.num_units)
     out = []
     for start, end in windows:
         for _ in range(steps):
-            x = pool_k_parts(video, Proposal(start, end), model.k)
-            fwd = model.forward_batch(x[None, :])
+            x = pool_k_parts(video, np.array([start]), np.array([end]), model.k)
+            fwd = model.forward_batch(x)
             y_a, logits = float(fwd.y_a[0]), fwd.logits[0].copy()
             c = int(np.argmax(logits))
             length = end - start

@@ -41,6 +41,8 @@ from utal.model import TrainConfig, collect_offset_stats, init_model, train
 from utal.net import DenseLayer, L2NormalizeLayer, ReluLayer
 from utal.numerics import Rng, mc_expected_l1
 
+pytestmark = pytest.mark.slow
+
 SEEDS = (7, 8, 9)
 EPOCHS = {"l1": 25, "kl_l1": 25, "sampled_l1": 50}  # all within the 50-epoch budget
 

@@ -65,6 +65,18 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize(
+        "line", ["train.epochs = three", "data.t_range = 64", "seed = x"]
+    )
+    def test_unparsable_value_is_config_error(self, tmp_path, capsys, line):
+        path = _write_config(tmp_path / "bad.cfg", line + "\n")
+        assert main(["gen-data", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        key, value = (part.strip() for part in line.split("="))
+        assert err.startswith("error: ")
+        assert path in err and key in err and repr(value) in err
+        assert "Traceback" not in err
+
 
 class TestGenData:
     def test_deterministic_manifest_bytes(self, tmp_path):

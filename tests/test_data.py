@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import pool_k_parts_oracle
 from utal.data import (
     ActionAnnotation,
     DataConfig,
@@ -18,6 +19,7 @@ from utal.data import (
     generate_synthetic_dataset,
     label_proposals,
     load_dataset,
+    pairwise_tiou,
     pool_k_parts,
     prototype_at,
     sliding_windows,
@@ -197,6 +199,17 @@ class TestTiou:
         if v == 1.0:
             assert a[0] == pytest.approx(b[0]) and a[1] == pytest.approx(b[1])
 
+    def test_pairwise_equals_scalar_exactly(self):
+        rng = np.random.default_rng(5)
+        starts = rng.uniform(-5, 50, 400)
+        ends = starts + rng.uniform(-2, 30, 400)
+        starts[::2], ends[::2] = np.round(starts[::2]), np.round(ends[::2])  # shared boundaries
+        starts[:20], ends[:20] = starts[20:40], ends[20:40]  # exact duplicates
+        matrix = pairwise_tiou(starts[:, None], ends[:, None], starts[None, :], ends[None, :])
+        for i in range(len(starts)):
+            for j in range(len(starts)):
+                assert matrix[i, j] == tiou((starts[i], ends[i]), (starts[j], ends[j]))
+
 
 class TestOffsets:
     def test_hand_example(self):
@@ -278,33 +291,63 @@ class TestLabeling:
                 assert err < 1e-9
 
 
+def _pool(video, windows, k):
+    """pool_k_parts over a list of (start, end) windows."""
+    return pool_k_parts(
+        video, np.array([w[0] for w in windows]), np.array([w[1] for w in windows]), k
+    )
+
+
+@st.composite
+def _pooling_cases(draw):
+    """A random video and windows on a 1/8 grid or anywhere, incl. degenerate ones."""
+    t_units = draw(st.integers(1, 24))
+    d_feat = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    feats = np.random.default_rng(seed).standard_normal((t_units, d_feat)) * draw(
+        st.sampled_from([1e-3, 1.0, 1e3])
+    )
+    anywhere = st.floats(-2.0, t_units + 2.0, allow_nan=False)
+    on_grid = st.integers(-16, 8 * t_units + 16).map(lambda i: i / 8.0)
+    edge = st.sampled_from([0.0, float(t_units)])
+    point = st.one_of(anywhere, on_grid, edge)
+    windows = []
+    for _ in range(draw(st.integers(1, 8))):
+        start = draw(point)
+        end = draw(st.one_of(point, st.just(start)))  # end == start: zero length
+        windows.append((start, end))  # end < start: every sub-span falls back
+    return UnitFeatureSequence("v", feats), windows, k
+
+
 class TestPooling:
     def _video(self, feats):
         return UnitFeatureSequence("v", np.asarray(feats, dtype=np.float64))
 
     def test_constant_sequence_gives_constant_parts(self):
         video = self._video(np.tile([1.0, 2.0], (10, 1)))
-        pooled = pool_k_parts(video, Proposal(1.0, 9.0), 4)
-        np.testing.assert_allclose(pooled, np.tile([1.0, 2.0], 4))
+        pooled = _pool(video, [(1.0, 9.0), (0.25, 9.75), (0.0, 10.0)], 4)
+        np.testing.assert_allclose(pooled, np.tile([1.0, 2.0], (3, 4)))
 
     def test_k1_is_plain_average(self):
         feats = np.arange(12, dtype=np.float64).reshape(6, 2)
         video = self._video(feats)
-        pooled = pool_k_parts(video, Proposal(0.0, 6.0), 1)
-        np.testing.assert_allclose(pooled, feats.mean(axis=0))
+        pooled = _pool(video, [(0.0, 6.0), (2.0, 4.0)], 1)
+        np.testing.assert_allclose(pooled, [feats.mean(axis=0), feats[2:4].mean(axis=0)])
 
     def test_integer_aligned_two_units(self):
         feats = np.array([[1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
         video = self._video(feats)
-        pooled = pool_k_parts(video, Proposal(0.0, 2.0), 2)
-        np.testing.assert_allclose(pooled, np.array([1.0, 0.0, 0.0, 1.0]))
+        pooled = _pool(video, [(0.0, 2.0), (1.0, 3.0)], 2)
+        np.testing.assert_array_equal(pooled, [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 5.0, 5.0]])
 
     def test_fractional_coverage_weighting(self):
         feats = np.array([[1.0], [3.0]])
         video = self._video(feats)
         # span [0.5, 2.0): one part covering 0.5 of unit 0 and all of unit 1
-        pooled = pool_k_parts(video, Proposal(0.5, 2.0), 1)
-        assert pooled[0] == pytest.approx((0.5 * 1.0 + 1.0 * 3.0) / 1.5)
+        pooled = _pool(video, [(0.5, 2.0)], 1)
+        assert pooled.shape == (1, 1)
+        assert pooled[0, 0] == pytest.approx((0.5 * 1.0 + 1.0 * 3.0) / 1.5)
 
     def test_outside_features_do_not_matter(self):
         base = np.ones((10, 3))
@@ -313,20 +356,46 @@ class TestPooling:
         noisy[0] = 99.0
         noisy[9] = -7.0
         video_b = self._video(noisy)
-        prop = Proposal(2.0, 8.0)
-        np.testing.assert_array_equal(
-            pool_k_parts(video_a, prop, 3), pool_k_parts(video_b, prop, 3)
-        )
+        windows = [(2.0, 8.0), (1.0, 9.0)]
+        np.testing.assert_array_equal(_pool(video_a, windows, 3), _pool(video_b, windows, 3))
 
     def test_subunit_span_uses_covering_unit(self):
         feats = np.array([[1.0], [2.0], [3.0]])
         video = self._video(feats)
-        pooled = pool_k_parts(video, Proposal(1.2, 1.8), 1)
-        assert pooled[0] == pytest.approx(2.0)
+        pooled = _pool(video, [(1.2, 1.8), (1.5, 1.5), (3.0, 3.0)], 1)
+        assert pooled[0, 0] == pytest.approx(2.0)
+        assert pooled[1:, 0].tolist() == [2.0, 3.0]  # zero length: the unit at the midpoint
 
     def test_rejects_bad_k(self):
         with pytest.raises(ConfigError):
-            pool_k_parts(self._video(np.ones((4, 2))), Proposal(0.0, 2.0), 0)
+            _pool(self._video(np.ones((4, 2))), [(0.0, 2.0)], 0)
+
+    def test_no_windows_gives_empty_matrix(self):
+        assert _pool(self._video(np.ones((4, 2))), [], 3).shape == (0, 6)
+
+    @given(_pooling_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_one_window_oracle(self, case):
+        video, windows, k = case
+        pooled = _pool(video, windows, k)
+        feats = video.features
+        t_units, d_feat = feats.shape
+        eps = np.finfo(np.float64).eps
+        for row, (start, end) in zip(pooled, windows):
+            expected = pool_k_parts_oracle(video, start, end, k).reshape(k, d_feat)
+            span = (end - start) / k
+            for j, part in enumerate(row.reshape(k, d_feat)):
+                lo = start + j * span
+                length = min(max(lo + span, 0.0), t_units) - min(max(lo, 0.0), t_units)
+                if not length > 0.0:
+                    # fallback to the unit at the midpoint: a copy, exact
+                    np.testing.assert_array_equal(part, expected[j])
+                    continue
+                # F(hi) - F(lo) reads two cumulative sums of up to T units;
+                # each carries a rounding error of at most ~T eps max|x|, and
+                # dividing by the sub-span length scales it by 1/length
+                tol = 4.0 * (t_units + 2) * eps * np.abs(feats).max() / length
+                np.testing.assert_allclose(part, expected[j], rtol=0, atol=tol)
 
 
 class TestTrainingSetAssembly:

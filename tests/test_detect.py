@@ -202,7 +202,33 @@ def _rand_dets(rng, n, video="v", class_id=0):
     return dets
 
 
+@st.composite
+def _nms_cases(draw):
+    """Detections on a coarse grid, so intervals repeat and scores tie."""
+    grid = st.integers(0, 40).map(lambda i: i / 2.0)
+    dets = []
+    for _ in range(draw(st.integers(0, 25))):
+        start = draw(grid)
+        end = start + draw(st.integers(0, 24).map(lambda i: i / 2.0))
+        score = draw(st.sampled_from([0.1, 0.5, 0.9]) | st.floats(0.0, 1.0))
+        dets.append(Detection("v", start, end, 0, score))
+    if dets and draw(st.booleans()):
+        dets += dets[: draw(st.integers(1, len(dets)))]  # the same objects twice
+    thr = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return dets, thr
+
+
 class TestNms:
+    @given(_nms_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_same_objects_as_greedy_oracle(self, case):
+        dets, thr = case
+        kept = nms(dets, thr)
+        assert [id(d) for d in kept] == [id(d) for d in greedy_nms_oracle(dets, thr)]
+
+    def test_empty_list(self):
+        assert nms([], 0.5) == []
+
     def test_overlapping_pair(self):
         a = Detection("v", 0.0, 10.0, 0, 0.9)
         b = Detection("v", 2.0, 12.0, 0, 0.8)  # tIoU = 8/14 ~ 0.57

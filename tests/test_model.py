@@ -323,6 +323,33 @@ class TestCheckpoint:
         p2 = save_checkpoint(loaded, tmp_path / "b.utal", cfg)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("stage", ["weights", "sidecar"])
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch, stage):
+        import utal.model as model_mod
+
+        cfg = TrainConfig(hidden=12)
+        path = save_checkpoint(init_model(cfg, 8, 2, seed=1), tmp_path / "m.utal", cfg)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def half_written(out, arrays):
+            with open(out, "wb") as fh:
+                fh.write(b"UTAL")
+            raise OSError("disk full")
+
+        def unserializable(*args, **kwargs):
+            raise OSError("disk full")
+
+        if stage == "weights":
+            monkeypatch.setattr(model_mod, "save_arrays", half_written)
+        else:
+            monkeypatch.setattr(model_mod.json, "dumps", unserializable)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(init_model(cfg, 8, 2, seed=2), path, cfg)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        loaded, _ = load_checkpoint(path)
+        assert loaded.seed == 1
+
     def test_missing_sidecar_rejected(self, tmp_path):
         cfg = TrainConfig(hidden=12)
         model = init_model(cfg, 8, 2, seed=1)
