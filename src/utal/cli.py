@@ -214,8 +214,15 @@ def cmd_train(
         model, _ = load_checkpoint(resume)
         if model.d_feat != dataset.d_feat or model.num_classes != dataset.num_classes:
             raise ConfigError(
-                f"resume checkpoint expects d_feat={model.d_feat}, C={model.num_classes}; "
+                f"resume checkpoint {resume} expects d_feat={model.d_feat}, C={model.num_classes}; "
                 f"dataset has d_feat={dataset.d_feat}, C={dataset.num_classes}"
+            )
+        fit = (cfg.train.k, cfg.train.hidden, cfg.train.loss_mode != "l1")
+        if (model.k, model.hidden, model.uncertainty) != fit:
+            raise ConfigError(
+                f"resume checkpoint {resume} has k={model.k}, hidden={model.hidden}, "
+                f"uncertainty={model.uncertainty}; train.k={cfg.train.k}, "
+                f"train.hidden={cfg.train.hidden} with loss {cfg.train.loss_mode} do not fit it"
             )
     else:
         model = init_model(cfg.train, dataset.d_feat, dataset.num_classes, cfg.seed)

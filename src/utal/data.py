@@ -1,4 +1,4 @@
-"""Synthetic benchmark generation, dataset I/O, proposals, labeling, pooling.
+"""Synthetic benchmark generation, dataset I/O, windows, labeling, pooling.
 
 A synthetic "video" is a [T x d_feat] matrix of unit-level features: ambient
 Gaussian noise everywhere, plus a class-specific prototype pattern on the
@@ -129,27 +129,17 @@ class ActionAnnotation:
 
 
 @dataclass
-class Proposal:
-    start: float
-    end: float
-    scale_id: int = 0
+class TrainingSet:
+    """The labeled windows of every video as columns, one row per window."""
 
-    @property
-    def length(self) -> float:
-        return self.end - self.start
+    x: np.ndarray  # [N x k*d_feat] pooled features
+    t_a: np.ndarray  # [N] actioness label, 1 positive and 0 negative
+    t_c: np.ndarray  # [N] class of the matched annotation, -1 for negatives
+    t_s: np.ndarray  # [N] start offset, 0 for negatives
+    t_e: np.ndarray  # [N] end offset, 0 for negatives
 
-
-@dataclass
-class LabeledProposal:
-    """A proposal with supervision; x is attached when features are pooled."""
-
-    video_id: str
-    proposal: Proposal
-    t_a: int
-    t_c: int | None = None
-    t_s: float | None = None
-    t_e: float | None = None
-    x: np.ndarray | None = None
+    def __len__(self) -> int:
+        return self.t_a.shape[0]
 
 
 @dataclass
@@ -397,32 +387,36 @@ def _load_video(rec: dict, base: Path, d_feat: int, num_classes: int) -> VideoIt
     return VideoItem(UnitFeatureSequence(rec["video_id"], feats), annotations)
 
 
-def sliding_windows(t_units: float, scales, overlap: float) -> list[Proposal]:
-    """Multi-scale sliding windows covering [0, T].
+def sliding_windows(t_units: float, scales, overlap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Multi-scale sliding windows covering [0, T], as (starts, ends) arrays.
 
     For each scale L: windows [s, s+L] at stride L*(1-overlap) while they
     fit; if the last window stops short of T, one extra window [T-L, T] is
     appended.  A scale longer than T contributes the single window [0, T].
+    The windows of all scales are ordered by start, then by scale.
     """
     if not 0.0 <= overlap < 1.0:
         raise ConfigError("overlap must lie in [0, 1)")
-    windows: list[Proposal] = []
-    for scale_id, length in enumerate(scales):
+    starts, ends = [], []
+    for length in scales:
         if length < 1:
             raise ConfigError("window scales must be >= 1")
         if length > t_units:
-            windows.append(Proposal(0.0, float(t_units), scale_id))
-            continue
-        stride = length * (1.0 - overlap)
-        count = int(math.floor((t_units - length) / stride + 1e-9)) + 1
-        last_end = 0.0
-        for i in range(count):
-            s = i * stride
-            windows.append(Proposal(s, s + length, scale_id))
-            last_end = s + length
-        if last_end < t_units - 1e-9:
-            windows.append(Proposal(float(t_units) - length, float(t_units), scale_id))
-    return windows
+            s, e = np.zeros(1), np.full(1, float(t_units))
+        else:
+            stride = length * (1.0 - overlap)
+            count = int(math.floor((t_units - length) / stride + 1e-9)) + 1
+            s = np.arange(count) * stride
+            e = s + length
+            if e[-1] < t_units - 1e-9:
+                s = np.append(s, float(t_units) - length)
+                e = np.append(e, float(t_units))
+        starts.append(s)
+        ends.append(e)
+    scale_ids = np.repeat(np.arange(len(starts)), [s.size for s in starts])
+    starts, ends = np.concatenate(starts), np.concatenate(ends)
+    order = np.lexsort((scale_ids, starts))
+    return starts[order], ends[order]
 
 
 def tiou(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -434,44 +428,51 @@ def tiou(a: tuple[float, float], b: tuple[float, float]) -> float:
     return inter / union if union > 0.0 else 0.0
 
 
-def compute_offsets(prop: Proposal, gt: ActionAnnotation) -> tuple[float, float]:
-    """Length-normalized displacements from proposal to annotation boundaries."""
-    length = prop.length
-    if length <= 0:
+def compute_offsets(starts, ends, gt_starts, gt_ends) -> tuple[np.ndarray, np.ndarray]:
+    """Length-normalized displacements from windows to annotation boundaries.
+
+    Elementwise; the inverse of `detect.apply_offsets` inside [0, T].
+    """
+    length = ends - starts
+    if np.any(length <= 0):
         raise ConfigError("proposal length must be positive")
-    return (gt.start - prop.start) / length, (gt.end - prop.end) / length
+    return (gt_starts - starts) / length, (gt_ends - ends) / length
 
 
 def label_proposals(
-    video_id: str,
-    proposals: list[Proposal],
+    starts: np.ndarray,
+    ends: np.ndarray,
     annotations: list[ActionAnnotation],
     pos_thr: float = 0.5,
     neg_thr: float = 0.3,
-) -> list[LabeledProposal]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Assign actioness labels and regression targets by max tIoU.
 
-    Positive iff max tIoU >= pos_thr (matched to the argmax annotation, ties
-    to the earlier one); negative iff max tIoU < neg_thr; proposals in
-    between are discarded.
+    One [N x A] tIoU matrix of windows [starts, ends] against annotations.
+    Positive iff max tIoU > 0 and >= pos_thr (matched to the argmax
+    annotation, ties to the earlier one); negative iff max tIoU < neg_thr;
+    windows in between are discarded.  Returns the indices of the kept
+    windows with their class (-1 for negatives) and start and end offsets
+    (0 for negatives).
     """
     if not 0.0 <= neg_thr <= pos_thr <= 1.0:
         raise ConfigError("need 0 <= neg_thr <= pos_thr <= 1")
-    out: list[LabeledProposal] = []
-    for prop in proposals:
-        best_t, best_ann = 0.0, None
-        for ann in annotations:
-            t = tiou((prop.start, prop.end), (ann.start, ann.end))
-            if t > best_t:
-                best_t, best_ann = t, ann
-        if best_ann is not None and best_t >= pos_thr:
-            t_s, t_e = compute_offsets(prop, best_ann)
-            out.append(
-                LabeledProposal(video_id, prop, 1, best_ann.class_id, t_s, t_e)
-            )
-        elif best_t < neg_thr:
-            out.append(LabeledProposal(video_id, prop, 0))
-    return out
+    # column 0 stands for "no annotation": argmax takes the first maximum, so
+    # it wins only where no annotation overlaps the window at all
+    gt = np.array([(-1, 0.0, 0.0)] + [(a.class_id, a.start, a.end) for a in annotations])
+    tious = np.zeros((starts.shape[0], gt.shape[0]))
+    tious[:, 1:] = pairwise_tiou(starts[:, None], ends[:, None], gt[1:, 1], gt[1:, 2])
+    best = tious.argmax(axis=1)
+    best_t = tious[np.arange(starts.shape[0]), best]
+    positive = (best > 0) & (best_t >= pos_thr)
+    keep = np.flatnonzero(positive | (best_t < neg_thr))
+    best = np.where(positive[keep], best[keep], 0)
+    t_s, t_e = np.zeros(keep.size), np.zeros(keep.size)
+    pos = best > 0
+    t_s[pos], t_e[pos] = compute_offsets(
+        starts[keep[pos]], ends[keep[pos]], gt[best[pos], 1], gt[best[pos], 2]
+    )
+    return keep, gt[best, 0].astype(int), t_s, t_e
 
 
 def pairwise_tiou(s1, e1, s2, e2) -> np.ndarray:
@@ -522,21 +523,24 @@ def pool_k_parts(video: UnitFeatureSequence, starts, ends, k: int) -> np.ndarray
     return pooled.reshape(starts.shape[0], k * feats.shape[1])
 
 
-def build_training_set(
-    dataset: Dataset, prop_cfg: ProposalConfig, k: int
-) -> list[LabeledProposal]:
-    """Windows -> labels -> pooled features for every video, in fixed order."""
+def build_training_set(dataset: Dataset, prop_cfg: ProposalConfig, k: int) -> TrainingSet:
+    """Windows -> labels -> pooled features, rows by video id, window start, scale."""
     prop_cfg.validate()
-    labeled: list[LabeledProposal] = []
-    for item in sorted(dataset.videos, key=lambda v: v.sequence.video_id):
-        windows = sliding_windows(item.sequence.num_units, prop_cfg.scales, prop_cfg.overlap)
-        windows.sort(key=lambda p: (p.start, p.scale_id))
-        video_labeled = label_proposals(
-            item.sequence.video_id, windows, item.annotations, prop_cfg.pos_thr, prop_cfg.neg_thr
+    videos = sorted(dataset.videos, key=lambda v: v.sequence.video_id)
+    labeled = []
+    for item in videos:
+        starts, ends = sliding_windows(item.sequence.num_units, prop_cfg.scales, prop_cfg.overlap)
+        keep, t_c, t_s, t_e = label_proposals(
+            starts, ends, item.annotations, prop_cfg.pos_thr, prop_cfg.neg_thr
         )
-        starts = np.array([lp.proposal.start for lp in video_labeled])
-        ends = np.array([lp.proposal.end for lp in video_labeled])
-        for lp, x in zip(video_labeled, pool_k_parts(item.sequence, starts, ends, k)):
-            lp.x = x
-        labeled.extend(video_labeled)
-    return labeled
+        labeled.append((starts[keep], ends[keep], t_c, t_s, t_e))
+    n = sum(starts.size for starts, *_ in labeled)
+    x = np.empty((n, k * dataset.d_feat))
+    t_c, t_s, t_e = np.empty(n, int), np.empty(n), np.empty(n)
+    lo = 0
+    for item, (starts, ends, *labels) in zip(videos, labeled):
+        hi = lo + starts.size
+        x[lo:hi] = pool_k_parts(item.sequence, starts, ends, k)
+        t_c[lo:hi], t_s[lo:hi], t_e[lo:hi] = labels
+        lo = hi
+    return TrainingSet(x, (t_c >= 0).astype(int), t_c, t_s, t_e)

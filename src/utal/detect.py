@@ -180,42 +180,50 @@ def nms(dets: list[Detection], tiou_thr: float) -> list[Detection]:
 def average_precision(
     dets: list[Detection],
     gts: list[tuple[str, float, float]],
-    tiou_thr: float,
-) -> float | None:
+    tiou_thr: float | tuple[float, ...],
+) -> float | None | list[float | None]:
     """All-point interpolated AP for one class.
 
     `gts` are (video_id, start, end) triples.  Detections are matched in
     score order to the highest-tIoU unmatched ground truth of the same video
     at or above the threshold.  Returns None when the class has no ground
-    truths (excluded from mAP).
+    truths (excluded from mAP).  Given a tuple of thresholds, returns one AP
+    per threshold: the detections are sorted, and their tIoUs with the
+    ground truths of their video computed, once for all of them.
     """
-    if not gts:
-        return None
-    by_video: dict[str, list[int]] = {}
-    for gi, (vid, _, _) in enumerate(gts):
-        by_video.setdefault(vid, []).append(gi)
-    matched = [False] * len(gts)
-    tp = np.zeros(len(dets))
-    for di, det in enumerate(sorted(dets, key=_det_sort_key)):
-        best_t, best_gi = 0.0, -1
-        for gi in by_video.get(det.video_id, ()):
-            if matched[gi]:
-                continue
-            t = tiou((det.start, det.end), (gts[gi][1], gts[gi][2]))
-            if t >= tiou_thr and t > best_t:
-                best_t, best_gi = t, gi
-        if best_gi >= 0:
-            matched[best_gi] = True
-            tp[di] = 1.0
-    if not dets:
-        return 0.0
-    tp_cum = np.cumsum(tp)
-    recall = tp_cum / len(gts)
-    precision = tp_cum / np.arange(1, len(dets) + 1)
-    # precision envelope over recall, all-point interpolation
-    mrec = np.concatenate([[0.0], recall, [recall[-1]]])
-    mpre = np.maximum.accumulate(np.concatenate([[1.0], precision, [0.0]])[::-1])[::-1]
-    return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
+    thresholds = tiou_thr if isinstance(tiou_thr, tuple) else (tiou_thr,)
+    aps: list[float | None] = [0.0 if gts else None] * len(thresholds)
+    if gts and dets:
+        by_video: dict[str, list[int]] = {}
+        for gi, (vid, _, _) in enumerate(gts):
+            by_video.setdefault(vid, []).append(gi)
+        # (rank, [(ground truth, tIoU)]) of each detection that overlaps a
+        # ground truth of its video; no other detection can match at all
+        overlaps = []
+        for di, d in enumerate(sorted(dets, key=_det_sort_key)):
+            row = [(gi, tiou((d.start, d.end), gts[gi][1:])) for gi in by_video.get(d.video_id, ())]
+            row = [(gi, t) for gi, t in row if t > 0.0]
+            if row:
+                overlaps.append((di, row))
+        for i, thr in enumerate(thresholds):
+            matched = [False] * len(gts)
+            tp = np.zeros(len(dets))
+            for di, row in overlaps:
+                best_t, best_gi = 0.0, -1
+                for gi, t in row:
+                    if not matched[gi] and t >= thr and t > best_t:
+                        best_t, best_gi = t, gi
+                if best_gi >= 0:
+                    matched[best_gi] = True
+                    tp[di] = 1.0
+            tp_cum = np.cumsum(tp)
+            recall = tp_cum / len(gts)
+            precision = tp_cum / np.arange(1, len(dets) + 1)
+            # precision envelope over recall, all-point interpolation
+            mrec = np.concatenate([[0.0], recall, [recall[-1]]])
+            mpre = np.maximum.accumulate(np.concatenate([[1.0], precision, [0.0]])[::-1])[::-1]
+            aps[i] = float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
+    return aps if isinstance(tiou_thr, tuple) else aps[0]
 
 
 def video_detections(
@@ -225,15 +233,8 @@ def video_detections(
     prop_cfg: ProposalConfig,
 ) -> list[Detection]:
     """Full single-video inference: windows -> cascade -> fusion -> NMS."""
-    windows = sliding_windows(video.num_units, prop_cfg.scales, prop_cfg.overlap)
-    windows.sort(key=lambda p: (p.start, p.scale_id))
-    starts, ends, y_a, logits = refine_cascade(
-        model,
-        video,
-        np.array([p.start for p in windows]),
-        np.array([p.end for p in windows]),
-        det_cfg.cascade_steps,
-    )
+    starts, ends = sliding_windows(video.num_units, prop_cfg.scales, prop_cfg.overlap)
+    starts, ends, y_a, logits = refine_cascade(model, video, starts, ends, det_cfg.cascade_steps)
     fused = fuse_scores(y_a, logits)
     out: list[Detection] = []
     for c in range(fused.shape[1]):
@@ -281,13 +282,14 @@ def evaluate_detections(
     dets_by_class: dict[int, list[Detection]] = {c: [] for c in classes}
     for det in all_dets:
         dets_by_class.get(det.class_id, []).append(det)
+    aps_by_class = {
+        c: average_precision(dets_by_class[c], gts_by_class[c], tuple(tiou_thresholds))
+        for c in classes
+    }
     map_by_tiou: dict[float, float] = {}
     per_class_ap: dict[float, dict[int, float | None]] = {}
-    for thr in tiou_thresholds:
-        aps: dict[int, float | None] = {}
-        for c in classes:
-            aps[c] = average_precision(dets_by_class[c], gts_by_class[c], thr)
-        per_class_ap[thr] = aps
+    for i, thr in enumerate(tiou_thresholds):
+        per_class_ap[thr] = aps = {c: aps_by_class[c][i] for c in classes}
         valid = [ap for ap in aps.values() if ap is not None]
         map_by_tiou[thr] = float(np.mean(valid)) if valid else 0.0
     return EvalReport(

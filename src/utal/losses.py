@@ -28,11 +28,6 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 CONDITION_MODES = ("he", "paper")
 
 
-def clamp_alpha(alpha: float) -> float:
-    """Confine a log-variance to [-ALPHA_CLAMP, ALPHA_CLAMP]."""
-    return min(max(alpha, -ALPHA_CLAMP), ALPHA_CLAMP)
-
-
 @dataclass
 class GaussianOffset:
     """One predicted boundary offset: mean and log-variance."""
@@ -43,10 +38,6 @@ class GaussianOffset:
     @property
     def sigma(self) -> float:
         return math.exp(0.5 * self.alpha)
-
-    @property
-    def sigma_sq(self) -> float:
-        return math.exp(self.alpha)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from utal.data import Dataset, LabeledProposal, ProposalConfig, build_training_set
+from utal.data import Dataset, ProposalConfig, TrainingSet, build_training_set
 from utal.errors import ConfigError, NumericError
 from utal.losses import (
     ALPHA_CLAMP,
@@ -285,7 +285,7 @@ def train(
     dataset: Dataset,
     cfg: TrainConfig,
     prop_cfg: ProposalConfig | None = None,
-    training_set: list[LabeledProposal] | None = None,
+    training_set: TrainingSet | None = None,
 ) -> tuple[Model, list[EpochStats]]:
     """Mini-batch SGD over the labeled proposals of `dataset`.
 
@@ -295,19 +295,16 @@ def train(
     cfg.validate()
     if training_set is None:
         training_set = build_training_set(dataset, prop_cfg or ProposalConfig(), cfg.k)
-    n_pos = sum(lp.t_a for lp in training_set)
-    if n_pos == 0:
+    if not training_set.t_a.any():
         pc = prop_cfg or ProposalConfig()
         raise ConfigError(
             "training set has no positive proposals "
             f"(pos_thr={pc.pos_thr}, neg_thr={pc.neg_thr})"
         )
 
-    x_all = np.stack([lp.x for lp in training_set])
-    t_a = np.array([lp.t_a for lp in training_set], dtype=int)
-    t_c = np.array([-1 if lp.t_c is None else lp.t_c for lp in training_set], dtype=int)
-    t_s = np.array([0.0 if lp.t_s is None else lp.t_s for lp in training_set])
-    t_e = np.array([0.0 if lp.t_e is None else lp.t_e for lp in training_set])
+    x_all, t_a, t_c, t_s, t_e = (
+        training_set.x, training_set.t_a, training_set.t_c, training_set.t_s, training_set.t_e
+    )
     n = len(training_set)
 
     root = Rng(cfg.seed)
@@ -379,29 +376,25 @@ def train(
 
 
 def collect_offset_stats(
-    model: Model, training_set: list[LabeledProposal], batch_size: int = 512
+    model: Model, training_set: TrainingSet, batch_size: int = 512
 ) -> list[OffsetStat]:
     """Forward all positives once; report d = t - mu (and sigma) per boundary."""
-    positives = [lp for lp in training_set if lp.t_a == 1]
+    positives = np.flatnonzero(training_set.t_a == 1)
     stats: list[OffsetStat] = []
-    for lo in range(0, len(positives), batch_size):
-        chunk = positives[lo : lo + batch_size]
-        fwd = model.forward_batch(np.stack([lp.x for lp in chunk]))
-        for row, lp in enumerate(chunk):
-            c = int(lp.t_c)
-            d_start = lp.t_s - float(fwd.mu[row, c, 0])
-            d_end = lp.t_e - float(fwd.mu[row, c, 1])
-            if model.uncertainty:
-                stats.append(
-                    OffsetStat(
-                        d_start,
-                        d_end,
-                        math.exp(0.5 * float(fwd.alpha[row, c, 0])),
-                        math.exp(0.5 * float(fwd.alpha[row, c, 1])),
-                    )
-                )
-            else:
-                stats.append(OffsetStat(d_start, d_end))
+    for lo in range(0, positives.size, batch_size):
+        rows = positives[lo : lo + batch_size]
+        fwd = model.forward_batch(training_set.x[rows])
+        chunk, classes = np.arange(rows.size), training_set.t_c[rows]
+        d_start = (training_set.t_s[rows] - fwd.mu[chunk, classes, 0]).tolist()
+        d_end = (training_set.t_e[rows] - fwd.mu[chunk, classes, 1]).tolist()
+        if model.uncertainty:
+            alpha = fwd.alpha[chunk, classes].tolist()
+            stats.extend(
+                OffsetStat(ds, de, math.exp(0.5 * a_s), math.exp(0.5 * a_e))
+                for ds, de, (a_s, a_e) in zip(d_start, d_end, alpha)
+            )
+        else:
+            stats.extend(map(OffsetStat, d_start, d_end))
     return stats
 
 

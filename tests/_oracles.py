@@ -92,6 +92,35 @@ def greedy_nms_oracle(dets, thr: float):
     return kept
 
 
+def label_proposals_oracle(starts, ends, annotations, pos_thr: float, neg_thr: float):
+    """Window labelling one window and one annotation at a time, scalar tIoU.
+
+    Returns plain lists (kept window indices, class, start offset, end
+    offset) with class -1 and offsets 0.0 for negatives.
+    """
+    from utal.data import tiou
+
+    keep, t_c, t_s, t_e = [], [], [], []
+    for i, (start, end) in enumerate(zip(starts, ends)):
+        best_t, best_ann = 0.0, None
+        for ann in annotations:
+            t = tiou((start, end), (ann.start, ann.end))
+            if t > best_t:
+                best_t, best_ann = t, ann
+        if best_ann is not None and best_t >= pos_thr:
+            length = end - start
+            keep.append(i)
+            t_c.append(best_ann.class_id)
+            t_s.append((best_ann.start - start) / length)
+            t_e.append((best_ann.end - end) / length)
+        elif best_t < neg_thr:
+            keep.append(i)
+            t_c.append(-1)
+            t_s.append(0.0)
+            t_e.append(0.0)
+    return keep, t_c, t_s, t_e
+
+
 def pool_k_parts_oracle(video, start: float, end: float, k: int) -> np.ndarray:
     """k-part coverage-weighted pooling of one window, unit by unit.
 

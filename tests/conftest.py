@@ -10,7 +10,7 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import pytest
 
-from utal.data import DataConfig, ProposalConfig, build_training_set, generate_synthetic_dataset
+from utal.data import DataConfig, generate_synthetic_dataset
 
 
 @pytest.fixture(scope="session")
@@ -19,12 +19,6 @@ def default_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench7")
     dataset, manifest = generate_synthetic_dataset(DataConfig(), 7, out)
     return dataset, manifest
-
-
-@pytest.fixture(scope="session")
-def default_training_set(default_dataset):
-    dataset, _ = default_dataset
-    return build_training_set(dataset, ProposalConfig(), 4)
 
 
 @pytest.fixture(scope="session")

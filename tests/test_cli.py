@@ -272,6 +272,36 @@ class TestTrainCommand:
         )
         assert (eval2 / "report.json").read_bytes() == (eval_dir / "report.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "checkpoint_loss, extra, loss",
+        [
+            ("l1", "", "kl_l1"),
+            ("kl_l1", "", "l1"),
+            ("kl_l1", "train.k = 2\n", "kl_l1"),
+            ("kl_l1", "train.hidden = 48\n", "kl_l1"),
+        ],
+        ids=["l1-checkpoint-kl_l1-loss", "kl_l1-checkpoint-l1-loss", "k-differs", "hidden-differs"],
+    )
+    def test_resume_mismatch_is_config_error(
+        self, cli_workspace, tmp_path, capsys, checkpoint_loss, extra, loss
+    ):
+        _, _, data_dir, _, _ = cli_workspace
+        zero = tmp_path / "zero.cfg"
+        zero.write_text(SMALL_DATA.replace("train.epochs = 2", "train.epochs = 0"))
+        manifest = str(data_dir / "manifest.json")
+        args = ["train", "--seed", "7", "--manifest", manifest]
+        first = ["--config", str(zero), "--loss", checkpoint_loss, "--out", str(tmp_path / "a")]
+        assert main(args + first) == EXIT_OK
+        checkpoint = tmp_path / "a" / "checkpoint.utal"
+        resumed = tmp_path / "resumed.cfg"
+        resumed.write_text(SMALL_DATA + extra)
+        capsys.readouterr()
+        resume = ["--config", str(resumed), "--loss", loss, "--resume", str(checkpoint)]
+        assert main(args + resume + ["--out", str(tmp_path / "b")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(checkpoint) in err
+        assert not (tmp_path / "b" / "checkpoint.utal").exists()
+
     def test_no_positives_error(self, tmp_path):
         # instances are <= 22 units; a lone scale-64 window can never reach
         # tIoU 0.5, so labeling yields no positives

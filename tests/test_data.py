@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import pool_k_parts_oracle
+from _oracles import label_proposals_oracle, pool_k_parts_oracle
 from utal.data import (
     ActionAnnotation,
     DataConfig,
-    Proposal,
+    Dataset,
     ProposalConfig,
     UnitFeatureSequence,
     build_training_set,
@@ -144,33 +144,46 @@ class TestManifestRoundTrip:
             load_dataset(tmp_path / "manifest.json")
 
 
+def _spans(starts, ends):
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
 class TestSlidingWindows:
     def test_hand_enumeration(self):
-        props = sliding_windows(32, [16], 0.5)
-        assert [(p.start, p.end) for p in props] == [(0, 16), (8, 24), (16, 32)]
+        assert _spans(*sliding_windows(32, [16], 0.5)) == [(0, 16), (8, 24), (16, 32)]
 
     def test_zero_overlap_tiles(self):
-        props = sliding_windows(64, [16], 0.0)
-        spans = [(p.start, p.end) for p in props]
+        spans = _spans(*sliding_windows(64, [16], 0.0))
         assert spans == [(0, 16), (16, 32), (32, 48), (48, 64)]
 
     def test_scale_longer_than_video(self):
-        props = sliding_windows(8, [16], 0.5)
-        assert [(p.start, p.end) for p in props] == [(0, 8)]
+        assert _spans(*sliding_windows(8, [16], 0.5)) == [(0, 8)]
 
     def test_tail_clamp_window(self):
-        props = sliding_windows(33, [16], 0.5)
-        assert (17.0, 33.0) == (props[-1].start, props[-1].end)
+        spans = _spans(*sliding_windows(33, [16], 0.5))
+        assert spans[-1] == (17.0, 33.0)
 
     def test_full_coverage(self):
         for t_units in (17, 32, 63, 100):
-            props = sliding_windows(t_units, [8, 16, 32, 64], 0.75)
+            starts, ends = sliding_windows(t_units, [8, 16, 32, 64], 0.75)
             smallest = min(8, t_units)
             covered = np.zeros(t_units)
-            for p in props:
-                if p.scale_id == 0 or p.length <= smallest + 1e-9:
-                    covered[int(np.floor(p.start)) : int(np.ceil(p.end))] = 1
+            for start, end in zip(starts, ends):
+                if end - start <= smallest + 1e-9:
+                    covered[int(np.floor(start)) : int(np.ceil(end))] = 1
             assert covered.all()
+
+    def test_ordered_by_start_then_scale(self):
+        scales = (8, 16, 32, 64)
+        for t_units in (17, 33, 100):
+            per_scale = [sliding_windows(t_units, [length], 0.75) for length in scales]
+            expected = sorted(
+                (start, scale_id, end)
+                for scale_id, (starts, ends) in enumerate(per_scale)
+                for start, end in zip(starts.tolist(), ends.tolist())
+            )
+            starts, ends = sliding_windows(t_units, scales, 0.75)
+            assert _spans(starts, ends) == [(s, e) for s, _, e in expected]
 
     def test_rejects_bad_overlap(self):
         with pytest.raises(ConfigError):
@@ -211,82 +224,117 @@ class TestTiou:
                 assert matrix[i, j] == tiou((starts[i], ends[i]), (starts[j], ends[j]))
 
 
+def _windows(*spans):
+    return np.array([w[0] for w in spans], float), np.array([w[1] for w in spans], float)
+
+
 class TestOffsets:
     def test_hand_example(self):
-        prop = Proposal(10.0, 20.0)
-        gt = ActionAnnotation(0, 12.0, 22.0)
-        assert compute_offsets(prop, gt) == (0.2, 0.2)
+        t_s, t_e = compute_offsets(*_windows((10.0, 20.0)), np.array([12.0]), np.array([22.0]))
+        assert (t_s.tolist(), t_e.tolist()) == ([0.2], [0.2])
 
     def test_identity(self):
-        prop = Proposal(5.0, 9.0)
-        gt = ActionAnnotation(0, 5.0, 9.0)
-        assert compute_offsets(prop, gt) == (0.0, 0.0)
+        t_s, t_e = compute_offsets(*_windows((5.0, 9.0)), np.array([5.0]), np.array([9.0]))
+        assert (t_s.tolist(), t_e.tolist()) == ([0.0], [0.0])
 
     def test_round_trip_through_apply(self):
         rng = np.random.default_rng(0)
-        props, gts = [], []
-        for _ in range(100):
-            s = rng.uniform(0, 50)
-            length = rng.uniform(1, 30)
-            gs = rng.uniform(0, 60)
-            glen = rng.uniform(1, 30)
-            props.append(Proposal(s, s + length))
-            gts.append(ActionAnnotation(0, gs, gs + glen))
-        t_s, t_e = np.array([compute_offsets(p, g) for p, g in zip(props, gts)]).T
-        starts, ends = apply_offsets(
-            np.array([p.start for p in props]), np.array([p.end for p in props]), t_s, t_e, 100.0
-        )
-        np.testing.assert_allclose(starts, [g.start for g in gts], rtol=0, atol=1e-9)
-        np.testing.assert_allclose(ends, [g.end for g in gts], rtol=0, atol=1e-9)
+        starts = rng.uniform(0, 50, 100)
+        ends = starts + rng.uniform(1, 30, 100)
+        gt_starts = rng.uniform(0, 60, 100)
+        gt_ends = gt_starts + rng.uniform(1, 30, 100)
+        t_s, t_e = compute_offsets(starts, ends, gt_starts, gt_ends)
+        out_s, out_e = apply_offsets(starts, ends, t_s, t_e, 100.0)
+        np.testing.assert_allclose(out_s, gt_starts, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(out_e, gt_ends, rtol=0, atol=1e-9)
+
+    def test_rejects_empty_window(self):
+        with pytest.raises(ConfigError):
+            compute_offsets(*_windows((4.0, 4.0)), np.array([1.0]), np.array([2.0]))
+
+
+# windows and annotations on a half-unit grid, so ties, shared boundaries
+# and exact matches are common
+_grid_span = st.tuples(st.integers(0, 40), st.integers(0, 12)).map(
+    lambda p: (p[0] / 2.0, (p[0] + p[1]) / 2.0)
+)
+_thresholds = st.sampled_from([0.0, 0.1, 0.3, 1.0 / 3.0, 0.35, 0.5, 0.7, 1.0])
 
 
 class TestLabeling:
     def _annotations(self):
         return [ActionAnnotation(2, 10.0, 20.0), ActionAnnotation(1, 40.0, 60.0)]
 
+    def _label(self, spans, annotations, pos_thr=0.5, neg_thr=0.3):
+        keep, t_c, t_s, t_e = label_proposals(*_windows(*spans), annotations, pos_thr, neg_thr)
+        return keep.tolist(), t_c.tolist(), t_s.tolist(), t_e.tolist()
+
     def test_exact_match_is_positive_with_zero_offsets(self):
-        out = label_proposals("v", [Proposal(10.0, 20.0)], self._annotations())
-        assert len(out) == 1 and out[0].t_a == 1
-        assert out[0].t_c == 2
-        assert out[0].t_s == 0.0 and out[0].t_e == 0.0
+        assert self._label([(10.0, 20.0)], self._annotations()) == ([0], [2], [0.0], [0.0])
 
     def test_disjoint_is_negative(self):
-        out = label_proposals("v", [Proposal(25.0, 35.0)], self._annotations())
-        assert len(out) == 1 and out[0].t_a == 0
-        assert out[0].t_c is None and out[0].t_s is None
+        assert self._label([(25.0, 35.0)], self._annotations()) == ([0], [-1], [0.0], [0.0])
 
     def test_above_positive_threshold_gets_offsets(self):
-        prop = Proposal(12.0, 22.0)  # tIoU 8/12 = 0.667 with [10, 20]
-        out = label_proposals("v", [prop], self._annotations(), pos_thr=0.5, neg_thr=0.3)
-        assert out[0].t_a == 1
-        assert out[0].t_s == pytest.approx(-0.2)
-        assert out[0].t_e == pytest.approx(-0.2)
+        # tIoU 8/12 = 0.667 with [10, 20]
+        keep, t_c, t_s, t_e = self._label([(12.0, 22.0)], self._annotations())
+        assert keep == [0] and t_c == [2]
+        assert t_s == [pytest.approx(-0.2)] and t_e == [pytest.approx(-0.2)]
 
     def test_band_between_thresholds_is_discarded(self):
-        prop = Proposal(14.0, 26.0)  # tIoU 6/16 = 0.375 with [10, 20]
-        out = label_proposals("v", [prop], self._annotations(), pos_thr=0.5, neg_thr=0.3)
-        assert out == []
+        # tIoU 6/16 = 0.375 with [10, 20]
+        assert self._label([(14.0, 26.0)], self._annotations()) == ([], [], [], [])
 
     def test_tie_matches_earlier_annotation(self):
         anns = [ActionAnnotation(0, 0.0, 10.0), ActionAnnotation(1, 10.0, 20.0)]
-        prop = Proposal(5.0, 15.0)  # tIoU 1/3 with both
-        out = label_proposals("v", [prop], anns, pos_thr=1.0 / 3.0, neg_thr=0.1)
-        assert out[0].t_c == 0
+        # tIoU 1/3 with both
+        _, t_c, _, _ = self._label([(5.0, 15.0)], anns, pos_thr=1.0 / 3.0, neg_thr=0.1)
+        assert t_c == [0]
+
+    @given(
+        spans=st.lists(_grid_span, max_size=30),
+        gts=st.lists(st.tuples(st.integers(0, 4), _grid_span), max_size=5),
+        thresholds=st.tuples(_thresholds, _thresholds),
+    )
+    @example(  # a tie between two annotations, both touching the window's ends
+        spans=[(5.0, 15.0)], gts=[(0, (0.0, 10.0)), (1, (10.0, 20.0))],
+        thresholds=(1.0 / 3.0, 0.1),
+    )
+    @example(  # touching and disjoint windows: tIoU 0, never positive
+        spans=[(0.0, 10.0), (20.0, 30.0), (12.0, 14.0)], gts=[(3, (10.0, 20.0))],
+        thresholds=(0.0, 0.0),
+    )
+    @example(spans=[(0.0, 8.0), (4.0, 4.0)], gts=[], thresholds=(0.5, 0.3))
+    @example(  # pos_thr == neg_thr
+        spans=[(0.0, 10.0), (5.0, 10.0), (0.0, 5.0)], gts=[(1, (0.0, 10.0))],
+        thresholds=(0.5, 0.5),
+    )
+    @example(  # pos_thr 1: only exact matches are positive
+        spans=[(0.0, 10.0), (0.0, 10.5)], gts=[(2, (0.0, 10.0)), (4, (0.0, 10.0))],
+        thresholds=(1.0, 0.2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_oracle(self, spans, gts, thresholds):
+        neg_thr, pos_thr = sorted(thresholds)
+        annotations = [ActionAnnotation(c, s, e) for c, (s, e) in gts if e > s]
+        starts, ends = _windows(*spans)
+        got = label_proposals(starts, ends, annotations, pos_thr, neg_thr)
+        expected = label_proposals_oracle(
+            starts.tolist(), ends.tolist(), annotations, pos_thr, neg_thr
+        )
+        assert [col.tolist() for col in got] == list(expected)
 
     def test_positive_offsets_round_trip_to_matched_annotation(self, small_dataset):
         dataset, _ = small_dataset
         for item in dataset.videos[:4]:
-            props = sliding_windows(item.sequence.num_units, (8, 16, 32), 0.5)
-            labeled = label_proposals(item.sequence.video_id, props, item.annotations)
-            pos = [lp for lp in labeled if lp.t_a == 1]
-            starts, ends = apply_offsets(
-                np.array([lp.proposal.start for lp in pos]),
-                np.array([lp.proposal.end for lp in pos]),
-                np.array([lp.t_s for lp in pos]),
-                np.array([lp.t_e for lp in pos]),
-                float(item.sequence.num_units),
+            starts, ends = sliding_windows(item.sequence.num_units, (8, 16, 32), 0.5)
+            keep, t_c, t_s, t_e = label_proposals(starts, ends, item.annotations)
+            pos = keep[t_c >= 0]
+            assert pos.size
+            out_s, out_e = apply_offsets(
+                starts[pos], ends[pos], t_s[t_c >= 0], t_e[t_c >= 0], float(item.sequence.num_units)
             )
-            for start, end in zip(starts, ends):
+            for start, end in zip(out_s, out_e):
                 err = min(max(abs(start - a.start), abs(end - a.end)) for a in item.annotations)
                 assert err < 1e-9
 
@@ -403,12 +451,42 @@ class TestTrainingSetAssembly:
         dataset, _ = small_dataset
         tset = build_training_set(dataset, ProposalConfig(), 4)
         assert len(tset) > 100
-        assert sum(lp.t_a for lp in tset) > 20
-        for lp in tset[:50]:
-            assert lp.x is not None and lp.x.shape == (4 * dataset.d_feat,)
+        assert tset.t_a.sum() > 20
+        assert tset.x.shape == (len(tset), 4 * dataset.d_feat)
+        assert np.isfinite(tset.x).all()
+        assert ((tset.t_a == 1) == (tset.t_c >= 0)).all()
+        negatives = tset.t_a == 0
+        assert not tset.t_s[negatives].any() and not tset.t_e[negatives].any()
 
     def test_order_is_by_video_then_start_then_scale(self, small_dataset):
         dataset, _ = small_dataset
-        tset = build_training_set(dataset, ProposalConfig(), 2)
-        keys = [(lp.video_id, lp.proposal.start, lp.proposal.scale_id) for lp in tset]
-        assert keys == sorted(keys)
+        pcfg = ProposalConfig()
+        tset = build_training_set(dataset, pcfg, 2)
+        # per-video assembly: windows sorted by (start, scale) in Python,
+        # labelled by the scalar oracle, pooled video by video
+        x, t_c, t_s, t_e = [], [], [], []
+        for item in sorted(dataset.videos, key=lambda v: v.sequence.video_id):
+            windows = []
+            for scale_id, length in enumerate(pcfg.scales):
+                one_scale = sliding_windows(item.sequence.num_units, [length], pcfg.overlap)
+                windows += [(start, scale_id, end) for start, end in _spans(*one_scale)]
+            windows.sort()
+            starts = [w[0] for w in windows]
+            ends = [w[2] for w in windows]
+            keep, c, s, e = label_proposals_oracle(
+                starts, ends, item.annotations, pcfg.pos_thr, pcfg.neg_thr
+            )
+            x.append(_pool(item.sequence, [(starts[i], ends[i]) for i in keep], 2))
+            t_c += c
+            t_s += s
+            t_e += e
+        np.testing.assert_array_equal(tset.x, np.concatenate(x))
+        assert tset.t_c.tolist() == t_c
+        assert tset.t_a.tolist() == [int(c >= 0) for c in t_c]
+        assert tset.t_s.tolist() == t_s and tset.t_e.tolist() == t_e
+
+    def test_no_videos_gives_empty_columns(self, small_dataset):
+        dataset, _ = small_dataset
+        empty = Dataset([], dataset.class_names, dataset.d_feat, dataset.num_classes)
+        tset = build_training_set(empty, ProposalConfig(), 2)
+        assert len(tset) == 0 and tset.x.shape == (0, 2 * dataset.d_feat)

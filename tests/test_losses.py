@@ -13,7 +13,6 @@ from utal.losses import (
     MiningResult,
     _expected_l1_foil,
     binary_loss,
-    clamp_alpha,
     expected_l1,
     expected_l1_training,
     export_loss_surfaces,
@@ -253,11 +252,6 @@ class TestKlL1Loss:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ConfigError):
             kl_l1_loss(GaussianOffset(0.0, 0.0), 1.0, "smooth")
-
-    def test_clamp_alpha(self):
-        assert clamp_alpha(99.0) == 10.0
-        assert clamp_alpha(-99.0) == -10.0
-        assert clamp_alpha(0.5) == 0.5
 
 
 class TestSampledL1Loss:
