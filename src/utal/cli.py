@@ -35,7 +35,7 @@ from utal.detect import (
     evaluate_detections,
     ground_truths_by_class,
 )
-from utal.errors import ConfigError, NumericError, UtalError, VerificationError
+from utal.errors import ConfigError, NumericError, VerificationError
 from utal.losses import (
     GaussianOffset,
     _expected_l1_foil,
@@ -355,13 +355,14 @@ def _rel_err(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / denom
 
 
-def _fd(fn, x0: np.ndarray, index: tuple, h: float = 1e-6) -> float:
+def _fd(fn, x0: np.ndarray, index: tuple, h: float = 1e-6) -> tuple[float, float]:
+    """Central difference, and the rounding error it can carry: eps * max|f(x +- h)| / h."""
     x = x0.copy()
     x[index] = x0[index] + h
     up = fn(x)
     x[index] = x0[index] - h
     down = fn(x)
-    return (up - down) / (2.0 * h)
+    return (up - down) / (2.0 * h), np.finfo(float).eps * max(abs(up), abs(down)) / h
 
 
 def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> list[str]:
@@ -369,12 +370,13 @@ def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> l
     failures: list[str] = []
     rng = Rng(seed)
 
-    def check(name: str, analytic: float, numeric: float, bound: float = tol) -> None:
-        if max(abs(analytic), abs(numeric)) < 1e-6:
-            return  # vanishing-gradient tail; central differences only add noise
+    def check(name: str, analytic: float, fd: tuple[float, float], bound: float = tol) -> None:
+        numeric, rounding = fd
+        if abs(analytic - numeric) <= rounding:
+            return  # the difference quotient cannot resolve a smaller gap
         if _rel_err(analytic, numeric) > bound:
             failures.append(
-                f"{name}: analytic {analytic:.8f} vs finite-diff {numeric:.8f}"
+                f"{name}: analytic {analytic:.10g} vs finite-diff {numeric:.10g}"
             )
 
     for i in range(points):

@@ -2,10 +2,11 @@
 
 Every loss returns its analytic gradient with respect to the network outputs
 it consumes; the gradients are exact (checked against central finite
-differences in the test suite).  The uncertainty-aware regression losses act
-on one Gaussian boundary offset at a time: the network predicts the mean mu
-and the log-variance alpha = log(sigma^2), which keeps sigma^2 positive and
-the alpha-gradients bounded.
+differences in the test suite).  The uncertainty-aware regression losses are
+elementwise: one Gaussian boundary offset given as floats, or an array of
+them, gives results of the same shape (numpy float64 scalars for floats).
+The network predicts the mean mu and the log-variance alpha = log(sigma^2),
+which keeps sigma^2 positive and the alpha-gradients bounded.
 """
 
 from __future__ import annotations
@@ -28,16 +29,19 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 CONDITION_MODES = ("he", "paper")
 
 
+# libm's exp and erf, elementwise: numpy has no erf, and np.exp differs from
+# libm in the last bit on a few percent of inputs, which would move the values
+# `utal curves` writes and the trained weights
+_exp = np.vectorize(math.exp, otypes=[float])
+_erf = np.vectorize(math.erf, otypes=[float])
+
+
 @dataclass
 class GaussianOffset:
-    """One predicted boundary offset: mean and log-variance."""
+    """Predicted boundary offsets: means and log-variances of one shape."""
 
-    mu: float
-    alpha: float
-
-    @property
-    def sigma(self) -> float:
-        return math.exp(0.5 * self.alpha)
+    mu: float | np.ndarray
+    alpha: float | np.ndarray
 
 
 @dataclass
@@ -141,10 +145,8 @@ def l1_loss(
     return loss, d_ys, d_ye
 
 
-def kl_l1_loss(
-    pred: GaussianOffset, t: float, condition_mode: str = "he"
-) -> tuple[float, float, float]:
-    """Piecewise Gaussian-vs-Dirac regression loss for one boundary offset.
+def kl_l1_loss(pred: GaussianOffset, t, condition_mode: str = "he") -> tuple:
+    """Piecewise Gaussian-vs-Dirac regression loss, elementwise over offsets.
 
     With d = t - mu and sigma^2 = exp(alpha):
 
@@ -159,18 +161,17 @@ def kl_l1_loss(
     if condition_mode not in CONDITION_MODES:
         raise ConfigError(f"unknown condition mode {condition_mode!r}")
     d = t - pred.mu
-    inv_var = math.exp(-pred.alpha)
-    quadratic_inside = condition_mode == "he"
-    use_quadratic = (abs(d) <= 1.0) == quadratic_inside
-    if use_quadratic:
-        loss = 0.5 * d * d * inv_var + 0.5 * pred.alpha + _HALF_LOG_2PI
-        d_mu = -d * inv_var
-        d_alpha = -0.5 * d * d * inv_var + 0.5
-    else:
-        loss = (abs(d) - 0.5) * inv_var + 0.5 * pred.alpha
-        d_mu = -math.copysign(1.0, d) * inv_var if d != 0.0 else 0.0
-        d_alpha = -(abs(d) - 0.5) * inv_var + 0.5
-    return loss, d_mu, d_alpha
+    inv_var = _exp(-pred.alpha)
+    quadratic = (np.abs(d) <= 1.0) == (condition_mode == "he")
+    excess = np.abs(d) - 0.5
+    loss = np.where(
+        quadratic,
+        0.5 * d * d * inv_var + 0.5 * pred.alpha + _HALF_LOG_2PI,
+        excess * inv_var + 0.5 * pred.alpha,
+    )
+    d_mu = np.where(quadratic, -d * inv_var, -np.sign(d) * inv_var)
+    d_alpha = np.where(quadratic, -0.5 * d * d * inv_var + 0.5, -excess * inv_var + 0.5)
+    return loss[()], d_mu[()], d_alpha[()]
 
 
 def kl_l1_quadratic(d: float, sigma: float) -> float:
@@ -178,23 +179,23 @@ def kl_l1_quadratic(d: float, sigma: float) -> float:
     return 0.5 * (d / sigma) ** 2 + math.log(sigma) + _HALF_LOG_2PI
 
 
-def sampled_l1_loss(
-    pred: GaussianOffset, t: float, rng: Rng
-) -> tuple[float, float, float, float]:
-    """|d - sigma*eps| with one fresh eps ~ N(0,1) (reparameterization trick).
+def sampled_l1_loss(pred: GaussianOffset, t, rng: Rng) -> tuple:
+    """|d - sigma*eps| with fresh eps ~ N(0,1) (reparameterization trick).
 
-    Sampling happens outside the gradient path: loss = |t - mu - sigma*eps|,
-    so d_mu = -sign(d - sigma*eps) and d_alpha = -sigma*eps*sign(...)/2.
-    Returns (loss, d_mu, d_alpha, eps) so the draw can be replayed.
+    One `rng.normal()` per offset, drawn in C order.  Sampling happens
+    outside the gradient path: loss = |t - mu - sigma*eps|, so
+    d_mu = -sign(d - sigma*eps) and d_alpha = -sigma*eps*sign(...)/2.
+    Returns (loss, d_mu, d_alpha, eps) so the draws can be replayed.
     """
-    eps = rng.normal()
-    sigma = pred.sigma
-    r = (t - pred.mu) - sigma * eps
-    s = math.copysign(1.0, r) if r != 0.0 else 0.0
-    return abs(r), -s, -0.5 * sigma * eps * s, eps
+    d = t - pred.mu
+    eps = np.reshape([rng.normal() for _ in range(np.size(d))], np.shape(d))[()]
+    sigma = _exp(0.5 * pred.alpha)
+    r = d - sigma * eps
+    s = np.sign(r)
+    return np.abs(r), -s, -0.5 * sigma * eps * s, eps
 
 
-def expected_l1(d: float, sigma: float) -> tuple[float, float, float]:
+def expected_l1(d, sigma) -> tuple:
     """Closed-form E|d - sigma*eps| for eps ~ N(0,1), with exact partials.
 
     d - sigma*eps is Gaussian with mean d and std sigma, so the expectation
@@ -207,13 +208,12 @@ def expected_l1(d: float, sigma: float) -> tuple[float, float, float]:
     dE/dsigma = sqrt(2/pi) * exp(-d^2/(2 sigma^2)), both strictly positive in
     sigma, so the value is >= |d| and increasing in sigma.
     """
-    if sigma <= 0:
+    if np.any(sigma <= 0):
         raise ValueError("sigma must be positive")
-    z = d / (sigma * math.sqrt(2.0))
-    gauss = math.exp(-(d * d) / (2.0 * sigma * sigma))
-    d_d = math.erf(z)
+    gauss = _exp(-(d * d) / (2.0 * sigma * sigma))
+    d_d = _erf(d / (sigma * math.sqrt(2.0)))
     value = d * d_d + sigma * _SQRT_2_OVER_PI * gauss
-    return value, d_d, _SQRT_2_OVER_PI * gauss
+    return value, d_d[()], _SQRT_2_OVER_PI * gauss
 
 
 def _expected_l1_foil(d: float, sigma: float) -> float:
@@ -229,11 +229,9 @@ def _expected_l1_foil(d: float, sigma: float) -> float:
     return d * math.erf(z) + sigma * math.exp(-(d * d) / (sigma * sigma)) / math.sqrt(2.0 * math.pi)
 
 
-def expected_l1_training(
-    pred: GaussianOffset, t: float
-) -> tuple[float, float, float]:
+def expected_l1_training(pred: GaussianOffset, t) -> tuple:
     """Expected-l1 as a training loss on (mu, alpha), via the chain rule."""
-    sigma = pred.sigma
+    sigma = _exp(0.5 * pred.alpha)
     value, d_d, d_sigma = expected_l1(t - pred.mu, sigma)
     return value, -d_d, 0.5 * sigma * d_sigma
 
@@ -256,6 +254,6 @@ def export_loss_surfaces(path, d_grid, sigma_grid) -> int:
         for name, fn in names_and_fns:
             for d in d_grid:
                 for s in sigma_grid:
-                    writer.writerow([name, repr(float(d)), repr(float(s)), repr(fn(float(d), float(s)))])
+                    writer.writerow([name, repr(float(d)), repr(float(s)), repr(float(fn(float(d), float(s))))])
                     rows += 1
     return rows

@@ -41,7 +41,6 @@ from utal.net import (
     save_arrays,
     sgd_step,
     sigmoid,
-    softmax,
 )
 from utal.numerics import Rng
 
@@ -251,33 +250,28 @@ def _regression_terms(
     if pos.size == 0:
         return 0.0, d_mu, d_alpha
 
-    if cfg.loss_mode == "l1":
-        classes = t_c[pos].astype(int)
-        y_s = np.zeros(fwd.mu.shape[0])
-        y_e = np.zeros(fwd.mu.shape[0])
-        y_s[pos] = fwd.mu[pos, classes, 0]
-        y_e[pos] = fwd.mu[pos, classes, 1]
-        loss, d_ys, d_ye = l1_loss(y_s, y_e, t_s, t_e, pos)
-        d_mu[pos, classes, 0] = d_ys[pos] * cfg.w_reg
-        d_mu[pos, classes, 1] = d_ye[pos] * cfg.w_reg
-        return loss, d_mu, d_alpha
-
-    scale = 1.0 / (2.0 * pos.size)
-    total = 0.0
-    for i in pos:
-        c = int(t_c[i])
-        for b, target in ((0, t_s[i]), (1, t_e[i])):
-            pred = GaussianOffset(float(fwd.mu[i, c, b]), float(fwd.alpha[i, c, b]))
-            if cfg.loss_mode == "kl_l1":
-                loss_b, g_mu, g_alpha = kl_l1_loss(pred, target, cfg.condition_mode)
-            elif cfg.loss_mode == "sampled_l1":
-                loss_b, g_mu, g_alpha, _ = sampled_l1_loss(pred, target, eps_rng)
-            else:  # expected_l1
-                loss_b, g_mu, g_alpha = expected_l1_training(pred, target)
-            total += loss_b * scale
-            d_mu[i, c, b] += g_mu * scale * cfg.w_reg
-            d_alpha[i, c, b] += g_alpha * scale * cfg.w_reg
-    return total, d_mu, d_alpha
+    classes = t_c[pos].astype(int)
+    mu = fwd.mu[pos, classes]  # [P x 2] (start, end)
+    target = np.stack((t_s[pos], t_e[pos]), axis=1)
+    g_alpha = None
+    if cfg.loss_mode == "l1":  # l1_loss averages over positives itself
+        loss, g_s, g_e = l1_loss(*mu.T, *target.T, np.arange(pos.size))
+        g_mu, scale = np.stack((g_s, g_e), axis=1), 1.0
+    else:
+        pred = GaussianOffset(mu, fwd.alpha[pos, classes])
+        if cfg.loss_mode == "kl_l1":
+            values, g_mu, g_alpha = kl_l1_loss(pred, target, cfg.condition_mode)
+        elif cfg.loss_mode == "sampled_l1":
+            values, g_mu, g_alpha, _ = sampled_l1_loss(pred, target, eps_rng)
+        else:  # expected_l1
+            values, g_mu, g_alpha = expected_l1_training(pred, target)
+        scale = 1.0 / (2.0 * pos.size)
+        # a running total in C order (positive, then start/end), not np.sum's pairwise one
+        loss = float(np.cumsum(values * scale)[-1])
+    d_mu[pos, classes] = g_mu * scale * cfg.w_reg
+    if g_alpha is not None:
+        d_alpha[pos, classes] = g_alpha * scale * cfg.w_reg
+    return loss, d_mu, d_alpha
 
 
 def train(

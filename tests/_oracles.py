@@ -121,6 +121,59 @@ def label_proposals_oracle(starts, ends, annotations, pos_thr: float, neg_thr: f
     return keep, t_c, t_s, t_e
 
 
+def regression_terms_oracle(cfg, fwd: BatchForward, pos, t_c, t_s, t_e, eps_rng):
+    """Regression loss and its (mu, alpha) gradients, one positive and one
+    boundary at a time, each loss written out with math.exp and if/else.
+
+    Only the ground-truth class row of a positive gets gradient.  The l1 mode
+    averages |r| over positives; the Gaussian modes average over both
+    boundaries too.  The sampled mode draws one eps per boundary in loop
+    order.  Returns (loss, d_mu, d_alpha), d_alpha None in l1 mode.
+    """
+    d_mu = np.zeros(fwd.mu.shape)
+    d_alpha = None if cfg.loss_mode == "l1" else np.zeros(fwd.alpha.shape)
+    if len(pos) == 0:
+        return 0.0, d_mu, d_alpha
+    scale = 1.0 / len(pos) if cfg.loss_mode == "l1" else 1.0 / (2.0 * len(pos))
+    total = 0.0
+    for i in pos:
+        c = int(t_c[i])
+        for b, t in ((0, t_s[i]), (1, t_e[i])):
+            d = float(t) - float(fwd.mu[i, c, b])
+            sign_d = 1.0 if d > 0 else (-1.0 if d < 0 else 0.0)
+            alpha = 0.0 if d_alpha is None else float(fwd.alpha[i, c, b])
+            sigma = math.exp(0.5 * alpha)
+            if cfg.loss_mode == "l1":
+                loss, g_mu, g_alpha = abs(d), -sign_d, 0.0
+            elif cfg.loss_mode == "kl_l1":
+                inv_var = math.exp(-alpha)
+                inside = abs(d) <= 1.0
+                if inside == (cfg.condition_mode == "he"):
+                    loss = d * d * inv_var / 2.0 + alpha / 2.0 + math.log(2.0 * math.pi) / 2.0
+                    g_mu = -d * inv_var
+                    g_alpha = 0.5 - d * d * inv_var / 2.0
+                else:
+                    loss = (abs(d) - 0.5) * inv_var + alpha / 2.0
+                    g_mu = -sign_d * inv_var
+                    g_alpha = 0.5 - (abs(d) - 0.5) * inv_var
+            elif cfg.loss_mode == "sampled_l1":
+                eps = eps_rng.normal()
+                r = d - sigma * eps
+                sign_r = 1.0 if r > 0 else (-1.0 if r < 0 else 0.0)
+                loss, g_mu, g_alpha = abs(r), -sign_r, -0.5 * sigma * eps * sign_r
+            else:  # expected_l1
+                erf = math.erf(d / (sigma * math.sqrt(2.0)))
+                density = math.sqrt(2.0 / math.pi) * math.exp(-d * d / (2.0 * sigma * sigma))
+                loss = d * erf + sigma * density
+                g_mu = -erf
+                g_alpha = 0.5 * sigma * density  # dE/dsigma * dsigma/dalpha
+            total += loss * scale
+            d_mu[i, c, b] += g_mu * scale * cfg.w_reg
+            if d_alpha is not None:
+                d_alpha[i, c, b] += g_alpha * scale * cfg.w_reg
+    return total, d_mu, d_alpha
+
+
 def pool_k_parts_oracle(video, start: float, end: float, k: int) -> np.ndarray:
     """k-part coverage-weighted pooling of one window, unit by unit.
 

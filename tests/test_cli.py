@@ -472,6 +472,21 @@ class TestVerifyCommand:
     def test_gradient_suite_passes(self):
         assert verify_gradients(points=30) == []
 
+    def test_all_suites_at_their_defaults_exit_zero(self, tmp_path):
+        assert main(["verify", "--out", str(tmp_path / "verify")]) == EXIT_OK
+
+    def test_gradient_suite_rejects_a_partial_off_by_1e_4(self, monkeypatch):
+        import utal.cli as cli
+
+        exact = cli.expected_l1
+
+        def off(d, sigma):
+            value, d_d, d_sigma = exact(d, sigma)
+            return value, d_d, d_sigma * (1.0 + 1e-4)
+
+        monkeypatch.setattr(cli, "expected_l1", off)
+        assert any("expected_l1 d_sigma" in f for f in verify_gradients())
+
     def test_verify_command_exit_zero_and_curves(self, tmp_path):
         out = tmp_path / "verify"
         assert main(["verify", "kl-minimizer", "--out", str(out)]) == EXIT_OK

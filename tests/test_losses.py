@@ -1,5 +1,6 @@
 """Training objectives: examples, gradients vs finite differences, properties."""
 
+import csv
 import math
 
 import numpy as np
@@ -389,6 +390,55 @@ class TestExpectedL1:
         assert relative_error(d_alpha, fd_alpha) <= 1e-5
 
 
+class TestElementwise:
+    """An array of offsets gives exactly what one call per offset gives."""
+
+    MU = np.array([[0.25, -0.5, 1.0], [0.0, 2.0, -1.25]])
+    ALPHA = np.array([[-10.0, 0.3, 10.0], [-1.0, 0.0, 2.5]])
+    T = np.array([[1.25, 0.5, 1.0], [-3.0, 2.5, 0.0]])  # |d| == 1 and d == 0 included
+
+    def _per_element(self, fn):
+        outs = [
+            fn(GaussianOffset(float(m), float(a)), float(t))
+            for m, a, t in zip(self.MU.ravel(), self.ALPHA.ravel(), self.T.ravel())
+        ]
+        return [np.reshape(col, self.MU.shape) for col in zip(*outs)]
+
+    @pytest.mark.parametrize("mode", ["he", "paper"])
+    def test_kl_l1(self, mode):
+        got = kl_l1_loss(GaussianOffset(self.MU, self.ALPHA), self.T, mode)
+        for g, want in zip(got, self._per_element(lambda p, t: kl_l1_loss(p, t, mode))):
+            np.testing.assert_array_equal(g, want)
+
+    def test_expected_l1_training(self):
+        got = expected_l1_training(GaussianOffset(self.MU, self.ALPHA), self.T)
+        for g, want in zip(got, self._per_element(expected_l1_training)):
+            np.testing.assert_array_equal(g, want)
+
+    def test_sampled_l1_draws_one_eps_per_offset_in_c_order(self):
+        rng = Rng(11)
+        got = sampled_l1_loss(GaussianOffset(self.MU, self.ALPHA), self.T, rng)
+        ref_rng = Rng(11)
+        want = self._per_element(lambda p, t: sampled_l1_loss(p, t, ref_rng))
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        assert rng.normal() == ref_rng.normal()
+
+    def test_scalar_inputs_give_scalars(self):
+        pred = GaussianOffset(0.1, -0.4)
+        outs = (
+            *kl_l1_loss(pred, 0.7),
+            *sampled_l1_loss(pred, 0.7, Rng(1)),
+            *expected_l1_training(pred, 0.7),
+            *expected_l1(0.6, 0.5),
+        )
+        assert all(np.ndim(v) == 0 and isinstance(v, float) for v in outs)
+
+    def test_expected_l1_rejects_any_nonpositive_sigma(self):
+        with pytest.raises(ValueError):
+            expected_l1(np.zeros(3), np.array([1.0, 0.0, 2.0]))
+
+
 class TestLossSurfaceExport:
     def test_row_count_and_header(self, tmp_path):
         path = tmp_path / "surfaces.csv"
@@ -401,3 +451,16 @@ class TestLossSurfaceExport:
         assert len(lines) == 1 + rows
         names = {line.split(",")[0] for line in lines[1:]}
         assert names == {"kl_l1_he", "kl_l1_paper", "expected_l1"}
+
+    def test_values_are_plain_floats_of_the_scalar_losses(self, tmp_path):
+        path = tmp_path / "surfaces.csv"
+        export_loss_surfaces(path, [-1.5, -1.0, 0.0, 0.3, 1.0, 2.5], [0.05, 0.5, 1.0, 2.0])
+        scalar = {
+            "kl_l1_he": lambda d, s: kl_l1_loss(GaussianOffset(0.0, 2.0 * math.log(s)), d, "he")[0],
+            "kl_l1_paper": lambda d, s: kl_l1_loss(GaussianOffset(0.0, 2.0 * math.log(s)), d, "paper")[0],
+            "expected_l1": lambda d, s: expected_l1(d, s)[0],
+        }
+        with open(path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                d, s = float(row["d"]), float(row["sigma"])
+                assert float(row["value"]) == scalar[row["loss_name"]](d, s), row

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _oracles import relative_error
+from _oracles import regression_terms_oracle, relative_error
 from utal.data import (
     ActionAnnotation,
     DataConfig,
@@ -18,6 +20,8 @@ from utal.data import (
 )
 from utal.errors import ConfigError
 from utal.losses import (
+    ALPHA_CLAMP,
+    CONDITION_MODES,
     GaussianOffset,
     binary_loss,
     expected_l1_training,
@@ -28,7 +32,10 @@ from utal.losses import (
     select_hard_negatives,
 )
 from utal.model import (
+    LOSS_MODES,
+    BatchForward,
     TrainConfig,
+    _regression_terms,
     collect_offset_stats,
     init_model,
     load_checkpoint,
@@ -161,41 +168,15 @@ class TestEndToEndGradient:
         _, d_scores = binary_loss(fwd.y_a, t_a, mining)
         d_za = d_scores * fwd.y_a * (1.0 - fwd.y_a)
         _, d_logits = multiclass_loss(fwd.logits, t_c, pos)
-        d_mu = np.zeros_like(fwd.mu)
-        d_alpha = np.zeros_like(fwd.alpha) if model.uncertainty else None
-        if mode == "l1":
-            cls = t_c[pos].astype(int)
-            y_s = np.zeros(batch)
-            y_e = np.zeros(batch)
-            y_s[pos] = fwd.mu[pos, cls, 0]
-            y_e[pos] = fwd.mu[pos, cls, 1]
-            _, d_ys, d_ye = l1_loss(y_s, y_e, t_s, t_e, pos)
-            d_mu[pos, cls, 0] = d_ys[pos]
-            d_mu[pos, cls, 1] = d_ye[pos]
-        else:
-            scale = 1.0 / (2.0 * pos.size)
-            k = 0
-            for i in pos:
-                c = int(t_c[i])
-                for b, target in ((0, t_s[i]), (1, t_e[i])):
-                    pred = GaussianOffset(float(fwd.mu[i, c, b]), float(fwd.alpha[i, c, b]))
-                    if mode == "kl_l1":
-                        _, g_mu, g_alpha = kl_l1_loss(pred, target, cfg.condition_mode)
-                    elif mode == "expected_l1":
-                        _, g_mu, g_alpha = expected_l1_training(pred, target)
-                    else:
 
-                        class _Eps:
-                            def __init__(self, v):
-                                self.v = v
+        class _Replay:  # the eps draws, in the order the training path takes them
+            def __init__(self):
+                self.draws = iter(eps_values)
 
-                            def normal(self):
-                                return self.v
+            def normal(self):
+                return next(self.draws)
 
-                        _, g_mu, g_alpha, _ = sampled_l1_loss(pred, target, _Eps(eps_values[k]))
-                    k += 1
-                    d_mu[i, c, b] += g_mu * scale
-                    d_alpha[i, c, b] += g_alpha * scale
+        _, d_mu, d_alpha = _regression_terms(model, cfg, fwd, pos, t_c, t_s, t_e, _Replay())
         model.zero_grad()
         model.backward_batch(fwd, d_za, d_logits, d_mu, d_alpha)
         grad = model.fc1.grad_w.copy()
@@ -215,6 +196,109 @@ class TestEndToEndGradient:
             if abs(fd) < 1e-10 and abs(grad[i, j]) < 1e-10:
                 continue
             assert relative_error(grad[i, j], fd) <= 1e-3
+
+
+_dyadic = st.integers(-24, 24).map(lambda n: n / 8.0)  # t - mu stays exact
+_offset = st.one_of(st.sampled_from([-1.0, 1.0, 0.0]), _dyadic, st.floats(-3.0, 3.0))
+_alpha = st.one_of(
+    st.sampled_from([-ALPHA_CLAMP, ALPHA_CLAMP]), st.floats(-ALPHA_CLAMP, ALPHA_CLAMP)
+)
+
+
+@st.composite
+def _regression_batch(draw):
+    """(mu, alpha, t_c, t_s, t_e) of a batch; t_c -1 marks a negative."""
+    rows, classes = draw(st.integers(0, 12)), draw(st.integers(2, 4))
+    cells = rows * classes * 2
+    mu = np.reshape(draw(st.lists(_dyadic, min_size=cells, max_size=cells)), (rows, classes, 2))
+    alpha = np.reshape(draw(st.lists(_alpha, min_size=cells, max_size=cells)), (rows, classes, 2))
+    t_c = np.array(draw(st.lists(st.integers(-1, classes - 1), min_size=rows, max_size=rows)), int)
+    offsets = np.reshape(draw(st.lists(_offset, min_size=2 * rows, max_size=2 * rows)), (rows, 2))
+    pos = np.flatnonzero(t_c >= 0)
+    targets = np.zeros((rows, 2))
+    targets[pos] = mu[pos, t_c[pos]] + offsets[pos]
+    return mu, alpha, t_c, targets[:, 0], targets[:, 1]
+
+
+class TestRegressionTerms:
+    @staticmethod
+    def _both(batch, mode, condition_mode, seed, w_reg=1.0):
+        """_regression_terms and the per-positive oracle on one batch, and the next
+        draw of each one's eps stream."""
+        mu, alpha, t_c, t_s, t_e = batch
+        cfg = TrainConfig(
+            loss_mode=mode, condition_mode=condition_mode, w_reg=w_reg, k=1, hidden=2
+        )
+        model = init_model(cfg, d_feat=1, num_classes=mu.shape[1], seed=0)
+        zeros = np.zeros(mu.shape[0])
+        fwd = BatchForward(
+            zeros, zeros, mu[:, :, 0], mu, alpha if model.uncertainty else None, None
+        )
+        pos = np.flatnonzero(t_c >= 0)
+        rng, rng_ref = Rng(seed), Rng(seed)
+        got = _regression_terms(model, cfg, fwd, pos, t_c, t_s, t_e, rng)
+        ref = regression_terms_oracle(cfg, fwd, pos, t_c, t_s, t_e, rng_ref)
+        return got, ref, (rng.normal(), rng_ref.normal())
+
+    @given(
+        batch=_regression_batch(),
+        mode=st.sampled_from(LOSS_MODES),
+        condition_mode=st.sampled_from(CONDITION_MODES),
+        seed=st.integers(0, 2**16),
+        w_reg=st.sampled_from([1.0, 0.3]),
+    )
+    @example(  # |d| == 1 on both sides, alpha at both clamps, one class twice
+        batch=(
+            np.array([[[0.25, -0.5], [0.0, 0.0]], [[0.0, 0.0], [1.0, 2.0]], [[0.5, 0.0], [0.0, 0.0]]]),
+            np.array([[[-10.0, 10.0], [0.0, 0.0]], [[0.0, 0.0], [10.0, -10.0]], [[0.3, 0.0], [0.0, 0.0]]]),
+            np.array([0, 1, 0]),
+            np.array([1.25, 0.0, 0.5]),
+            np.array([-1.5, 3.0, 0.0]),
+        ),
+        mode="kl_l1", condition_mode="he", seed=0, w_reg=1.0,
+    )
+    @example(  # no positives
+        batch=(np.ones((2, 2, 2)), np.zeros((2, 2, 2)), np.array([-1, -1]), np.zeros(2), np.zeros(2)),
+        mode="sampled_l1", condition_mode="he", seed=3, w_reg=1.0,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_positive_oracle(self, batch, mode, condition_mode, seed, w_reg):
+        (loss, d_mu, d_alpha), (ref_loss, ref_mu, ref_alpha), draws = self._both(
+            batch, mode, condition_mode, seed, w_reg
+        )
+        assert draws[0] == draws[1]  # the same eps stream, consumed as far
+        assert loss == pytest.approx(ref_loss, rel=1e-15, abs=0.0)
+        mu, _, t_c, _, _ = batch
+        pos = np.flatnonzero(t_c >= 0)
+        gt = np.zeros(mu.shape, bool)
+        gt[pos, t_c[pos]] = True
+        assert (d_alpha is None) == (ref_alpha is None)
+        for grad, ref in ((d_mu, ref_mu), (d_alpha, ref_alpha)):
+            if grad is not None:
+                assert not grad[~gt].any()
+                np.testing.assert_array_max_ulp(grad[gt], ref[gt], maxulp=4)
+
+    @pytest.mark.parametrize("mode", LOSS_MODES)
+    @pytest.mark.parametrize("condition_mode", CONDITION_MODES)
+    def test_zero_residual_gives_no_mu_gradient(self, mode, condition_mode):
+        """r == 0: with t == mu (and eps == 0 for the sampled loss) mu gets no gradient."""
+
+        class _ZeroEps:
+            def normal(self):
+                return 0.0
+
+        mu = np.full((2, 2, 2), 0.375)
+        cfg = TrainConfig(loss_mode=mode, condition_mode=condition_mode, k=1, hidden=2)
+        model = init_model(cfg, d_feat=1, num_classes=2, seed=0)
+        zeros = np.zeros(2)
+        alpha = np.full((2, 2, 2), -1.0) if model.uncertainty else None
+        fwd = BatchForward(zeros, zeros, mu[:, :, 0], mu, alpha, None)
+        t_c, t_s = np.array([1, 1]), np.full(2, 0.375)
+        pos = np.arange(2)
+        got = _regression_terms(model, cfg, fwd, pos, t_c, t_s, t_s, _ZeroEps())
+        ref = regression_terms_oracle(cfg, fwd, pos, t_c, t_s, t_s, _ZeroEps())
+        assert not got[1].any() and not ref[1].any()
+        assert got[0] == ref[0]
 
 
 def _toy_dataset(num_videos=4, seed=31):
