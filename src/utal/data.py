@@ -419,15 +419,6 @@ def sliding_windows(t_units: float, scales, overlap: float) -> tuple[np.ndarray,
     return starts[order], ends[order]
 
 
-def tiou(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Temporal intersection-over-union of two intervals."""
-    inter = min(a[1], b[1]) - max(a[0], b[0])
-    if inter <= 0.0:
-        return 0.0
-    union = (a[1] - a[0]) + (b[1] - b[0]) - inter
-    return inter / union if union > 0.0 else 0.0
-
-
 def compute_offsets(starts, ends, gt_starts, gt_ends) -> tuple[np.ndarray, np.ndarray]:
     """Length-normalized displacements from windows to annotation boundaries.
 
@@ -476,9 +467,9 @@ def label_proposals(
 
 
 def pairwise_tiou(s1, e1, s2, e2) -> np.ndarray:
-    """tIoU of intervals [s1, e1] and [s2, e2], elementwise with broadcasting.
+    """Temporal intersection-over-union of intervals [s1, e1] and [s2, e2].
 
-    The same arithmetic as `tiou`, so every value equals `tiou` bit for bit.
+    Elementwise with broadcasting; 0 where they do not overlap.
     """
     inter = np.minimum(e1, e2) - np.maximum(s1, s2)
     union = (e1 - s1) + (e2 - s2) - inter

@@ -20,7 +20,6 @@ from utal.data import (
     pairwise_tiou,
     pool_k_parts,
     sliding_windows,
-    tiou,
 )
 from utal.errors import ConfigError
 from utal.model import Model
@@ -194,17 +193,23 @@ def average_precision(
     thresholds = tiou_thr if isinstance(tiou_thr, tuple) else (tiou_thr,)
     aps: list[float | None] = [0.0 if gts else None] * len(thresholds)
     if gts and dets:
-        by_video: dict[str, list[int]] = {}
+        by_video: dict[str, tuple[list[int], list[int]]] = {}  # (ranks, ground truths)
         for gi, (vid, _, _) in enumerate(gts):
-            by_video.setdefault(vid, []).append(gi)
+            by_video.setdefault(vid, ([], []))[1].append(gi)
+        ordered = sorted(dets, key=_det_sort_key)
+        for di, d in enumerate(ordered):
+            by_video.get(d.video_id, ([], []))[0].append(di)
+        starts, ends = np.array([(d.start, d.end) for d in ordered]).T
+        hits: dict[int, list[tuple[int, float]]] = {}
+        for ranks, gis in by_video.values():  # one tIoU matrix per video
+            di, g = np.array(ranks, dtype=int), np.array([gts[gi][1:] for gi in gis])
+            tious = pairwise_tiou(starts[di, None], ends[di, None], g[:, 0], g[:, 1])
+            r, c = np.nonzero(tious > 0.0)
+            for rank, gi, t in zip(di[r].tolist(), c.tolist(), tious[r, c].tolist()):
+                hits.setdefault(rank, []).append((gis[gi], t))
         # (rank, [(ground truth, tIoU)]) of each detection that overlaps a
         # ground truth of its video; no other detection can match at all
-        overlaps = []
-        for di, d in enumerate(sorted(dets, key=_det_sort_key)):
-            row = [(gi, tiou((d.start, d.end), gts[gi][1:])) for gi in by_video.get(d.video_id, ())]
-            row = [(gi, t) for gi, t in row if t > 0.0]
-            if row:
-                overlaps.append((di, row))
+        overlaps = sorted(hits.items())
         for i, thr in enumerate(thresholds):
             matched = [False] * len(gts)
             tp = np.zeros(len(dets))

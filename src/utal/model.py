@@ -5,7 +5,8 @@ a scalar actioness logit (sigmoid), and a per-class block holding the class
 logit plus the boundary-offset parameters.  In uncertainty mode each class
 row carries (mu_s, alpha_s, mu_e, alpha_e); in baseline mode just
 (mu_s, mu_e).  All backward passes are hand-derived; regression gradients
-flow only through the ground-truth class row.
+flow only through the ground-truth class row.  The dense layers compute in
+float32; their outputs are handed on, and every loss computed, in float64.
 """
 
 from __future__ import annotations
@@ -147,16 +148,18 @@ class Model:
         rng = Rng(seed).split("model-init")
         in_dim = k * d_feat
         self.norm = L2NormalizeLayer()
-        self.fc1 = init_dense(rng.split("fc1"), hidden, in_dim, name="fc1")
-        self.fc1.weights *= FC1_INIT_GAIN
         self.relu = ReluLayer()
-        self.fc_act = init_dense(rng.split("actioness"), 1, hidden, name="actioness")
-        self.fc_head = init_dense(
-            rng.split("head"), num_classes * self.head_cols, hidden, name="head"
-        )
+        fc1 = init_dense(rng.split("fc1"), hidden, in_dim, name="fc1")
+        fc1.weights *= FC1_INIT_GAIN
+        fc_act = init_dense(rng.split("actioness"), 1, hidden, name="actioness")
+        fc_head = init_dense(rng.split("head"), num_classes * self.head_cols, hidden, name="head")
         if uncertainty:
-            head_bias = self.fc_head.biases.reshape(num_classes, self.head_cols)
+            head_bias = fc_head.biases.reshape(num_classes, self.head_cols)
             head_bias[:, (2, 4)] = ALPHA_BIAS_INIT
+        self.fc1, self.fc_act, self.fc_head = (
+            DenseLayer(lay.weights.astype(np.float32), lay.biases.astype(np.float32), lay.name)
+            for lay in (fc1, fc_act, fc_head)
+        )
 
     @property
     def dense_layers(self) -> list[DenseLayer]:
@@ -167,14 +170,16 @@ class Model:
             layer.zero_grad()
 
     def forward_batch(self, x: np.ndarray) -> BatchForward:
-        x = np.asarray(x, dtype=np.float64)
+        """Network forward in the layers' dtype; every output is float64."""
+        x = np.asarray(x, dtype=self.fc1.weights.dtype)
         if x.ndim != 2 or x.shape[1] != self.k * self.d_feat:
             raise ConfigError(
                 f"pooled feature batch must be [B x {self.k * self.d_feat}], got {x.shape}"
             )
         h = self.relu.forward(self.fc1.forward(self.norm.forward(x)))
-        z_a = self.fc_act.forward(h)[:, 0]
-        block = self.fc_head.forward(h).reshape(-1, self.num_classes, self.head_cols)
+        z_a = self.fc_act.forward(h)[:, 0].astype(np.float64)
+        block = self.fc_head.forward(h).astype(np.float64)
+        block = block.reshape(-1, self.num_classes, self.head_cols)
         logits = block[:, :, 0]
         if self.uncertainty:
             mu = block[:, :, (1, 3)]
@@ -459,10 +464,6 @@ def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
                 f"checkpoint shape mismatch for {layer.name}: "
                 f"{w.shape}/{b.shape} vs {layer.weights.shape}/{layer.biases.shape}"
             )
-        layer.weights = w
-        layer.biases = b
-        layer.vel_w = np.zeros_like(w)
-        layer.vel_b = np.zeros_like(b)
-        layer.grad_w = np.zeros_like(w)
-        layer.grad_b = np.zeros_like(b)
+        layer.weights[...] = w
+        layer.biases[...] = b
     return model, cfg

@@ -29,8 +29,13 @@ class ParamGrads:
     db: np.ndarray
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
+def _float_dtype(x) -> type:
+    """The dtype a layer computes in: float32 stays float32, anything else is float64."""
+    return np.float32 if np.asarray(x).dtype == np.float32 else np.float64
+
+
+def _as_batch(x: np.ndarray, dtype: type) -> tuple[np.ndarray, bool]:
+    x = np.asarray(x, dtype=dtype)
     if x.ndim == 1:
         return x[None, :], True
     if x.ndim == 2:
@@ -39,11 +44,12 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 class DenseLayer:
-    """y = W x + b with cached input for the backward pass."""
+    """y = W x + b in the weights' dtype, with cached input for the backward pass."""
 
     def __init__(self, weights: np.ndarray, biases: np.ndarray, name: str = "dense"):
-        weights = np.asarray(weights, dtype=np.float64)
-        biases = np.asarray(biases, dtype=np.float64)
+        dtype = _float_dtype(weights)
+        weights = np.asarray(weights, dtype=dtype)
+        biases = np.asarray(biases, dtype=dtype)
         if weights.ndim != 2 or biases.shape != (weights.shape[0],):
             raise ConfigError(
                 f"layer {name}: weights {weights.shape} and biases {biases.shape} disagree"
@@ -67,7 +73,7 @@ class DenseLayer:
         return self.weights.shape[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        xb, squeeze = _as_batch(x)
+        xb, squeeze = _as_batch(x, self.weights.dtype)
         if xb.shape[1] != self.in_dim:
             raise ConfigError(
                 f"layer {self.name}: input dim {xb.shape[1]}, expected {self.in_dim}"
@@ -80,7 +86,7 @@ class DenseLayer:
     def backward(self, dy: np.ndarray) -> tuple[np.ndarray, ParamGrads]:
         if self._x is None:
             raise NumericError(f"layer {self.name}: backward before forward")
-        dyb, _ = _as_batch(dy)
+        dyb, _ = _as_batch(dy, self.weights.dtype)
         if dyb.shape != (self._x.shape[0], self.out_dim):
             raise ConfigError(
                 f"layer {self.name}: upstream grad shape {dyb.shape} does not match "
@@ -98,24 +104,23 @@ class DenseLayer:
 
 
 class ReluLayer:
-    """Elementwise max(0, x); subgradient at 0 is 0."""
+    """Elementwise max(0, x) in the input's dtype; subgradient at 0 is 0."""
 
     def __init__(self):
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        self._x = x
-        return np.maximum(x, 0.0)
+        self._x = np.asarray(x, dtype=_float_dtype(x))
+        return np.maximum(self._x, 0.0)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise NumericError("relu: backward before forward")
-        return np.where(self._x > 0.0, dy, 0.0)
+        return dy * (self._x > 0.0)
 
 
 class L2NormalizeLayer:
-    """y = x / max(||x||_2, eps), rows normalized independently.
+    """y = x / max(||x||_2, eps), rows normalized independently, in the input's dtype.
 
     Backward applies the full Jacobian (I - y y^T)/||x||; inputs with norm
     below eps map to x/eps (plain scaling), which keeps zero vectors at zero.
@@ -127,7 +132,7 @@ class L2NormalizeLayer:
         self._squeeze = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        xb, squeeze = _as_batch(x)
+        xb, squeeze = _as_batch(x, _float_dtype(x))
         norm = np.linalg.norm(xb, axis=1, keepdims=True)
         denom = np.maximum(norm, _L2_EPS)
         y = xb / denom
@@ -139,7 +144,7 @@ class L2NormalizeLayer:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._y is None or self._norm is None:
             raise NumericError("l2_normalize: backward before forward")
-        dyb, _ = _as_batch(dy)
+        dyb, _ = _as_batch(dy, self._y.dtype)
         denom = np.maximum(self._norm, _L2_EPS)
         proj = np.sum(self._y * dyb, axis=1, keepdims=True)
         dx = np.where(
@@ -225,7 +230,7 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
-    """Read a "UTAL1" file back into float64 arrays (exact float32 values).
+    """Read a "UTAL1" file back into float32 arrays.
 
     A missing, truncated or corrupt file raises ConfigError naming it.
     """
@@ -247,9 +252,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
                 payload = fh.read(4 * n_items)
                 if len(payload) != 4 * n_items:
                     raise ConfigError(f"{path}: truncated checkpoint payload for entry {name!r}")
-                arrays[name] = (
-                    np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(shape)
-                )
+                arrays[name] = np.frombuffer(payload, "<f4").astype(np.float32).reshape(shape)
             return arrays
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc

@@ -6,12 +6,14 @@ code with the package internals it checks.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
 
 from utal.data import ActionAnnotation, Dataset, UnitFeatureSequence, VideoItem
 from utal.model import BatchForward
+from utal.net import DenseLayer
 
 
 def erf_series(x: float) -> float:
@@ -67,6 +69,18 @@ def normal_cdf_quadrature(x: float, steps: int = 200_001) -> float:
     return 0.5 + sign * integral
 
 
+def float64_copy(model):
+    """A copy of `model` whose dense layers compute in float64, from float64
+    copies of its weights: the reference for the float32 network, and one
+    whose loss finite differences at h = 1e-6 can resolve."""
+    ref = copy.deepcopy(model)
+    ref.fc1, ref.fc_act, ref.fc_head = (
+        DenseLayer(layer.weights.astype(np.float64), layer.biases.astype(np.float64), layer.name)
+        for layer in model.dense_layers
+    )
+    return ref
+
+
 def finite_difference(fn, x: float, h: float = 1e-6) -> float:
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
@@ -75,10 +89,17 @@ def relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-8)
 
 
+def tiou(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """Temporal intersection-over-union of two intervals, one pair at a time."""
+    inter = min(a[1], b[1]) - max(a[0], b[0])
+    if inter <= 0.0:
+        return 0.0
+    union = (a[1] - a[0]) + (b[1] - b[0]) - inter
+    return inter / union if union > 0.0 else 0.0
+
+
 def greedy_nms_oracle(dets, thr: float):
     """NMS by literal definition: walk the sorted list, compare to all kept."""
-    from utal.data import tiou
-
     ordered = sorted(dets, key=lambda d: (-d.score, d.video_id, d.start, d.end, d.class_id))
     kept = []
     for det in ordered:
@@ -98,8 +119,6 @@ def label_proposals_oracle(starts, ends, annotations, pos_thr: float, neg_thr: f
     Returns plain lists (kept window indices, class, start offset, end
     offset) with class -1 and offsets 0.0 for negatives.
     """
-    from utal.data import tiou
-
     keep, t_c, t_s, t_e = [], [], [], []
     for i, (start, end) in enumerate(zip(starts, ends)):
         best_t, best_ann = 0.0, None
@@ -251,8 +270,6 @@ def ap_enumeration_oracle(dets, gts, thr: float) -> float:
     an independent precision/recall curve; the area under the running-max
     precision envelope is accumulated rectangle by rectangle.
     """
-    from utal.data import tiou
-
     if not gts:
         raise ValueError("oracle needs ground truths")
     ordered = sorted(dets, key=lambda d: (-d.score, d.video_id, d.start, d.end, d.class_id))
@@ -285,6 +302,42 @@ def ap_enumeration_oracle(dets, gts, thr: float) -> float:
             envelope = max(precisions[i:])
             ap += (recalls[i] - recalls[i - 1]) * envelope
     return ap
+
+
+def average_precision_scalar_oracle(dets, gts, tiou_thr):
+    """`detect.average_precision` with one scalar `tiou` per detection and
+    same-video ground truth, in the same matching order and tie rules."""
+    thresholds = tiou_thr if isinstance(tiou_thr, tuple) else (tiou_thr,)
+    aps = [0.0 if gts else None] * len(thresholds)
+    if gts and dets:
+        by_video = {}
+        for gi, (vid, _, _) in enumerate(gts):
+            by_video.setdefault(vid, []).append(gi)
+        overlaps = []
+        ordered = sorted(dets, key=lambda d: (-d.score, d.video_id, d.start, d.end, d.class_id))
+        for di, d in enumerate(ordered):
+            row = [(gi, tiou((d.start, d.end), gts[gi][1:])) for gi in by_video.get(d.video_id, ())]
+            row = [(gi, t) for gi, t in row if t > 0.0]
+            if row:
+                overlaps.append((di, row))
+        for i, thr in enumerate(thresholds):
+            matched = [False] * len(gts)
+            tp = np.zeros(len(dets))
+            for di, row in overlaps:
+                best_t, best_gi = 0.0, -1
+                for gi, t in row:
+                    if not matched[gi] and t >= thr and t > best_t:
+                        best_t, best_gi = t, gi
+                if best_gi >= 0:
+                    matched[best_gi] = True
+                    tp[di] = 1.0
+            tp_cum = np.cumsum(tp)
+            recall = tp_cum / len(gts)
+            precision = tp_cum / np.arange(1, len(dets) + 1)
+            mrec = np.concatenate([[0.0], recall, [recall[-1]]])
+            mpre = np.maximum.accumulate(np.concatenate([[1.0], precision, [0.0]])[::-1])[::-1]
+            aps[i] = float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
+    return aps if isinstance(tiou_thr, tuple) else aps[0]
 
 
 _ORACLE_RAMP = 0.6

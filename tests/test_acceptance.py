@@ -19,6 +19,7 @@ from _oracles import (
     OracleModel,
     aligned_oracle_dataset,
     ap_enumeration_oracle,
+    float64_copy,
     greedy_nms_oracle,
     relative_error,
 )
@@ -267,7 +268,7 @@ class TestCriterion2GradientSuite:
 
         for mode in ("l1", "kl_l1", "sampled_l1", "expected_l1"):
             cfg = TrainConfig(loss_mode=mode, hidden=10, k=2, mining_ratio=1.0)
-            model = init_model(cfg, 5, 3, seed=17)
+            model = float64_copy(init_model(cfg, 5, 3, seed=17))
             r = rng.split("e2e", mode)
             batch = 5
             x = r.uniforms(batch * 10).reshape(batch, 10) + 0.05

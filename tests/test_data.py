@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import label_proposals_oracle, pool_k_parts_oracle
+from _oracles import label_proposals_oracle, pool_k_parts_oracle, tiou
 from utal.data import (
     ActionAnnotation,
     DataConfig,
@@ -23,7 +23,6 @@ from utal.data import (
     pool_k_parts,
     prototype_at,
     sliding_windows,
-    tiou,
 )
 from utal.detect import apply_offsets
 from utal.errors import ConfigError

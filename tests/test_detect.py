@@ -3,13 +3,14 @@ AP against enumeration, mAP."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
     OracleModel,
     aligned_oracle_dataset,
     ap_enumeration_oracle,
+    average_precision_scalar_oracle,
     cascade_oracle,
     greedy_nms_oracle,
 )
@@ -254,7 +255,7 @@ class TestNms:
             assert nms(dets, thr) == greedy_nms_oracle(dets, thr)
 
     def test_output_is_subset_with_low_pairwise_overlap(self):
-        from utal.data import tiou
+        from _oracles import tiou
 
         rng = Rng(99)
         dets = _rand_dets(rng, 30)
@@ -265,7 +266,42 @@ class TestNms:
                 assert tiou((a.start, a.end), (b.start, b.end)) < 0.4
 
 
+@st.composite
+def _ap_cases(draw):
+    """Detections and ground truths on a coarse grid over three videos, so
+    tIoUs and scores tie, and videos with detections but no ground truth."""
+    grid = st.integers(0, 40).map(lambda i: i / 2.0)
+    video = st.sampled_from(["a", "b", "c"])
+
+    def interval():
+        start = draw(grid)
+        return start, start + draw(st.integers(0, 16).map(lambda i: i / 2.0))
+
+    gts = [(draw(video), *interval()) for _ in range(draw(st.integers(0, 8)))]
+    score = st.sampled_from([0.2, 0.7]) | st.floats(0.0, 1.0)
+    dets = [
+        Detection(draw(video), *interval(), 0, draw(score)) for _ in range(draw(st.integers(0, 20)))
+    ]
+    thr = st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    return dets, gts, tuple(draw(st.lists(thr, min_size=1, max_size=5)))
+
+
 class TestAveragePrecision:
+    @given(_ap_cases())
+    @example(  # nothing overlaps: other video, disjoint, touching
+        (
+            [Detection("a", 0.0, 5.0, 0, 0.5), Detection("b", 6.0, 9.0, 0, 0.5)],
+            [("a", 5.0, 9.0), ("c", 6.0, 9.0)],
+            (0.3, 0.5),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar_tiou_loop_exactly(self, case):
+        dets, gts, thresholds = case
+        expected = average_precision_scalar_oracle(dets, gts, thresholds)
+        assert average_precision(dets, gts, thresholds) == expected
+        assert average_precision(dets, gts, thresholds[0]) == expected[0]
+
     def test_single_perfect_detection(self):
         dets = [Detection("v", 0.0, 10.0, 0, 0.9)]
         gts = [("v", 0.0, 10.0)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import regression_terms_oracle, relative_error
+from _oracles import float64_copy, regression_terms_oracle, relative_error
 from utal.data import (
     ActionAnnotation,
     DataConfig,
@@ -151,7 +151,7 @@ class TestEndToEndGradient:
     @pytest.mark.parametrize("mode", ["l1", "kl_l1", "sampled_l1", "expected_l1"])
     def test_first_layer_weight_gradient(self, mode):
         cfg = TrainConfig(loss_mode=mode, hidden=12, k=2, mining_ratio=1.0)
-        model = init_model(cfg, 6, 3, seed=4)
+        model = float64_copy(init_model(cfg, 6, 3, seed=4))
         rng = Rng(77)
         batch = 6
         x = rng.uniforms(batch * 12).reshape(batch, 12) + 0.05
@@ -196,6 +196,65 @@ class TestEndToEndGradient:
             if abs(fd) < 1e-10 and abs(grad[i, j]) < 1e-10:
                 continue
             assert relative_error(grad[i, j], fd) <= 1e-3
+
+
+def _upstream_grads(model, cfg, fwd, t_a, t_c, t_s, t_e):
+    """The training step's gradients on the network outputs (d_za, d_logits,
+    d_mu, d_alpha) for one batch."""
+    mining = select_hard_negatives(fwd.y_a, t_a, cfg.mining_ratio)
+    pos = mining.positive_indices
+    _, d_scores = binary_loss(fwd.y_a, t_a, mining)
+    _, d_logits = multiclass_loss(fwd.logits, t_c, pos)
+    _, d_mu, d_alpha = _regression_terms(model, cfg, fwd, pos, t_c, t_s, t_e, Rng(3))
+    return d_scores * fwd.y_a * (1.0 - fwd.y_a), d_logits, d_mu, d_alpha
+
+
+class TestFloat32Network:
+    """The float32 network against its float64 copy, on one batch of a trained model."""
+
+    # float32 rounds at 6e-8 relative; through the 64-dim input and the 1000
+    # hidden units, outputs and weight gradients differ from float64 by at most
+    # 5e-7 of their largest magnitude (measured, all four modes): 1e-5 is float32
+    # rounding with room to spare, while any wrong term shows at order 1
+    REL = 1e-5
+
+    @pytest.mark.parametrize("mode", LOSS_MODES)
+    def test_outputs_and_gradients_match_float64_copy(self, mode):
+        dataset = _toy_dataset()
+        pcfg = ProposalConfig(scales=(8, 16, 32))
+        cfg = TrainConfig(loss_mode=mode, epochs=2, batch_size=16, seed=4)
+        tset = build_training_set(dataset, pcfg, cfg.k)
+        model = init_model(cfg, dataset.d_feat, dataset.num_classes, 4)
+        model, _ = train(model, dataset, cfg, pcfg, tset)
+        ref = float64_copy(model)
+        fwd, fwd_ref = model.forward_batch(tset.x), ref.forward_batch(tset.x)
+        for name in ("z_a", "y_a", "logits", "mu", "alpha"):
+            got, want = getattr(fwd, name), getattr(fwd_ref, name)
+            if want is None:
+                assert got is None
+                continue
+            assert got.dtype == want.dtype == np.float64
+            assert np.abs(got - want).max() <= self.REL * np.abs(want).max()
+        upstream = _upstream_grads(ref, cfg, fwd_ref, tset.t_a, tset.t_c, tset.t_s, tset.t_e)
+        for net, out in ((model, fwd), (ref, fwd_ref)):
+            net.zero_grad()
+            net.backward_batch(out, *upstream)
+        for layer, ref_layer in ((model.fc1, ref.fc1), (model.fc_head, ref.fc_head)):
+            assert layer.grad_w.dtype == np.float32 and ref_layer.grad_w.dtype == np.float64
+            err = np.abs(layer.grad_w - ref_layer.grad_w).max()
+            assert err <= self.REL * np.abs(ref_layer.grad_w).max()
+
+    @pytest.mark.parametrize("mode", LOSS_MODES)
+    def test_layers_float32_and_outputs_float64(self, mode):
+        model = init_model(TrainConfig(loss_mode=mode, hidden=16), 8, 3, seed=5)
+        for layer in model.dense_layers:
+            for block in (layer.weights, layer.biases, layer.grad_w, layer.vel_w):
+                assert block.dtype == np.float32
+        out = model.forward_batch(Rng(1).uniforms(3 * 8 * 4).reshape(3, -1))
+        for value in (out.z_a, out.y_a, out.logits, out.mu):
+            assert value.dtype == np.float64
+        assert (out.alpha is None) == (mode == "l1")
+        assert out.alpha is None or out.alpha.dtype == np.float64
 
 
 _dyadic = st.integers(-24, 24).map(lambda n: n / 8.0)  # t - mu stays exact
@@ -352,6 +411,18 @@ class TestTraining:
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
+    def test_same_seed_checkpoints_byte_identical(self, tmp_path):
+        dataset = _toy_dataset()
+        pcfg = ProposalConfig(scales=(8, 16, 32))
+        files = []
+        for run, seed in enumerate((9, 9, 10)):
+            cfg = TrainConfig(loss_mode="sampled_l1", epochs=3, hidden=32, batch_size=16, seed=seed)
+            model = init_model(cfg, dataset.d_feat, dataset.num_classes, seed)
+            model, _ = train(model, dataset, cfg, pcfg)
+            files.append(save_checkpoint(model, tmp_path / f"{run}.utal", cfg).read_bytes())
+        assert files[0] == files[1]
+        assert files[0] != files[2]  # the bytes do depend on the seed
+
     def test_no_positives_raises_with_thresholds(self):
         video = VideoItem(
             UnitFeatureSequence("v", np.zeros((32, 8))), []
@@ -398,6 +469,19 @@ class TestCheckpoint:
         out_b = reloaded.forward_batch(x)
         for name in ("y_a", "logits", "mu", "alpha"):
             np.testing.assert_array_equal(getattr(out_a, name), getattr(out_b, name))
+
+    def test_loaded_layers_float32_and_forward_bit_exact_to_saved(self, tmp_path):
+        dataset = _toy_dataset()
+        cfg = TrainConfig(loss_mode="kl_l1", epochs=1, hidden=24, batch_size=16)
+        model = init_model(cfg, dataset.d_feat, dataset.num_classes, seed=6)
+        model, _ = train(model, dataset, cfg, ProposalConfig(scales=(8, 16, 32)))
+        loaded, _ = load_checkpoint(save_checkpoint(model, tmp_path / "model.utal", cfg))
+        for layer in loaded.dense_layers:
+            assert layer.weights.dtype == layer.biases.dtype == np.float32
+        x = Rng(2).uniforms(5 * dataset.d_feat * cfg.k).reshape(5, -1)
+        out, out_loaded = model.forward_batch(x), loaded.forward_batch(x)
+        for name in ("z_a", "y_a", "logits", "mu", "alpha"):
+            np.testing.assert_array_equal(getattr(out, name), getattr(out_loaded, name))
 
     def test_second_save_is_byte_identical(self, tmp_path):
         cfg = TrainConfig(loss_mode="l1", hidden=12)

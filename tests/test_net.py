@@ -75,6 +75,15 @@ class TestDenseLayer:
             for j in range(4):
                 assert relative_error(dx[j], _fd(loss_x, x, (j,))) <= 1e-4
 
+    def test_computes_in_the_weights_dtype(self):
+        rng = Rng(3)
+        x, dy = rng.uniforms(8).reshape(2, 4), rng.uniforms(6).reshape(2, 3)
+        for given, dtype in ((np.float32, np.float32), (np.float64, np.float64), (int, np.float64)):
+            layer = DenseLayer(np.ones((3, 4), dtype=given), np.zeros(3, dtype=given))
+            assert layer.forward(x).dtype == dtype  # the float64 input is cast
+            dx, grads = layer.backward(dy)
+            assert dx.dtype == grads.dw.dtype == layer.grad_w.dtype == layer.vel_b.dtype == dtype
+
     def test_gradient_accumulation_shapes(self):
         layer = DenseLayer(np.zeros((2, 3)), np.zeros(2))
         layer.forward(np.ones(3))
@@ -99,6 +108,18 @@ class TestRelu:
         )
         x = np.array([0.5, 1.0, 7.0])
         np.testing.assert_array_equal(ReluLayer().forward(x), x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_equals_where_form_and_leaves_dy(self, dtype):
+        x = np.array([-2.0, -0.0, 0.0, 1e-30, 3.0, -1e-30, 0.5], dtype=dtype)
+        dy = np.array([1.5, -2.0, 7.0, -0.25, -3.0, 4.0, 0.0], dtype=dtype)
+        dy_before = dy.copy()
+        relu = ReluLayer()
+        assert relu.forward(x).dtype == dtype
+        dx = relu.backward(dy)
+        assert dx.dtype == dtype
+        np.testing.assert_array_equal(dx, np.where(x > 0.0, dy, 0.0))
+        np.testing.assert_array_equal(dy, dy_before)
 
     def test_subgradient_zero_at_zero(self):
         relu = ReluLayer()
@@ -134,6 +155,12 @@ class TestL2Normalize:
             if np.linalg.norm(x) < 1e-6:
                 continue
             assert np.linalg.norm(l2_normalize(x)) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_the_input_dtype(self, dtype):
+        layer = L2NormalizeLayer()
+        assert layer.forward(np.array([[3.0, 4.0]], dtype=dtype)).dtype == dtype
+        assert layer.backward(np.ones((1, 2))).dtype == dtype  # the float64 grad is cast
 
     def test_zero_vector_maps_to_zero(self):
         np.testing.assert_array_equal(l2_normalize(np.zeros(5)), np.zeros(5))
@@ -271,9 +298,8 @@ class TestCheckpointFormat:
         assert p1.read_bytes()[:5] == b"UTAL1"
         loaded = load_arrays(p1)
         for name in arrays:
-            np.testing.assert_array_equal(
-                loaded[name], arrays[name].astype("<f4").astype(np.float64)
-            )
+            assert loaded[name].dtype == np.float32
+            np.testing.assert_array_equal(loaded[name], arrays[name].astype(np.float32))
         p2 = tmp_path / "b.utal"
         save_arrays(p2, loaded)  # float32 values survive a second roundtrip exactly
         assert p1.read_bytes() == p2.read_bytes()
