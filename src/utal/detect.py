@@ -159,21 +159,29 @@ def nms(dets: list[Detection], tiou_thr: float) -> list[Detection]:
     """Greedy NMS over detections of one video and class.
 
     Sorted by score (ties by video then start); a detection is kept iff its
-    tIoU with every kept detection is below the threshold.  Each kept
-    detection suppresses the later ones in one vector tIoU update.
+    tIoU with every kept detection is below the threshold.  Only overlapping
+    intervals have a positive tIoU, so it is computed only for the pairs of
+    each window with the windows that start at or after its start and before
+    its end; walking the ranks, each kept detection marks its pairs dead.
     """
     ordered = sorted(dets, key=_det_sort_key)
+    if tiou_thr <= 0.0:  # every tIoU, 0 included, reaches the threshold
+        return ordered[:1]
     starts = np.array([d.start for d in ordered])
     ends = np.array([d.end for d in ordered])
-    alive = np.ones(len(ordered), dtype=bool)
-    kept: list[Detection] = []
-    for i, det in enumerate(ordered):
-        if alive[i]:
-            kept.append(det)
-            alive[i + 1 :] &= (
-                pairwise_tiou(starts[i + 1 :], ends[i + 1 :], starts[i], ends[i]) < tiou_thr
-            )
-    return kept
+    by_start = np.argsort(starts, kind="stable")
+    nxt = np.arange(1, len(ordered) + 1)  # start-order position after each window
+    count = np.maximum(np.searchsorted(starts[by_start], ends[by_start]) - nxt, 0)
+    a = np.repeat(by_start, count)
+    b = by_start[np.arange(count.sum()) + np.repeat(nxt - np.cumsum(count) + count, count)]
+    hit = pairwise_tiou(starts[a], ends[a], starts[b], ends[b]) >= tiou_thr
+    first, later = np.minimum(a[hit], b[hit]), np.maximum(a[hit], b[hit])
+    order = np.argsort(first, kind="stable")
+    dead = bytearray(len(ordered))
+    for rank, other in zip(first[order].tolist(), later[order].tolist()):
+        if not dead[rank]:
+            dead[other] = 1
+    return [d for d, gone in zip(ordered, dead) if not gone]
 
 
 def average_precision(
@@ -245,10 +253,8 @@ def video_detections(
     for c in range(fused.shape[1]):
         rows = np.flatnonzero(fused[:, c] >= det_cfg.score_floor)
         if rows.size:
-            dets = [
-                Detection(video.video_id, float(starts[i]), float(ends[i]), c, float(fused[i, c]))
-                for i in rows
-            ]
+            columns = zip(starts[rows].tolist(), ends[rows].tolist(), fused[rows, c].tolist())
+            dets = [Detection(video.video_id, s, e, c, score) for s, e, score in columns]
             out.extend(nms(dets, det_cfg.nms_thr))
     return out
 

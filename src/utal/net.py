@@ -95,7 +95,7 @@ class DenseLayer:
         grads = ParamGrads(dw=dyb.T @ self._x, db=dyb.sum(axis=0))
         self.grad_w += grads.dw
         self.grad_b += grads.db
-        dx = dyb @ self.weights
+        dx = dyb * self.weights if self.out_dim == 1 else dyb @ self.weights  # outer product
         return (dx[0] if self._squeeze else dx), grads
 
     def zero_grad(self) -> None:

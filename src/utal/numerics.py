@@ -133,13 +133,6 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x * _SQRT_HALF))
 
 
-def finite_diff(f, x: float, h: float = 1e-5) -> float:
-    """Central difference (f(x+h) - f(x-h)) / (2h)."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
 def mc_expected_l1(d: float, sigma: float, n: int, rng: Rng) -> tuple[float, float]:
     """Monte Carlo mean and standard error of |d - sigma*eps|, eps ~ N(0,1).
 

@@ -14,7 +14,7 @@ from _oracles import (
     cascade_oracle,
     greedy_nms_oracle,
 )
-from utal.data import ProposalConfig, UnitFeatureSequence
+from utal.data import ProposalConfig, UnitFeatureSequence, sliding_windows
 from utal.detect import (
     DetectConfig,
     Detection,
@@ -205,12 +205,13 @@ def _rand_dets(rng, n, video="v", class_id=0):
 
 @st.composite
 def _nms_cases(draw):
-    """Detections on a coarse grid, so intervals repeat and scores tie."""
+    """Detections on a coarse grid, so intervals repeat and scores tie; some
+    have zero length and some end before they start."""
     grid = st.integers(0, 40).map(lambda i: i / 2.0)
     dets = []
     for _ in range(draw(st.integers(0, 25))):
         start = draw(grid)
-        end = start + draw(st.integers(0, 24).map(lambda i: i / 2.0))
+        end = start + draw(st.integers(-6, 24).map(lambda i: i / 2.0))
         score = draw(st.sampled_from([0.1, 0.5, 0.9]) | st.floats(0.0, 1.0))
         dets.append(Detection("v", start, end, 0, score))
     if dets and draw(st.booleans()):
@@ -226,6 +227,31 @@ class TestNms:
         dets, thr = case
         kept = nms(dets, thr)
         assert [id(d) for d in kept] == [id(d) for d in greedy_nms_oracle(dets, thr)]
+
+    def test_sliding_window_groups_match_greedy_oracle(self):
+        """Groups of several hundred windows of one long video, as inference
+        makes them, with the degenerate intervals and ties of _nms_cases."""
+        base_s, base_e = sliding_windows(768, (8, 16, 32, 64), 0.75)
+        rng = Rng(77)
+        for trial in range(3):
+            r = rng.split(trial)
+            dets = []
+            for s, e in zip(base_s.tolist(), base_e.tolist()):
+                if r.uniform() < 0.3:
+                    continue
+                s, e = s + (r.randint(9) - 4) / 4.0, e + (r.randint(9) - 4) / 4.0
+                kind = r.randint(20)
+                if kind == 0:
+                    e = s  # zero length
+                elif kind == 1:
+                    s, e = e, s  # ends before it starts
+                score = [0.25, 0.5, 0.75][r.randint(3)] if kind < 10 else r.uniform()
+                dets.append(Detection("v", s, e, 0, score))
+            dets += [dets[r.randint(len(dets))] for _ in range(20)]  # the same objects twice
+            assert len(dets) > 400
+            for thr in (0.0, 0.3, 0.5, 0.7, 1.0, r.uniform()):
+                kept = nms(dets, thr)
+                assert [id(d) for d in kept] == [id(d) for d in greedy_nms_oracle(dets, thr)]
 
     def test_empty_list(self):
         assert nms([], 0.5) == []

@@ -84,6 +84,21 @@ class TestDenseLayer:
             dx, grads = layer.backward(dy)
             assert dx.dtype == grads.dw.dtype == layer.grad_w.dtype == layer.vel_b.dtype == dtype
 
+    def test_one_output_input_gradient_equals_matmul_form(self):
+        # with one output dx is an outer product, which backward broadcasts
+        rng = Rng(5)
+        for dtype in (np.float32, np.float64):
+            w = (rng.uniforms(1000) - 0.5).reshape(1, 1000).astype(dtype)
+            dy = (rng.uniforms(128) - 0.5).reshape(128, 1)
+            dy[::7] = 0.0  # rows no loss term selects
+            layer = DenseLayer(w, np.zeros(1, dtype=dtype))
+            layer.forward(np.ones((128, 1000)))
+            dx, _ = layer.backward(dy)
+            assert dx.dtype == dtype
+            np.testing.assert_array_equal(dx, dy.astype(dtype) @ w)
+            layer.forward(np.ones(1000))
+            np.testing.assert_array_equal(layer.backward(dy[1])[0], (dy[1:2].astype(dtype) @ w)[0])
+
     def test_gradient_accumulation_shapes(self):
         layer = DenseLayer(np.zeros((2, 3)), np.zeros(2))
         layer.forward(np.ones(3))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from _oracles import erf_series, erfc_continued_fraction, normal_cdf_quadrature
 from utal.numerics import (
     Rng,
-    finite_diff,
     mc_expected_l1,
     std_normal_cdf,
 )
@@ -129,21 +128,6 @@ class TestRng:
         r = Rng(8)
         draws = [r.randint(7) for _ in range(2000)]
         assert set(draws) == set(range(7))
-
-
-class TestFiniteDiff:
-    def test_quadratic(self):
-        assert finite_diff(lambda x: x * x, 3.0, 1e-5) == pytest.approx(6.0, abs=1e-8)
-
-    def test_abs_away_from_kink(self):
-        assert finite_diff(abs, 2.0, 1e-5) == pytest.approx(1.0, abs=1e-10)
-
-    def test_erf_derivative_at_zero(self):
-        assert finite_diff(erf, 0.0, 1e-6) == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-9)
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            finite_diff(abs, 0.0, 0.0)
 
 
 class TestMcExpectedL1:
