@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage/config error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import math
@@ -78,14 +79,7 @@ class RunConfig:
     detect: DetectConfig = field(default_factory=DetectConfig)
 
     def to_dict(self) -> dict:
-        out = {
-            "seed": self.seed,
-            "data": asdict(self.data),
-            "proposals": asdict(self.proposals),
-            "train": asdict(self.train),
-            "detect": asdict(self.detect),
-        }
-        return out
+        return asdict(self)
 
     def validate(self) -> None:
         self.data.validate()
@@ -237,15 +231,10 @@ def cmd_train(
             ["epoch", "loss_bin", "loss_cls", "loss_reg", "mean_sigma_pos", "mean_sigma_hardneg"]
         )
         for row in curve:
+            sigmas = (row.mean_sigma_pos, row.mean_sigma_hardneg)
             writer.writerow(
-                [
-                    row.epoch,
-                    repr(row.loss_bin),
-                    repr(row.loss_cls),
-                    repr(row.loss_reg),
-                    "" if row.mean_sigma_pos is None else repr(row.mean_sigma_pos),
-                    "" if row.mean_sigma_hardneg is None else repr(row.mean_sigma_hardneg),
-                ]
+                [row.epoch, repr(row.loss_bin), repr(row.loss_cls), repr(row.loss_reg)]
+                + ["" if s is None else repr(s) for s in sigmas]
             )
     stats = collect_offset_stats(model, training_set)
     with open(out_dir / "offset_stats.csv", "w", newline="") as fh:
@@ -411,20 +400,13 @@ def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> l
             1e-5,
         )
 
-    class _FixedEps:
-        def __init__(self, value: float):
-            self.value = value
-
-        def normal(self) -> float:
-            return self.value
-
     for i in range(points):
         r = rng.split("sampled", i)
         mu = 2.0 * r.uniform() - 1.0
         alpha = 2.0 * r.uniform() - 1.0
         t = 4.0 * r.uniform() - 2.0
-        eps = r.normal()
-        _, d_mu, d_alpha, _ = sampled_l1_loss(GaussianOffset(mu, alpha), t, _FixedEps(eps))
+        # each call draws from its own copy of r, so every call sees the same eps
+        _, d_mu, d_alpha, eps = sampled_l1_loss(GaussianOffset(mu, alpha), t, copy.copy(r))
         resid = (t - mu) - math.exp(0.5 * alpha) * eps
         if abs(resid) < 1e-2:
             continue
@@ -432,7 +414,7 @@ def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> l
             f"sampled_l1 d_mu @{i}",
             d_mu,
             _fd(
-                lambda v: sampled_l1_loss(GaussianOffset(v[0], alpha), t, _FixedEps(eps))[0],
+                lambda v: sampled_l1_loss(GaussianOffset(v[0], alpha), t, copy.copy(r))[0],
                 np.array([mu]),
                 (0,),
             ),
@@ -441,7 +423,7 @@ def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> l
             f"sampled_l1 d_alpha @{i}",
             d_alpha,
             _fd(
-                lambda v: sampled_l1_loss(GaussianOffset(mu, v[0]), t, _FixedEps(eps))[0],
+                lambda v: sampled_l1_loss(GaussianOffset(mu, v[0]), t, copy.copy(r))[0],
                 np.array([alpha]),
                 (0,),
             ),

@@ -180,14 +180,6 @@ def class_ramp_directions(seed: int, num_classes: int, d_feat: int) -> np.ndarra
     return dirs
 
 
-def prototype_at(
-    protos: np.ndarray, ramp_dirs: np.ndarray, class_id: int, rel_pos: float
-) -> np.ndarray:
-    """The noise-free feature of a unit at relative position rel_pos in [0, 1)."""
-    ramp = 2.0 * rel_pos - 1.0
-    return protos[class_id] + ramp_amplitude_for(class_id) * ramp * ramp_dirs[class_id]
-
-
 def _flat_class_length(vid_rng: Rng, max_len: int) -> int:
     """Length for the structureless class: mostly window-sized, some ~2.5x.
 
@@ -526,7 +518,7 @@ def build_training_set(dataset: Dataset, prop_cfg: ProposalConfig, k: int) -> Tr
         )
         labeled.append((starts[keep], ends[keep], t_c, t_s, t_e))
     n = sum(starts.size for starts, *_ in labeled)
-    x = np.empty((n, k * dataset.d_feat))
+    x = np.empty((n, k * dataset.d_feat), dtype=np.float32)  # the network's dtype
     t_c, t_s, t_e = np.empty(n, int), np.empty(n), np.empty(n)
     lo = 0
     for item, (starts, ends, *labels) in zip(videos, labeled):

@@ -161,8 +161,9 @@ def nms(dets: list[Detection], tiou_thr: float) -> list[Detection]:
     Sorted by score (ties by video then start); a detection is kept iff its
     tIoU with every kept detection is below the threshold.  Only overlapping
     intervals have a positive tIoU, so it is computed only for the pairs of
-    each window with the windows that start at or after its start and before
-    its end; walking the ranks, each kept detection marks its pairs dead.
+    each window with the windows that start at or after its start, before
+    its end and early enough to reach the threshold; walking the ranks, each
+    kept detection marks its pairs dead.
     """
     ordered = sorted(dets, key=_det_sort_key)
     if tiou_thr <= 0.0:  # every tIoU, 0 included, reaches the threshold
@@ -170,8 +171,13 @@ def nms(dets: list[Detection], tiou_thr: float) -> list[Detection]:
     starts = np.array([d.start for d in ordered])
     ends = np.array([d.end for d in ordered])
     by_start = np.argsort(starts, kind="stable")
+    s, e = starts[by_start], ends[by_start]
     nxt = np.arange(1, len(ordered) + 1)  # start-order position after each window
-    count = np.maximum(np.searchsorted(starts[by_start], ends[by_start]) - nxt, 0)
+    # a hit has inter <= e - s_later and union >= e - s, so the later window
+    # starts at or before e - thr*(e - s) (up to rounding, hence the slack)
+    reach = e - tiou_thr * (e - s) + 1e-9 * (np.abs(e) + np.abs(s))
+    last = np.minimum(np.searchsorted(s, reach, side="right"), np.searchsorted(s, e))
+    count = np.maximum(last - nxt, 0)
     a = np.repeat(by_start, count)
     b = by_start[np.arange(count.sum()) + np.repeat(nxt - np.cumsum(count) + count, count)]
     hit = pairwise_tiou(starts[a], ends[a], starts[b], ends[b]) >= tiou_thr

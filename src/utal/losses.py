@@ -182,13 +182,14 @@ def kl_l1_quadratic(d: float, sigma: float) -> float:
 def sampled_l1_loss(pred: GaussianOffset, t, rng: Rng) -> tuple:
     """|d - sigma*eps| with fresh eps ~ N(0,1) (reparameterization trick).
 
-    One `rng.normal()` per offset, drawn in C order.  Sampling happens
+    One `rng.normal(size)` call draws an eps per offset, in C order: the
+    values one `rng.normal()` per offset would give.  Sampling happens
     outside the gradient path: loss = |t - mu - sigma*eps|, so
     d_mu = -sign(d - sigma*eps) and d_alpha = -sigma*eps*sign(...)/2.
     Returns (loss, d_mu, d_alpha, eps) so the draws can be replayed.
     """
     d = t - pred.mu
-    eps = np.reshape([rng.normal() for _ in range(np.size(d))], np.shape(d))[()]
+    eps = rng.normal(np.size(d)).reshape(np.shape(d))[()]
     sigma = _exp(0.5 * pred.alpha)
     r = d - sigma * eps
     s = np.sign(r)

@@ -211,8 +211,8 @@ class Model:
             d_block[:, :, (1, 2)] = d_mu
         dh_head, _ = self.fc_head.backward(d_block.reshape(batch, -1))
         dh_act, _ = self.fc_act.backward(d_za[:, None])
-        dh = self.relu.backward(dh_head + dh_act)
-        dx, _ = self.fc1.backward(dh)
+        dh_head += dh_act
+        dx, _ = self.fc1.backward(self.relu.backward(dh_head))
         return self.norm.backward(dx)
 
 
@@ -228,10 +228,6 @@ def init_model(cfg: TrainConfig, d_feat: int, num_classes: int, seed: int) -> Mo
         uncertainty=cfg.loss_mode != "l1",
         seed=seed,
     )
-
-
-def parameter_count(model: Model) -> int:
-    return sum(layer.weights.size + layer.biases.size for layer in model.dense_layers)
 
 
 def _regression_terms(

@@ -80,7 +80,8 @@ class DenseLayer:
             )
         self._x = xb
         self._squeeze = squeeze
-        y = xb @ self.weights.T + self.biases
+        y = xb @ self.weights.T
+        y += self.biases
         return y[0] if squeeze else y
 
     def backward(self, dy: np.ndarray) -> tuple[np.ndarray, ParamGrads]:
@@ -145,13 +146,10 @@ class L2NormalizeLayer:
         if self._y is None or self._norm is None:
             raise NumericError("l2_normalize: backward before forward")
         dyb, _ = _as_batch(dy, self._y.dtype)
-        denom = np.maximum(self._norm, _L2_EPS)
-        proj = np.sum(self._y * dyb, axis=1, keepdims=True)
-        dx = np.where(
-            self._norm > _L2_EPS,
-            (dyb - self._y * proj) / denom,
-            dyb / _L2_EPS,
-        )
+        dx = dyb - self._y * np.sum(self._y * dyb, axis=1, keepdims=True)
+        dx /= np.maximum(self._norm, _L2_EPS)
+        small = ~(self._norm[:, 0] > _L2_EPS)  # norm <= eps: plain scaling instead
+        dx[small] = dyb[small] / _L2_EPS
         return dx[0] if self._squeeze else dx
 
 
@@ -187,26 +185,28 @@ def init_dense(rng: Rng, out_dim: int, in_dim: int, name: str = "dense") -> Dens
 
 
 def sgd_step(layers: list[DenseLayer], lr: float, momentum: float = 0.0) -> None:
-    """v <- momentum*v + grad; p <- p - lr*v, per parameter block.
+    """v <- momentum*v + grad; p <- p - lr*v, per parameter block, in place.
 
-    Aborts with a diagnostic naming the offending block if any gradient is
-    non-finite.
+    Aborts with a diagnostic naming the offending block, before any parameter
+    or velocity moves, if any gradient is non-finite.  Each gradient buffer
+    is spent by the step: it ends up holding lr*v, the step subtracted.
     """
     if lr <= 0:
         raise ConfigError("learning rate must be positive")
     if not 0.0 <= momentum < 1.0:
         raise ConfigError("momentum must lie in [0, 1)")
     for layer in layers:
-        for block, grad, vel in (
-            ("weights", layer.grad_w, layer.vel_w),
-            ("biases", layer.grad_b, layer.vel_b),
-        ):
+        for block, grad in (("weights", layer.grad_w), ("biases", layer.grad_b)):
             if not np.all(np.isfinite(grad)):
                 raise NumericError(f"non-finite gradient in {layer.name}.{block}")
+    for layer in layers:
+        for param, grad, vel in (
+            (layer.weights, layer.grad_w, layer.vel_w),
+            (layer.biases, layer.grad_b, layer.vel_b),
+        ):
             vel *= momentum
             vel += grad
-        layer.weights -= lr * layer.vel_w
-        layer.biases -= lr * layer.vel_b
+            param -= np.multiply(vel, lr, out=grad)
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_log = np.vectorize(math.log, otypes=[float])  # libm's log: np.log may differ in the last bit
 _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment of splitmix64
 
 
@@ -39,9 +40,9 @@ class Rng:
 
     Output i of a stream is ``mix64(seed + (i+1) * GAMMA)``; bulk draws
     consume a contiguous counter range, so scalar and array draws interleave
-    deterministically.  The Marsaglia polar method backs scalar normal draws
-    (rejections consume the stream and are part of the contract); bulk normal
-    draws use the Box-Muller transform on counter pairs.
+    deterministically.  The Marsaglia polar method backs `normal`
+    (rejections consume the stream and are part of the contract); `normals`
+    uses the Box-Muller transform on counter pairs.
     """
 
     def __init__(self, seed: int):
@@ -81,19 +82,32 @@ class Rng:
     def uniforms(self, n: int) -> np.ndarray:
         return (self._next_u64_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    def normal(self) -> float:
-        """One standard normal draw via the Marsaglia polar method."""
-        if self._spare is not None:
-            z, self._spare = self._spare, None
-            return z
-        while True:
-            u = 2.0 * self.uniform() - 1.0
-            v = 2.0 * self.uniform() - 1.0
+    def normal(self, size: int | None = None):
+        """Standard normal draws via the Marsaglia polar method.
+
+        One float for `size=None`, else an array of `size`.  Candidate pairs
+        come from counter blocks; the counter is wound back to just after the
+        last pair used, and an accepted pair's second value waits as the
+        spare, so any mix of sizes yields the one-at-a-time stream exactly.
+        """
+        n = 1 if size is None else size
+        z = np.empty(0)
+        if n and self._spare is not None:
+            z, self._spare = np.array([self._spare]), None
+        while z.size < n:
+            pairs = (n - z.size + 1) // 2
+            start = self._counter
+            # a block of about 4/3 the pairs needed: pi/4 of all pairs are accepted
+            u, v = 2.0 * self.uniforms(2 * (pairs + pairs // 3 + 2)).reshape(-1, 2).T - 1.0
             s = u * u + v * v
-            if 0.0 < s < 1.0:
-                scale = math.sqrt(-2.0 * math.log(s) / s)
-                self._spare = v * scale
-                return u * scale
+            ok = np.flatnonzero((0.0 < s) & (s < 1.0))[:pairs]
+            if ok.size == pairs:  # the pairs after the last one used stay unconsumed
+                self._counter = start + 2 * (int(ok[-1]) + 1)
+            scale = np.sqrt(-2.0 * _log(s[ok]) / s[ok])
+            z = np.concatenate((z, np.stack((u[ok] * scale, v[ok] * scale), axis=1).ravel()))
+        if z.size > n:  # one past n at most: the second value of the last pair
+            self._spare = float(z[n])
+        return float(z[0]) if size is None else z[:n]
 
     def normals(self, n: int) -> np.ndarray:
         """Vectorized standard normal draws (Box-Muller on counter pairs)."""
@@ -117,20 +131,23 @@ class Rng:
                 return x % n
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates shuffle of arange(n)."""
-        perm = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.randint(i + 1)
+        """Fisher-Yates shuffle of arange(n).
+
+        The n-1 bounded draws come from one counter block; from a draw that
+        randint would reject on, the shuffle goes on with randint itself.
+        """
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)  # i+1 for i = n-1 .. 1
+        bits = self._next_u64_block(bounds.size)
+        rem = (np.uint64(_MASK64) % bounds + np.uint64(1)) % bounds  # 2^64 mod b
+        accept = bits <= np.uint64(_MASK64) - rem  # randint's x < 2^64 - rem, in uint64
+        good = bounds.size if accept.all() else int(np.argmin(accept))
+        self._counter -= bounds.size - good  # randint redraws from a rejected draw on
+        js = (bits[:good] % bounds[:good]).tolist()
+        js += [self.randint(i + 1) for i in range(n - 1 - good, 0, -1)]
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), js):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
-
-
-_SQRT_HALF = math.sqrt(0.5)
-
-
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF via the identity with erf: 0.5*(1 + erf(x/sqrt(2)))."""
-    return 0.5 * (1.0 + math.erf(x * _SQRT_HALF))
+        return np.array(perm, dtype=np.int64)
 
 
 def mc_expected_l1(d: float, sigma: float, n: int, rng: Rng) -> tuple[float, float]:

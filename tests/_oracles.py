@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from utal.data import ActionAnnotation, Dataset, UnitFeatureSequence, VideoItem
+from utal.data import ActionAnnotation, Dataset, UnitFeatureSequence, VideoItem, ramp_amplitude_for
 from utal.model import BatchForward
 from utal.net import DenseLayer
 
@@ -69,6 +69,36 @@ def normal_cdf_quadrature(x: float, steps: int = 200_001) -> float:
     return 0.5 + sign * integral
 
 
+def std_normal_cdf(x: float) -> float:
+    """Standard normal CDF via the identity with erf: 0.5*(1 + erf(x/sqrt(2)))."""
+    return 0.5 * (1.0 + math.erf(x * math.sqrt(0.5)))
+
+
+def randint_shuffle_oracle(rng, n: int) -> np.ndarray:
+    """Fisher-Yates shuffle of arange(n), one `rng.randint` per position."""
+    perm = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = rng.randint(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def polar_normal_oracle(rng) -> float:
+    """One Marsaglia polar draw from `rng.uniform()`, keeping the pair's
+    second value in `rng._spare` for the next call."""
+    if rng._spare is not None:
+        z, rng._spare = rng._spare, None
+        return z
+    while True:
+        u = 2.0 * rng.uniform() - 1.0
+        v = 2.0 * rng.uniform() - 1.0
+        s = u * u + v * v
+        if 0.0 < s < 1.0:
+            scale = math.sqrt(-2.0 * math.log(s) / s)
+            rng._spare = v * scale
+            return u * scale
+
+
 def float64_copy(model):
     """A copy of `model` whose dense layers compute in float64, from float64
     copies of its weights: the reference for the float32 network, and one
@@ -79,6 +109,16 @@ def float64_copy(model):
         for layer in model.dense_layers
     )
     return ref
+
+
+def parameter_count(model) -> int:
+    return sum(layer.weights.size + layer.biases.size for layer in model.dense_layers)
+
+
+def prototype_at(protos: np.ndarray, ramp_dirs: np.ndarray, class_id: int, rel_pos: float) -> np.ndarray:
+    """The noise-free feature of a unit at relative position rel_pos in [0, 1)."""
+    ramp = 2.0 * rel_pos - 1.0
+    return protos[class_id] + ramp_amplitude_for(class_id) * ramp * ramp_dirs[class_id]
 
 
 def finite_difference(fn, x: float, h: float = 1e-6) -> float:

@@ -114,8 +114,8 @@ class _FixedEps:
     def __init__(self, value):
         self.value = value
 
-    def normal(self):
-        return self.value
+    def normal(self, size):
+        return np.full(size, self.value)
 
 
 def _fd(fn, x: float, h: float = 1e-6) -> float:

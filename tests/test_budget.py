@@ -4,7 +4,7 @@ from pathlib import Path
 
 # the ceiling of the project's design aim: the package may get faster and
 # better checked, but not larger than this
-MAX_SOURCE_LINES = 2726
+MAX_SOURCE_LINES = 2720
 
 
 def test_package_source_within_line_budget():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import label_proposals_oracle, pool_k_parts_oracle, tiou
+from _oracles import label_proposals_oracle, pool_k_parts_oracle, prototype_at, tiou
 from utal.data import (
     ActionAnnotation,
     DataConfig,
@@ -21,7 +21,6 @@ from utal.data import (
     load_dataset,
     pairwise_tiou,
     pool_k_parts,
-    prototype_at,
     sliding_windows,
 )
 from utal.detect import apply_offsets
@@ -452,6 +451,7 @@ class TestTrainingSetAssembly:
         assert len(tset) > 100
         assert tset.t_a.sum() > 20
         assert tset.x.shape == (len(tset), 4 * dataset.d_feat)
+        assert tset.x.dtype == np.float32  # what the network computes in
         assert np.isfinite(tset.x).all()
         assert ((tset.t_a == 1) == (tset.t_c >= 0)).all()
         negatives = tset.t_a == 0
@@ -462,7 +462,8 @@ class TestTrainingSetAssembly:
         pcfg = ProposalConfig()
         tset = build_training_set(dataset, pcfg, 2)
         # per-video assembly: windows sorted by (start, scale) in Python,
-        # labelled by the scalar oracle, pooled video by video
+        # labelled by the scalar oracle, pooled video by video in float64
+        # and cast to float32 once
         x, t_c, t_s, t_e = [], [], [], []
         for item in sorted(dataset.videos, key=lambda v: v.sequence.video_id):
             windows = []
@@ -479,7 +480,8 @@ class TestTrainingSetAssembly:
             t_c += c
             t_s += s
             t_e += e
-        np.testing.assert_array_equal(tset.x, np.concatenate(x))
+        assert tset.x.dtype == np.float32
+        np.testing.assert_array_equal(tset.x, np.concatenate(x).astype(np.float32))
         assert tset.t_c.tolist() == t_c
         assert tset.t_a.tolist() == [int(c >= 0) for c in t_c]
         assert tset.t_s.tolist() == t_s and tset.t_e.tolist() == t_e
@@ -489,3 +491,4 @@ class TestTrainingSetAssembly:
         empty = Dataset([], dataset.class_names, dataset.d_feat, dataset.num_classes)
         tset = build_training_set(empty, ProposalConfig(), 2)
         assert len(tset) == 0 and tset.x.shape == (0, 2 * dataset.d_feat)
+        assert tset.x.dtype == np.float32

@@ -13,6 +13,7 @@ from _oracles import (
     average_precision_scalar_oracle,
     cascade_oracle,
     greedy_nms_oracle,
+    tiou,
 )
 from utal.data import ProposalConfig, UnitFeatureSequence, sliding_windows
 from utal.detect import (
@@ -253,6 +254,53 @@ class TestNms:
                 kept = nms(dets, thr)
                 assert [id(d) for d in kept] == [id(d) for d in greedy_nms_oracle(dets, thr)]
 
+    def test_tiou_exactly_at_threshold_suppresses(self):
+        """With the threshold set to a pair's own computed tIoU the lower
+        scored one goes, however the bound on the later start rounds: random
+        non-dyadic intervals at several magnitudes, either one scored higher,
+        half of them sharing their end (where tIoU = inter / len_a and the
+        bound is tight)."""
+        rng = Rng(78)
+        for trial in range(400):
+            r = rng.split(trial)
+            scale = (1.0, 1e3, 1e6)[trial % 3]
+            s_a = scale * r.uniform()
+            e_a = s_a + scale * (0.01 + r.uniform())
+            s_b = s_a + (e_a - s_a) * r.uniform()
+            e_b = e_a if trial % 4 < 2 else s_b + scale * (0.01 + r.uniform())
+            a, b = Detection("v", s_a, e_a, 0, 0.9), Detection("v", s_b, e_b, 0, 0.8)
+            if trial % 2:
+                a.score, b.score = b.score, a.score
+            thr = tiou((s_a, e_a), (s_b, e_b))
+            assert thr > 0.0
+            filler = _rand_dets(r, 6)  # other windows around the pair
+            for t in (thr, np.nextafter(thr, 1.0)):
+                dets = [a, b] + filler
+                kept = nms(dets, t)
+                assert [id(d) for d in kept] == [id(d) for d in greedy_nms_oracle(dets, t)]
+            assert len(nms([a, b], thr)) == 1
+
+    def test_reversed_and_zero_length_windows(self):
+        """Degenerate intervals never suppress or get suppressed, whatever
+        they straddle; thresholds at the exact tIoU of the ordinary pairs."""
+        ordinary = [
+            Detection("v", 0.1, 0.7, 0, 0.5),
+            Detection("v", 0.4, 0.7, 0, 0.45),  # tIoU 0.3/0.6 with the first
+            Detection("v", 0.3, 1.1, 0, 0.2),
+        ]
+        degenerate = [
+            Detection("v", 0.7, 0.1, 0, 0.9),  # the first, reversed
+            Detection("v", 0.4, 0.4, 0, 0.8),  # zero length inside the others
+            Detection("v", 1.1, 0.3, 0, 0.6),
+            Detection("v", 0.1, 0.1, 0, 0.1),
+        ]
+        dets = degenerate + ordinary
+        thresholds = [tiou((a.start, a.end), (b.start, b.end)) for a in ordinary for b in ordinary]
+        for thr in sorted(set(thresholds)) + [0.25, 0.5]:
+            kept = nms(dets, thr)
+            assert [id(d) for d in kept] == [id(d) for d in greedy_nms_oracle(dets, thr)]
+            assert all(any(k is d for k in kept) for d in degenerate)
+
     def test_empty_list(self):
         assert nms([], 0.5) == []
 
@@ -281,8 +329,6 @@ class TestNms:
             assert nms(dets, thr) == greedy_nms_oracle(dets, thr)
 
     def test_output_is_subset_with_low_pairwise_overlap(self):
-        from _oracles import tiou
-
         rng = Rng(99)
         dets = _rand_dets(rng, 30)
         kept = nms(dets, 0.4)

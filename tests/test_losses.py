@@ -33,8 +33,8 @@ class _FixedEps:
     def __init__(self, value):
         self.value = value
 
-    def normal(self):
-        return self.value
+    def normal(self, size):
+        return np.full(size, self.value)
 
 
 class TestHardNegativeMining:
@@ -277,17 +277,11 @@ class TestSampledL1Loss:
         assert eps2 == eps and loss1 == loss2
 
     def test_mean_over_draws_matches_analytic_expectation(self):
-        pred = GaussianOffset(0.0, 2.0 * math.log(0.5))  # mu=0, sigma=0.5
-        rng = Rng(99)
         n = 1_000_000
-        total = 0.0
-        total_sq = 0.0
-        for _ in range(n):
-            loss, _, _, _ = sampled_l1_loss(pred, 1.0, rng)
-            total += loss
-            total_sq += loss * loss
-        mean = total / n
-        stderr = math.sqrt((total_sq / n - mean * mean) / (n - 1))
+        pred = GaussianOffset(np.zeros(n), np.full(n, 2.0 * math.log(0.5)))  # mu=0, sigma=0.5
+        loss = sampled_l1_loss(pred, np.ones(n), Rng(99))[0]  # a fresh eps per offset
+        mean = loss.mean()
+        stderr = loss.std(ddof=1) / math.sqrt(n)
         expected = expected_l1(1.0, 0.5)[0]
         assert abs(mean - expected) < 3.0 * stderr
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import float64_copy, regression_terms_oracle, relative_error
+from _oracles import float64_copy, parameter_count, regression_terms_oracle, relative_error
 from utal.data import (
     ActionAnnotation,
     DataConfig,
@@ -39,7 +39,6 @@ from utal.model import (
     collect_offset_stats,
     init_model,
     load_checkpoint,
-    parameter_count,
     save_checkpoint,
     train,
 )
@@ -138,8 +137,8 @@ def _total_loss_for_model(model, cfg, x_batch, t_a, t_c, t_s, t_e, eps_values):
                             def __init__(self, v):
                                 self.v = v
 
-                            def normal(self):
-                                return self.v
+                            def normal(self, size):
+                                return np.full(size, self.v)
 
                         val = sampled_l1_loss(pred, target, _Eps(eps_values[k]))[0]
                     k += 1
@@ -173,8 +172,8 @@ class TestEndToEndGradient:
             def __init__(self):
                 self.draws = iter(eps_values)
 
-            def normal(self):
-                return next(self.draws)
+            def normal(self, size):
+                return np.array([next(self.draws) for _ in range(size)])
 
         _, d_mu, d_alpha = _regression_terms(model, cfg, fwd, pos, t_c, t_s, t_e, _Replay())
         model.zero_grad()
@@ -343,8 +342,8 @@ class TestRegressionTerms:
         """r == 0: with t == mu (and eps == 0 for the sampled loss) mu gets no gradient."""
 
         class _ZeroEps:
-            def normal(self):
-                return 0.0
+            def normal(self, size=None):  # the oracle draws one at a time
+                return 0.0 if size is None else np.zeros(size)
 
         mu = np.full((2, 2, 2), 0.375)
         cfg = TrainConfig(loss_mode=mode, condition_mode=condition_mode, k=1, hidden=2)

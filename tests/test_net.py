@@ -6,6 +6,7 @@ import pytest
 from _oracles import relative_error
 from utal.errors import ConfigError, NumericError
 from utal.net import (
+    _L2_EPS,
     DenseLayer,
     L2NormalizeLayer,
     ReluLayer,
@@ -180,6 +181,38 @@ class TestL2Normalize:
     def test_zero_vector_maps_to_zero(self):
         np.testing.assert_array_equal(l2_normalize(np.zeros(5)), np.zeros(5))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_equals_two_branch_where_form(self, dtype):
+        """The main branch for every row, patched where the norm is at or
+        below eps, against np.where over both branches; zero rows, rows with
+        norm exactly eps, just above and below it, and ordinary rows."""
+        eps = dtype(_L2_EPS)
+        r = Rng(41)
+        x = (r.uniforms(9 * 6) - 0.5).reshape(9, 6).astype(dtype)
+        x[1] = 0.0
+        x[3] = 0.0
+        x[3, 2] = eps  # norm exactly eps
+        x[4] = 0.0
+        x[4, 0] = -eps  # norm exactly eps, negative entry
+        x[5] = 0.0
+        x[5, 1] = np.nextafter(eps, dtype(1.0))  # just above eps
+        x[6] = 0.0
+        x[6, 5] = np.nextafter(eps, dtype(0.0))  # just below eps
+        x[7] *= dtype(1e-13)  # a small row of several entries
+        dy = (r.uniforms(9 * 6) - 0.5).reshape(9, 6).astype(dtype)
+        layer = L2NormalizeLayer()
+        y = layer.forward(x)
+        norm = layer._norm
+        assert norm[3, 0] == norm[4, 0] == eps and norm[5, 0] > eps > norm[6, 0]
+        proj = np.sum(y * dy, axis=1, keepdims=True)
+        want = np.where(norm > _L2_EPS, (dy - y * proj) / np.maximum(norm, _L2_EPS), dy / _L2_EPS)
+        dx = layer.backward(dy)
+        assert dx.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(dx, want)
+        for row in (0, 3):  # one vector, normalized and at eps
+            layer.forward(x[row])
+            np.testing.assert_array_equal(layer.backward(dy[row]), want[row])
+
     def test_gradient_matches_finite_differences(self):
         rng = Rng(12)
         for trial in range(25):
@@ -260,6 +293,46 @@ class TestSgd:
         layer.grad_w[0, 0] = np.nan
         with pytest.raises(NumericError, match="w.weights"):
             sgd_step([layer], lr=0.1)
+
+    def test_non_finite_gradient_moves_nothing(self):
+        """NaN in the last layer's bias gradient: every block of every layer,
+        parameters and velocities, stays byte-identical."""
+        r = Rng(21)
+        layers = [init_dense(r.split(i), 4, 3, name=f"l{i}") for i in range(3)]
+        for layer in layers:
+            for block in (layer.grad_w, layer.grad_b, layer.vel_w, layer.vel_b):
+                block[...] = r.uniforms(block.size).reshape(block.shape) - 0.5
+        layers[-1].grad_b[-1] = np.nan
+        before = [
+            [block.tobytes() for block in (lay.weights, lay.biases, lay.vel_w, lay.vel_b)]
+            for lay in layers
+        ]
+        with pytest.raises(NumericError, match="l2.biases"):
+            sgd_step(layers, lr=0.1, momentum=0.9)
+        after = [
+            [block.tobytes() for block in (lay.weights, lay.biases, lay.vel_w, lay.vel_b)]
+            for lay in layers
+        ]
+        assert after == before
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_step_equals_textbook_form(self, dtype):
+        r = Rng(22)
+        layer = DenseLayer(np.zeros((5, 7), dtype), np.zeros(5, dtype), name="w")
+        w, b = layer.weights.copy(), layer.biases.copy()
+        vw, vb = layer.vel_w.copy(), layer.vel_b.copy()
+        for step in range(4):
+            layer.zero_grad()
+            gw = (r.uniforms(35).reshape(5, 7) - 0.5).astype(dtype)
+            gb = (r.uniforms(5) - 0.5).astype(dtype)
+            layer.grad_w += gw
+            layer.grad_b += gb
+            sgd_step([layer], lr=0.003, momentum=0.9)
+            vw, vb = 0.9 * vw + gw, 0.9 * vb + gb
+            w, b = w - 0.003 * vw, b - 0.003 * vb
+            for got, want in ((layer.weights, w), (layer.biases, b), (layer.vel_w, vw)):
+                assert got.dtype == want.dtype == dtype
+                np.testing.assert_array_equal(got, want)
 
     def test_invalid_hyperparameters(self):
         layer = self._scalar_layer(1.0)

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import erf_series, erfc_continued_fraction, normal_cdf_quadrature
-from utal.numerics import (
-    Rng,
-    mc_expected_l1,
+from _oracles import (
+    erf_series,
+    erfc_continued_fraction,
+    normal_cdf_quadrature,
+    polar_normal_oracle,
+    randint_shuffle_oracle,
     std_normal_cdf,
 )
+from utal.numerics import Rng, mc_expected_l1
 
 
 class TestErf:
@@ -109,9 +112,7 @@ class TestRng:
         assert np.all((bulk >= 0.0) & (bulk < 1.0))
 
     def test_polar_normal_moments(self):
-        r = Rng(2024)
-        n = 1_000_000
-        draws = np.fromiter((r.normal() for _ in range(n)), dtype=np.float64, count=n)
+        draws = Rng(2024).normal(1_000_000)  # the one-at-a-time stream, see below
         assert abs(draws.mean()) < 0.004
         assert abs(draws.var() - 1.0) < 0.005
 
@@ -123,6 +124,74 @@ class TestRng:
     def test_permutation_is_permutation(self):
         perm = Rng(4).permutation(257)
         assert sorted(perm.tolist()) == list(range(257))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 15_371])
+    def test_permutation_equals_randint_shuffle(self, n):
+        """Block draws give the one-randint-per-position shuffle and leave
+        the counter where it leaves it."""
+        r, ref = Rng(6).split("shuffle", n), Rng(6).split("shuffle", n)
+        r.uniform(), ref.uniform()  # a stream already in use
+        perm = r.permutation(n)
+        want = randint_shuffle_oracle(ref, n)
+        assert perm.dtype == want.dtype
+        np.testing.assert_array_equal(perm, want)
+        assert r._counter == ref._counter
+        assert r.next_u64() == ref.next_u64()
+
+    def test_permutation_rejected_draw_falls_back_to_randint(self):
+        """A draw randint rejects (forced at one counter value, in block and
+        scalar draws alike) is skipped exactly as randint skips it."""
+        max_u64 = (1 << 64) - 1
+        forced = 3  # the shuffle's second draw, bound 99: 2^64 - 1 is rejected
+
+        class _OneRejection(Rng):
+            def next_u64(self):
+                x = super().next_u64()
+                return max_u64 if self._counter == forced else x
+
+            def _next_u64_block(self, n):
+                first = self._counter + 1
+                bits = super()._next_u64_block(n)
+                if first <= forced < first + n:
+                    bits[forced - first] = max_u64
+                return bits
+
+        r, ref = _OneRejection(13), _OneRejection(13)
+        r.uniform(), ref.uniform()
+        perm = r.permutation(100)
+        np.testing.assert_array_equal(perm, randint_shuffle_oracle(ref, 100))
+        assert r._counter == ref._counter == 1 + 99 + 1  # one draw rejected
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 8, 15_371])
+    @pytest.mark.parametrize("spare", [False, True])
+    def test_normal_block_equals_polar_loop(self, size, spare):
+        """normal(size) gives the one-at-a-time polar draws, and leaves the
+        counter and the spare where they leave them."""
+        r, ref = Rng(15).split(size), Rng(15).split(size)
+        if spare:  # start with a pending spare
+            assert r.normal() == polar_normal_oracle(ref)
+            assert r._spare is not None and r._spare == ref._spare
+        got = r.normal(size)
+        want = np.array([polar_normal_oracle(ref) for _ in range(size)])
+        assert got.shape == (size,) and got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+        assert r._counter == ref._counter and r._spare == ref._spare
+
+    def test_normal_block_and_scalar_draws_interleave(self):
+        r, ref = Rng(16), Rng(16)
+        for step in range(120):
+            size = (None, 0, 1, 2, 3, 5, 64, None)[step % 8]
+            if size is None:
+                z = r.normal()
+                assert type(z) is float and z == polar_normal_oracle(ref)
+            else:
+                want = [polar_normal_oracle(ref) for _ in range(size)]
+                np.testing.assert_array_equal(r.normal(size), np.array(want))
+            if step % 7 == 0:
+                assert r.uniform() == ref.uniform()
+            if step % 11 == 0:
+                np.testing.assert_array_equal(r.permutation(9), randint_shuffle_oracle(ref, 9))
+            assert r._counter == ref._counter and r._spare == ref._spare
 
     def test_randint_bounds(self):
         r = Rng(8)
