@@ -38,7 +38,6 @@ from utal.detect import (
 )
 from utal.errors import ConfigError, NumericError, VerificationError
 from utal.losses import (
-    GaussianOffset,
     _expected_l1_foil,
     binary_loss,
     expected_l1,
@@ -77,9 +76,6 @@ class RunConfig:
     proposals: ProposalConfig = field(default_factory=ProposalConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     detect: DetectConfig = field(default_factory=DetectConfig)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def validate(self) -> None:
         self.data.validate()
@@ -158,17 +154,15 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     config_file = getattr(args, "config", None)
     entries = parse_config_file(config_file) if config_file else {}
     cfg = apply_config_entries(RunConfig(), entries, config_file or "config file")
-    seed = cfg.seed
     env_seed = os.environ.get("UTAL_SEED")
-    if env_seed is not None and "seed" not in entries:
+    if getattr(args, "seed", None) is not None:
+        cfg.seed = args.seed
+    elif env_seed is not None and "seed" not in entries:
         try:
-            seed = int(env_seed)
+            cfg.seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"UTAL_SEED must be an integer, got {env_seed!r}") from exc
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    cfg.seed = seed
-    cfg.train.seed = seed
+    cfg.train.seed = cfg.seed
     if getattr(args, "loss", None):
         cfg.train.loss_mode = args.loss
     if getattr(args, "condition_mode", None):
@@ -180,7 +174,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 def _write_config_echo(cfg: RunConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "run_config.json").write_text(
-        json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
+        json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
     )
 
 
@@ -236,19 +230,16 @@ def cmd_train(
                 [row.epoch, repr(row.loss_bin), repr(row.loss_cls), repr(row.loss_reg)]
                 + ["" if s is None else repr(s) for s in sigmas]
             )
-    stats = collect_offset_stats(model, training_set)
+    d, sigma = collect_offset_stats(model, training_set)
+    if sigma is None:
+        header, columns = ["d_start", "d_end"], d
+    else:
+        header = ["d_start", "sigma_start", "d_end", "sigma_end"]
+        columns = np.stack((d[:, 0], sigma[:, 0], d[:, 1], sigma[:, 1]), axis=1)
     with open(out_dir / "offset_stats.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        if model.uncertainty:
-            writer.writerow(["d_start", "sigma_start", "d_end", "sigma_end"])
-            for s in stats:
-                writer.writerow(
-                    [repr(s.d_start), repr(s.sigma_start), repr(s.d_end), repr(s.sigma_end)]
-                )
-        else:
-            writer.writerow(["d_start", "d_end"])
-            for s in stats:
-                writer.writerow([repr(s.d_start), repr(s.d_end)])
+        writer.writerow(header)
+        writer.writerows(columns.tolist())  # csv writes floats with repr
     _write_config_echo(cfg, out_dir)
     print(f"trained {cfg.train.epochs} epochs ({len(training_set)} labeled proposals)")
     print(f"wrote {ckpt_path}")
@@ -279,7 +270,7 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, manifest: Path, out_dir: Path) ->
     )
     if report.no_detections:
         print("warning: no detections above the score floor", file=sys.stderr)
-    report.config = cfg.to_dict()
+    report.config = asdict(cfg)
     report_dict = report.to_dict()
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
@@ -376,9 +367,9 @@ def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> l
         mode = "he" if r.uniform() < 0.5 else "paper"
         if abs(abs(t - mu) - 1.0) < 1e-2 or abs(t - mu) < 1e-2:
             continue  # non-smooth loci
-        _, d_mu, d_alpha = kl_l1_loss(GaussianOffset(mu, alpha), t, mode)
-        fd_mu = _fd(lambda v: kl_l1_loss(GaussianOffset(v[0], alpha), t, mode)[0], np.array([mu]), (0,))
-        fd_alpha = _fd(lambda v: kl_l1_loss(GaussianOffset(mu, v[0]), t, mode)[0], np.array([alpha]), (0,))
+        _, d_mu, d_alpha = kl_l1_loss(mu, alpha, t, mode)
+        fd_mu = _fd(lambda v: kl_l1_loss(v[0], alpha, t, mode)[0], np.array([mu]), (0,))
+        fd_alpha = _fd(lambda v: kl_l1_loss(mu, v[0], t, mode)[0], np.array([alpha]), (0,))
         check(f"kl_l1[{mode}] d_mu @{i}", d_mu, fd_mu)
         check(f"kl_l1[{mode}] d_alpha @{i}", d_alpha, fd_alpha)
 
@@ -406,7 +397,7 @@ def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> l
         alpha = 2.0 * r.uniform() - 1.0
         t = 4.0 * r.uniform() - 2.0
         # each call draws from its own copy of r, so every call sees the same eps
-        _, d_mu, d_alpha, eps = sampled_l1_loss(GaussianOffset(mu, alpha), t, copy.copy(r))
+        _, d_mu, d_alpha, eps = sampled_l1_loss(mu, alpha, t, copy.copy(r))
         resid = (t - mu) - math.exp(0.5 * alpha) * eps
         if abs(resid) < 1e-2:
             continue
@@ -414,7 +405,7 @@ def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> l
             f"sampled_l1 d_mu @{i}",
             d_mu,
             _fd(
-                lambda v: sampled_l1_loss(GaussianOffset(v[0], alpha), t, copy.copy(r))[0],
+                lambda v: sampled_l1_loss(v[0], alpha, t, copy.copy(r))[0],
                 np.array([mu]),
                 (0,),
             ),
@@ -423,7 +414,7 @@ def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> l
             f"sampled_l1 d_alpha @{i}",
             d_alpha,
             _fd(
-                lambda v: sampled_l1_loss(GaussianOffset(mu, v[0]), t, copy.copy(r))[0],
+                lambda v: sampled_l1_loss(mu, v[0], t, copy.copy(r))[0],
                 np.array([alpha]),
                 (0,),
             ),
@@ -472,14 +463,14 @@ def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> l
         x = layer_rng.uniforms(4) - 0.5
         dy = layer_rng.uniforms(3) - 0.5
         dense.forward(x)
-        dx, grads = dense.backward(dy)
+        dx = dense.backward(dy)
 
         def loss_at(weights: np.ndarray) -> float:
             probe = DenseLayer(weights, dense.biases)
             return float(probe.forward(x) @ dy)
 
         for idx in ((0, 0), (1, 2), (2, 3)):
-            check(f"dense dW{idx} @{i}", grads.dw[idx], _fd(loss_at, dense.weights, idx))
+            check(f"dense dW{idx} @{i}", dense.grad_w[idx], _fd(loss_at, dense.weights, idx))
         for j in range(4):
             fd = _fd(lambda v: float(DenseLayer(dense.weights, dense.biases).forward(v) @ dy), x, (j,))
             check(f"dense dx[{j}] @{i}", dx[j], fd)

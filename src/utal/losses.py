@@ -3,10 +3,11 @@
 Every loss returns its analytic gradient with respect to the network outputs
 it consumes; the gradients are exact (checked against central finite
 differences in the test suite).  The uncertainty-aware regression losses are
-elementwise: one Gaussian boundary offset given as floats, or an array of
-them, gives results of the same shape (numpy float64 scalars for floats).
-The network predicts the mean mu and the log-variance alpha = log(sigma^2),
-which keeps sigma^2 positive and the alpha-gradients bounded.
+elementwise: each Gaussian boundary offset is given by its mean mu and its
+log-variance alpha = log(sigma^2), which keeps sigma^2 positive and the
+alpha-gradients bounded.  mu, alpha and the target t may be floats or arrays
+of one shape, and the results take that shape (numpy float64 scalars for
+floats).
 """
 
 from __future__ import annotations
@@ -34,14 +35,6 @@ CONDITION_MODES = ("he", "paper")
 # `utal curves` writes and the trained weights
 _exp = np.vectorize(math.exp, otypes=[float])
 _erf = np.vectorize(math.erf, otypes=[float])
-
-
-@dataclass
-class GaussianOffset:
-    """Predicted boundary offsets: means and log-variances of one shape."""
-
-    mu: float | np.ndarray
-    alpha: float | np.ndarray
 
 
 @dataclass
@@ -145,7 +138,7 @@ def l1_loss(
     return loss, d_ys, d_ye
 
 
-def kl_l1_loss(pred: GaussianOffset, t, condition_mode: str = "he") -> tuple:
+def kl_l1_loss(mu, alpha, t, condition_mode: str = "he") -> tuple:
     """Piecewise Gaussian-vs-Dirac regression loss, elementwise over offsets.
 
     With d = t - mu and sigma^2 = exp(alpha):
@@ -160,14 +153,14 @@ def kl_l1_loss(pred: GaussianOffset, t, condition_mode: str = "he") -> tuple:
     """
     if condition_mode not in CONDITION_MODES:
         raise ConfigError(f"unknown condition mode {condition_mode!r}")
-    d = t - pred.mu
-    inv_var = _exp(-pred.alpha)
+    d = t - mu
+    inv_var = _exp(-alpha)
     quadratic = (np.abs(d) <= 1.0) == (condition_mode == "he")
     excess = np.abs(d) - 0.5
     loss = np.where(
         quadratic,
-        0.5 * d * d * inv_var + 0.5 * pred.alpha + _HALF_LOG_2PI,
-        excess * inv_var + 0.5 * pred.alpha,
+        0.5 * d * d * inv_var + 0.5 * alpha + _HALF_LOG_2PI,
+        excess * inv_var + 0.5 * alpha,
     )
     d_mu = np.where(quadratic, -d * inv_var, -np.sign(d) * inv_var)
     d_alpha = np.where(quadratic, -0.5 * d * d * inv_var + 0.5, -excess * inv_var + 0.5)
@@ -179,7 +172,7 @@ def kl_l1_quadratic(d: float, sigma: float) -> float:
     return 0.5 * (d / sigma) ** 2 + math.log(sigma) + _HALF_LOG_2PI
 
 
-def sampled_l1_loss(pred: GaussianOffset, t, rng: Rng) -> tuple:
+def sampled_l1_loss(mu, alpha, t, rng: Rng) -> tuple:
     """|d - sigma*eps| with fresh eps ~ N(0,1) (reparameterization trick).
 
     One `rng.normal(size)` call draws an eps per offset, in C order: the
@@ -188,9 +181,9 @@ def sampled_l1_loss(pred: GaussianOffset, t, rng: Rng) -> tuple:
     d_mu = -sign(d - sigma*eps) and d_alpha = -sigma*eps*sign(...)/2.
     Returns (loss, d_mu, d_alpha, eps) so the draws can be replayed.
     """
-    d = t - pred.mu
+    d = t - mu
     eps = rng.normal(np.size(d)).reshape(np.shape(d))[()]
-    sigma = _exp(0.5 * pred.alpha)
+    sigma = _exp(0.5 * alpha)
     r = d - sigma * eps
     s = np.sign(r)
     return np.abs(r), -s, -0.5 * sigma * eps * s, eps
@@ -230,10 +223,10 @@ def _expected_l1_foil(d: float, sigma: float) -> float:
     return d * math.erf(z) + sigma * math.exp(-(d * d) / (sigma * sigma)) / math.sqrt(2.0 * math.pi)
 
 
-def expected_l1_training(pred: GaussianOffset, t) -> tuple:
+def expected_l1_training(mu, alpha, t) -> tuple:
     """Expected-l1 as a training loss on (mu, alpha), via the chain rule."""
-    sigma = _exp(0.5 * pred.alpha)
-    value, d_d, d_sigma = expected_l1(t - pred.mu, sigma)
+    sigma = _exp(0.5 * alpha)
+    value, d_d, d_sigma = expected_l1(t - mu, sigma)
     return value, -d_d, 0.5 * sigma * d_sigma
 
 
@@ -244,8 +237,8 @@ def export_loss_surfaces(path, d_grid, sigma_grid) -> int:
     expected-l1 loss.  Returns the number of data rows written.
     """
     names_and_fns = [
-        ("kl_l1_he", lambda d, s: kl_l1_loss(GaussianOffset(0.0, 2.0 * math.log(s)), d, "he")[0]),
-        ("kl_l1_paper", lambda d, s: kl_l1_loss(GaussianOffset(0.0, 2.0 * math.log(s)), d, "paper")[0]),
+        ("kl_l1_he", lambda d, s: kl_l1_loss(0.0, 2.0 * math.log(s), d, "he")[0]),
+        ("kl_l1_paper", lambda d, s: kl_l1_loss(0.0, 2.0 * math.log(s), d, "paper")[0]),
         ("expected_l1", lambda d, s: expected_l1(d, s)[0]),
     ]
     rows = 0

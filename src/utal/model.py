@@ -24,7 +24,7 @@ from utal.errors import ConfigError, NumericError
 from utal.losses import (
     ALPHA_CLAMP,
     CONDITION_MODES,
-    GaussianOffset,
+    _exp,
     binary_loss,
     expected_l1_training,
     kl_l1_loss,
@@ -116,16 +116,6 @@ class EpochStats:
     mean_sigma_hardneg: float | None
 
 
-@dataclass
-class OffsetStat:
-    """Per-positive regression residuals (and sigmas in uncertainty mode)."""
-
-    d_start: float
-    d_end: float
-    sigma_start: float | None = None
-    sigma_end: float | None = None
-
-
 class Model:
     def __init__(
         self,
@@ -165,10 +155,6 @@ class Model:
     def dense_layers(self) -> list[DenseLayer]:
         return [self.fc1, self.fc_act, self.fc_head]
 
-    def zero_grad(self) -> None:
-        for layer in self.dense_layers:
-            layer.zero_grad()
-
     def forward_batch(self, x: np.ndarray) -> BatchForward:
         """Network forward in the layers' dtype; every output is float64."""
         x = np.asarray(x, dtype=self.fc1.weights.dtype)
@@ -199,7 +185,11 @@ class Model:
         d_mu: np.ndarray,
         d_alpha: np.ndarray | None,
     ) -> np.ndarray:
-        """Accumulate parameter gradients; returns gradient w.r.t. the input."""
+        """Backward through the network; returns the gradient w.r.t. the input.
+
+        Each dense layer's `grad_w`/`grad_b` ends up holding this batch's
+        parameter gradients, overwriting the previous batch's.
+        """
         batch = d_za.shape[0]
         d_block = np.zeros((batch, self.num_classes, self.head_cols))
         d_block[:, :, 0] = d_logits
@@ -209,10 +199,9 @@ class Model:
                 d_block[:, :, (2, 4)] = d_alpha * fwd.alpha_pass
         else:
             d_block[:, :, (1, 2)] = d_mu
-        dh_head, _ = self.fc_head.backward(d_block.reshape(batch, -1))
-        dh_act, _ = self.fc_act.backward(d_za[:, None])
-        dh_head += dh_act
-        dx, _ = self.fc1.backward(self.relu.backward(dh_head))
+        dh_head = self.fc_head.backward(d_block.reshape(batch, -1))
+        dh_head += self.fc_act.backward(d_za[:, None])
+        dx = self.fc1.backward(self.relu.backward(dh_head))
         return self.norm.backward(dx)
 
 
@@ -259,13 +248,13 @@ def _regression_terms(
         loss, g_s, g_e = l1_loss(*mu.T, *target.T, np.arange(pos.size))
         g_mu, scale = np.stack((g_s, g_e), axis=1), 1.0
     else:
-        pred = GaussianOffset(mu, fwd.alpha[pos, classes])
+        alpha = fwd.alpha[pos, classes]
         if cfg.loss_mode == "kl_l1":
-            values, g_mu, g_alpha = kl_l1_loss(pred, target, cfg.condition_mode)
+            values, g_mu, g_alpha = kl_l1_loss(mu, alpha, target, cfg.condition_mode)
         elif cfg.loss_mode == "sampled_l1":
-            values, g_mu, g_alpha, _ = sampled_l1_loss(pred, target, eps_rng)
+            values, g_mu, g_alpha, _ = sampled_l1_loss(mu, alpha, target, eps_rng)
         else:  # expected_l1
-            values, g_mu, g_alpha = expected_l1_training(pred, target)
+            values, g_mu, g_alpha = expected_l1_training(mu, alpha, target)
         scale = 1.0 / (2.0 * pos.size)
         # a running total in C order (positive, then start/end), not np.sum's pairwise one
         loss = float(np.cumsum(values * scale)[-1])
@@ -337,7 +326,6 @@ def train(
                     f"non-finite total loss at epoch {epoch} batch {batch_index}"
                 )
 
-            model.zero_grad()
             model.backward_batch(fwd, d_za, d_logits, d_mu, d_alpha)
             if cfg.lr > 0:
                 sgd_step(model.dense_layers, cfg.lr, cfg.momentum)
@@ -372,25 +360,24 @@ def train(
 
 def collect_offset_stats(
     model: Model, training_set: TrainingSet, batch_size: int = 512
-) -> list[OffsetStat]:
-    """Forward all positives once; report d = t - mu (and sigma) per boundary."""
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Forward all positives once; return d = t - mu and sigma, each [P x 2].
+
+    Columns are (start, end), rows the positives in training-set order;
+    sigma is None in baseline mode.
+    """
     positives = np.flatnonzero(training_set.t_a == 1)
-    stats: list[OffsetStat] = []
+    d = np.empty((positives.size, 2))
+    alpha = np.empty((positives.size, 2)) if model.uncertainty else None
     for lo in range(0, positives.size, batch_size):
         rows = positives[lo : lo + batch_size]
         fwd = model.forward_batch(training_set.x[rows])
         chunk, classes = np.arange(rows.size), training_set.t_c[rows]
-        d_start = (training_set.t_s[rows] - fwd.mu[chunk, classes, 0]).tolist()
-        d_end = (training_set.t_e[rows] - fwd.mu[chunk, classes, 1]).tolist()
-        if model.uncertainty:
-            alpha = fwd.alpha[chunk, classes].tolist()
-            stats.extend(
-                OffsetStat(ds, de, math.exp(0.5 * a_s), math.exp(0.5 * a_e))
-                for ds, de, (a_s, a_e) in zip(d_start, d_end, alpha)
-            )
-        else:
-            stats.extend(map(OffsetStat, d_start, d_end))
-    return stats
+        target = np.stack((training_set.t_s[rows], training_set.t_e[rows]), axis=1)
+        d[lo : lo + rows.size] = target - fwd.mu[chunk, classes]
+        if alpha is not None:
+            alpha[lo : lo + rows.size] = fwd.alpha[chunk, classes]
+    return d, None if alpha is None else _exp(0.5 * alpha)
 
 
 def save_checkpoint(model: Model, path: str | Path, cfg: TrainConfig) -> Path:

@@ -1,15 +1,16 @@
 """Dense-network building blocks with hand-derived backward passes.
 
-No autodiff: every layer caches what its backward pass needs and returns
-gradients with shapes matching its parameters exactly.  Layers accept either
-a single vector or a [batch x dim] matrix; gradients accumulate on the layer
-until `zero_grad`, so a batch can be pushed through in one call.
+No autodiff: every layer caches what its forward pass saw and its backward
+pass returns the gradient with respect to that input.  Layers accept either
+a single vector or a [batch x dim] matrix, so a batch is pushed through in
+one call.  A dense layer's backward also writes the batch's parameter
+gradients into its `grad_w` and `grad_b`, overwriting the previous ones,
+for `sgd_step` to spend.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,14 +20,6 @@ from utal.numerics import Rng
 CHECKPOINT_MAGIC = b"UTAL1"
 
 _L2_EPS = 1e-12
-
-
-@dataclass
-class ParamGrads:
-    """Gradient block for one dense layer (same shapes as its parameters)."""
-
-    dw: np.ndarray
-    db: np.ndarray
 
 
 def _float_dtype(x) -> type:
@@ -84,7 +77,7 @@ class DenseLayer:
         y += self.biases
         return y[0] if squeeze else y
 
-    def backward(self, dy: np.ndarray) -> tuple[np.ndarray, ParamGrads]:
+    def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise NumericError(f"layer {self.name}: backward before forward")
         dyb, _ = _as_batch(dy, self.weights.dtype)
@@ -93,15 +86,10 @@ class DenseLayer:
                 f"layer {self.name}: upstream grad shape {dyb.shape} does not match "
                 f"output ({self._x.shape[0]}, {self.out_dim})"
             )
-        grads = ParamGrads(dw=dyb.T @ self._x, db=dyb.sum(axis=0))
-        self.grad_w += grads.dw
-        self.grad_b += grads.db
+        np.matmul(dyb.T, self._x, out=self.grad_w)
+        np.sum(dyb, axis=0, out=self.grad_b)
         dx = dyb * self.weights if self.out_dim == 1 else dyb @ self.weights  # outer product
-        return (dx[0] if self._squeeze else dx), grads
-
-    def zero_grad(self) -> None:
-        self.grad_w[...] = 0.0
-        self.grad_b[...] = 0.0
+        return dx[0] if self._squeeze else dx
 
 
 class ReluLayer:
@@ -151,11 +139,6 @@ class L2NormalizeLayer:
         small = ~(self._norm[:, 0] > _L2_EPS)  # norm <= eps: plain scaling instead
         dx[small] = dyb[small] / _L2_EPS
         return dx[0] if self._squeeze else dx
-
-
-def l2_normalize(x: np.ndarray) -> np.ndarray:
-    """Functional form of the normalization layer (forward only)."""
-    return L2NormalizeLayer().forward(x)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

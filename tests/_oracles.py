@@ -233,6 +233,32 @@ def regression_terms_oracle(cfg, fwd: BatchForward, pos, t_c, t_s, t_e, eps_rng)
     return total, d_mu, d_alpha
 
 
+def offset_stats_oracle(model, training_set, batch_size: int = 512):
+    """Residuals d = t - mu and sigmas of every positive, one positive at a time.
+
+    The network runs over the same chunks of positives as in
+    `collect_offset_stats` (the float32 matmuls may round differently in
+    other batch shapes); each positive's ground-truth class row is then read
+    out alone, its sigmas with math.exp.  Returns ([P x 2] d, [P x 2] sigma
+    or None), columns (start, end).
+    """
+    positives = [int(i) for i in np.flatnonzero(training_set.t_a == 1)]
+    d_rows, sigma_rows = [], []
+    for lo in range(0, len(positives), batch_size):
+        rows = positives[lo : lo + batch_size]
+        fwd = model.forward_batch(training_set.x[rows])
+        for i, row in enumerate(rows):
+            c = int(training_set.t_c[row])
+            d_start = float(training_set.t_s[row]) - float(fwd.mu[i, c, 0])
+            d_end = float(training_set.t_e[row]) - float(fwd.mu[i, c, 1])
+            d_rows.append((d_start, d_end))
+            if model.uncertainty:
+                a_s, a_e = float(fwd.alpha[i, c, 0]), float(fwd.alpha[i, c, 1])
+                sigma_rows.append((math.exp(0.5 * a_s), math.exp(0.5 * a_e)))
+    d = np.array(d_rows, dtype=float).reshape(-1, 2)
+    return d, np.array(sigma_rows, dtype=float).reshape(-1, 2) if model.uncertainty else None
+
+
 def pool_k_parts_oracle(video, start: float, end: float, k: int) -> np.ndarray:
     """k-part coverage-weighted pooling of one window, unit by unit.
 

@@ -27,7 +27,6 @@ from utal.cli import main
 from utal.data import DataConfig, ProposalConfig, build_training_set, generate_synthetic_dataset
 from utal.detect import DetectConfig, Detection, average_precision, evaluate, nms
 from utal.losses import (
-    GaussianOffset,
     _expected_l1_foil,
     binary_loss,
     expected_l1,
@@ -62,7 +61,7 @@ def criterion(number: int, name: str):
 class BenchRun:
     map_05: float
     train_seconds: float
-    offset_stats: list
+    offset_stats: tuple  # collect_offset_stats's (d, sigma) columns; empty unless kl_l1
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +81,7 @@ def bench_runs(tmp_path_factory):
             report = evaluate(model, dataset, DetectConfig(), pcfg)
             elapsed = time.perf_counter() - t0
             stats = (
-                collect_offset_stats(model, training_set) if mode == "kl_l1" else []
+                collect_offset_stats(model, training_set) if mode == "kl_l1" else ()
             )
             runs[(mode, seed)] = BenchRun(report.map_by_tiou[0.5], elapsed, stats)
     return runs
@@ -143,9 +142,9 @@ class TestCriterion2GradientSuite:
                 if abs(t - mu) < 1e-2 or abs(abs(t - mu) - 1.0) < 1e-2:
                     continue
                 for mode in ("he", "paper"):
-                    _, d_mu, d_alpha = kl_l1_loss(GaussianOffset(mu, alpha), t, mode)
-                    _check(d_mu, _fd(lambda v: kl_l1_loss(GaussianOffset(v, alpha), t, mode)[0], mu), 1e-4)
-                    _check(d_alpha, _fd(lambda v: kl_l1_loss(GaussianOffset(mu, v), t, mode)[0], alpha), 1e-4)
+                    _, d_mu, d_alpha = kl_l1_loss(mu, alpha, t, mode)
+                    _check(d_mu, _fd(lambda v: kl_l1_loss(v, alpha, t, mode)[0], mu), 1e-4)
+                    _check(d_alpha, _fd(lambda v: kl_l1_loss(mu, v, t, mode)[0], alpha), 1e-4)
 
             # sampled loss at replayed epsilon
             for i in range(120):
@@ -156,9 +155,9 @@ class TestCriterion2GradientSuite:
                 eps = r.normal()
                 if abs((t - mu) - math.exp(0.5 * alpha) * eps) < 1e-2:
                     continue
-                _, d_mu, d_alpha, _ = sampled_l1_loss(GaussianOffset(mu, alpha), t, _FixedEps(eps))
-                _check(d_mu, _fd(lambda v: sampled_l1_loss(GaussianOffset(v, alpha), t, _FixedEps(eps))[0], mu), 1e-4)
-                _check(d_alpha, _fd(lambda v: sampled_l1_loss(GaussianOffset(mu, v), t, _FixedEps(eps))[0], alpha), 1e-4)
+                _, d_mu, d_alpha, _ = sampled_l1_loss(mu, alpha, t, _FixedEps(eps))
+                _check(d_mu, _fd(lambda v: sampled_l1_loss(v, alpha, t, _FixedEps(eps))[0], mu), 1e-4)
+                _check(d_alpha, _fd(lambda v: sampled_l1_loss(mu, v, t, _FixedEps(eps))[0], alpha), 1e-4)
 
             # expected-l1 partials
             for i in range(120):
@@ -220,13 +219,13 @@ class TestCriterion2GradientSuite:
                 dy = r.uniforms(3) - 0.5
                 layer = DenseLayer(w, b)
                 layer.forward(x)
-                dx, grads = layer.backward(dy)
+                dx = layer.backward(dy)
                 for idx in ((0, 1), (2, 3)):
                     def f_w(v, idx=idx):
                         w2 = w.copy()
                         w2[idx] = v
                         return float(DenseLayer(w2, b).forward(x) @ dy)
-                    _check(grads.dw[idx], _fd(f_w, w[idx]), 1e-4)
+                    _check(layer.grad_w[idx], _fd(f_w, w[idx]), 1e-4)
                     checks += 1
                 def f_x(v):
                     x2 = x.copy()
@@ -309,17 +308,16 @@ class TestCriterion2GradientSuite:
                 for i in pos:
                     c = int(t_c[i])
                     for bnd, target in ((0, t_s[i]), (1, t_e[i])):
-                        pred = GaussianOffset(float(fwd.mu[i, c, bnd]), float(fwd.alpha[i, c, bnd]))
+                        pred = float(fwd.mu[i, c, bnd]), float(fwd.alpha[i, c, bnd])
                         if mode == "kl_l1":
-                            _, g_mu, g_alpha = kl_l1_loss(pred, target, cfg.condition_mode)
+                            _, g_mu, g_alpha = kl_l1_loss(*pred, target, cfg.condition_mode)
                         elif mode == "expected_l1":
-                            _, g_mu, g_alpha = expected_l1_training(pred, target)
+                            _, g_mu, g_alpha = expected_l1_training(*pred, target)
                         else:
-                            _, g_mu, g_alpha, _ = sampled_l1_loss(pred, target, _FixedEps(eps_values[k]))
+                            _, g_mu, g_alpha, _ = sampled_l1_loss(*pred, target, _FixedEps(eps_values[k]))
                         k += 1
                         d_mu[i, c, bnd] += g_mu * scale
                         d_alpha[i, c, bnd] += g_alpha * scale
-            model.zero_grad()
             model.backward_batch(fwd, d_za, d_logits, d_mu, d_alpha)
             grad = model.fc1.grad_w
             probe = Rng(5150).split(mode)
@@ -348,11 +346,9 @@ class TestCriterion3KlVarianceBehavior:
                 )
                 assert abs(res.x - d) / d <= 0.01, (d, res.x)
 
-            stats = bench_runs[("kl_l1", SEEDS[0])].offset_stats
-            d_abs = np.abs(
-                np.array([[s.d_start, s.d_end] for s in stats], dtype=float)
-            ).ravel()
-            sigma = np.array([[s.sigma_start, s.sigma_end] for s in stats], dtype=float).ravel()
+            d, sigma = bench_runs[("kl_l1", SEEDS[0])].offset_stats
+            d_abs = np.abs(d).ravel()
+            sigma = sigma.ravel()
             large = d_abs > 1.0
             small = d_abs < 0.2
             assert large.sum() >= 5, f"only {large.sum()} positives with |d| > 1"

@@ -109,6 +109,15 @@ class TestGenData:
         monkeypatch.setenv("UTAL_SEED", "not-a-number")
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
 
+    def test_seed_flag_wins_over_malformed_env_seed(self, tmp_path, monkeypatch, capsys):
+        """UTAL_SEED is a fallback only: with --seed given it is never read."""
+        cfg = _write_config(tmp_path / "run.cfg", SMALL_DATA)
+        monkeypatch.setenv("UTAL_SEED", "abc")
+        out = tmp_path / "flag"
+        assert main(["gen-data", "--config", cfg, "--seed", "5", "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "run_config.json").read_text())["seed"] == 5
+        assert "error" not in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def cli_workspace(tmp_path_factory):

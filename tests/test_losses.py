@@ -10,7 +10,6 @@ from scipy.optimize import minimize_scalar
 from _oracles import finite_difference, relative_error
 from utal.errors import ConfigError
 from utal.losses import (
-    GaussianOffset,
     MiningResult,
     _expected_l1_foil,
     binary_loss,
@@ -196,20 +195,20 @@ class TestL1Loss:
 class TestKlL1Loss:
     def test_linear_branch_zero_point(self):
         # |d| = 0.5 with unit variance: (0.5 - 0.5)/1 + 0 = 0 on the linear branch
-        loss, _, _ = kl_l1_loss(GaussianOffset(0.0, 0.0), 0.5, condition_mode="paper")
+        loss, _, _ = kl_l1_loss(0.0, 0.0, 0.5, condition_mode="paper")
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_quadratic_branch_value(self):
         # d = 2, sigma = 1: 2 + log(2 pi)/2
-        loss, _, _ = kl_l1_loss(GaussianOffset(0.0, 0.0), 2.0, condition_mode="paper")
+        loss, _, _ = kl_l1_loss(0.0, 0.0, 2.0, condition_mode="paper")
         assert loss == pytest.approx(2.0 + 0.5 * math.log(2.0 * math.pi), abs=1e-12)
 
     def test_branch_conventions_swap(self):
-        pred = GaussianOffset(0.0, 0.0)
-        inner_he = kl_l1_loss(pred, 0.5, "he")[0]
-        inner_paper = kl_l1_loss(pred, 0.5, "paper")[0]
-        outer_he = kl_l1_loss(pred, 2.0, "he")[0]
-        outer_paper = kl_l1_loss(pred, 2.0, "paper")[0]
+        pred = 0.0, 0.0
+        inner_he = kl_l1_loss(*pred, 0.5, "he")[0]
+        inner_paper = kl_l1_loss(*pred, 0.5, "paper")[0]
+        outer_he = kl_l1_loss(*pred, 2.0, "he")[0]
+        outer_paper = kl_l1_loss(*pred, 2.0, "paper")[0]
         quad = lambda d: 0.5 * d * d + 0.5 * math.log(2.0 * math.pi)
         lin = lambda d: abs(d) - 0.5
         assert inner_he == pytest.approx(quad(0.5), abs=1e-12)
@@ -219,8 +218,8 @@ class TestKlL1Loss:
 
     def test_mu_gradient_continuous_at_branch_point(self):
         for mode in ("he", "paper"):
-            just_in = kl_l1_loss(GaussianOffset(0.0, 0.3), 1.0 - 1e-9, mode)[1]
-            just_out = kl_l1_loss(GaussianOffset(0.0, 0.3), 1.0 + 1e-9, mode)[1]
+            just_in = kl_l1_loss(0.0, 0.3, 1.0 - 1e-9, mode)[1]
+            just_out = kl_l1_loss(0.0, 0.3, 1.0 + 1e-9, mode)[1]
             assert just_in == pytest.approx(just_out, rel=1e-6)
 
     def test_quadratic_branch_sigma_argmin_is_abs_d(self):
@@ -240,46 +239,44 @@ class TestKlL1Loss:
             if abs(t - mu) < 1e-2 or abs(abs(t - mu) - 1.0) < 1e-2:
                 continue
             for mode in ("he", "paper"):
-                _, d_mu, d_alpha = kl_l1_loss(GaussianOffset(mu, alpha), t, mode)
+                _, d_mu, d_alpha = kl_l1_loss(mu, alpha, t, mode)
                 fd_mu = finite_difference(
-                    lambda v: kl_l1_loss(GaussianOffset(v, alpha), t, mode)[0], mu
+                    lambda v: kl_l1_loss(v, alpha, t, mode)[0], mu
                 )
                 fd_alpha = finite_difference(
-                    lambda v: kl_l1_loss(GaussianOffset(mu, v), t, mode)[0], alpha
+                    lambda v: kl_l1_loss(mu, v, t, mode)[0], alpha
                 )
                 assert relative_error(d_mu, fd_mu) <= 1e-4
                 assert relative_error(d_alpha, fd_alpha) <= 1e-4
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ConfigError):
-            kl_l1_loss(GaussianOffset(0.0, 0.0), 1.0, "smooth")
+            kl_l1_loss(0.0, 0.0, 1.0, "smooth")
 
 
 class TestSampledL1Loss:
     def test_forced_epsilon_zero_reduces_to_abs_d(self):
-        pred = GaussianOffset(0.4, 0.7)
-        loss, d_mu, d_alpha, eps = sampled_l1_loss(pred, -0.3, _FixedEps(0.0))
+        loss, d_mu, d_alpha, eps = sampled_l1_loss(0.4, 0.7, -0.3, _FixedEps(0.0))
         assert eps == 0.0
         assert loss == pytest.approx(0.7, abs=1e-12)
         assert d_alpha == 0.0
 
     def test_tiny_sigma_reduces_to_abs_d(self):
-        pred = GaussianOffset(0.0, -10.0)
         rng = Rng(88)
         for _ in range(50):
-            loss, _, _, _ = sampled_l1_loss(pred, 1.5, rng)
+            loss, _, _, _ = sampled_l1_loss(0.0, -10.0, 1.5, rng)
             assert loss == pytest.approx(1.5, abs=0.05)
 
     def test_epsilon_recorded_and_replayable(self):
-        pred = GaussianOffset(0.1, 0.2)
-        loss1, _, _, eps = sampled_l1_loss(pred, 0.9, Rng(3))
-        loss2, _, _, eps2 = sampled_l1_loss(pred, 0.9, _FixedEps(eps))
+        pred = 0.1, 0.2
+        loss1, _, _, eps = sampled_l1_loss(*pred, 0.9, Rng(3))
+        loss2, _, _, eps2 = sampled_l1_loss(*pred, 0.9, _FixedEps(eps))
         assert eps2 == eps and loss1 == loss2
 
     def test_mean_over_draws_matches_analytic_expectation(self):
         n = 1_000_000
-        pred = GaussianOffset(np.zeros(n), np.full(n, 2.0 * math.log(0.5)))  # mu=0, sigma=0.5
-        loss = sampled_l1_loss(pred, np.ones(n), Rng(99))[0]  # a fresh eps per offset
+        mu, alpha = np.zeros(n), np.full(n, 2.0 * math.log(0.5))  # sigma=0.5
+        loss = sampled_l1_loss(mu, alpha, np.ones(n), Rng(99))[0]  # a fresh eps per offset
         mean = loss.mean()
         stderr = loss.std(ddof=1) / math.sqrt(n)
         expected = expected_l1(1.0, 0.5)[0]
@@ -295,12 +292,12 @@ class TestSampledL1Loss:
             eps = r.normal()
             if abs((t - mu) - math.exp(0.5 * alpha) * eps) < 1e-2:
                 continue
-            _, d_mu, d_alpha, _ = sampled_l1_loss(GaussianOffset(mu, alpha), t, _FixedEps(eps))
+            _, d_mu, d_alpha, _ = sampled_l1_loss(mu, alpha, t, _FixedEps(eps))
             fd_mu = finite_difference(
-                lambda v: sampled_l1_loss(GaussianOffset(v, alpha), t, _FixedEps(eps))[0], mu
+                lambda v: sampled_l1_loss(v, alpha, t, _FixedEps(eps))[0], mu
             )
             fd_alpha = finite_difference(
-                lambda v: sampled_l1_loss(GaussianOffset(mu, v), t, _FixedEps(eps))[0], alpha
+                lambda v: sampled_l1_loss(mu, v, t, _FixedEps(eps))[0], alpha
             )
             assert relative_error(d_mu, fd_mu) <= 1e-4
             assert relative_error(d_alpha, fd_alpha) <= 1e-4
@@ -371,14 +368,13 @@ class TestExpectedL1:
         assert abs(_expected_l1_foil(0.0, 1.0) - math.sqrt(2.0 / math.pi)) > 0.3
 
     def test_training_form_chain_rule(self):
-        pred = GaussianOffset(0.25, -0.6)
         t = 1.1
-        _, d_mu, d_alpha = expected_l1_training(pred, t)
+        _, d_mu, d_alpha = expected_l1_training(0.25, -0.6, t)
         fd_mu = finite_difference(
-            lambda v: expected_l1_training(GaussianOffset(v, -0.6), t)[0], 0.25
+            lambda v: expected_l1_training(v, -0.6, t)[0], 0.25
         )
         fd_alpha = finite_difference(
-            lambda v: expected_l1_training(GaussianOffset(0.25, v), t)[0], -0.6
+            lambda v: expected_l1_training(0.25, v, t)[0], -0.6
         )
         assert relative_error(d_mu, fd_mu) <= 1e-5
         assert relative_error(d_alpha, fd_alpha) <= 1e-5
@@ -393,37 +389,37 @@ class TestElementwise:
 
     def _per_element(self, fn):
         outs = [
-            fn(GaussianOffset(float(m), float(a)), float(t))
+            fn(float(m), float(a), float(t))
             for m, a, t in zip(self.MU.ravel(), self.ALPHA.ravel(), self.T.ravel())
         ]
         return [np.reshape(col, self.MU.shape) for col in zip(*outs)]
 
     @pytest.mark.parametrize("mode", ["he", "paper"])
     def test_kl_l1(self, mode):
-        got = kl_l1_loss(GaussianOffset(self.MU, self.ALPHA), self.T, mode)
-        for g, want in zip(got, self._per_element(lambda p, t: kl_l1_loss(p, t, mode))):
+        got = kl_l1_loss(self.MU, self.ALPHA, self.T, mode)
+        for g, want in zip(got, self._per_element(lambda m, a, t: kl_l1_loss(m, a, t, mode))):
             np.testing.assert_array_equal(g, want)
 
     def test_expected_l1_training(self):
-        got = expected_l1_training(GaussianOffset(self.MU, self.ALPHA), self.T)
+        got = expected_l1_training(self.MU, self.ALPHA, self.T)
         for g, want in zip(got, self._per_element(expected_l1_training)):
             np.testing.assert_array_equal(g, want)
 
     def test_sampled_l1_draws_one_eps_per_offset_in_c_order(self):
         rng = Rng(11)
-        got = sampled_l1_loss(GaussianOffset(self.MU, self.ALPHA), self.T, rng)
+        got = sampled_l1_loss(self.MU, self.ALPHA, self.T, rng)
         ref_rng = Rng(11)
-        want = self._per_element(lambda p, t: sampled_l1_loss(p, t, ref_rng))
+        want = self._per_element(lambda m, a, t: sampled_l1_loss(m, a, t, ref_rng))
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
         assert rng.normal() == ref_rng.normal()
 
     def test_scalar_inputs_give_scalars(self):
-        pred = GaussianOffset(0.1, -0.4)
+        pred = 0.1, -0.4
         outs = (
-            *kl_l1_loss(pred, 0.7),
-            *sampled_l1_loss(pred, 0.7, Rng(1)),
-            *expected_l1_training(pred, 0.7),
+            *kl_l1_loss(*pred, 0.7),
+            *sampled_l1_loss(*pred, 0.7, Rng(1)),
+            *expected_l1_training(*pred, 0.7),
             *expected_l1(0.6, 0.5),
         )
         assert all(np.ndim(v) == 0 and isinstance(v, float) for v in outs)
@@ -450,8 +446,8 @@ class TestLossSurfaceExport:
         path = tmp_path / "surfaces.csv"
         export_loss_surfaces(path, [-1.5, -1.0, 0.0, 0.3, 1.0, 2.5], [0.05, 0.5, 1.0, 2.0])
         scalar = {
-            "kl_l1_he": lambda d, s: kl_l1_loss(GaussianOffset(0.0, 2.0 * math.log(s)), d, "he")[0],
-            "kl_l1_paper": lambda d, s: kl_l1_loss(GaussianOffset(0.0, 2.0 * math.log(s)), d, "paper")[0],
+            "kl_l1_he": lambda d, s: kl_l1_loss(0.0, 2.0 * math.log(s), d, "he")[0],
+            "kl_l1_paper": lambda d, s: kl_l1_loss(0.0, 2.0 * math.log(s), d, "paper")[0],
             "expected_l1": lambda d, s: expected_l1(d, s)[0],
         }
         with open(path, newline="") as fh:

@@ -7,12 +7,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import float64_copy, parameter_count, regression_terms_oracle, relative_error
+from _oracles import (
+    float64_copy,
+    offset_stats_oracle,
+    parameter_count,
+    regression_terms_oracle,
+    relative_error,
+)
 from utal.data import (
     ActionAnnotation,
     DataConfig,
     Dataset,
     ProposalConfig,
+    TrainingSet,
     UnitFeatureSequence,
     VideoItem,
     build_training_set,
@@ -22,7 +29,6 @@ from utal.errors import ConfigError
 from utal.losses import (
     ALPHA_CLAMP,
     CONDITION_MODES,
-    GaussianOffset,
     binary_loss,
     expected_l1_training,
     kl_l1_loss,
@@ -126,11 +132,11 @@ def _total_loss_for_model(model, cfg, x_batch, t_a, t_c, t_s, t_e, eps_values):
             for i in pos:
                 c = int(t_c[i])
                 for b, target in ((0, t_s[i]), (1, t_e[i])):
-                    pred = GaussianOffset(float(fwd.mu[i, c, b]), float(fwd.alpha[i, c, b]))
+                    pred = float(fwd.mu[i, c, b]), float(fwd.alpha[i, c, b])
                     if cfg.loss_mode == "kl_l1":
-                        val = kl_l1_loss(pred, target, cfg.condition_mode)[0]
+                        val = kl_l1_loss(*pred, target, cfg.condition_mode)[0]
                     elif cfg.loss_mode == "expected_l1":
-                        val = expected_l1_training(pred, target)[0]
+                        val = expected_l1_training(*pred, target)[0]
                     else:
 
                         class _Eps:
@@ -140,7 +146,7 @@ def _total_loss_for_model(model, cfg, x_batch, t_a, t_c, t_s, t_e, eps_values):
                             def normal(self, size):
                                 return np.full(size, self.v)
 
-                        val = sampled_l1_loss(pred, target, _Eps(eps_values[k]))[0]
+                        val = sampled_l1_loss(*pred, target, _Eps(eps_values[k]))[0]
                     k += 1
                     loss_reg += val * scale
     return cfg.w_bin * loss_bin + cfg.w_cls * loss_cls + cfg.w_reg * loss_reg
@@ -176,7 +182,6 @@ class TestEndToEndGradient:
                 return np.array([next(self.draws) for _ in range(size)])
 
         _, d_mu, d_alpha = _regression_terms(model, cfg, fwd, pos, t_c, t_s, t_e, _Replay())
-        model.zero_grad()
         model.backward_batch(fwd, d_za, d_logits, d_mu, d_alpha)
         grad = model.fc1.grad_w.copy()
 
@@ -236,7 +241,6 @@ class TestFloat32Network:
             assert np.abs(got - want).max() <= self.REL * np.abs(want).max()
         upstream = _upstream_grads(ref, cfg, fwd_ref, tset.t_a, tset.t_c, tset.t_s, tset.t_e)
         for net, out in ((model, fwd), (ref, fwd_ref)):
-            net.zero_grad()
             net.backward_batch(out, *upstream)
         for layer, ref_layer in ((model.fc1, ref.fc1), (model.fc_head, ref.fc_head)):
             assert layer.grad_w.dtype == np.float32 and ref_layer.grad_w.dtype == np.float64
@@ -450,9 +454,34 @@ class TestTraining:
             model, curve = train(model, dataset, cfg, pcfg)
             assert (curve[0].mean_sigma_pos is not None) == has_sigma
             tset = build_training_set(dataset, pcfg, cfg.k)
-            stats = collect_offset_stats(model, tset)
-            assert stats
-            assert (stats[0].sigma_start is not None) == has_sigma
+            d, sigma = collect_offset_stats(model, tset)
+            assert d.shape == (int(tset.t_a.sum()), 2) and d.size
+            assert (sigma is not None) == has_sigma
+
+
+class TestOffsetStats:
+    @pytest.mark.parametrize("mode", ["l1", "kl_l1"])
+    def test_columns_equal_per_positive_oracle(self, mode):
+        """1,300 windows, about 650 positive: the default 512-row chunks split them."""
+        n, d_feat, k, classes = 1300, 4, 2, 3
+        r = Rng(61)
+        t_c = np.array([r.randint(classes + 1) - 1 for _ in range(n)])
+        t_s, t_e = r.uniforms(n) - 0.5, r.uniforms(n) - 0.5
+        t_s[t_c < 0] = t_e[t_c < 0] = 0.0
+        x = (r.uniforms(n * k * d_feat).reshape(n, -1) - 0.5).astype(np.float32)
+        tset = TrainingSet(x, (t_c >= 0).astype(int), t_c, t_s, t_e)
+        assert tset.t_a.sum() > 512
+        cfg = TrainConfig(loss_mode=mode, k=k, hidden=16)
+        model = init_model(cfg, d_feat, classes, seed=2)
+        model.fc_head.weights *= 40.0  # spread mu and alpha well away from their init
+        d, sigma = collect_offset_stats(model, tset)
+        d_ref, sigma_ref = offset_stats_oracle(model, tset)
+        assert d.shape == (tset.t_a.sum(), 2)
+        np.testing.assert_array_equal(d, d_ref)
+        if mode == "l1":
+            assert sigma is None and sigma_ref is None
+        else:
+            np.testing.assert_array_equal(sigma, sigma_ref)
 
 
 class TestCheckpoint:

@@ -11,7 +11,6 @@ from utal.net import (
     L2NormalizeLayer,
     ReluLayer,
     init_dense,
-    l2_normalize,
     load_arrays,
     save_arrays,
     sgd_step,
@@ -58,7 +57,7 @@ class TestDenseLayer:
             dy = r.uniforms(3) - 0.5
             layer = DenseLayer(w, b)
             layer.forward(x)
-            dx, grads = layer.backward(dy)
+            dx = layer.backward(dy)
 
             def loss_w(wv):
                 return float(DenseLayer(wv, b).forward(x) @ dy)
@@ -70,9 +69,9 @@ class TestDenseLayer:
                 return float(DenseLayer(w, b).forward(xv) @ dy)
 
             for idx in np.ndindex(w.shape):
-                assert relative_error(grads.dw[idx], _fd(loss_w, w, idx)) <= 1e-4
+                assert relative_error(layer.grad_w[idx], _fd(loss_w, w, idx)) <= 1e-4
             for j in range(3):
-                assert relative_error(grads.db[j], _fd(loss_b, b, (j,))) <= 1e-4
+                assert relative_error(layer.grad_b[j], _fd(loss_b, b, (j,))) <= 1e-4
             for j in range(4):
                 assert relative_error(dx[j], _fd(loss_x, x, (j,))) <= 1e-4
 
@@ -82,8 +81,8 @@ class TestDenseLayer:
         for given, dtype in ((np.float32, np.float32), (np.float64, np.float64), (int, np.float64)):
             layer = DenseLayer(np.ones((3, 4), dtype=given), np.zeros(3, dtype=given))
             assert layer.forward(x).dtype == dtype  # the float64 input is cast
-            dx, grads = layer.backward(dy)
-            assert dx.dtype == grads.dw.dtype == layer.grad_w.dtype == layer.vel_b.dtype == dtype
+            dx = layer.backward(dy)
+            assert dx.dtype == layer.grad_w.dtype == layer.grad_b.dtype == layer.vel_b.dtype == dtype
 
     def test_one_output_input_gradient_equals_matmul_form(self):
         # with one output dx is an outer product, which backward broadcasts
@@ -94,21 +93,28 @@ class TestDenseLayer:
             dy[::7] = 0.0  # rows no loss term selects
             layer = DenseLayer(w, np.zeros(1, dtype=dtype))
             layer.forward(np.ones((128, 1000)))
-            dx, _ = layer.backward(dy)
+            dx = layer.backward(dy)
             assert dx.dtype == dtype
             np.testing.assert_array_equal(dx, dy.astype(dtype) @ w)
             layer.forward(np.ones(1000))
-            np.testing.assert_array_equal(layer.backward(dy[1])[0], (dy[1:2].astype(dtype) @ w)[0])
+            np.testing.assert_array_equal(layer.backward(dy[1]), (dy[1:2].astype(dtype) @ w)[0])
 
-    def test_gradient_accumulation_shapes(self):
-        layer = DenseLayer(np.zeros((2, 3)), np.zeros(2))
-        layer.forward(np.ones(3))
-        layer.backward(np.ones(2))
-        layer.forward(np.ones(3))
-        layer.backward(np.ones(2))
-        np.testing.assert_array_equal(layer.grad_b, np.array([2.0, 2.0]))
-        layer.zero_grad()
-        assert not layer.grad_w.any() and not layer.grad_b.any()
+    def test_backward_overwrites_gradients(self):
+        """Each backward writes dy^T x and the column sums of dy, whatever
+        the buffers held before, so no step needs to zero them first."""
+        rng = Rng(8)
+        for dtype in (np.float32, np.float64):
+            w = (rng.uniforms(15).reshape(3, 5) - 0.5).astype(dtype)
+            layer = DenseLayer(w, np.zeros(3, dtype))
+            for _ in range(2):
+                x = (rng.uniforms(20).reshape(4, 5) - 0.5).astype(dtype)
+                dy = (rng.uniforms(12).reshape(4, 3) - 0.5).astype(dtype)
+                layer.grad_w[...] = np.nan
+                layer.grad_b[...] = np.nan
+                layer.forward(x)
+                layer.backward(dy)
+                np.testing.assert_array_equal(layer.grad_w, dy.T @ x)
+                np.testing.assert_array_equal(layer.grad_b, dy.sum(0))
 
     def test_dimension_mismatch_is_hard_error(self):
         layer = DenseLayer(np.zeros((2, 3)), np.zeros(2))
@@ -161,7 +167,7 @@ class TestRelu:
 class TestL2Normalize:
     def test_three_four_five(self):
         np.testing.assert_allclose(
-            l2_normalize(np.array([3.0, 4.0])), np.array([0.6, 0.8]), atol=1e-15
+            L2NormalizeLayer().forward(np.array([3.0, 4.0])), np.array([0.6, 0.8]), atol=1e-15
         )
 
     def test_unit_norm_output(self):
@@ -170,7 +176,7 @@ class TestL2Normalize:
             x = rng.uniforms(8) - 0.5
             if np.linalg.norm(x) < 1e-6:
                 continue
-            assert np.linalg.norm(l2_normalize(x)) == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.norm(L2NormalizeLayer().forward(x)) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_keeps_the_input_dtype(self, dtype):
@@ -179,7 +185,7 @@ class TestL2Normalize:
         assert layer.backward(np.ones((1, 2))).dtype == dtype  # the float64 grad is cast
 
     def test_zero_vector_maps_to_zero(self):
-        np.testing.assert_array_equal(l2_normalize(np.zeros(5)), np.zeros(5))
+        np.testing.assert_array_equal(L2NormalizeLayer().forward(np.zeros(5)), np.zeros(5))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_backward_equals_two_branch_where_form(self, dtype):
@@ -272,7 +278,6 @@ class TestSgd:
     def test_quadratic_converges(self):
         layer = self._scalar_layer(1.0)
         for _ in range(200):
-            layer.zero_grad()
             layer.grad_w[0, 0] = 2.0 * layer.weights[0, 0]
             sgd_step([layer], lr=0.1, momentum=0.0)
         assert abs(layer.weights[0, 0]) < 1e-6
@@ -281,7 +286,6 @@ class TestSgd:
         layer = self._scalar_layer(1.0)
         w, v = 1.0, 0.0
         for _ in range(10):
-            layer.zero_grad()
             layer.grad_w[0, 0] = 2.0 * layer.weights[0, 0]
             sgd_step([layer], lr=0.05, momentum=0.9)
             v = 0.9 * v + 2.0 * w
@@ -322,11 +326,10 @@ class TestSgd:
         w, b = layer.weights.copy(), layer.biases.copy()
         vw, vb = layer.vel_w.copy(), layer.vel_b.copy()
         for step in range(4):
-            layer.zero_grad()
             gw = (r.uniforms(35).reshape(5, 7) - 0.5).astype(dtype)
             gb = (r.uniforms(5) - 0.5).astype(dtype)
-            layer.grad_w += gw
-            layer.grad_b += gb
+            layer.grad_w[...] = gw
+            layer.grad_b[...] = gb
             sgd_step([layer], lr=0.003, momentum=0.9)
             vw, vb = 0.9 * vw + gw, 0.9 * vb + gb
             w, b = w - 0.003 * vw, b - 0.003 * vb
@@ -355,8 +358,8 @@ class TestComposition:
             return float(l2.forward(relu.forward(l1.forward(xv))) @ dy)
 
         net(x)
-        dh, _ = l2.backward(dy)
-        dx, _ = l1.backward(relu.backward(dh))
+        dh = l2.backward(dy)
+        dx = l1.backward(relu.backward(dh))
         for j in range(5):
             assert relative_error(dx[j], _fd(net, x, (j,))) <= 1e-4
 
