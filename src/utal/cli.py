@@ -345,6 +345,11 @@ def _fd(fn, x0: np.ndarray, index: tuple, h: float = 1e-6) -> tuple[float, float
     return (up - down) / (2.0 * h), np.finfo(float).eps * max(abs(up), abs(down)) / h
 
 
+def _fd1(fn, x: float) -> tuple[float, float]:
+    """`_fd` of a function of one float."""
+    return _fd(lambda v: fn(v[0]), np.array([x]), (0,))
+
+
 def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> list[str]:
     """Spot-check every loss and layer backward against central differences."""
     failures: list[str] = []
@@ -368,8 +373,8 @@ def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> l
         if abs(abs(t - mu) - 1.0) < 1e-2 or abs(t - mu) < 1e-2:
             continue  # non-smooth loci
         _, d_mu, d_alpha = kl_l1_loss(mu, alpha, t, mode)
-        fd_mu = _fd(lambda v: kl_l1_loss(v[0], alpha, t, mode)[0], np.array([mu]), (0,))
-        fd_alpha = _fd(lambda v: kl_l1_loss(mu, v[0], t, mode)[0], np.array([alpha]), (0,))
+        fd_mu = _fd1(lambda v: kl_l1_loss(v, alpha, t, mode)[0], mu)
+        fd_alpha = _fd1(lambda v: kl_l1_loss(mu, v, t, mode)[0], alpha)
         check(f"kl_l1[{mode}] d_mu @{i}", d_mu, fd_mu)
         check(f"kl_l1[{mode}] d_alpha @{i}", d_alpha, fd_alpha)
 
@@ -378,18 +383,10 @@ def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> l
         d = 6.0 * r.uniform() - 3.0
         sigma = 0.1 + 2.0 * r.uniform()
         _, d_d, d_sigma = expected_l1(d, sigma)
-        check(
-            f"expected_l1 d_d @{i}",
-            d_d,
-            _fd(lambda v: expected_l1(v[0], sigma)[0], np.array([d]), (0,)),
-            1e-5,
-        )
-        check(
-            f"expected_l1 d_sigma @{i}",
-            d_sigma,
-            _fd(lambda v: expected_l1(d, v[0])[0], np.array([sigma]), (0,)),
-            1e-5,
-        )
+        fd_d = _fd1(lambda v: expected_l1(v, sigma)[0], d)
+        fd_sigma = _fd1(lambda v: expected_l1(d, v)[0], sigma)
+        check(f"expected_l1 d_d @{i}", d_d, fd_d, 1e-5)
+        check(f"expected_l1 d_sigma @{i}", d_sigma, fd_sigma, 1e-5)
 
     for i in range(points):
         r = rng.split("sampled", i)
@@ -401,24 +398,10 @@ def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> l
         resid = (t - mu) - math.exp(0.5 * alpha) * eps
         if abs(resid) < 1e-2:
             continue
-        check(
-            f"sampled_l1 d_mu @{i}",
-            d_mu,
-            _fd(
-                lambda v: sampled_l1_loss(v[0], alpha, t, copy.copy(r))[0],
-                np.array([mu]),
-                (0,),
-            ),
-        )
-        check(
-            f"sampled_l1 d_alpha @{i}",
-            d_alpha,
-            _fd(
-                lambda v: sampled_l1_loss(mu, v[0], t, copy.copy(r))[0],
-                np.array([alpha]),
-                (0,),
-            ),
-        )
+        fd_mu = _fd1(lambda v: sampled_l1_loss(v, alpha, t, copy.copy(r))[0], mu)
+        fd_alpha = _fd1(lambda v: sampled_l1_loss(mu, v, t, copy.copy(r))[0], alpha)
+        check(f"sampled_l1 d_mu @{i}", d_mu, fd_mu)
+        check(f"sampled_l1 d_alpha @{i}", d_alpha, fd_alpha)
 
     r = rng.split("batch-losses")
     batch = 24
@@ -449,11 +432,8 @@ def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> l
         _, d_ys, d_ye = l1_loss(y_s, y_e, t_s, t_e, pos)
         if pos.size:
             j = int(pos[-1])
-            check(
-                f"l1 d_ys[{j}] @{i}",
-                d_ys[j],
-                _fd(lambda v: l1_loss(v, y_e, t_s, t_e, pos)[0], y_s, (j,)),
-            )
+            fd = _fd(lambda v: l1_loss(v, y_e, t_s, t_e, pos)[0], y_s, (j,))
+            check(f"l1 d_ys[{j}] @{i}", d_ys[j], fd)
 
     layer_rng = rng.split("layers")
     for i in range(max(1, points // 20)):

@@ -10,6 +10,7 @@ precision at several tIoU thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -40,9 +41,9 @@ class DetectConfig:
             raise ConfigError("cascade_steps must be at least 1")
         if not 0.0 <= self.nms_thr <= 1.0:
             raise ConfigError("nms_thr must lie in [0, 1]")
-        if not self.tiou_thresholds:
-            raise ConfigError("need at least one tIoU threshold")
-        if self.score_floor < 0:
+        if not self.tiou_thresholds or not all(0.0 <= t <= 1.0 for t in self.tiou_thresholds):
+            raise ConfigError("tiou_thresholds must be one or more values in [0, 1]")
+        if not self.score_floor >= 0:
             raise ConfigError("score_floor must be nonnegative")
 
 
@@ -151,28 +152,34 @@ def fuse_scores(y_a: np.ndarray, logits: np.ndarray) -> np.ndarray:
     return y_a[:, None] * softmax(logits)
 
 
-def _det_sort_key(det: Detection):
-    return (-det.score, det.video_id, det.start, det.end, det.class_id)
+def _columns(dets: list[Detection], *fields: str) -> list[np.ndarray]:
+    """One float64 column per named field, each read once over `dets`."""
+    return [np.fromiter(map(attrgetter(f), dets), float, len(dets)) for f in fields]
+
+
+def _rank(score: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Stable rank order: score descending, ties by each key ascending in turn."""
+    return np.lexsort((*keys[::-1], -score))
 
 
 def nms(dets: list[Detection], tiou_thr: float) -> list[Detection]:
     """Greedy NMS over detections of one video and class.
 
-    Sorted by score (ties by video then start); a detection is kept iff its
+    Ranked by score (ties by start, then end); a detection is kept iff its
     tIoU with every kept detection is below the threshold.  Only overlapping
     intervals have a positive tIoU, so it is computed only for the pairs of
     each window with the windows that start at or after its start, before
     its end and early enough to reach the threshold; walking the ranks, each
     kept detection marks its pairs dead.
     """
-    ordered = sorted(dets, key=_det_sort_key)
+    starts, ends, scores = _columns(dets, "start", "end", "score")
+    ranked = _rank(scores, starts, ends)
     if tiou_thr <= 0.0:  # every tIoU, 0 included, reaches the threshold
-        return ordered[:1]
-    starts = np.array([d.start for d in ordered])
-    ends = np.array([d.end for d in ordered])
+        return [dets[i] for i in ranked[:1]]
+    starts, ends = starts[ranked], ends[ranked]
     by_start = np.argsort(starts, kind="stable")
     s, e = starts[by_start], ends[by_start]
-    nxt = np.arange(1, len(ordered) + 1)  # start-order position after each window
+    nxt = np.arange(1, len(dets) + 1)  # start-order position after each window
     # a hit has inter <= e - s_later and union >= e - s, so the later window
     # starts at or before e - thr*(e - s) (up to rounding, hence the slack)
     reach = e - tiou_thr * (e - s) + 1e-9 * (np.abs(e) + np.abs(s))
@@ -183,61 +190,60 @@ def nms(dets: list[Detection], tiou_thr: float) -> list[Detection]:
     hit = pairwise_tiou(starts[a], ends[a], starts[b], ends[b]) >= tiou_thr
     first, later = np.minimum(a[hit], b[hit]), np.maximum(a[hit], b[hit])
     order = np.argsort(first, kind="stable")
-    dead = bytearray(len(ordered))
+    dead = bytearray(len(dets))
     for rank, other in zip(first[order].tolist(), later[order].tolist()):
         if not dead[rank]:
             dead[other] = 1
-    return [d for d, gone in zip(ordered, dead) if not gone]
+    return [dets[i] for i, gone in zip(ranked.tolist(), dead) if not gone]
 
 
 def average_precision(
-    dets: list[Detection],
-    gts: list[tuple[str, float, float]],
+    dets: tuple[np.ndarray, ...],
+    gts: tuple[np.ndarray, ...],
     tiou_thr: float | tuple[float, ...],
 ) -> float | None | list[float | None]:
     """All-point interpolated AP for one class.
 
-    `gts` are (video_id, start, end) triples.  Detections are matched in
-    score order to the highest-tIoU unmatched ground truth of the same video
-    at or above the threshold.  Returns None when the class has no ground
-    truths (excluded from mAP).  Given a tuple of thresholds, returns one AP
-    per threshold: the detections are sorted, and their tIoUs with the
-    ground truths of their video computed, once for all of them.
+    `dets` are the columns (video, start, end, score) of the class's
+    detections, `gts` the columns (video, start, end) of its ground truths,
+    with videos as integer codes in the order of their ids.  Detections are
+    matched in rank order (score descending, then video, start, end) to the
+    highest-tIoU unmatched ground truth of the same video at or above the
+    threshold, the first in ground-truth order on a tie.  Returns None when
+    the class has no ground truths (excluded from mAP).  Given a tuple of
+    thresholds, returns one AP per threshold, all from one ranking and one
+    tIoU per same-video pair.
     """
     thresholds = tiou_thr if isinstance(tiou_thr, tuple) else (tiou_thr,)
-    aps: list[float | None] = [0.0 if gts else None] * len(thresholds)
-    if gts and dets:
-        by_video: dict[str, tuple[list[int], list[int]]] = {}  # (ranks, ground truths)
-        for gi, (vid, _, _) in enumerate(gts):
-            by_video.setdefault(vid, ([], []))[1].append(gi)
-        ordered = sorted(dets, key=_det_sort_key)
-        for di, d in enumerate(ordered):
-            by_video.get(d.video_id, ([], []))[0].append(di)
-        starts, ends = np.array([(d.start, d.end) for d in ordered]).T
-        hits: dict[int, list[tuple[int, float]]] = {}
-        for ranks, gis in by_video.values():  # one tIoU matrix per video
-            di, g = np.array(ranks, dtype=int), np.array([gts[gi][1:] for gi in gis])
-            tious = pairwise_tiou(starts[di, None], ends[di, None], g[:, 0], g[:, 1])
-            r, c = np.nonzero(tious > 0.0)
-            for rank, gi, t in zip(di[r].tolist(), c.tolist(), tious[r, c].tolist()):
-                hits.setdefault(rank, []).append((gis[gi], t))
-        # (rank, [(ground truth, tIoU)]) of each detection that overlaps a
-        # ground truth of its video; no other detection can match at all
-        overlaps = sorted(hits.items())
+    (video, start, end, score), (gt_video, gt_start, gt_end) = dets, gts
+    n, n_gt = len(score), len(gt_video)
+    aps: list[float | None] = [0.0 if n_gt else None] * len(thresholds)
+    if n_gt and n:
+        ranked = _rank(score, video, start, end)
+        video, start, end = video[ranked], start[ranked], end[ranked]
+        # each detection, by rank, with the ground truths of its video in order
+        by_video = np.argsort(gt_video, kind="stable")
+        bounds = np.searchsorted(gt_video[by_video], np.arange(video.max() + 2))
+        lo, count = bounds[video], bounds[video + 1] - bounds[video]
+        d = np.repeat(np.arange(n), count)
+        g = by_video[np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)]
+        t = pairwise_tiou(start[d], end[d], gt_start[g], gt_end[g])
+        d, g, t = d[t > 0.0], g[t > 0.0], t[t > 0.0]  # no other pair can match
         for i, thr in enumerate(thresholds):
-            matched = [False] * len(gts)
-            tp = np.zeros(len(dets))
-            for di, row in overlaps:
-                best_t, best_gi = 0.0, -1
-                for gi, t in row:
-                    if not matched[gi] and t >= thr and t > best_t:
-                        best_t, best_gi = t, gi
-                if best_gi >= 0:
-                    matched[best_gi] = True
-                    tp[di] = 1.0
+            rank, gi, ti = d[t >= thr], g[t >= thr], t[t >= thr]
+            closes = np.append(rank[1:] != rank[:-1], True)  # a detection's last pair
+            matched, tp = bytearray(n_gt), np.zeros(n)
+            best_t, best_gi = 0.0, -1
+            for r, gj, tj, last in zip(rank.tolist(), gi.tolist(), ti.tolist(), closes.tolist()):
+                if tj > best_t and not matched[gj]:
+                    best_t, best_gi = tj, gj
+                if last:
+                    if best_gi >= 0:
+                        matched[best_gi], tp[r] = 1, 1.0
+                    best_t, best_gi = 0.0, -1
             tp_cum = np.cumsum(tp)
-            recall = tp_cum / len(gts)
-            precision = tp_cum / np.arange(1, len(dets) + 1)
+            recall = tp_cum / n_gt
+            precision = tp_cum / np.arange(1, n + 1)
             # precision envelope over recall, all-point interpolation
             mrec = np.concatenate([[0.0], recall, [recall[-1]]])
             mpre = np.maximum.accumulate(np.concatenate([[1.0], precision, [0.0]])[::-1])[::-1]
@@ -293,16 +299,27 @@ def evaluate_detections(
     gts_by_class: dict[int, list[tuple[str, float, float]]],
     tiou_thresholds: tuple[float, ...],
 ) -> EvalReport:
-    """AP per class per threshold, mAP over classes with ground truth."""
+    """AP per class per threshold, mAP over classes with ground truth.
+
+    Video ids become integer codes in the ids' order; one stable sort by
+    class hands each class with ground truth the rows of its detections.
+    """
     classes = sorted(gts_by_class)
     num_gt = sum(len(v) for v in gts_by_class.values())
-    dets_by_class: dict[int, list[Detection]] = {c: [] for c in classes}
-    for det in all_dets:
-        dets_by_class.get(det.class_id, []).append(det)
-    aps_by_class = {
-        c: average_precision(dets_by_class[c], gts_by_class[c], tuple(tiou_thresholds))
-        for c in classes
-    }
+    vids = list(map(attrgetter("video_id"), all_dets))
+    ids = set(vids).union(v for gts in gts_by_class.values() for v, _, _ in gts)
+    code = {v: i for i, v in enumerate(sorted(ids))}
+    video = np.fromiter(map(code.__getitem__, vids), np.intp, len(vids))
+    start, end, score, class_id = _columns(all_dets, "start", "end", "score", "class_id")
+    by_class = np.argsort(class_id, kind="stable")
+    lo, hi = (np.searchsorted(class_id[by_class], classes, side=s) for s in ("left", "right"))
+    aps_by_class = {}
+    for c, a, b in zip(classes, lo.tolist(), hi.tolist()):
+        rows, gts = by_class[a:b], gts_by_class[c]
+        gt_video = np.array([code[v] for v, _, _ in gts], np.intp)
+        gt_cols = (gt_video, *np.array([g[1:] for g in gts], float).reshape(-1, 2).T)
+        dets = (video[rows], start[rows], end[rows], score[rows])
+        aps_by_class[c] = average_precision(dets, gt_cols, tuple(tiou_thresholds))
     map_by_tiou: dict[float, float] = {}
     per_class_ap: dict[float, dict[int, float | None]] = {}
     for i, thr in enumerate(tiou_thresholds):

@@ -406,6 +406,22 @@ def average_precision_scalar_oracle(dets, gts, tiou_thr):
     return aps if isinstance(tiou_thr, tuple) else aps[0]
 
 
+def ap_columns(dets, gts):
+    """`Detection` objects and (video_id, start, end) triples as the columns
+    `detect.average_precision` takes, video ids coded in their string order."""
+    ids = {d.video_id for d in dets} | {g[0] for g in gts}
+    code = {v: i for i, v in enumerate(sorted(ids))}
+    det_cols = (
+        np.array([code[d.video_id] for d in dets], dtype=np.intp),
+        *(np.array([getattr(d, f) for d in dets], dtype=float) for f in ("start", "end", "score")),
+    )
+    gt_cols = (
+        np.array([code[g[0]] for g in gts], dtype=np.intp),
+        *(np.array([g[i] for g in gts], dtype=float) for i in (1, 2)),
+    )
+    return det_cols, gt_cols
+
+
 _ORACLE_RAMP = 0.6
 
 

@@ -18,6 +18,7 @@ from scipy.optimize import minimize_scalar
 from _oracles import (
     OracleModel,
     aligned_oracle_dataset,
+    ap_columns,
     ap_enumeration_oracle,
     float64_copy,
     greedy_nms_oracle,
@@ -411,7 +412,7 @@ class TestCriterion6EvaluatorCorrectness:
                     s = r.uniform() * 50
                     dets.append(Detection("v", s, s + 1.0 + r.uniform() * 20, 0, r.uniform()))
                 thr = 0.2 + 0.5 * r.uniform()
-                assert average_precision(dets, gts, thr) == pytest.approx(
+                assert average_precision(*ap_columns(dets, gts), thr) == pytest.approx(
                     ap_enumeration_oracle(dets, gts, thr), abs=1e-10
                 )
             # NMS vs greedy-by-definition oracle, 50 instances of <= 8 detections

@@ -403,6 +403,35 @@ class TestEvalCommand:
         expected = [f"{100.0 * report['map_by_tiou'][k]:.1f}" for k in sorted(report["map_by_tiou"], key=float)]
         assert row == expected
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("detect.tiou_thresholds = 50, nan", "tiou_thresholds"),
+            ("detect.tiou_thresholds = 0.5, inf", "tiou_thresholds"),
+            ("detect.tiou_thresholds = -0.1", "tiou_thresholds"),
+            ("detect.score_floor = nan", "score_floor"),
+        ],
+    )
+    def test_threshold_outside_unit_interval_or_nan_is_config_error(
+        self, cli_workspace, tmp_path, capsys, line, key
+    ):
+        """Such values used to pass validation and report mAP 0."""
+        _, cfg_path, data_dir, train_dir, _ = cli_workspace
+        bad_cfg = _write_config(tmp_path / "bad.cfg", cfg_path.read_text() + line + "\n")
+        code = main(
+            [
+                "eval",
+                "--config", bad_cfg,
+                "--checkpoint", str(train_dir / "checkpoint.utal"),
+                "--manifest", str(data_dir / "manifest.json"),
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_shape_mismatch_names_both(self, cli_workspace, tmp_path):
         root, cfg_path, data_dir, train_dir, _ = cli_workspace
         other_cfg = tmp_path / "other.cfg"

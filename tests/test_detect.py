@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from _oracles import (
     OracleModel,
     aligned_oracle_dataset,
+    ap_columns,
     ap_enumeration_oracle,
     average_precision_scalar_oracle,
     cascade_oracle,
@@ -22,6 +23,7 @@ from utal.detect import (
     apply_offsets,
     average_precision,
     evaluate,
+    evaluate_detections,
     fuse_scores,
     nms,
     refine_cascade,
@@ -371,21 +373,32 @@ class TestAveragePrecision:
     def test_equals_scalar_tiou_loop_exactly(self, case):
         dets, gts, thresholds = case
         expected = average_precision_scalar_oracle(dets, gts, thresholds)
-        assert average_precision(dets, gts, thresholds) == expected
-        assert average_precision(dets, gts, thresholds[0]) == expected[0]
+        assert average_precision(*ap_columns(dets, gts), thresholds) == expected
+        assert average_precision(*ap_columns(dets, gts), thresholds[0]) == expected[0]
+
+    @pytest.mark.parametrize("first", [(10.0, 20.0), (0.0, 10.0)])
+    def test_equal_tious_go_to_the_first_ground_truth(self, first):
+        """(5, 15) has tIoU 1/3 with both ground truths and takes the first in
+        list order; the second detection, equal to the first ground truth,
+        then finds it taken only if the tie went the wrong way."""
+        second = (0.0, 10.0) if first == (10.0, 20.0) else (10.0, 20.0)
+        gts = [("v", *first), ("w", 0.0, 10.0), ("v", *second)]
+        dets = [Detection("v", 5.0, 15.0, 0, 0.9), Detection("v", *second, 0, 0.8)]
+        assert average_precision_scalar_oracle(dets, gts, 0.3) == pytest.approx(2.0 / 3.0)
+        assert average_precision(*ap_columns(dets, gts), 0.3) == pytest.approx(2.0 / 3.0)
 
     def test_single_perfect_detection(self):
         dets = [Detection("v", 0.0, 10.0, 0, 0.9)]
         gts = [("v", 0.0, 10.0)]
-        assert average_precision(dets, gts, 0.5) == 1.0
+        assert average_precision(*ap_columns(dets, gts), 0.5) == 1.0
 
     def test_no_matches(self):
         dets = [Detection("v", 30.0, 40.0, 0, 0.9)]
         gts = [("v", 0.0, 10.0)]
-        assert average_precision(dets, gts, 0.5) == 0.0
+        assert average_precision(*ap_columns(dets, gts), 0.5) == 0.0
 
     def test_no_ground_truth_returns_none(self):
-        assert average_precision([], [], 0.5) is None
+        assert average_precision(*ap_columns([], []), 0.5) is None
 
     def test_fp_tp_tp_hand_value(self):
         gts = [("v", 0.0, 10.0), ("v", 20.0, 30.0)]
@@ -394,7 +407,7 @@ class TestAveragePrecision:
             Detection("v", 0.0, 10.0, 0, 0.8),  # TP
             Detection("v", 20.0, 30.0, 0, 0.7),  # TP
         ]
-        ap = average_precision(dets, gts, 0.5)
+        ap = average_precision(*ap_columns(dets, gts), 0.5)
         assert ap == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert ap == pytest.approx(ap_enumeration_oracle(dets, gts, 0.5), abs=1e-12)
 
@@ -409,7 +422,7 @@ class TestAveragePrecision:
                 gts.append(("v", s, s + 2.0 + r.uniform() * 15))
             dets = _rand_dets(r, 1 + r.randint(10))
             thr = 0.2 + 0.5 * r.uniform()
-            ours = average_precision(dets, gts, thr)
+            ours = average_precision(*ap_columns(dets, gts), thr)
             oracle = ap_enumeration_oracle(dets, gts, thr)
             assert ours == pytest.approx(oracle, abs=1e-10)
 
@@ -417,12 +430,12 @@ class TestAveragePrecision:
         rng = Rng(777)
         gts = [("v", 5.0, 15.0), ("v", 30.0, 42.0)]
         dets = _rand_dets(rng, 9)
-        base = average_precision(dets, gts, 0.4)
+        base = average_precision(*ap_columns(dets, gts), 0.4)
         squashed = [
             Detection(d.video_id, d.start, d.end, d.class_id, 0.1 + 0.5 * d.score**3)
             for d in dets
         ]
-        assert average_precision(squashed, gts, 0.4) == pytest.approx(base, abs=1e-12)
+        assert average_precision(*ap_columns(squashed, gts), 0.4) == pytest.approx(base, abs=1e-12)
 
     def test_raising_threshold_never_raises_ap(self):
         rng = Rng(888)
@@ -430,8 +443,89 @@ class TestAveragePrecision:
             r = rng.split(trial)
             gts = [("v", 10.0 * g, 10.0 * g + 8.0) for g in range(3)]
             dets = _rand_dets(r, 8)
-            aps = [average_precision(dets, gts, thr) for thr in (0.3, 0.4, 0.5, 0.6, 0.7)]
+            cols = ap_columns(dets, gts)
+            aps = [average_precision(*cols, thr) for thr in (0.3, 0.4, 0.5, 0.6, 0.7)]
             assert all(b <= a + 1e-12 for a, b in zip(aps, aps[1:]))
+
+
+# string order v10 < v2 < v9 differs from numeric order and from first-seen order
+_TIE_VIDEOS = ["v9", "v2", "v10"]
+
+
+@st.composite
+def _eval_cases(draw):
+    """Two or three classes with ground truth, the last of which never gets a
+    detection, sometimes one more class with an empty ground-truth list, and
+    detections of a class without ground truth; videos, intervals and scores
+    on small grids so that ranks tie across videos."""
+    grid = st.integers(0, 40).map(lambda i: i / 2.0)
+    video = st.sampled_from(_TIE_VIDEOS)
+
+    def interval():
+        start = draw(grid)
+        return start, start + draw(st.integers(0, 16).map(lambda i: i / 2.0))
+
+    n_classes = draw(st.integers(2, 3))
+    gts_by_class = {
+        c: [(draw(video), *interval()) for _ in range(draw(st.integers(1, 6)))]
+        for c in range(n_classes)
+    }
+    if draw(st.booleans()):
+        gts_by_class[n_classes] = []
+    det_class = st.sampled_from([*range(n_classes - 1), n_classes + 1])
+    score = st.sampled_from([0.2, 0.7]) | st.floats(0.0, 1.0)
+    dets = [
+        Detection(draw(video), *interval(), draw(det_class), draw(score))
+        for _ in range(draw(st.integers(0, 30)))
+    ]
+    thr = st.sampled_from([0.1, 0.3, 0.5, 0.7])
+    thresholds = tuple(draw(st.lists(thr, min_size=1, max_size=3, unique=True)))
+    return dets, gts_by_class, thresholds
+
+
+def _tied_across_videos():
+    """Tied scores over v9 (false positive), v2 and v10 (true positives): the
+    AP is 1 when v10 ranks first, 5/6 in numeric and 2/3 in first-seen order."""
+    gts = [("v2", 0.0, 10.0), ("v10", 0.0, 10.0)]
+    dets = [Detection(v, 0.0, 10.0, 0, 0.5) for v in _TIE_VIDEOS]
+    return dets, gts
+
+
+class TestEvaluateDetections:
+    @given(_eval_cases())
+    @example(([], {0: [("v2", 0.0, 4.0)], 1: [("v9", 1.0, 2.0)]}, (0.5,)))
+    @settings(max_examples=200, deadline=None)
+    def test_each_class_equals_scalar_oracle_exactly(self, case):
+        dets, gts_by_class, thresholds = case
+        report = evaluate_detections(dets, gts_by_class, thresholds)
+        assert sorted(report.per_class_ap) == sorted(thresholds)
+        for c, gts in gts_by_class.items():
+            expected = average_precision_scalar_oracle(
+                [d for d in dets if d.class_id == c], gts, thresholds
+            )
+            assert [report.per_class_ap[thr][c] for thr in thresholds] == expected
+        for thr in thresholds:
+            valid = [ap for ap in report.per_class_ap[thr].values() if ap is not None]
+            assert report.map_by_tiou[thr] == float(np.mean(valid))
+        assert report.num_detections == len(dets)
+        assert report.num_ground_truths == sum(map(len, gts_by_class.values()))
+        assert report.no_detections == (not dets)
+
+    @given(_eval_cases(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_input_order_does_not_change_the_report(self, case, random):
+        dets, gts_by_class, thresholds = case
+        shuffled = random.sample(dets, len(dets))
+        expected = evaluate_detections(dets, gts_by_class, thresholds).to_dict()
+        assert evaluate_detections(shuffled, gts_by_class, thresholds).to_dict() == expected
+
+    def test_ties_across_videos_rank_in_string_order(self):
+        dets, gts = _tied_across_videos()
+        assert average_precision_scalar_oracle(dets, gts, 0.5) == 1.0
+        assert average_precision(*ap_columns(dets, gts), 0.5) == 1.0
+        for order in ([0, 1, 2], [2, 1, 0], [1, 0, 2]):
+            report = evaluate_detections([dets[i] for i in order], {0: gts}, (0.5,))
+            assert report.per_class_ap[0.5] == {0: 1.0}
 
 
 class TestEvaluate:
