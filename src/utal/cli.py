@@ -12,10 +12,8 @@ Exit codes: 0 success, 1 usage/config error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -37,18 +35,7 @@ from utal.detect import (
     ground_truths_by_class,
 )
 from utal.errors import ConfigError, NumericError, VerificationError
-from utal.losses import (
-    _expected_l1_foil,
-    binary_loss,
-    expected_l1,
-    export_loss_surfaces,
-    kl_l1_loss,
-    kl_l1_quadratic,
-    l1_loss,
-    multiclass_loss,
-    sampled_l1_loss,
-    select_hard_negatives,
-)
+from utal.losses import export_loss_surfaces
 from utal.model import (
     TrainConfig,
     collect_offset_stats,
@@ -57,13 +44,14 @@ from utal.model import (
     save_checkpoint,
     train,
 )
-from utal.net import DenseLayer, L2NormalizeLayer, ReluLayer
-from utal.numerics import Rng, mc_expected_l1
+from utal.verify import SUITES
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 EXIT_NUMERIC = 3
+CURVES_D_GRID = [round(-3.0 + 0.05 * i, 10) for i in range(121)]  # the grid `utal curves` writes
+CURVES_SIGMA_GRID = [round(0.05 + 0.05 * i, 10) for i in range(60)]
 
 
 # ----------------------------------------------------------------------
@@ -288,257 +276,18 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, manifest: Path, out_dir: Path) ->
 
 def cmd_curves(out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
-    d_grid = [round(-3.0 + 0.05 * i, 10) for i in range(121)]
-    s_grid = [round(0.05 + 0.05 * i, 10) for i in range(60)]
     path = out_dir / "loss_surfaces.csv"
-    rows = export_loss_surfaces(path, d_grid, s_grid)
-    print(f"wrote {path} ({rows} rows: 3 losses x {len(d_grid)} d x {len(s_grid)} sigma)")
+    rows = export_loss_surfaces(path, CURVES_D_GRID, CURVES_SIGMA_GRID)
+    print(f"wrote {path} ({rows} rows: 3 losses x {len(CURVES_D_GRID)} d"
+          f" x {len(CURVES_SIGMA_GRID)} sigma)")
     return path
 
 
-# ----------------------------------------------------------------------
-# verification suites
-
-_MC_GRID_D = (-3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0)
-_MC_GRID_SIGMA = (0.1, 0.5, 1.0, 2.0)
-
-
-def verify_expectation(n: int = 1_000_000, seed: int = 20240) -> list[str]:
-    """Monte Carlo vs closed-form expectation on the (d, sigma) grid.
-
-    Also requires the deliberately wrong closed form (halved coefficient,
-    doubled exponent decay) to fail by more than 10x tolerance somewhere,
-    proving the check has teeth.
-    """
-    failures: list[str] = []
-    foil_rejected = False
-    rng = Rng(seed)
-    for d in _MC_GRID_D:
-        for sigma in _MC_GRID_SIGMA:
-            mean, stderr = mc_expected_l1(d, sigma, n, rng.split("mc", repr(d), repr(sigma)))
-            tol = max(1e-3, 4.0 * stderr)
-            value = expected_l1(d, sigma)[0]
-            if abs(value - mean) > tol:
-                failures.append(
-                    f"expectation d={d} sigma={sigma}: analytic {value:.6f} vs MC "
-                    f"{mean:.6f} +- {stderr:.2e} (tol {tol:.2e})"
-                )
-            if abs(_expected_l1_foil(d, sigma) - mean) > 10.0 * tol:
-                foil_rejected = True
-    if not foil_rejected:
-        failures.append("foil closed form was not rejected anywhere on the grid")
-    return failures
-
-
-def _rel_err(analytic: float, numeric: float) -> float:
-    denom = max(abs(analytic), abs(numeric), 1e-8)
-    return abs(analytic - numeric) / denom
-
-
-def _fd(fn, x0: np.ndarray, index: tuple, h: float = 1e-6) -> tuple[float, float]:
-    """Central difference, and the rounding error it can carry: eps * max|f(x +- h)| / h."""
-    x = x0.copy()
-    x[index] = x0[index] + h
-    up = fn(x)
-    x[index] = x0[index] - h
-    down = fn(x)
-    return (up - down) / (2.0 * h), np.finfo(float).eps * max(abs(up), abs(down)) / h
-
-
-def _fd1(fn, x: float) -> tuple[float, float]:
-    """`_fd` of a function of one float."""
-    return _fd(lambda v: fn(v[0]), np.array([x]), (0,))
-
-
-def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> list[str]:
-    """Spot-check every loss and layer backward against central differences."""
-    failures: list[str] = []
-    rng = Rng(seed)
-
-    def check(name: str, analytic: float, fd: tuple[float, float], bound: float = tol) -> None:
-        numeric, rounding = fd
-        if abs(analytic - numeric) <= rounding:
-            return  # the difference quotient cannot resolve a smaller gap
-        if _rel_err(analytic, numeric) > bound:
-            failures.append(
-                f"{name}: analytic {analytic:.10g} vs finite-diff {numeric:.10g}"
-            )
-
-    for i in range(points):
-        r = rng.split("kl", i)
-        mu = 2.0 * r.uniform() - 1.0
-        alpha = 2.0 * r.uniform() - 1.0
-        t = 4.0 * r.uniform() - 2.0
-        mode = "he" if r.uniform() < 0.5 else "paper"
-        if abs(abs(t - mu) - 1.0) < 1e-2 or abs(t - mu) < 1e-2:
-            continue  # non-smooth loci
-        _, d_mu, d_alpha = kl_l1_loss(mu, alpha, t, mode)
-        fd_mu = _fd1(lambda v: kl_l1_loss(v, alpha, t, mode)[0], mu)
-        fd_alpha = _fd1(lambda v: kl_l1_loss(mu, v, t, mode)[0], alpha)
-        check(f"kl_l1[{mode}] d_mu @{i}", d_mu, fd_mu)
-        check(f"kl_l1[{mode}] d_alpha @{i}", d_alpha, fd_alpha)
-
-    for i in range(points):
-        r = rng.split("expected", i)
-        d = 6.0 * r.uniform() - 3.0
-        sigma = 0.1 + 2.0 * r.uniform()
-        _, d_d, d_sigma = expected_l1(d, sigma)
-        fd_d = _fd1(lambda v: expected_l1(v, sigma)[0], d)
-        fd_sigma = _fd1(lambda v: expected_l1(d, v)[0], sigma)
-        check(f"expected_l1 d_d @{i}", d_d, fd_d, 1e-5)
-        check(f"expected_l1 d_sigma @{i}", d_sigma, fd_sigma, 1e-5)
-
-    for i in range(points):
-        r = rng.split("sampled", i)
-        mu = 2.0 * r.uniform() - 1.0
-        alpha = 2.0 * r.uniform() - 1.0
-        t = 4.0 * r.uniform() - 2.0
-        # each call draws from its own copy of r, so every call sees the same eps
-        _, d_mu, d_alpha, eps = sampled_l1_loss(mu, alpha, t, copy.copy(r))
-        resid = (t - mu) - math.exp(0.5 * alpha) * eps
-        if abs(resid) < 1e-2:
-            continue
-        fd_mu = _fd1(lambda v: sampled_l1_loss(v, alpha, t, copy.copy(r))[0], mu)
-        fd_alpha = _fd1(lambda v: sampled_l1_loss(mu, v, t, copy.copy(r))[0], alpha)
-        check(f"sampled_l1 d_mu @{i}", d_mu, fd_mu)
-        check(f"sampled_l1 d_alpha @{i}", d_alpha, fd_alpha)
-
-    r = rng.split("batch-losses")
-    batch = 24
-    scores_rng = r.split("scores")
-    for i in range(max(1, points // 10)):
-        scores = 0.02 + 0.96 * scores_rng.uniforms(batch)
-        labels = (scores_rng.uniforms(batch) < 0.3).astype(int)
-        mining = select_hard_negatives(scores, labels, 1.0 / 3.0)
-        _, d_scores = binary_loss(scores, labels, mining)
-        for j in (0, batch // 2, batch - 1):
-            fd = _fd(lambda v: binary_loss(v, labels, mining)[0], scores, (j,))
-            check(f"binary_loss d_scores[{j}] @{i}", d_scores[j], fd)
-
-        logits = 2.0 * scores_rng.uniforms(batch * 5).reshape(batch, 5) - 1.0
-        classes = np.array([int(scores_rng.randint(5)) for _ in range(batch)])
-        pos = np.flatnonzero(labels == 1)
-        _, d_logits = multiclass_loss(logits, classes, pos)
-        if pos.size:
-            j = int(pos[0])
-            for c in range(5):
-                fd = _fd(lambda v: multiclass_loss(v, classes, pos)[0], logits, (j, c))
-                check(f"multiclass d_logits[{j},{c}] @{i}", d_logits[j, c], fd)
-
-        y_s = 2.0 * scores_rng.uniforms(batch) - 1.0
-        y_e = 2.0 * scores_rng.uniforms(batch) - 1.0
-        t_s = y_s + np.where(scores_rng.uniforms(batch) < 0.5, 0.4, -0.3)
-        t_e = y_e + np.where(scores_rng.uniforms(batch) < 0.5, -0.5, 0.2)
-        _, d_ys, d_ye = l1_loss(y_s, y_e, t_s, t_e, pos)
-        if pos.size:
-            j = int(pos[-1])
-            fd = _fd(lambda v: l1_loss(v, y_e, t_s, t_e, pos)[0], y_s, (j,))
-            check(f"l1 d_ys[{j}] @{i}", d_ys[j], fd)
-
-    layer_rng = rng.split("layers")
-    for i in range(max(1, points // 20)):
-        dense = DenseLayer(
-            layer_rng.uniforms(12).reshape(3, 4) - 0.5, layer_rng.uniforms(3) - 0.5
-        )
-        x = layer_rng.uniforms(4) - 0.5
-        dy = layer_rng.uniforms(3) - 0.5
-        dense.forward(x)
-        dx = dense.backward(dy)
-
-        def loss_at(weights: np.ndarray) -> float:
-            probe = DenseLayer(weights, dense.biases)
-            return float(probe.forward(x) @ dy)
-
-        for idx in ((0, 0), (1, 2), (2, 3)):
-            check(f"dense dW{idx} @{i}", dense.grad_w[idx], _fd(loss_at, dense.weights, idx))
-        for j in range(4):
-            fd = _fd(lambda v: float(DenseLayer(dense.weights, dense.biases).forward(v) @ dy), x, (j,))
-            check(f"dense dx[{j}] @{i}", dx[j], fd)
-
-        norm = L2NormalizeLayer()
-        xn = layer_rng.uniforms(5) + 0.2
-        dyn = layer_rng.uniforms(5) - 0.5
-        norm.forward(xn)
-        dxn = norm.backward(dyn)
-        for j in range(5):
-            fd = _fd(lambda v: float(L2NormalizeLayer().forward(v) @ dyn), xn, (j,))
-            check(f"l2norm dx[{j}] @{i}", dxn[j], fd)
-
-        relu = ReluLayer()
-        xr = layer_rng.uniforms(6) - 0.5
-        dyr = layer_rng.uniforms(6) - 0.5
-        if np.any(np.abs(xr) < 1e-2):
-            continue
-        relu.forward(xr)
-        dxr = relu.backward(dyr)
-        for j in range(6):
-            fd = _fd(lambda v: float(ReluLayer().forward(v) @ dyr), xr, (j,))
-            check(f"relu dx[{j}] @{i}", dxr[j], fd)
-
-    return failures
-
-
-def verify_kl_minimizer(tolerance: float = 0.01) -> list[str]:
-    """The quadratic branch, at fixed |d| > 1, is minimized at sigma = |d|."""
-    failures = []
-    for d in (1.5, 2.0, 3.0):
-        lo, hi = math.log(0.05), math.log(10.0)
-        for _ in range(200):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if kl_l1_quadratic(d, math.exp(m1)) < kl_l1_quadratic(d, math.exp(m2)):
-                hi = m2
-            else:
-                lo = m1
-        sigma_star = math.exp(0.5 * (lo + hi))
-        if abs(sigma_star - d) / d > tolerance:
-            failures.append(f"kl quadratic argmin at d={d}: sigma*={sigma_star:.4f}")
-    return failures
-
-
-def verify_monotonicity() -> list[str]:
-    """expected_l1 is strictly increasing in sigma, >= |d|, and -> |d| as sigma -> 0.
-
-    Strictness is only required where the analytic increment is resolvable in
-    float64; deep in the tails (|d| >> sigma) the Gaussian term underflows
-    and consecutive grid values legitimately tie.
-    """
-    failures = []
-    d_grid = [-3.0, -2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0, 3.0]
-    s_grid = [0.05 * (i + 1) for i in range(60)]
-    for d in d_grid:
-        prev = -math.inf
-        prev_s = None
-        for s in s_grid:
-            value, _, d_sigma = expected_l1(d, s)
-            resolvable = (
-                prev_s is not None
-                and d_sigma * (s - prev_s) > 64.0 * np.finfo(float).eps * max(1.0, value)
-            )
-            if value < prev or (resolvable and value <= prev):
-                failures.append(f"expected_l1 not increasing at d={d}, sigma={s}")
-            if value < abs(d):
-                failures.append(f"expected_l1 below |d| at d={d}, sigma={s}")
-            prev, prev_s = value, s
-        limit_gap = expected_l1(d, 1e-6)[0] - abs(d)
-        if not 0.0 <= limit_gap <= 1e-5:
-            failures.append(f"expected_l1 sigma->0 limit violated at d={d}: gap {limit_gap}")
-    return failures
-
-
-_VERIFY_SUITES = {
-    "expectation": verify_expectation,
-    "gradients": verify_gradients,
-    "kl-minimizer": verify_kl_minimizer,
-    "monotonicity": verify_monotonicity,
-}
-
-
 def cmd_verify(selector: str, out_dir: Path | None) -> None:
-    names = list(_VERIFY_SUITES) if selector == "all" else [selector]
+    names = list(SUITES) if selector == "all" else [selector]
     all_failures: list[str] = []
     for name in names:
-        failures = _VERIFY_SUITES[name]()
+        failures = SUITES[name]()
         status = "PASS" if not failures else "FAIL"
         print(f"[{status}] {name}")
         for line in failures:
@@ -588,7 +337,7 @@ def make_parser() -> argparse.ArgumentParser:
         "suite",
         nargs="?",
         default="all",
-        choices=["all", *_VERIFY_SUITES.keys()],
+        choices=["all", *SUITES.keys()],
     )
 
     p = sub.add_parser("curves", help="export the regression loss surfaces as CSV")

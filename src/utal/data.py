@@ -80,8 +80,8 @@ class DataConfig:
                 "instances_per_video too large for t_range: slots shorter than "
                 f"{_LEN_RANGE[0] + 2 * _SLOT_MARGIN} units"
             )
-        if self.noise_level < 0:
-            raise ConfigError("noise_level must be nonnegative")
+        if not (self.noise_level >= 0 and math.isfinite(self.noise_level)):
+            raise ConfigError("noise_level must be nonnegative and finite")
         if not 0.0 <= self.boundary_jitter <= 1.0:
             raise ConfigError("boundary_jitter must lie in [0, 1]")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from utal.errors import ConfigError
-from utal.numerics import Rng
+from utal.numerics import Rng, _log
 
 ALPHA_CLAMP = 10.0
 
@@ -105,11 +105,13 @@ def multiclass_loss(
         return 0.0, d_logits
     rows = logits[pos]
     shifted = rows - rows.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    log_z = np.log(total[:, 0])
     labels_pos = np.asarray(labels)[pos].astype(int)
     picked = shifted[np.arange(pos.size), labels_pos]
     loss = float(np.mean(log_z - picked))
-    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    probs = exp / total
     probs[np.arange(pos.size), labels_pos] -= 1.0
     d_logits[pos] = probs / pos.size
     return loss, d_logits
@@ -197,7 +199,7 @@ def expected_l1(d, sigma) -> tuple:
 
         d * erf(d / (sigma*sqrt(2))) + sigma * sqrt(2/pi) * exp(-d^2/(2 sigma^2))
 
-    (the Monte Carlo suite in `cli verify` pins this form down; see also the
+    (the Monte Carlo suite of `utal verify` pins this form down; see also the
     foil below).  Partials: dE/dd = erf(d/(sigma*sqrt(2))) and
     dE/dsigma = sqrt(2/pi) * exp(-d^2/(2 sigma^2)), both strictly positive in
     sigma, so the value is >= |d| and increasing in sigma.
@@ -236,18 +238,17 @@ def export_loss_surfaces(path, d_grid, sigma_grid) -> int:
     Surfaces: both branch conventions of the KL regression loss plus the
     expected-l1 loss.  Returns the number of data rows written.
     """
-    names_and_fns = [
-        ("kl_l1_he", lambda d, s: kl_l1_loss(0.0, 2.0 * math.log(s), d, "he")[0]),
-        ("kl_l1_paper", lambda d, s: kl_l1_loss(0.0, 2.0 * math.log(s), d, "paper")[0]),
-        ("expected_l1", lambda d, s: expected_l1(d, s)[0]),
-    ]
-    rows = 0
+    d, s = np.array(np.meshgrid(d_grid, sigma_grid, indexing="ij"), dtype=float).reshape(2, -1)
+    alpha = 2.0 * _log(s)
+    surfaces = {
+        "kl_l1_he": kl_l1_loss(0.0, alpha, d, "he")[0],
+        "kl_l1_paper": kl_l1_loss(0.0, alpha, d, "paper")[0],
+        "expected_l1": expected_l1(d, s)[0],
+    }
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["loss_name", "d", "sigma", "value"])
-        for name, fn in names_and_fns:
-            for d in d_grid:
-                for s in sigma_grid:
-                    writer.writerow([name, repr(float(d)), repr(float(s)), repr(float(fn(float(d), float(s))))])
-                    rows += 1
-    return rows
+        for name, values in surfaces.items():
+            rows = zip(d.tolist(), s.tolist(), values.tolist())
+            writer.writerows([name, repr(dv), repr(sv), repr(v)] for dv, sv, v in rows)
+    return len(surfaces) * d.size

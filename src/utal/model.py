@@ -80,12 +80,13 @@ class TrainConfig:
             raise ConfigError(f"loss_mode must be one of {LOSS_MODES}")
         if self.condition_mode not in CONDITION_MODES:
             raise ConfigError(f"condition_mode must be one of {CONDITION_MODES}")
-        if self.mining_ratio <= 0:
-            raise ConfigError("mining_ratio must be positive")
+        if not (self.mining_ratio > 0 and math.isfinite(self.mining_ratio)):
+            raise ConfigError("mining_ratio must be positive and finite")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
-        if self.lr < 0:
-            raise ConfigError("lr must be nonnegative")
+        for key in ("lr", "w_bin", "w_cls", "w_reg"):
+            if not (getattr(self, key) >= 0 and math.isfinite(getattr(self, key))):
+                raise ConfigError(f"{key} must be nonnegative and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.epochs < 0:

@@ -16,13 +16,15 @@ from utal.cli import (
     apply_config_entries,
     main,
     parse_config_file,
+)
+from utal.errors import ConfigError
+from utal.net import DenseLayer, L2NormalizeLayer, ReluLayer, load_arrays, save_arrays
+from utal.verify import (
     verify_expectation,
     verify_gradients,
     verify_kl_minimizer,
     verify_monotonicity,
 )
-from utal.errors import ConfigError
-from utal.net import load_arrays, save_arrays
 
 
 def _write_config(path, text):
@@ -76,6 +78,26 @@ class TestConfigFile:
         assert err.startswith("error: ")
         assert path in err and key in err and repr(value) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "train.mining_ratio = nan",
+            "train.mining_ratio = inf",
+            "train.lr = nan",
+            "train.lr = inf",
+            "train.w_bin = nan",
+            "train.w_cls = inf",
+            "train.w_reg = -1",
+            "data.noise_level = nan",
+        ],
+    )
+    def test_non_finite_or_negative_value_is_config_error(self, tmp_path, capsys, line):
+        path = _write_config(tmp_path / "bad.cfg", SMALL_DATA + line + "\n")
+        assert main(["gen-data", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        key = line.split("=")[0].strip().split(".")[1]
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
 
 
 class TestGenData:
@@ -513,17 +535,47 @@ class TestVerifyCommand:
     def test_all_suites_at_their_defaults_exit_zero(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path / "verify")]) == EXIT_OK
 
-    def test_gradient_suite_rejects_a_partial_off_by_1e_4(self, monkeypatch):
-        import utal.cli as cli
+    @pytest.mark.parametrize(
+        "target, position, named",
+        [
+            ("expected_l1", 2, "expected_l1 d_sigma"),
+            ("kl_l1_loss", 2, "kl_l1[he] d_alpha"),
+            ("sampled_l1_loss", 1, "sampled_l1 d_mu"),
+            ("binary_loss", 1, "binary_loss d_scores"),
+            ("multiclass_loss", 1, "multiclass d_logits"),
+            ("l1_loss", 1, "l1 d_ys"),
+            (DenseLayer, None, "dense dx"),
+            (L2NormalizeLayer, None, "l2norm dx"),
+            (ReluLayer, None, "relu dx"),
+        ],
+        ids=[
+            "expected_l1", "kl_l1", "sampled_l1", "binary", "multiclass", "l1", "dense", "l2norm", "relu"
+        ],
+    )
+    def test_gradient_suite_rejects_a_partial_off_by_1e_4(self, monkeypatch, target, position, named):
+        import utal.verify as verify
 
-        exact = cli.expected_l1
+        if target == "expected_l1":
+            exact = verify.expected_l1
 
-        def off(d, sigma):
-            value, d_d, d_sigma = exact(d, sigma)
-            return value, d_d, d_sigma * (1.0 + 1e-4)
+            def off(d, sigma):
+                value, d_d, d_sigma = exact(d, sigma)
+                return value, d_d, d_sigma * (1.0 + 1e-4)
 
-        monkeypatch.setattr(cli, "expected_l1", off)
-        assert any("expected_l1 d_sigma" in f for f in verify_gradients())
+            monkeypatch.setattr(verify, "expected_l1", off)
+        elif position is None:  # a layer's dx, off by twice the bound of 1e-4
+            exact = target.backward
+            monkeypatch.setattr(target, "backward", lambda self, dy: exact(self, dy) * (1.0 + 2e-4))
+        else:  # the partial at `position`, off by twice the bound of 1e-4
+            exact = getattr(verify, target)
+
+            def off(*args):
+                out = list(exact(*args))
+                out[position] = out[position] * (1.0 + 2e-4)
+                return tuple(out)
+
+            monkeypatch.setattr(verify, target, off)
+        assert any(named in f for f in verify_gradients())
 
     def test_verify_command_exit_zero_and_curves(self, tmp_path):
         out = tmp_path / "verify"
@@ -532,18 +584,18 @@ class TestVerifyCommand:
         assert len(lines) == 1 + 3 * 121 * 60
 
     def test_injected_misprint_fails_expectation_suite(self, monkeypatch):
-        import utal.cli as cli
         import utal.losses as losses
+        import utal.verify as verify
 
-        monkeypatch.setattr(cli, "expected_l1", lambda d, s: (losses._expected_l1_foil(d, s), 0.0, 0.0))
-        failures = cli.verify_expectation(n=150_000)
+        monkeypatch.setattr(verify, "expected_l1", lambda d, s: (losses._expected_l1_foil(d, s), 0.0, 0.0))
+        failures = verify.verify_expectation(n=150_000)
         assert failures
         assert any("analytic" in f for f in failures)
 
     def test_verify_exit_code_on_failure(self, tmp_path, monkeypatch):
-        import utal.cli as cli
+        import utal.verify as verify
 
-        monkeypatch.setitem(cli._VERIFY_SUITES, "monotonicity", lambda: ["synthetic failure"])
+        monkeypatch.setitem(verify.SUITES, "monotonicity", lambda: ["synthetic failure"])
         assert main(["verify", "monotonicity", "--out", str(tmp_path / "v")]) == EXIT_VERIFY
 
 

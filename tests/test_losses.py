@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from _oracles import finite_difference, relative_error
+from utal.cli import CURVES_D_GRID, CURVES_SIGMA_GRID
 from utal.errors import ConfigError
 from utal.losses import (
     MiningResult,
@@ -442,9 +443,17 @@ class TestLossSurfaceExport:
         names = {line.split(",")[0] for line in lines[1:]}
         assert names == {"kl_l1_he", "kl_l1_paper", "expected_l1"}
 
-    def test_values_are_plain_floats_of_the_scalar_losses(self, tmp_path):
+    @pytest.mark.parametrize(
+        "d_grid, s_grid",
+        [
+            ([-1.5, -1.0, 0.0, 0.3, 1.0, 2.5], [0.05, 0.5, 1.0, 2.0]),
+            (CURVES_D_GRID, CURVES_SIGMA_GRID),
+        ],
+        ids=["small", "curves"],
+    )
+    def test_values_are_plain_floats_of_the_scalar_losses(self, tmp_path, d_grid, s_grid):
         path = tmp_path / "surfaces.csv"
-        export_loss_surfaces(path, [-1.5, -1.0, 0.0, 0.3, 1.0, 2.5], [0.05, 0.5, 1.0, 2.0])
+        export_loss_surfaces(path, d_grid, s_grid)
         scalar = {
             "kl_l1_he": lambda d, s: kl_l1_loss(0.0, 2.0 * math.log(s), d, "he")[0],
             "kl_l1_paper": lambda d, s: kl_l1_loss(0.0, 2.0 * math.log(s), d, "paper")[0],
