@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -160,7 +161,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _write_config_echo(cfg: RunConfig, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "run_config.json").write_text(
         json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
     )
@@ -172,10 +172,7 @@ def _write_config_echo(cfg: RunConfig, out_dir: Path) -> None:
 def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
     dataset, manifest_path = generate_synthetic_dataset(cfg.data, cfg.seed, out_dir)
     _write_config_echo(cfg, out_dir)
-    counts = [0] * cfg.data.num_classes
-    for item in dataset.videos:
-        for ann in item.annotations:
-            counts[ann.class_id] += 1
+    counts = Counter(ann.class_id for item in dataset.videos for ann in item.annotations)
     print(f"wrote {manifest_path} ({dataset.num_videos} videos, d_feat={dataset.d_feat})")
     for c, name in enumerate(dataset.class_names):
         print(f"  {name}: {counts[c]} instances")
@@ -250,8 +247,6 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, manifest: Path, out_dir: Path) ->
             f"checkpoint expects d_feat={model.d_feat}, C={model.num_classes}; "
             f"dataset has d_feat={dataset.d_feat}, C={dataset.num_classes}"
         )
-    cfg.detect.validate()
-    cfg.proposals.validate()
     dets = collect_detections(model, dataset, cfg.detect, cfg.proposals)
     report = evaluate_detections(
         dets, ground_truths_by_class(dataset), cfg.detect.tiou_thresholds

@@ -227,11 +227,9 @@ def _jitter_annotation(
     mag = (_JITTER_SHIFT[0] + (_JITTER_SHIFT[1] - _JITTER_SHIFT[0]) * vid_rng.uniform()) * (
         end - start
     )
-    if not accept:
-        return float(start), float(end)
-    if side == 0:
+    if accept and side == 0:
         start = start + mag
-    else:
+    elif accept:
         end = end - mag
     return float(start), float(end)
 
@@ -327,8 +325,12 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
                     f"class table lists {len(class_names)} names, manifest says {num_classes}"
                 )
         videos: list[VideoItem] = []
+        first: dict = {}  # evaluation codes detections by video id, so ids must be unique
         for index, rec in enumerate(manifest["videos"]):
             where = f"video record {index}"
+            if first.setdefault(rec["video_id"], index) != index:
+                raise ConfigError(f"manifest {manifest_path}: {where} repeats video_id "
+                                  f"{rec['video_id']!r} of video record {first[rec['video_id']]}")
             videos.append(_load_video(rec, base, d_feat, num_classes))
     except KeyError as exc:
         raise ConfigError(f"manifest {manifest_path}: {where} lacks key {exc.args[0]!r}") from exc
@@ -405,9 +407,8 @@ def sliding_windows(t_units: float, scales, overlap: float) -> tuple[np.ndarray,
                 e = np.append(e, float(t_units))
         starts.append(s)
         ends.append(e)
-    scale_ids = np.repeat(np.arange(len(starts)), [s.size for s in starts])
     starts, ends = np.concatenate(starts), np.concatenate(ends)
-    order = np.lexsort((scale_ids, starts))
+    order = np.argsort(starts, kind="stable")  # the scales were concatenated in order
     return starts[order], ends[order]
 
 

@@ -47,7 +47,7 @@ class DetectConfig:
             raise ConfigError("score_floor must be nonnegative")
 
 
-@dataclass
+@dataclass(slots=True)
 class Detection:
     video_id: str
     start: float
@@ -159,6 +159,9 @@ def _columns(dets: list[Detection], *fields: str) -> list[np.ndarray]:
 
 def _rank(score: np.ndarray, *keys: np.ndarray) -> np.ndarray:
     """Stable rank order: score descending, ties by each key ascending in turn."""
+    order = np.argsort(-score, kind="stable")
+    if np.all(score[order[:-1]] > score[order[1:]]):  # no tie, NaN or -0.0/+0.0 pair
+        return order
     return np.lexsort((*keys[::-1], -score))
 
 

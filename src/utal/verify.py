@@ -83,7 +83,7 @@ def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> l
         gap = np.abs(analytic - numeric)
         rel = gap / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
         # within the rounding bound the difference quotient cannot resolve the gap
-        for j in np.flatnonzero((gap > rounding) & (rel > bound)):
+        for j in np.flatnonzero(~(gap <= rounding) & ~(rel <= bound)):  # NaN fails
             failures.append(
                 f"{names[j]}: analytic {analytic[j]:.10g} vs finite-diff {numeric[j]:.10g}"
             )
@@ -206,9 +206,9 @@ def verify_monotonicity() -> list[str]:
     prev, cur = value[:, :-1], value[:, 1:]
     resolvable = d_sigma[:, 1:] * np.diff(s) > 64.0 * np.finfo(float).eps * np.maximum(1.0, cur)
     failures = [f"expected_l1 not increasing at d={d_grid[i]}, sigma={s_grid[k + 1]}"
-                for i, k in np.argwhere((cur < prev) | (resolvable & (cur <= prev)))]
+                for i, k in np.argwhere(~(cur >= prev) | (resolvable & (cur <= prev)))]
     failures += [f"expected_l1 below |d| at d={d_grid[i]}, sigma={s_grid[k]}"
-                 for i, k in np.argwhere(value < np.abs(d))]
+                 for i, k in np.argwhere(~(value >= np.abs(d)))]
     gap = expected_l1(np.array(d_grid), 1e-6)[0] - np.abs(d_grid)
     failures += [f"expected_l1 sigma->0 limit violated at d={d_grid[i]}: gap {gap[i]}"
                  for i in np.flatnonzero(~((0.0 <= gap) & (gap <= 1e-5)))]

@@ -379,6 +379,14 @@ class TestTrainCommand:
         manifest.write_text(json.dumps(doc))
         assert repr(key) in self._train_error(cfg_path, manifest, tmp_path, capsys)
 
+    def test_repeated_video_id_names_manifest_and_id(self, cli_workspace, tmp_path, capsys):
+        cfg_path, manifest = self._copy_data(cli_workspace, tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["videos"][3]["video_id"] = doc["videos"][1]["video_id"]
+        manifest.write_text(json.dumps(doc))
+        err = self._train_error(cfg_path, manifest, tmp_path, capsys)
+        assert "video record 3 repeats video_id 'vid0001'" in err
+
 
 class TestEvalCommand:
     def test_report_and_detections_written(self, cli_workspace):
@@ -536,46 +544,59 @@ class TestVerifyCommand:
         assert main(["verify", "--out", str(tmp_path / "verify")]) == EXIT_OK
 
     @pytest.mark.parametrize(
-        "target, position, named",
+        "target, position, factor, named",
         [
-            ("expected_l1", 2, "expected_l1 d_sigma"),
-            ("kl_l1_loss", 2, "kl_l1[he] d_alpha"),
-            ("sampled_l1_loss", 1, "sampled_l1 d_mu"),
-            ("binary_loss", 1, "binary_loss d_scores"),
-            ("multiclass_loss", 1, "multiclass d_logits"),
-            ("l1_loss", 1, "l1 d_ys"),
-            (DenseLayer, None, "dense dx"),
-            (L2NormalizeLayer, None, "l2norm dx"),
-            (ReluLayer, None, "relu dx"),
+            # ten times the bound of 1e-5 that expected_l1's partials are checked to, or NaN
+            ("expected_l1", 2, 1.0 + 1e-4, "expected_l1 d_sigma"),
+            ("expected_l1", 2, float("nan"), "expected_l1 d_sigma"),
+            # twice the bound of 1e-4 of the others
+            ("kl_l1_loss", 2, 1.0 + 2e-4, "kl_l1[he] d_alpha"),
+            ("sampled_l1_loss", 1, 1.0 + 2e-4, "sampled_l1 d_mu"),
+            ("binary_loss", 1, 1.0 + 2e-4, "binary_loss d_scores"),
+            ("multiclass_loss", 1, 1.0 + 2e-4, "multiclass d_logits"),
+            ("l1_loss", 1, 1.0 + 2e-4, "l1 d_ys"),
+            (DenseLayer, None, 1.0 + 2e-4, "dense dx"),
+            (L2NormalizeLayer, None, 1.0 + 2e-4, "l2norm dx"),
+            (ReluLayer, None, 1.0 + 2e-4, "relu dx"),
         ],
         ids=[
-            "expected_l1", "kl_l1", "sampled_l1", "binary", "multiclass", "l1", "dense", "l2norm", "relu"
+            "expected_l1", "expected_l1-nan", "kl_l1", "sampled_l1", "binary", "multiclass", "l1",
+            "dense", "l2norm", "relu",
         ],
     )
-    def test_gradient_suite_rejects_a_partial_off_by_1e_4(self, monkeypatch, target, position, named):
+    def test_gradient_suite_rejects_a_partial_off_by_1e_4(
+        self, monkeypatch, target, position, factor, named
+    ):
         import utal.verify as verify
 
-        if target == "expected_l1":
-            exact = verify.expected_l1
-
-            def off(d, sigma):
-                value, d_d, d_sigma = exact(d, sigma)
-                return value, d_d, d_sigma * (1.0 + 1e-4)
-
-            monkeypatch.setattr(verify, "expected_l1", off)
-        elif position is None:  # a layer's dx, off by twice the bound of 1e-4
+        if position is None:  # a layer's dx
             exact = target.backward
-            monkeypatch.setattr(target, "backward", lambda self, dy: exact(self, dy) * (1.0 + 2e-4))
-        else:  # the partial at `position`, off by twice the bound of 1e-4
+            monkeypatch.setattr(target, "backward", lambda self, dy: exact(self, dy) * factor)
+        else:  # the partial at `position`
             exact = getattr(verify, target)
 
             def off(*args):
                 out = list(exact(*args))
-                out[position] = out[position] * (1.0 + 2e-4)
+                out[position] = out[position] * factor
                 return tuple(out)
 
             monkeypatch.setattr(verify, target, off)
         assert any(named in f for f in verify_gradients())
+
+    def test_monotonicity_suite_rejects_nan_values(self, monkeypatch):
+        import utal.verify as verify
+
+        exact = verify.expected_l1
+
+        def nan_on_grid(d, sigma):  # NaN on the sigma grid, exact at the sigma->0 limit
+            value, d_d, d_sigma = exact(d, sigma)
+            return np.where(np.asarray(sigma) > 1e-3, np.nan, value), d_d, d_sigma
+
+        monkeypatch.setattr(verify, "expected_l1", nan_on_grid)
+        failures = verify_monotonicity()
+        assert sum("not increasing" in f for f in failures) == 11 * 59
+        assert sum("below |d|" in f for f in failures) == 11 * 60
+        assert not any("limit" in f for f in failures)
 
     def test_verify_command_exit_zero_and_curves(self, tmp_path):
         out = tmp_path / "verify"

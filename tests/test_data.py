@@ -1,5 +1,8 @@
 """Synthetic generation, file formats, proposals, labeling, pooling."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -137,6 +140,16 @@ class TestManifestRoundTrip:
         with pytest.raises(ConfigError, match="feature file"):
             load_dataset(manifest)
 
+    def test_loader_rejects_repeated_video_id(self, tmp_path):
+        _, manifest = generate_synthetic_dataset(DataConfig(num_videos=3), 13, tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["videos"][2]["video_id"] = doc["videos"][0]["video_id"]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as err:
+            load_dataset(manifest)
+        assert str(manifest) in str(err.value)
+        assert "video record 2 repeats video_id 'vid0000' of video record 0" in str(err.value)
+
     def test_loader_rejects_missing_manifest(self, tmp_path):
         with pytest.raises(ConfigError):
             load_dataset(tmp_path / "manifest.json")
@@ -172,8 +185,7 @@ class TestSlidingWindows:
             assert covered.all()
 
     def test_ordered_by_start_then_scale(self):
-        scales = (8, 16, 32, 64)
-        for t_units in (17, 33, 100):
+        for scales, t_units in itertools.product([(8, 16, 32, 64), (32, 8, 64, 16)], (17, 33, 100)):
             per_scale = [sliding_windows(t_units, [length], 0.75) for length in scales]
             expected = sorted(
                 (start, scale_id, end)

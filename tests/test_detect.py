@@ -19,6 +19,7 @@ from _oracles import (
 from utal.data import ProposalConfig, UnitFeatureSequence, sliding_windows
 from utal.detect import (
     DetectConfig,
+    _rank,
     Detection,
     apply_offsets,
     average_precision,
@@ -221,6 +222,48 @@ def _nms_cases(draw):
         dets += dets[: draw(st.integers(1, len(dets)))]  # the same objects twice
     thr = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     return dets, thr
+
+
+_NAN = float("nan")
+
+
+@st.composite
+def _rank_cases(draw):
+    """Scores with ties, NaN, infinities and both zeros, and one to three
+    tie-breaking keys drawn from a small grid, so the keys tie too."""
+    n = draw(st.integers(0, 12))
+    special = st.sampled_from([0.0, -0.0, 0.5, -0.5, _NAN, float("inf"), -float("inf")])
+    score = draw(st.lists(special | st.floats(allow_nan=True), min_size=n, max_size=n))
+    key = st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, _NAN]), min_size=n, max_size=n)
+    keys = draw(st.lists(key, min_size=1, max_size=3))
+    return np.array(score), [np.array(k) for k in keys]
+
+
+class TestRank:
+    """`_rank` is the permutation of the stable lexsort on (-score, *keys)."""
+
+    @given(_rank_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_equals_lexsort(self, case):
+        score, keys = case
+        assert _rank(score, *keys).tolist() == np.lexsort((*keys[::-1], -score)).tolist()
+
+    @pytest.mark.parametrize(
+        "score, key, expected",
+        [
+            ([], [], []),
+            ([0.3], [1.0], [0]),
+            ([0.2, 0.9, 0.5], [0.0, 0.0, 0.0], [1, 2, 0]),  # distinct: the score alone
+            ([0.5, 0.5, 0.9], [2.0, 1.0, 3.0], [2, 1, 0]),  # tie: by the key
+            ([0.0, -0.0], [1.0, 0.0], [1, 0]),  # +0.0 and -0.0 tie
+            ([_NAN, 0.5, _NAN], [1.0, 2.0, 0.0], [1, 2, 0]),  # NaN last, NaNs by the key
+        ],
+        ids=["empty", "one-row", "distinct", "tied", "signed-zeros", "nan"],
+    )
+    def test_hand_cases(self, score, key, expected):
+        score, key = np.array(score, float), np.array(key, float)
+        assert _rank(score, key).tolist() == expected
+        assert np.lexsort((key, -score)).tolist() == expected
 
 
 class TestNms:
