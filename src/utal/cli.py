@@ -5,7 +5,7 @@ seed falls back to the UTAL_SEED environment variable when neither the flag
 nor the file sets one.  Every command echoes the fully-merged run config
 into its output directory so artifacts are self-describing.
 
-Exit codes: 0 success, 1 usage/config error, 2 verification failure,
+Exit codes: 0 success, 1 usage/config/I-O error, 2 verification failure,
 3 runtime numeric failure.
 """
 
@@ -358,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "curves":
             cmd_curves(Path(args.out))
         return EXIT_OK
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: say, an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except VerificationError as exc:

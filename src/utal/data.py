@@ -154,8 +154,6 @@ class Dataset:
     class_names: list[str]
     d_feat: int
     num_classes: int
-    seed: int | None = None
-    generator_config: dict | None = None
 
     @property
     def num_videos(self) -> int:
@@ -213,7 +211,7 @@ def _plant_instances(vid_rng: Rng, t_units: int, cfg: DataConfig) -> list[tuple[
 
 
 def _jitter_annotation(
-    vid_rng: Rng, start: float, end: float, t_units: int, jitter_fraction: float
+    vid_rng: Rng, start: float, end: float, jitter_fraction: float
 ) -> tuple[float, float]:
     """Maybe pull one annotation boundary inward by 35-45% of the length.
 
@@ -264,7 +262,7 @@ def generate_synthetic_dataset(
                 protos[class_id]
                 + ramp_amplitude_for(class_id) * ramp[:, None] * ramp_dirs[class_id]
             )
-            js, je = _jitter_annotation(vid_rng, s, e, t_units, cfg.boundary_jitter)
+            js, je = _jitter_annotation(vid_rng, s, e, cfg.boundary_jitter)
             annotations.append(ActionAnnotation(class_id=class_id, start=js, end=je))
         video_id = f"vid{vi:04d}"
         feature_file = out / "features" / f"{video_id}.f32"
@@ -293,15 +291,7 @@ def generate_synthetic_dataset(
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    dataset = Dataset(
-        videos=videos,
-        class_names=class_names,
-        d_feat=cfg.d_feat,
-        num_classes=cfg.num_classes,
-        seed=seed,
-        generator_config=asdict(cfg),
-    )
-    return dataset, manifest_path
+    return Dataset(videos, class_names, cfg.d_feat, cfg.num_classes), manifest_path
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
@@ -321,17 +311,14 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         if table and (base / table).exists():
             class_names = (base / table).read_text().splitlines()
             if len(class_names) != num_classes:
-                raise ConfigError(
-                    f"class table lists {len(class_names)} names, manifest says {num_classes}"
-                )
+                raise ConfigError(f"class table {base / table} lists {len(class_names)} "
+                                  f"names, manifest says {num_classes}")
         videos: list[VideoItem] = []
-        first: dict = {}  # evaluation codes detections by video id, so ids must be unique
         for index, rec in enumerate(manifest["videos"]):
             where = f"video record {index}"
-            if first.setdefault(rec["video_id"], index) != index:
-                raise ConfigError(f"manifest {manifest_path}: {where} repeats video_id "
-                                  f"{rec['video_id']!r} of video record {first[rec['video_id']]}")
             videos.append(_load_video(rec, base, d_feat, num_classes))
+    except ConfigError as exc:  # the checks above and in _load_video name no manifest
+        raise ConfigError(f"manifest {manifest_path}: {where}: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"manifest {manifest_path}: {where} lacks key {exc.args[0]!r}") from exc
     except OSError as exc:
@@ -340,14 +327,13 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         ) from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"manifest {manifest_path}: {where}: {exc}") from exc
-    return Dataset(
-        videos=videos,
-        class_names=class_names,
-        d_feat=d_feat,
-        num_classes=num_classes,
-        seed=manifest.get("seed"),
-        generator_config=manifest.get("generator_config"),
-    )
+    first: dict = {}  # evaluation codes detections by video id, so ids must be unique
+    for index, item in enumerate(videos):
+        video_id = item.sequence.video_id
+        if first.setdefault(video_id, index) != index:
+            raise ConfigError(f"manifest {manifest_path}: video record {index} repeats video_id "
+                              f"{video_id!r} of video record {first[video_id]}")
+    return Dataset(videos, class_names, d_feat, num_classes)
 
 
 def _load_video(rec: dict, base: Path, d_feat: int, num_classes: int) -> VideoItem:
@@ -357,16 +343,16 @@ def _load_video(rec: dict, base: Path, d_feat: int, num_classes: int) -> VideoIt
         raise ConfigError(f"video {rec['video_id']}: T must be >= 1")
     if int(rec["d_feat"]) != d_feat:
         raise ConfigError(f"video {rec['video_id']}: d_feat mismatch")
-    raw = (base / rec["feature_file"]).read_bytes()
-    feats = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    path = base / rec["feature_file"]
+    feats = np.frombuffer(path.read_bytes(), dtype="<f4").astype(np.float64)
     if feats.size != t_units * d_feat:
         raise ConfigError(
-            f"video {rec['video_id']}: feature file holds {feats.size} floats, "
+            f"video {rec['video_id']}: feature file {path} holds {feats.size} floats, "
             f"expected {t_units * d_feat}"
         )
     feats = feats.reshape(t_units, d_feat)
     if not np.all(np.isfinite(feats)):
-        raise ConfigError(f"video {rec['video_id']}: non-finite feature values")
+        raise ConfigError(f"video {rec['video_id']}: non-finite values in feature file {path}")
     annotations = []
     for a in rec["annotations"]:
         ann = ActionAnnotation(int(a["class_id"]), float(a["start"]), float(a["end"]))

@@ -2,12 +2,12 @@
 
 Every loss returns its analytic gradient with respect to the network outputs
 it consumes; the gradients are exact (checked against central finite
-differences in the test suite).  The uncertainty-aware regression losses are
-elementwise: each Gaussian boundary offset is given by its mean mu and its
-log-variance alpha = log(sigma^2), which keeps sigma^2 positive and the
-alpha-gradients bounded.  mu, alpha and the target t may be floats or arrays
-of one shape, and the results take that shape (numpy float64 scalars for
-floats).
+differences in the test suite).  The four boundary regression losses are
+elementwise: each boundary offset is given by its mean mu and, in the
+uncertainty-aware losses, its log-variance alpha = log(sigma^2), which keeps
+sigma^2 positive and the alpha-gradients bounded.  mu, alpha and the target t
+may be floats or arrays of one shape, and the results take that shape (numpy
+float64 scalars for floats).
 """
 
 from __future__ import annotations
@@ -66,9 +66,7 @@ def select_hard_negatives(
     return MiningResult(positives, np.sort(negatives[order[:quota]]))
 
 
-def binary_loss(
-    scores: np.ndarray, labels: np.ndarray, mining: MiningResult
-) -> tuple[float, np.ndarray]:
+def binary_loss(scores: np.ndarray, mining: MiningResult) -> tuple[float, np.ndarray]:
     """Balanced binary cross entropy over mined indices.
 
     loss = -(sum_pos log p + sum_neg log(1-p)) / (|pos| + |neg|); the
@@ -117,27 +115,10 @@ def multiclass_loss(
     return loss, d_logits
 
 
-def l1_loss(
-    y_s: np.ndarray,
-    y_e: np.ndarray,
-    t_s: np.ndarray,
-    t_e: np.ndarray,
-    positive_indices: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Plain l1 boundary regression: mean over positives of |t_s-y_s|+|t_e-y_e|."""
-    y_s = np.asarray(y_s, dtype=np.float64)
-    y_e = np.asarray(y_e, dtype=np.float64)
-    d_ys = np.zeros_like(y_s)
-    d_ye = np.zeros_like(y_e)
-    pos = np.asarray(positive_indices, dtype=int)
-    if pos.size == 0:
-        return 0.0, d_ys, d_ye
-    rs = np.asarray(y_s)[pos] - np.asarray(t_s)[pos]
-    re = np.asarray(y_e)[pos] - np.asarray(t_e)[pos]
-    loss = float((np.abs(rs) + np.abs(re)).mean())
-    d_ys[pos] = np.sign(rs) / pos.size
-    d_ye[pos] = np.sign(re) / pos.size
-    return loss, d_ys, d_ye
+def l1_loss(mu, t) -> tuple:
+    """Plain l1 boundary regression |t - mu|, elementwise; returns (loss, d_loss/d_mu)."""
+    d = t - mu
+    return np.abs(d), -np.sign(d)
 
 
 def kl_l1_loss(mu, alpha, t, condition_mode: str = "he") -> tuple:
@@ -167,11 +148,6 @@ def kl_l1_loss(mu, alpha, t, condition_mode: str = "he") -> tuple:
     d_mu = np.where(quadratic, -d * inv_var, -np.sign(d) * inv_var)
     d_alpha = np.where(quadratic, -0.5 * d * d * inv_var + 0.5, -excess * inv_var + 0.5)
     return loss[()], d_mu[()], d_alpha[()]
-
-
-def kl_l1_quadratic(d: float, sigma: float) -> float:
-    """Quadratic branch of the KL regression loss as a function of sigma."""
-    return 0.5 * (d / sigma) ** 2 + math.log(sigma) + _HALF_LOG_2PI
 
 
 def sampled_l1_loss(mu, alpha, t, rng: Rng) -> tuple:

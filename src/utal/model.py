@@ -157,12 +157,9 @@ class Model:
         return [self.fc1, self.fc_act, self.fc_head]
 
     def forward_batch(self, x: np.ndarray) -> BatchForward:
-        """Network forward in the layers' dtype; every output is float64."""
+        """Network forward on a [B x k*d_feat] batch in the layers' dtype; every
+        output is float64.  Another shape is a ConfigError from l2norm or fc1."""
         x = np.asarray(x, dtype=self.fc1.weights.dtype)
-        if x.ndim != 2 or x.shape[1] != self.k * self.d_feat:
-            raise ConfigError(
-                f"pooled feature batch must be [B x {self.k * self.d_feat}], got {x.shape}"
-            )
         h = self.relu.forward(self.fc1.forward(self.norm.forward(x)))
         z_a = self.fc_act.forward(h)[:, 0].astype(np.float64)
         block = self.fc_head.forward(h).astype(np.float64)
@@ -245,9 +242,10 @@ def _regression_terms(
     mu = fwd.mu[pos, classes]  # [P x 2] (start, end)
     target = np.stack((t_s[pos], t_e[pos]), axis=1)
     g_alpha = None
-    if cfg.loss_mode == "l1":  # l1_loss averages over positives itself
-        loss, g_s, g_e = l1_loss(*mu.T, *target.T, np.arange(pos.size))
-        g_mu, scale = np.stack((g_s, g_e), axis=1), 1.0
+    if cfg.loss_mode == "l1":
+        values, g_mu = l1_loss(mu, target)
+        scale = 1.0 / pos.size
+        loss = float(values.sum(axis=1).mean())  # mean over positives of |r_s| + |r_e|
     else:
         alpha = fwd.alpha[pos, classes]
         if cfg.loss_mode == "kl_l1":
@@ -306,7 +304,7 @@ def train(
             mining = select_hard_negatives(fwd.y_a, t_a[idx], cfg.mining_ratio)
             pos = mining.positive_indices
 
-            loss_bin, d_scores = binary_loss(fwd.y_a, t_a[idx], mining)
+            loss_bin, d_scores = binary_loss(fwd.y_a, mining)
             d_za = d_scores * fwd.y_a * (1.0 - fwd.y_a) * cfg.w_bin
 
             loss_cls, d_logits = multiclass_loss(fwd.logits, t_c[idx], pos)

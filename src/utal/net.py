@@ -1,11 +1,11 @@
 """Dense-network building blocks with hand-derived backward passes.
 
 No autodiff: every layer caches what its forward pass saw and its backward
-pass returns the gradient with respect to that input.  Layers accept either
-a single vector or a [batch x dim] matrix, so a batch is pushed through in
-one call.  A dense layer's backward also writes the batch's parameter
-gradients into its `grad_w` and `grad_b`, overwriting the previous ones,
-for `sgd_step` to spend.
+pass returns the gradient with respect to that input.  Dense and
+l2-normalize layers take a [batch x dim] matrix only (one row is x[None]),
+so a batch is pushed through in one call.  A dense layer's backward also
+writes the batch's parameter gradients into its `grad_w` and `grad_b`,
+overwriting the previous ones, for `sgd_step` to spend.
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ def _float_dtype(x) -> type:
     return np.float32 if np.asarray(x).dtype == np.float32 else np.float64
 
 
-def _as_batch(x: np.ndarray, dtype: type) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, dtype: type, layer: str) -> np.ndarray:
     x = np.asarray(x, dtype=dtype)
-    if x.ndim == 1:
-        return x[None, :], True
-    if x.ndim == 2:
-        return x, False
-    raise ConfigError(f"expected vector or [batch x dim] matrix, got shape {x.shape}")
+    if x.ndim != 2:
+        raise ConfigError(f"layer {layer}: expected a [batch x dim] matrix, got shape {x.shape}")
+    return x
 
 
 class DenseLayer:
@@ -55,7 +53,6 @@ class DenseLayer:
         self.vel_w = np.zeros_like(weights)
         self.vel_b = np.zeros_like(biases)
         self._x: np.ndarray | None = None
-        self._squeeze = False
 
     @property
     def out_dim(self) -> int:
@@ -66,21 +63,20 @@ class DenseLayer:
         return self.weights.shape[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        xb, squeeze = _as_batch(x, self.weights.dtype)
+        xb = _as_batch(x, self.weights.dtype, self.name)
         if xb.shape[1] != self.in_dim:
             raise ConfigError(
                 f"layer {self.name}: input dim {xb.shape[1]}, expected {self.in_dim}"
             )
         self._x = xb
-        self._squeeze = squeeze
         y = xb @ self.weights.T
         y += self.biases
-        return y[0] if squeeze else y
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise NumericError(f"layer {self.name}: backward before forward")
-        dyb, _ = _as_batch(dy, self.weights.dtype)
+        dyb = _as_batch(dy, self.weights.dtype, self.name)
         if dyb.shape != (self._x.shape[0], self.out_dim):
             raise ConfigError(
                 f"layer {self.name}: upstream grad shape {dyb.shape} does not match "
@@ -88,8 +84,7 @@ class DenseLayer:
             )
         np.matmul(dyb.T, self._x, out=self.grad_w)
         np.sum(dyb, axis=0, out=self.grad_b)
-        dx = dyb * self.weights if self.out_dim == 1 else dyb @ self.weights  # outer product
-        return dx[0] if self._squeeze else dx
+        return dyb * self.weights if self.out_dim == 1 else dyb @ self.weights  # outer product
 
 
 class ReluLayer:
@@ -118,27 +113,23 @@ class L2NormalizeLayer:
     def __init__(self):
         self._y: np.ndarray | None = None
         self._norm: np.ndarray | None = None
-        self._squeeze = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        xb, squeeze = _as_batch(x, _float_dtype(x))
+        xb = _as_batch(x, _float_dtype(x), "l2_normalize")
         norm = np.linalg.norm(xb, axis=1, keepdims=True)
-        denom = np.maximum(norm, _L2_EPS)
-        y = xb / denom
-        self._y = y
+        self._y = xb / np.maximum(norm, _L2_EPS)
         self._norm = norm
-        self._squeeze = squeeze
-        return y[0] if squeeze else y
+        return self._y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._y is None or self._norm is None:
             raise NumericError("l2_normalize: backward before forward")
-        dyb, _ = _as_batch(dy, self._y.dtype)
+        dyb = _as_batch(dy, self._y.dtype, "l2_normalize")
         dx = dyb - self._y * np.sum(self._y * dyb, axis=1, keepdims=True)
         dx /= np.maximum(self._norm, _L2_EPS)
         small = ~(self._norm[:, 0] > _L2_EPS)  # norm <= eps: plain scaling instead
         dx[small] = dyb[small] / _L2_EPS
-        return dx[0] if self._squeeze else dx
+        return dx
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from utal.losses import (
     binary_loss,
     expected_l1,
     kl_l1_loss,
-    kl_l1_quadratic,
     l1_loss,
     multiclass_loss,
     sampled_l1_loss,
@@ -121,14 +120,15 @@ def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> l
 
     batch = 24
     scores_rng = rng.split("batch-losses").split("scores")
+    l1_mu, l1_t = [], []
     for i in range(max(1, points // 10)):
         scores = 0.02 + 0.96 * scores_rng.uniforms(batch)
         labels = (scores_rng.uniforms(batch) < 0.3).astype(int)
         mining = select_hard_negatives(scores, labels, 1.0 / 3.0)
-        _, d_scores = binary_loss(scores, labels, mining)
+        _, d_scores = binary_loss(scores, mining)
         js = [0, batch // 2, batch - 1]
         check([f"binary_loss d_scores[{j}] @{i}" for j in js], d_scores[js],
-              lambda v: binary_loss(v, labels, mining)[0], scores, js)
+              lambda v: binary_loss(v, mining)[0], scores, js)
 
         logits = 2.0 * scores_rng.uniforms(batch * 5).reshape(batch, 5) - 1.0
         classes = np.array([int(scores_rng.randint(5)) for _ in range(batch)])
@@ -139,27 +139,25 @@ def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> l
             check([f"multiclass d_logits[{j},{c}] @{i}" for c in range(5)], d_logits[j],
                   lambda v: multiclass_loss(v, classes, pos)[0], logits, [(j, c) for c in range(5)])
 
-        y_s = 2.0 * scores_rng.uniforms(batch) - 1.0
-        y_e = 2.0 * scores_rng.uniforms(batch) - 1.0
-        t_s = y_s + np.where(scores_rng.uniforms(batch) < 0.5, 0.4, -0.3)
-        t_e = y_e + np.where(scores_rng.uniforms(batch) < 0.5, -0.5, 0.2)
-        _, d_ys, d_ye = l1_loss(y_s, y_e, t_s, t_e, pos)
-        if pos.size:
-            j = int(pos[-1])
-            check([f"l1 d_ys[{j}] @{i}"], d_ys[[j]],
-                  lambda v: l1_loss(v, y_e, t_s, t_e, pos)[0], y_s, [j])
+        # (start, end) offsets drawn here to keep the batches' draw order
+        mu = 2.0 * np.array([scores_rng.uniforms(batch) for _ in range(2)]) - 1.0
+        u = np.array([scores_rng.uniforms(batch) for _ in range(2)])
+        l1_mu.append(mu.ravel())
+        l1_t.append((mu + np.where(u < 0.5, [[0.4], [-0.5]], [[-0.3], [0.2]])).ravel())
+    mu = np.concatenate(l1_mu)
+    check_loss("l1", range(mu.size), l1_loss, (mu, np.concatenate(l1_t)), ("d_mu",))
 
     layer_rng = rng.split("layers")
     for i in range(max(1, points // 20)):
         w, b = layer_rng.uniforms(12).reshape(3, 4) - 0.5, layer_rng.uniforms(3) - 0.5
         x, dy = layer_rng.uniforms(4) - 0.5, layer_rng.uniforms(3) - 0.5
         dense = DenseLayer(w, b)
-        dense.forward(x)
+        dense.forward(x[None])  # layers take one-row batches
         idx = [(0, 0), (1, 2), (2, 3)]
-        check([f"dense dx[{j}] @{i}" for j in range(4)], dense.backward(dy),
-              lambda v: float(DenseLayer(w, b).forward(v) @ dy), x, range(4))
+        check([f"dense dx[{j}] @{i}" for j in range(4)], dense.backward(dy[None])[0],
+              lambda v: float(DenseLayer(w, b).forward(v[None])[0] @ dy), x, range(4))
         check([f"dense dW{j} @{i}" for j in idx], dense.grad_w[tuple(zip(*idx))],
-              lambda v: float(DenseLayer(v, b).forward(x) @ dy), w, idx)
+              lambda v: float(DenseLayer(v, b).forward(x[None])[0] @ dy), w, idx)
         for name, make, x, dy in (
             ("l2norm", L2NormalizeLayer, layer_rng.uniforms(5) + 0.2, layer_rng.uniforms(5) - 0.5),
             ("relu", ReluLayer, layer_rng.uniforms(6) - 0.5, layer_rng.uniforms(6) - 0.5),
@@ -167,29 +165,28 @@ def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> l
             if np.any(np.abs(x) < 1e-2):
                 continue  # ReLU's kink; the l2norm inputs are >= 0.2
             layer = make()
-            layer.forward(x)
-            check([f"{name} dx[{j}] @{i}" for j in range(x.size)], layer.backward(dy),
-                  lambda v: float(make().forward(v) @ dy), x, range(x.size))
+            layer.forward(x[None])
+            check([f"{name} dx[{j}] @{i}" for j in range(x.size)], layer.backward(dy[None])[0],
+                  lambda v: float(make().forward(v[None])[0] @ dy), x, range(x.size))
 
     return failures
 
 
 def verify_kl_minimizer(tolerance: float = 0.01) -> list[str]:
-    """The quadratic branch, at fixed |d| > 1, is minimized at sigma = |d|."""
-    failures = []
-    for d in (1.5, 2.0, 3.0):
-        lo, hi = math.log(0.05), math.log(10.0)
-        for _ in range(200):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if kl_l1_quadratic(d, math.exp(m1)) < kl_l1_quadratic(d, math.exp(m2)):
-                hi = m2
-            else:
-                lo = m1
-        sigma_star = math.exp(0.5 * (lo + hi))
-        if abs(sigma_star - d) / d > tolerance:
-            failures.append(f"kl quadratic argmin at d={d}: sigma*={sigma_star:.4f}")
-    return failures
+    """The quadratic branch, at fixed |d| > 1, is minimized at sigma = |d|.
+
+    A ternary search over log sigma for each d at once, on the "paper"
+    convention, which puts |d| > 1 on the quadratic branch.
+    """
+    d = np.array([1.5, 2.0, 3.0])
+    lo, hi = np.full(d.size, math.log(0.05)), np.full(d.size, math.log(10.0))
+    for _ in range(200):
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        f1, f2 = kl_l1_loss(0.0, 2.0 * np.array([m1, m2]), d, "paper")[0]
+        lo, hi = np.where(f1 < f2, lo, m1), np.where(f1 < f2, m2, hi)
+    sigma_star = np.exp(0.5 * (lo + hi))
+    return [f"kl quadratic argmin at d={dv}: sigma*={sv:.4f}"
+            for dv, sv in zip(d, sigma_star) if not abs(sv - dv) / dv <= tolerance]
 
 
 def verify_monotonicity() -> list[str]:

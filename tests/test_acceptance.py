@@ -32,7 +32,6 @@ from utal.losses import (
     binary_loss,
     expected_l1,
     kl_l1_loss,
-    kl_l1_quadratic,
     l1_loss,
     multiclass_loss,
     sampled_l1_loss,
@@ -176,12 +175,12 @@ class TestCriterion2GradientSuite:
                 scores = 0.05 + 0.9 * r.uniforms(n)
                 labels = (r.uniforms(n) < 0.4).astype(int)
                 mining = select_hard_negatives(scores, labels, 1.0 / 3.0)
-                _, d_scores = binary_loss(scores, labels, mining)
+                _, d_scores = binary_loss(scores, mining)
                 for j in range(0, n, 3):
                     def f_bin(v, j=j):
                         s = scores.copy()
                         s[j] = v
-                        return binary_loss(s, labels, mining)[0]
+                        return binary_loss(s, mining)[0]
                     _check(d_scores[j], _fd(f_bin, scores[j]), 1e-4)
 
                 logits = 2.0 * r.uniforms(n * 4).reshape(n, 4) - 1.0
@@ -200,13 +199,10 @@ class TestCriterion2GradientSuite:
                 y_e = r.uniforms(n) - 0.5
                 t_s = y_s + np.where(r.uniforms(n) < 0.5, 0.35, -0.3)
                 t_e = y_e + np.where(r.uniforms(n) < 0.5, -0.4, 0.25)
-                _, d_ys, d_ye = l1_loss(y_s, y_e, t_s, t_e, pos)
-                for row in pos[:3]:
-                    def f_l1(v, row=row):
-                        y = y_s.copy()
-                        y[row] = v
-                        return l1_loss(y, y_e, t_s, t_e, pos)[0]
-                    _check(d_ys[row], _fd(f_l1, y_s[row]), 1e-4)
+                for y, t in ((y_s, t_s), (y_e, t_e)):  # elementwise: (start, end) alike
+                    _, d_y = l1_loss(y, t)
+                    for row in pos[:3]:
+                        _check(d_y[row], _fd(lambda v: l1_loss(v, t[row])[0], y[row]), 1e-4)
 
             # layers: dense (weights, biases, input), relu, l2-normalize
             checks = 0
@@ -218,20 +214,20 @@ class TestCriterion2GradientSuite:
                 b = r.uniforms(3) - 0.5
                 x = r.uniforms(4) - 0.5
                 dy = r.uniforms(3) - 0.5
-                layer = DenseLayer(w, b)
-                layer.forward(x)
-                dx = layer.backward(dy)
+                layer = DenseLayer(w, b)  # layers take one-row batches
+                layer.forward(x[None])
+                dx = layer.backward(dy[None])[0]
                 for idx in ((0, 1), (2, 3)):
                     def f_w(v, idx=idx):
                         w2 = w.copy()
                         w2[idx] = v
-                        return float(DenseLayer(w2, b).forward(x) @ dy)
+                        return float(DenseLayer(w2, b).forward(x[None])[0] @ dy)
                     _check(layer.grad_w[idx], _fd(f_w, w[idx]), 1e-4)
                     checks += 1
                 def f_x(v):
                     x2 = x.copy()
                     x2[0] = v
-                    return float(DenseLayer(w, b).forward(x2) @ dy)
+                    return float(DenseLayer(w, b).forward(x2[None])[0] @ dy)
                 _check(dx[0], _fd(f_x, x[0]), 1e-4)
 
                 xr = r.uniforms(5) - 0.5
@@ -249,12 +245,12 @@ class TestCriterion2GradientSuite:
 
                 xn = r.uniforms(5) + 0.2
                 norm = L2NormalizeLayer()
-                norm.forward(xn)
-                dxn = norm.backward(dyr)
+                norm.forward(xn[None])
+                dxn = norm.backward(dyr[None])[0]
                 def f_n(v):
                     x2 = xn.copy()
                     x2[2] = v
-                    return float(L2NormalizeLayer().forward(x2) @ dyr)
+                    return float(L2NormalizeLayer().forward(x2[None])[0] @ dyr)
                 _check(dxn[2], _fd(f_n, xn[2]), 1e-4)
                 checks += 1
 
@@ -287,38 +283,32 @@ class TestCriterion2GradientSuite:
             fwd = model.forward_batch(x)
             mining = _shn(fwd.y_a, t_a, cfg.mining_ratio)
             pos = mining.positive_indices
-            _, d_scores = _bl(fwd.y_a, t_a, mining)
+            _, d_scores = _bl(fwd.y_a, mining)
             d_za = d_scores * fwd.y_a * (1.0 - fwd.y_a)
             _, d_logits = _ml(fwd.logits, t_c, pos)
             d_mu = np.zeros_like(fwd.mu)
             d_alpha = np.zeros_like(fwd.alpha) if model.uncertainty else None
-            if mode == "l1":
-                cls = t_c[pos].astype(int)
-                y_s = np.zeros(batch)
-                y_e = np.zeros(batch)
-                y_s[pos] = fwd.mu[pos, cls, 0]
-                y_e[pos] = fwd.mu[pos, cls, 1]
-                _, d_ys, d_ye = l1_loss(y_s, y_e, t_s, t_e, pos)
-                d_mu[pos, cls, 0] = d_ys[pos]
-                d_mu[pos, cls, 1] = d_ye[pos]
-            else:
-                from utal.losses import expected_l1_training
+            from utal.losses import expected_l1_training
 
-                scale = 1.0 / (2.0 * pos.size)
-                k = 0
-                for i in pos:
-                    c = int(t_c[i])
-                    for bnd, target in ((0, t_s[i]), (1, t_e[i])):
-                        pred = float(fwd.mu[i, c, bnd]), float(fwd.alpha[i, c, bnd])
-                        if mode == "kl_l1":
-                            _, g_mu, g_alpha = kl_l1_loss(*pred, target, cfg.condition_mode)
-                        elif mode == "expected_l1":
-                            _, g_mu, g_alpha = expected_l1_training(*pred, target)
-                        else:
-                            _, g_mu, g_alpha, _ = sampled_l1_loss(*pred, target, _FixedEps(eps_values[k]))
-                        k += 1
-                        d_mu[i, c, bnd] += g_mu * scale
-                        d_alpha[i, c, bnd] += g_alpha * scale
+            # l1 averages over positives, the Gaussian losses over both boundaries too
+            scale = 1.0 / pos.size if mode == "l1" else 1.0 / (2.0 * pos.size)
+            k = 0
+            for i in pos:
+                c = int(t_c[i])
+                for bnd, target in ((0, t_s[i]), (1, t_e[i])):
+                    if mode == "l1":
+                        d_mu[i, c, bnd] += l1_loss(float(fwd.mu[i, c, bnd]), target)[1] * scale
+                        continue
+                    pred = float(fwd.mu[i, c, bnd]), float(fwd.alpha[i, c, bnd])
+                    if mode == "kl_l1":
+                        _, g_mu, g_alpha = kl_l1_loss(*pred, target, cfg.condition_mode)
+                    elif mode == "expected_l1":
+                        _, g_mu, g_alpha = expected_l1_training(*pred, target)
+                    else:
+                        _, g_mu, g_alpha, _ = sampled_l1_loss(*pred, target, _FixedEps(eps_values[k]))
+                    k += 1
+                    d_mu[i, c, bnd] += g_mu * scale
+                    d_alpha[i, c, bnd] += g_alpha * scale
             model.backward_batch(fwd, d_za, d_logits, d_mu, d_alpha)
             grad = model.fc1.grad_w
             probe = Rng(5150).split(mode)
@@ -342,8 +332,10 @@ class TestCriterion3KlVarianceBehavior:
     def test_quadratic_argmin_and_trained_sigma_ordering(self, bench_runs):
         with criterion(3, "KL variance behavior"):
             for d in (1.5, 2.0, 3.0):
-                res = minimize_scalar(
-                    lambda s: kl_l1_quadratic(d, s), bounds=(0.05, 10.0), method="bounded"
+                res = minimize_scalar(  # "paper" puts |d| > 1 on the quadratic branch
+                    lambda s: kl_l1_loss(0.0, 2.0 * math.log(s), d, "paper")[0],
+                    bounds=(0.05, 10.0),
+                    method="bounded",
                 )
                 assert abs(res.x - d) / d <= 0.01, (d, res.x)
 

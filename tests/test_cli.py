@@ -554,7 +554,7 @@ class TestVerifyCommand:
             ("sampled_l1_loss", 1, 1.0 + 2e-4, "sampled_l1 d_mu"),
             ("binary_loss", 1, 1.0 + 2e-4, "binary_loss d_scores"),
             ("multiclass_loss", 1, 1.0 + 2e-4, "multiclass d_logits"),
-            ("l1_loss", 1, 1.0 + 2e-4, "l1 d_ys"),
+            ("l1_loss", 1, 1.0 + 2e-4, "l1 d_mu"),
             (DenseLayer, None, 1.0 + 2e-4, "dense dx"),
             (L2NormalizeLayer, None, 1.0 + 2e-4, "l2norm dx"),
             (ReluLayer, None, 1.0 + 2e-4, "relu dx"),
@@ -581,7 +581,7 @@ class TestVerifyCommand:
                 return tuple(out)
 
             monkeypatch.setattr(verify, target, off)
-        assert any(named in f for f in verify_gradients())
+        assert any(f.startswith(named) for f in verify_gradients())
 
     def test_monotonicity_suite_rejects_nan_values(self, monkeypatch):
         import utal.verify as verify
@@ -631,3 +631,19 @@ class TestCurvesCommand:
             per_loss.setdefault(row["loss_name"], set()).add((row["d"], row["sigma"]))
         for name, grid in per_loss.items():
             assert len(grid) == 121 * 60, name
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval", "curves"])
+def test_out_naming_a_regular_file_is_config_error(cli_workspace, tmp_path, capsys, command):
+    _, cfg_path, data_dir, train_dir, _ = cli_workspace
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    inputs = {
+        "train": ["--manifest", str(data_dir / "manifest.json")],
+        "eval": ["--manifest", str(data_dir / "manifest.json"),
+                 "--checkpoint", str(train_dir / "checkpoint.utal")],
+    }
+    args = [command, "--config", str(cfg_path), *inputs.get(command, []), "--out", str(blocker)]
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err and "Traceback" not in err

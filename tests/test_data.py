@@ -137,8 +137,34 @@ class TestManifestRoundTrip:
         _, manifest = generate_synthetic_dataset(cfg, 13, tmp_path)
         victim = next((tmp_path / "features").glob("*.f32"))
         victim.write_bytes(victim.read_bytes()[:-8])
-        with pytest.raises(ConfigError, match="feature file"):
+        with pytest.raises(ConfigError, match="feature file") as err:
             load_dataset(manifest)
+        assert str(err.value).startswith(f"manifest {manifest}: video record ")
+        assert str(victim) in str(err.value)
+
+    @pytest.mark.parametrize("damage", ["T-zero", "T-too-large", "non-finite", "short-class-table"])
+    def test_loader_errors_name_manifest_record_and_file(self, tmp_path, damage):
+        _, manifest = generate_synthetic_dataset(DataConfig(num_videos=2), 13, tmp_path)
+        doc = json.loads(manifest.read_text())
+        record, where = doc["videos"][1], "video record 1"
+        feature_file = tmp_path / record["feature_file"]
+        if damage == "T-zero":
+            record["T"], named = 0, "video vid0001: T must be >= 1"
+        elif damage == "T-too-large":
+            record["T"], named = record["T"] + 1, f"feature file {feature_file} holds"
+        elif damage == "non-finite":
+            feats = np.frombuffer(feature_file.read_bytes(), "<f4").copy()
+            feats[5] = np.nan
+            feature_file.write_bytes(feats.tobytes())
+            named = f"non-finite values in feature file {feature_file}"
+        else:
+            (tmp_path / "classes.txt").write_text("a\nb\n")
+            where, named = "top level", f"class table {tmp_path / 'classes.txt'} lists 2 names"
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as err:
+            load_dataset(manifest)
+        assert str(err.value).startswith(f"manifest {manifest}: {where}: ")
+        assert named in str(err.value)
 
     def test_loader_rejects_repeated_video_id(self, tmp_path):
         _, manifest = generate_synthetic_dataset(DataConfig(num_videos=3), 13, tmp_path)

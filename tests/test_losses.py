@@ -18,7 +18,6 @@ from utal.losses import (
     expected_l1_training,
     export_loss_surfaces,
     kl_l1_loss,
-    kl_l1_quadratic,
     l1_loss,
     multiclass_loss,
     sampled_l1_loss,
@@ -84,18 +83,18 @@ class TestHardNegativeMining:
 class TestBinaryLoss:
     def test_single_positive_at_half(self):
         mining = MiningResult(np.array([0]), np.array([], dtype=int))
-        loss, _ = binary_loss(np.array([0.5]), np.array([1]), mining)
+        loss, _ = binary_loss(np.array([0.5]), mining)
         assert loss == pytest.approx(math.log(2.0), abs=1e-4)
 
     def test_perfect_predictions(self):
         scores = np.array([1.0 - 1e-9, 1e-9])
         mining = MiningResult(np.array([0]), np.array([1]))
-        loss, _ = binary_loss(scores, np.array([1, 0]), mining)
+        loss, _ = binary_loss(scores, mining)
         assert loss == pytest.approx(0.0, abs=1e-5)
 
     def test_empty_mining_contributes_zero(self):
         mining = MiningResult(np.array([], dtype=int), np.array([], dtype=int))
-        loss, grad = binary_loss(np.array([0.3, 0.7]), np.array([0, 0]), mining)
+        loss, grad = binary_loss(np.array([0.3, 0.7]), mining)
         assert loss == 0.0 and not grad.any()
 
     def test_gradient_matches_finite_differences(self):
@@ -106,19 +105,19 @@ class TestBinaryLoss:
             scores = 0.05 + 0.9 * r.uniforms(n)
             labels = (r.uniforms(n) < 0.4).astype(int)
             mining = select_hard_negatives(scores, labels, 1.0 / 3.0)
-            _, grad = binary_loss(scores, labels, mining)
+            _, grad = binary_loss(scores, mining)
             for j in range(n):
                 def f(v):
                     s = scores.copy()
                     s[j] = v
-                    return binary_loss(s, labels, mining)[0]
+                    return binary_loss(s, mining)[0]
                 assert relative_error(grad[j], finite_difference(f, scores[j])) <= 1e-4
 
     def test_gradient_only_on_mined_indices(self):
         scores = np.array([0.8, 0.6, 0.4, 0.2])
         labels = np.array([1, 0, 0, 0])
         mining = select_hard_negatives(scores, labels, 1.0)  # keeps 1 negative
-        _, grad = binary_loss(scores, labels, mining)
+        _, grad = binary_loss(scores, mining)
         assert grad[0] != 0.0 and grad[1] != 0.0
         assert grad[2] == 0.0 and grad[3] == 0.0
 
@@ -158,16 +157,13 @@ class TestMulticlassLoss:
 
 class TestL1Loss:
     def test_exact_predictions(self):
-        pos = np.array([0, 1])
         t = np.array([0.2, -0.1])
-        loss, d_ys, d_ye = l1_loss(t, t, t, t, pos)
-        assert loss == 0.0
+        loss, _ = l1_loss(t, t)
+        assert np.all(loss == 0.0)
 
     def test_hand_sum(self):
-        loss, _, _ = l1_loss(
-            np.array([0.0]), np.array([0.0]), np.array([0.3]), np.array([-0.2]), np.array([0])
-        )
-        assert loss == pytest.approx(0.5, abs=1e-12)
+        loss, _ = l1_loss(np.array([0.0, 0.0]), np.array([0.3, -0.2]))
+        assert loss.sum() == pytest.approx(0.5, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = Rng(15)
@@ -178,19 +174,11 @@ class TestL1Loss:
             y_e = r.uniforms(n) - 0.5
             t_s = y_s + np.where(r.uniforms(n) < 0.5, 0.3, -0.4)
             t_e = y_e + np.where(r.uniforms(n) < 0.5, -0.25, 0.35)
-            pos = np.flatnonzero(r.uniforms(n) < 0.5)
-            _, d_ys, d_ye = l1_loss(y_s, y_e, t_s, t_e, pos)
-            for j in range(n):
-                def fs(v):
-                    y = y_s.copy()
-                    y[j] = v
-                    return l1_loss(y, y_e, t_s, t_e, pos)[0]
-                def fe(v):
-                    y = y_e.copy()
-                    y[j] = v
-                    return l1_loss(y_s, y, t_s, t_e, pos)[0]
-                assert relative_error(d_ys[j], finite_difference(fs, y_s[j])) <= 1e-4
-                assert relative_error(d_ye[j], finite_difference(fe, y_e[j])) <= 1e-4
+            mu, t = np.stack((y_s, y_e), axis=1), np.stack((t_s, t_e), axis=1)
+            _, d_mu = l1_loss(mu, t)
+            for idx in np.ndindex(mu.shape):
+                fd = finite_difference(lambda v: l1_loss(v, t[idx])[0], mu[idx])
+                assert relative_error(d_mu[idx], fd) <= 1e-4
 
 
 class TestKlL1Loss:
@@ -226,7 +214,9 @@ class TestKlL1Loss:
     def test_quadratic_branch_sigma_argmin_is_abs_d(self):
         for d in (1.5, 2.0, 3.0):
             res = minimize_scalar(
-                lambda s: kl_l1_quadratic(d, s), bounds=(0.05, 10.0), method="bounded"
+                lambda s: kl_l1_loss(0.0, 2.0 * math.log(s), d, "paper")[0],
+                bounds=(0.05, 10.0),
+                method="bounded",
             )
             assert res.x == pytest.approx(d, rel=0.01)
 

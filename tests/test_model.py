@@ -97,9 +97,9 @@ class TestForward:
 
     def test_dimension_mismatch_hard_error(self):
         model = init_model(TrainConfig(hidden=16), 8, 3, seed=5)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="layer fc1: input dim 7"):
             model.forward_batch(np.ones((1, 7)))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="layer l2_normalize: expected a"):
             model.forward_batch(np.ones(8 * 4))
 
     def test_alpha_rows_clamped(self):
@@ -114,41 +114,38 @@ def _total_loss_for_model(model, cfg, x_batch, t_a, t_c, t_s, t_e, eps_values):
     """Total training loss recomputed functionally (for finite differences)."""
     fwd = model.forward_batch(x_batch)
     mining = select_hard_negatives(fwd.y_a, t_a, cfg.mining_ratio)
-    loss_bin, _ = binary_loss(fwd.y_a, t_a, mining)
+    loss_bin, _ = binary_loss(fwd.y_a, mining)
     loss_cls, _ = multiclass_loss(fwd.logits, t_c, mining.positive_indices)
     pos = mining.positive_indices
     loss_reg = 0.0
     if pos.size:
-        if cfg.loss_mode == "l1":
-            y_s = np.zeros(len(t_a))
-            y_e = np.zeros(len(t_a))
-            cls = t_c[pos].astype(int)
-            y_s[pos] = fwd.mu[pos, cls, 0]
-            y_e[pos] = fwd.mu[pos, cls, 1]
-            loss_reg, _, _ = l1_loss(y_s, y_e, t_s, t_e, pos)
-        else:
-            scale = 1.0 / (2.0 * pos.size)
-            k = 0
-            for i in pos:
-                c = int(t_c[i])
-                for b, target in ((0, t_s[i]), (1, t_e[i])):
-                    pred = float(fwd.mu[i, c, b]), float(fwd.alpha[i, c, b])
-                    if cfg.loss_mode == "kl_l1":
-                        val = kl_l1_loss(*pred, target, cfg.condition_mode)[0]
-                    elif cfg.loss_mode == "expected_l1":
-                        val = expected_l1_training(*pred, target)[0]
-                    else:
+        # l1 averages over positives, the Gaussian losses over both boundaries too
+        scale = 1.0 / pos.size if cfg.loss_mode == "l1" else 1.0 / (2.0 * pos.size)
+        k = 0
+        for i in pos:
+            c = int(t_c[i])
+            for b, target in ((0, t_s[i]), (1, t_e[i])):
+                pred = [float(fwd.mu[i, c, b])]  # then alpha, in the Gaussian modes
+                if fwd.alpha is not None:
+                    pred.append(float(fwd.alpha[i, c, b]))
+                if cfg.loss_mode == "l1":
+                    val = l1_loss(*pred, target)[0]
+                elif cfg.loss_mode == "kl_l1":
+                    val = kl_l1_loss(*pred, target, cfg.condition_mode)[0]
+                elif cfg.loss_mode == "expected_l1":
+                    val = expected_l1_training(*pred, target)[0]
+                else:
 
-                        class _Eps:
-                            def __init__(self, v):
-                                self.v = v
+                    class _Eps:
+                        def __init__(self, v):
+                            self.v = v
 
-                            def normal(self, size):
-                                return np.full(size, self.v)
+                        def normal(self, size):
+                            return np.full(size, self.v)
 
-                        val = sampled_l1_loss(*pred, target, _Eps(eps_values[k]))[0]
-                    k += 1
-                    loss_reg += val * scale
+                    val = sampled_l1_loss(*pred, target, _Eps(eps_values[k]))[0]
+                k += 1
+                loss_reg += val * scale
     return cfg.w_bin * loss_bin + cfg.w_cls * loss_cls + cfg.w_reg * loss_reg
 
 
@@ -170,7 +167,7 @@ class TestEndToEndGradient:
         fwd = model.forward_batch(x)
         mining = select_hard_negatives(fwd.y_a, t_a, cfg.mining_ratio)
         pos = mining.positive_indices
-        _, d_scores = binary_loss(fwd.y_a, t_a, mining)
+        _, d_scores = binary_loss(fwd.y_a, mining)
         d_za = d_scores * fwd.y_a * (1.0 - fwd.y_a)
         _, d_logits = multiclass_loss(fwd.logits, t_c, pos)
 
@@ -207,7 +204,7 @@ def _upstream_grads(model, cfg, fwd, t_a, t_c, t_s, t_e):
     d_mu, d_alpha) for one batch."""
     mining = select_hard_negatives(fwd.y_a, t_a, cfg.mining_ratio)
     pos = mining.positive_indices
-    _, d_scores = binary_loss(fwd.y_a, t_a, mining)
+    _, d_scores = binary_loss(fwd.y_a, mining)
     _, d_logits = multiclass_loss(fwd.logits, t_c, pos)
     _, d_mu, d_alpha = _regression_terms(model, cfg, fwd, pos, t_c, t_s, t_e, Rng(3))
     return d_scores * fwd.y_a * (1.0 - fwd.y_a), d_logits, d_mu, d_alpha

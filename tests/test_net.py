@@ -33,11 +33,11 @@ class TestDenseLayer:
     def test_identity_map(self):
         layer = DenseLayer(np.eye(4), np.zeros(4))
         x = np.array([1.0, -2.0, 3.0, 0.5])
-        np.testing.assert_array_equal(layer.forward(x), x)
+        np.testing.assert_array_equal(layer.forward(x[None]), x[None])
 
     def test_zero_input_returns_bias(self):
         layer = DenseLayer(np.ones((3, 4)), np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(layer.forward(np.zeros(4)), layer.biases)
+        np.testing.assert_array_equal(layer.forward(np.zeros((1, 4)))[0], layer.biases)
 
     def test_batch_matches_per_sample(self):
         rng = Rng(0)
@@ -45,7 +45,7 @@ class TestDenseLayer:
         xs = rng.uniforms(8).reshape(2, 4)
         batch = layer.forward(xs)
         for i in range(2):
-            np.testing.assert_allclose(batch[i], layer.forward(xs[i]), atol=1e-15)
+            np.testing.assert_allclose(batch[i], layer.forward(xs[i][None])[0], atol=1e-15)
 
     def test_gradients_match_finite_differences(self):
         rng = Rng(42)
@@ -56,17 +56,17 @@ class TestDenseLayer:
             x = r.uniforms(4) - 0.5
             dy = r.uniforms(3) - 0.5
             layer = DenseLayer(w, b)
-            layer.forward(x)
-            dx = layer.backward(dy)
+            layer.forward(x[None])
+            dx = layer.backward(dy[None])[0]
 
             def loss_w(wv):
-                return float(DenseLayer(wv, b).forward(x) @ dy)
+                return float(DenseLayer(wv, b).forward(x[None])[0] @ dy)
 
             def loss_b(bv):
-                return float(DenseLayer(w, bv).forward(x) @ dy)
+                return float(DenseLayer(w, bv).forward(x[None])[0] @ dy)
 
             def loss_x(xv):
-                return float(DenseLayer(w, b).forward(xv) @ dy)
+                return float(DenseLayer(w, b).forward(xv[None])[0] @ dy)
 
             for idx in np.ndindex(w.shape):
                 assert relative_error(layer.grad_w[idx], _fd(loss_w, w, idx)) <= 1e-4
@@ -96,8 +96,8 @@ class TestDenseLayer:
             dx = layer.backward(dy)
             assert dx.dtype == dtype
             np.testing.assert_array_equal(dx, dy.astype(dtype) @ w)
-            layer.forward(np.ones(1000))
-            np.testing.assert_array_equal(layer.backward(dy[1]), (dy[1:2].astype(dtype) @ w)[0])
+            layer.forward(np.ones((1, 1000)))
+            np.testing.assert_array_equal(layer.backward(dy[1:2]), dy[1:2].astype(dtype) @ w)
 
     def test_backward_overwrites_gradients(self):
         """Each backward writes dy^T x and the column sums of dy, whatever
@@ -118,8 +118,20 @@ class TestDenseLayer:
 
     def test_dimension_mismatch_is_hard_error(self):
         layer = DenseLayer(np.zeros((2, 3)), np.zeros(2))
-        with pytest.raises(ConfigError):
-            layer.forward(np.ones(4))
+        with pytest.raises(ConfigError, match="input dim 4, expected 3"):
+            layer.forward(np.ones((1, 4)))
+
+
+@pytest.mark.parametrize(
+    "layer", [DenseLayer(np.zeros((2, 3)), np.zeros(2)), L2NormalizeLayer()], ids=["dense", "l2norm"]
+)
+def test_vector_input_is_config_error(layer):
+    """Dense and l2-normalize layers take [batch x dim] only; one row is x[None]."""
+    with pytest.raises(ConfigError, match=r"expected a \[batch x dim\] matrix, got shape \(3,\)"):
+        layer.forward(np.ones(3))
+    width = layer.forward(np.ones((1, 3))).shape[1]
+    with pytest.raises(ConfigError, match=rf"got shape \({width},\)"):
+        layer.backward(np.ones(width))
 
 
 class TestRelu:
@@ -167,7 +179,7 @@ class TestRelu:
 class TestL2Normalize:
     def test_three_four_five(self):
         np.testing.assert_allclose(
-            L2NormalizeLayer().forward(np.array([3.0, 4.0])), np.array([0.6, 0.8]), atol=1e-15
+            L2NormalizeLayer().forward(np.array([[3.0, 4.0]])), np.array([[0.6, 0.8]]), atol=1e-15
         )
 
     def test_unit_norm_output(self):
@@ -176,7 +188,7 @@ class TestL2Normalize:
             x = rng.uniforms(8) - 0.5
             if np.linalg.norm(x) < 1e-6:
                 continue
-            assert np.linalg.norm(L2NormalizeLayer().forward(x)) == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.norm(L2NormalizeLayer().forward(x[None])) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_keeps_the_input_dtype(self, dtype):
@@ -185,7 +197,7 @@ class TestL2Normalize:
         assert layer.backward(np.ones((1, 2))).dtype == dtype  # the float64 grad is cast
 
     def test_zero_vector_maps_to_zero(self):
-        np.testing.assert_array_equal(L2NormalizeLayer().forward(np.zeros(5)), np.zeros(5))
+        np.testing.assert_array_equal(L2NormalizeLayer().forward(np.zeros((1, 5))), np.zeros((1, 5)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_backward_equals_two_branch_where_form(self, dtype):
@@ -215,9 +227,9 @@ class TestL2Normalize:
         dx = layer.backward(dy)
         assert dx.dtype == want.dtype == dtype
         np.testing.assert_array_equal(dx, want)
-        for row in (0, 3):  # one vector, normalized and at eps
-            layer.forward(x[row])
-            np.testing.assert_array_equal(layer.backward(dy[row]), want[row])
+        for row in (0, 3):  # one-row batches, normalized and at eps
+            layer.forward(x[row][None])
+            np.testing.assert_array_equal(layer.backward(dy[row][None]), want[row][None])
 
     def test_gradient_matches_finite_differences(self):
         rng = Rng(12)
@@ -226,10 +238,10 @@ class TestL2Normalize:
             x = r.uniforms(5) + 0.2
             dy = r.uniforms(5) - 0.5
             layer = L2NormalizeLayer()
-            layer.forward(x)
-            dx = layer.backward(dy)
+            layer.forward(x[None])
+            dx = layer.backward(dy[None])[0]
             for j in range(5):
-                fd = _fd(lambda v: float(L2NormalizeLayer().forward(v) @ dy), x, (j,))
+                fd = _fd(lambda v: float(L2NormalizeLayer().forward(v[None])[0] @ dy), x, (j,))
                 assert relative_error(dx[j], fd) <= 1e-4
 
 
@@ -355,11 +367,11 @@ class TestComposition:
         dy = rng.uniforms(2) - 0.5
 
         def net(xv):
-            return float(l2.forward(relu.forward(l1.forward(xv))) @ dy)
+            return float(l2.forward(relu.forward(l1.forward(xv[None])))[0] @ dy)
 
         net(x)
-        dh = l2.backward(dy)
-        dx = l1.backward(relu.backward(dh))
+        dh = l2.backward(dy[None])
+        dx = l1.backward(relu.backward(dh))[0]
         for j in range(5):
             assert relative_error(dx[j], _fd(net, x, (j,))) <= 1e-4
 
