@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +182,7 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
 def cmd_train(
     cfg: RunConfig, manifest: Path, out_dir: Path, resume: Path | None = None
 ) -> Path:
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before any work
     dataset = load_dataset(manifest)
     if resume is not None:
         model, _ = load_checkpoint(resume)
@@ -201,20 +202,13 @@ def cmd_train(
         model = init_model(cfg.train, dataset.d_feat, dataset.num_classes, cfg.seed)
     training_set = build_training_set(dataset, cfg.proposals, cfg.train.k)
     model, curve = train(model, dataset, cfg.train, cfg.proposals, training_set)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = save_checkpoint(model, out_dir / "checkpoint.utal", cfg.train)
     with open(out_dir / "loss_curve.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["epoch", "loss_bin", "loss_cls", "loss_reg", "mean_sigma_pos", "mean_sigma_hardneg"]
         )
-        for row in curve:
-            sigmas = (row.mean_sigma_pos, row.mean_sigma_hardneg)
-            writer.writerow(
-                [row.epoch, repr(row.loss_bin), repr(row.loss_cls), repr(row.loss_reg)]
-                + ["" if s is None else repr(s) for s in sigmas]
-            )
+        writer.writerows(map(astuple, curve))  # csv writes floats with repr, None as ""
     d, sigma = collect_offset_stats(model, training_set)
     if sigma is None:
         header, columns = ["d_start", "d_end"], d
@@ -240,6 +234,7 @@ def _format_map_row(report_dict: dict) -> str:
 
 
 def cmd_eval(cfg: RunConfig, checkpoint: Path, manifest: Path, out_dir: Path) -> dict:
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before any work
     model, _ = load_checkpoint(checkpoint)
     dataset = load_dataset(manifest)
     if model.d_feat != dataset.d_feat or model.num_classes != dataset.num_classes:
@@ -255,15 +250,13 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, manifest: Path, out_dir: Path) ->
         print("warning: no detections above the score floor", file=sys.stderr)
     report.config = asdict(cfg)
     report_dict = report.to_dict()
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
         json.dumps(report_dict, indent=2, sort_keys=True) + "\n"
     )
     with open(out_dir / "detections.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["video_id", "class_id", "start", "end", "score"])
-        for d in dets:
-            writer.writerow([d.video_id, d.class_id, repr(d.start), repr(d.end), repr(d.score)])
+        writer.writerows((d.video_id, d.class_id, d.start, d.end, d.score) for d in dets)
     _write_config_echo(cfg, out_dir)
     print(_format_map_row(report_dict))
     return report_dict

@@ -308,7 +308,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         num_classes = int(manifest["num_classes"])
         class_names = [f"class_{c:02d}" for c in range(num_classes)]
         table = manifest.get("class_table")
-        if table and (base / table).exists():
+        if table:  # a named table must exist; without one the names default
             class_names = (base / table).read_text().splitlines()
             if len(class_names) != num_classes:
                 raise ConfigError(f"class table {base / table} lists {len(class_names)} "
@@ -412,37 +412,36 @@ def compute_offsets(starts, ends, gt_starts, gt_ends) -> tuple[np.ndarray, np.nd
 def label_proposals(
     starts: np.ndarray,
     ends: np.ndarray,
-    annotations: list[ActionAnnotation],
+    gt: np.ndarray,
     pos_thr: float = 0.5,
     neg_thr: float = 0.3,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Assign actioness labels and regression targets by max tIoU.
 
-    One [N x A] tIoU matrix of windows [starts, ends] against annotations.
-    Positive iff max tIoU > 0 and >= pos_thr (matched to the argmax
-    annotation, ties to the earlier one); negative iff max tIoU < neg_thr;
-    windows in between are discarded.  Returns the indices of the kept
-    windows with their class (-1 for negatives) and start and end offsets
-    (0 for negatives).
+    One [N x A] tIoU matrix of windows [starts, ends] against `gt` [N x A x 3],
+    each window's own video's annotations as rows (class_id, start, end), or
+    one video's [1 x A x 3].  Positive iff max tIoU > 0 and >= pos_thr (matched
+    to the argmax annotation, ties to the earlier one); negative iff max tIoU <
+    neg_thr; windows in between are discarded.  Returns the kept windows'
+    indices, class (-1 for negatives) and start and end offsets (0 for negatives).
     """
     if not 0.0 <= neg_thr <= pos_thr <= 1.0:
         raise ConfigError("need 0 <= neg_thr <= pos_thr <= 1")
+    gt = np.broadcast_to(gt, (starts.shape[0], *gt.shape[1:]))
     # column 0 stands for "no annotation": argmax takes the first maximum, so
     # it wins only where no annotation overlaps the window at all
-    gt = np.array([(-1, 0.0, 0.0)] + [(a.class_id, a.start, a.end) for a in annotations])
-    tious = np.zeros((starts.shape[0], gt.shape[0]))
-    tious[:, 1:] = pairwise_tiou(starts[:, None], ends[:, None], gt[1:, 1], gt[1:, 2])
+    tious = np.zeros((starts.shape[0], gt.shape[1] + 1))
+    tious[:, 1:] = pairwise_tiou(starts[:, None], ends[:, None], gt[..., 1], gt[..., 2])
     best = tious.argmax(axis=1)
     best_t = tious[np.arange(starts.shape[0]), best]
     positive = (best > 0) & (best_t >= pos_thr)
     keep = np.flatnonzero(positive | (best_t < neg_thr))
-    best = np.where(positive[keep], best[keep], 0)
-    t_s, t_e = np.zeros(keep.size), np.zeros(keep.size)
-    pos = best > 0
-    t_s[pos], t_e[pos] = compute_offsets(
-        starts[keep[pos]], ends[keep[pos]], gt[best[pos], 1], gt[best[pos], 2]
-    )
-    return keep, gt[best, 0].astype(int), t_s, t_e
+    pos, hit = positive[keep], keep[positive[keep]]
+    matched = gt[hit, best[hit] - 1]  # [P x 3]
+    t_c, t_s, t_e = np.full(keep.size, -1), np.zeros(keep.size), np.zeros(keep.size)
+    t_c[pos] = matched[:, 0]
+    t_s[pos], t_e[pos] = compute_offsets(starts[hit], ends[hit], matched[:, 1], matched[:, 2])
+    return keep, t_c, t_s, t_e
 
 
 def pairwise_tiou(s1, e1, s2, e2) -> np.ndarray:
@@ -463,7 +462,8 @@ def pool_k_parts(video: UnitFeatureSequence, starts, ends, k: int) -> np.ndarray
     units they overlap, weighted by overlap length.  With F the piecewise-
     linear cumulative sum of the unit features (an integral image), the mean
     over [lo, hi] is (F(hi) - F(lo)) / (hi - lo).  A zero-length sub-span
-    falls back to the unit containing its midpoint.
+    falls back to the unit containing its midpoint.  Sub-spans whose bounds
+    are equal bit for bit are pooled once and share the result.
     """
     if k < 1:
         raise ConfigError("k must be at least 1")
@@ -472,8 +472,17 @@ def pool_k_parts(video: UnitFeatureSequence, starts, ends, k: int) -> np.ndarray
     starts = np.asarray(starts, dtype=np.float64)
     ends = np.asarray(ends, dtype=np.float64)
     span = (ends - starts) / k
-    lo = starts[:, None] + np.arange(k)[None, :] * span[:, None]  # [N x k]
-    hi = lo + span[:, None]
+    lo = (starts[:, None] + np.arange(k)[None, :] * span[:, None]).ravel()  # [N*k]
+    hi = lo + np.repeat(span, k)
+    lo_bits, hi_bits = lo.view(np.uint64), hi.view(np.uint64)  # -0.0 and +0.0 stay apart
+    # equal pairs sort together; pairs that collide on the key are at worst pooled twice
+    order = np.argsort(lo_bits * np.uint64(0x9E3779B97F4A7C15) + hi_bits)
+    lo_bits, hi_bits = lo_bits[order], hi_bits[order]
+    first = np.ones(lo.size, dtype=bool)
+    first[1:] = (lo_bits[1:] != lo_bits[:-1]) | (hi_bits[1:] != hi_bits[:-1])
+    inverse = np.empty(lo.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    lo, hi = lo[order[first]], hi[order[first]]
     lo_c = np.clip(lo, 0.0, t_units)
     hi_c = np.clip(hi, 0.0, t_units)
     cum = np.zeros((t_units + 1, feats.shape[1]))
@@ -482,35 +491,43 @@ def pool_k_parts(video: UnitFeatureSequence, starts, ends, k: int) -> np.ndarray
     # cancel exactly when both ends lie in one unit
     u_lo = np.minimum(np.floor(lo_c), t_units - 1).astype(np.intp)
     u_hi = np.minimum(np.floor(hi_c), t_units - 1).astype(np.intp)
-    num = cum[u_hi] - cum[u_lo] + (hi_c - u_hi)[..., None] * feats[u_hi]
-    num -= (lo_c - u_lo)[..., None] * feats[u_lo]
+    num = cum[u_hi] - cum[u_lo] + (hi_c - u_hi)[:, None] * feats[u_hi]
+    num -= (lo_c - u_lo)[:, None] * feats[u_lo]
     length = hi_c - lo_c
     covered = length > 0.0
-    pooled = num / np.where(covered, length, 1.0)[..., None]
+    pooled = num / np.where(covered, length, 1.0)[:, None]
     if not covered.all():
         mid = np.clip(np.floor((lo + hi) / 2.0), 0, t_units - 1).astype(np.intp)
         pooled[~covered] = feats[mid[~covered]]
-    return pooled.reshape(starts.shape[0], k * feats.shape[1])
+    return pooled[inverse].reshape(starts.shape[0], k * feats.shape[1])
 
 
 def build_training_set(dataset: Dataset, prop_cfg: ProposalConfig, k: int) -> TrainingSet:
-    """Windows -> labels -> pooled features, rows by video id, window start, scale."""
+    """Windows -> labels -> pooled features, rows by video id, window start, scale:
+    windows once per length, labels once per annotation count, pooling per video."""
     prop_cfg.validate()
     videos = sorted(dataset.videos, key=lambda v: v.sequence.video_id)
-    labeled = []
-    for item in videos:
-        starts, ends = sliding_windows(item.sequence.num_units, prop_cfg.scales, prop_cfg.overlap)
-        keep, t_c, t_s, t_e = label_proposals(
-            starts, ends, item.annotations, prop_cfg.pos_thr, prop_cfg.neg_thr
+    lengths = [item.sequence.num_units for item in videos]
+    windows = {t: np.stack(sliding_windows(t, prop_cfg.scales, prop_cfg.overlap))
+               for t in set(lengths)}  # (starts, ends) rows per length, for this build only
+    starts, ends = np.concatenate([np.empty((2, 0)), *(windows[t] for t in lengths)], axis=1)
+    counts = np.array([windows[t].shape[1] for t in lengths], dtype=np.intp)
+    sizes = np.array([len(item.annotations) for item in videos], dtype=np.intp)
+    t_c, t_s, t_e = np.full(starts.size, -2), np.empty(starts.size), np.empty(starts.size)
+    for a in set(sizes.tolist()):
+        members = [item.annotations for item in videos if len(item.annotations) == a]
+        gt = np.array([[(x.class_id, x.start, x.end) for x in anns] for anns in members])
+        gt = np.repeat(gt.reshape(len(members), a, 3), counts[sizes == a], axis=0)  # per window
+        rows = np.flatnonzero(np.repeat(sizes == a, counts))  # the members' windows, in order
+        keep, *labels = label_proposals(
+            starts[rows], ends[rows], gt, prop_cfg.pos_thr, prop_cfg.neg_thr
         )
-        labeled.append((starts[keep], ends[keep], t_c, t_s, t_e))
-    n = sum(starts.size for starts, *_ in labeled)
-    x = np.empty((n, k * dataset.d_feat), dtype=np.float32)  # the network's dtype
-    t_c, t_s, t_e = np.empty(n, int), np.empty(n), np.empty(n)
+        t_c[rows[keep]], t_s[rows[keep]], t_e[rows[keep]] = labels
+    keep = np.flatnonzero(t_c > -2)  # class -2: no call kept the window
+    t_c, t_s, t_e = t_c[keep], t_s[keep], t_e[keep]
+    x = np.empty((keep.size, k * dataset.d_feat), dtype=np.float32)  # the network's dtype
     lo = 0
-    for item, (starts, ends, *labels) in zip(videos, labeled):
-        hi = lo + starts.size
-        x[lo:hi] = pool_k_parts(item.sequence, starts, ends, k)
-        t_c[lo:hi], t_s[lo:hi], t_e[lo:hi] = labels
+    for item, hi in zip(videos, np.searchsorted(keep, np.cumsum(counts))):
+        x[lo:hi] = pool_k_parts(item.sequence, starts[keep[lo:hi]], ends[keep[lo:hi]], k)
         lo = hi
     return TrainingSet(x, (t_c >= 0).astype(int), t_c, t_s, t_e)

@@ -195,8 +195,6 @@ def _expected_l1_foil(d: float, sigma: float) -> float:
     to the correct folded-normal mean; the Monte Carlo verification must
     reject it, which proves the check can actually detect a bad formula.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     z = d / (sigma * math.sqrt(2.0))
     return d * math.erf(z) + sigma * math.exp(-(d * d) / (sigma * sigma)) / math.sqrt(2.0 * math.pi)
 

@@ -58,6 +58,9 @@ FC1_INIT_GAIN = 8.0
 # the sampled loss feed sign-noise into mu for many epochs.
 ALPHA_BIAS_INIT = -2.0
 
+# the Model arguments a checkpoint sidecar records beside the train config
+_MODEL_KEYS = ("d_feat", "num_classes", "k", "hidden", "uncertainty", "seed")
+
 
 @dataclass
 class TrainConfig:
@@ -391,15 +394,7 @@ def save_checkpoint(model: Model, path: str | Path, cfg: TrainConfig) -> Path:
     for layer in model.dense_layers:
         arrays[f"{layer.name}.weights"] = layer.weights
         arrays[f"{layer.name}.biases"] = layer.biases
-    sidecar = {
-        "train_config": asdict(cfg),
-        "d_feat": model.d_feat,
-        "num_classes": model.num_classes,
-        "k": model.k,
-        "hidden": model.hidden,
-        "uncertainty": model.uncertainty,
-        "seed": model.seed,
-    }
+    sidecar = {"train_config": asdict(cfg), **{key: getattr(model, key) for key in _MODEL_KEYS}}
     temps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, sidecar_path)]
     try:
         save_arrays(temps[0], arrays)
@@ -420,16 +415,13 @@ def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
     """
     path = Path(path)
     sidecar_path = Path(str(path) + ".json")
-    if not sidecar_path.exists():
-        raise ConfigError(f"checkpoint sidecar missing: {sidecar_path}")
     try:
         sidecar = json.loads(sidecar_path.read_text())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read checkpoint sidecar {sidecar_path}: {exc}") from exc
     try:
         cfg = TrainConfig(**sidecar["train_config"])
-        model_keys = ("d_feat", "num_classes", "k", "hidden", "uncertainty", "seed")
-        model = Model(**{key: sidecar[key] for key in model_keys})
+        model = Model(**{key: sidecar[key] for key in _MODEL_KEYS})
     except KeyError as exc:
         raise ConfigError(f"checkpoint sidecar {sidecar_path} lacks key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:

@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+from utal import cli
 from utal.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -379,6 +380,12 @@ class TestTrainCommand:
         manifest.write_text(json.dumps(doc))
         assert repr(key) in self._train_error(cfg_path, manifest, tmp_path, capsys)
 
+    def test_missing_class_table_names_manifest_and_table(self, cli_workspace, tmp_path, capsys):
+        cfg_path, manifest = self._copy_data(cli_workspace, tmp_path)
+        (manifest.parent / "classes.txt").unlink()
+        err = self._train_error(cfg_path, manifest, tmp_path, capsys)
+        assert str(manifest.parent / "classes.txt") in err and "Traceback" not in err
+
     def test_repeated_video_id_names_manifest_and_id(self, cli_workspace, tmp_path, capsys):
         cfg_path, manifest = self._copy_data(cli_workspace, tmp_path)
         doc = json.loads(manifest.read_text())
@@ -634,8 +641,17 @@ class TestCurvesCommand:
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "curves"])
-def test_out_naming_a_regular_file_is_config_error(cli_workspace, tmp_path, capsys, command):
+def test_out_naming_a_regular_file_is_config_error(
+    cli_workspace, tmp_path, capsys, monkeypatch, command
+):
+    """The --out directory is made before any input is loaded or model trained."""
     _, cfg_path, data_dir, train_dir, _ = cli_workspace
+
+    def too_early(*args, **kwargs):
+        raise AssertionError("work started before --out was made")
+
+    for name in ("load_dataset", "load_checkpoint", "train", "collect_detections"):
+        monkeypatch.setattr(cli, name, too_early)
     blocker = tmp_path / "afile"
     blocker.write_text("")
     inputs = {

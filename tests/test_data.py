@@ -15,6 +15,7 @@ from utal.data import (
     Dataset,
     ProposalConfig,
     UnitFeatureSequence,
+    VideoItem,
     build_training_set,
     class_prototypes,
     class_ramp_directions,
@@ -166,6 +167,22 @@ class TestManifestRoundTrip:
         assert str(err.value).startswith(f"manifest {manifest}: {where}: ")
         assert named in str(err.value)
 
+    def test_named_class_table_must_exist(self, tmp_path):
+        _, manifest = generate_synthetic_dataset(DataConfig(num_videos=2), 13, tmp_path)
+        (tmp_path / "classes.txt").unlink()
+        with pytest.raises(ConfigError) as err:
+            load_dataset(manifest)
+        assert str(err.value).startswith(f"manifest {manifest}: top level: ")
+        assert str(tmp_path / "classes.txt") in str(err.value)
+
+    def test_manifest_without_class_table_keeps_default_names(self, tmp_path):
+        _, manifest = generate_synthetic_dataset(DataConfig(num_videos=2), 13, tmp_path)
+        doc = json.loads(manifest.read_text())
+        del doc["class_table"]
+        manifest.write_text(json.dumps(doc))
+        (tmp_path / "classes.txt").write_text("a\nb\nc\nd\ne\n")  # not named, not read
+        assert load_dataset(manifest).class_names == [f"class_{c:02d}" for c in range(5)]
+
     def test_loader_rejects_repeated_video_id(self, tmp_path):
         _, manifest = generate_synthetic_dataset(DataConfig(num_videos=3), 13, tmp_path)
         doc = json.loads(manifest.read_text())
@@ -264,6 +281,11 @@ def _windows(*spans):
     return np.array([w[0] for w in spans], float), np.array([w[1] for w in spans], float)
 
 
+def _gt(annotations):
+    """One video's annotations as the [1 x A x 3] rows `label_proposals` takes."""
+    return np.array([(a.class_id, a.start, a.end) for a in annotations], float).reshape(1, -1, 3)
+
+
 class TestOffsets:
     def test_hand_example(self):
         t_s, t_e = compute_offsets(*_windows((10.0, 20.0)), np.array([12.0]), np.array([22.0]))
@@ -297,12 +319,28 @@ _grid_span = st.tuples(st.integers(0, 40), st.integers(0, 12)).map(
 _thresholds = st.sampled_from([0.0, 0.1, 0.3, 1.0 / 3.0, 0.35, 0.5, 0.7, 1.0])
 
 
+@st.composite
+def _labelling_videos(draw):
+    """Videos of different lengths, each with 0, 1 or 3 annotations on a
+    half-unit grid inside [0, T] (repeats and shared boundaries included)."""
+    videos = []
+    for count in draw(st.lists(st.sampled_from([0, 1, 3]), min_size=1, max_size=5)):
+        t_units = draw(st.integers(8, 40))
+        annotations = []
+        for _ in range(count):
+            start = draw(st.integers(0, 2 * t_units - 1))
+            end = draw(st.integers(start + 1, 2 * t_units))
+            annotations.append(ActionAnnotation(draw(st.integers(0, 4)), start / 2, end / 2))
+        videos.append((t_units, annotations))
+    return videos
+
+
 class TestLabeling:
     def _annotations(self):
         return [ActionAnnotation(2, 10.0, 20.0), ActionAnnotation(1, 40.0, 60.0)]
 
     def _label(self, spans, annotations, pos_thr=0.5, neg_thr=0.3):
-        keep, t_c, t_s, t_e = label_proposals(*_windows(*spans), annotations, pos_thr, neg_thr)
+        keep, t_c, t_s, t_e = label_proposals(*_windows(*spans), _gt(annotations), pos_thr, neg_thr)
         return keep.tolist(), t_c.tolist(), t_s.tolist(), t_e.tolist()
 
     def test_exact_match_is_positive_with_zero_offsets(self):
@@ -354,17 +392,49 @@ class TestLabeling:
         neg_thr, pos_thr = sorted(thresholds)
         annotations = [ActionAnnotation(c, s, e) for c, (s, e) in gts if e > s]
         starts, ends = _windows(*spans)
-        got = label_proposals(starts, ends, annotations, pos_thr, neg_thr)
+        got = label_proposals(starts, ends, _gt(annotations), pos_thr, neg_thr)
         expected = label_proposals_oracle(
             starts.tolist(), ends.tolist(), annotations, pos_thr, neg_thr
         )
         assert [col.tolist() for col in got] == list(expected)
 
+    @given(videos=_labelling_videos(), thresholds=st.tuples(_thresholds, _thresholds))
+    @example(
+        videos=[
+            (20, []),
+            (33, [ActionAnnotation(1, 4.0, 12.0)]),
+            (9, [ActionAnnotation(0, 0.0, 4.0), ActionAnnotation(2, 4.0, 8.0),
+                 ActionAnnotation(4, 0.0, 4.0)]),
+        ],
+        thresholds=(0.3, 0.5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_windows_of_many_videos_match_per_video_oracle(self, videos, thresholds):
+        """`build_training_set` labels videos with 0, 1 and 3 annotations as the
+        oracle labels each video alone; the pooled rows name the kept windows."""
+        neg_thr, pos_thr = sorted(thresholds)
+        pcfg = ProposalConfig(scales=(4, 8, 16), overlap=0.5, pos_thr=pos_thr, neg_thr=neg_thr)
+        feats = np.random.default_rng(0).standard_normal((40, 2))
+        items = [VideoItem(UnitFeatureSequence(f"v{i}", feats[:t_units]), annotations)
+                 for i, (t_units, annotations) in enumerate(videos)]
+        tset = build_training_set(Dataset(items, [f"c{c}" for c in range(5)], 2, 5), pcfg, 1)
+        x, expected = [], [[], [], []]
+        for item in items:
+            starts, ends = sliding_windows(item.sequence.num_units, pcfg.scales, pcfg.overlap)
+            keep, *labels = label_proposals_oracle(
+                starts.tolist(), ends.tolist(), item.annotations, pos_thr, neg_thr
+            )
+            x.append(_pool(item.sequence, [(starts[i], ends[i]) for i in keep], 1))
+            for column, values in zip(expected, labels):
+                column += values
+        assert [tset.t_c.tolist(), tset.t_s.tolist(), tset.t_e.tolist()] == expected
+        np.testing.assert_array_equal(tset.x, np.concatenate(x).astype(np.float32))
+
     def test_positive_offsets_round_trip_to_matched_annotation(self, small_dataset):
         dataset, _ = small_dataset
         for item in dataset.videos[:4]:
             starts, ends = sliding_windows(item.sequence.num_units, (8, 16, 32), 0.5)
-            keep, t_c, t_s, t_e = label_proposals(starts, ends, item.annotations)
+            keep, t_c, t_s, t_e = label_proposals(starts, ends, _gt(item.annotations))
             pos = keep[t_c >= 0]
             assert pos.size
             out_s, out_e = apply_offsets(
@@ -401,6 +471,33 @@ def _pooling_cases(draw):
         start = draw(point)
         end = draw(st.one_of(point, st.just(start)))  # end == start: zero length
         windows.append((start, end))  # end < start: every sub-span falls back
+    return UnitFeatureSequence("v", feats), windows, k
+
+
+@st.composite
+def _shared_span_batches(draw):
+    """A video and a batch of windows that repeat and share sub-spans.
+
+    Base windows sit on a 1/8 grid with sub-spans of whole eighths (0 for a
+    zero-length window), may start at -0.0 or reach outside [0, T], and the
+    batch draws them with repeats, each shifted by whole sub-spans, so
+    neighbouring windows share k - 1 sub-spans bit for bit.
+    """
+    t_units = draw(st.integers(1, 16))
+    k = draw(st.sampled_from([1, 2, 3, 4]))
+    feats = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
+        (t_units, draw(st.integers(1, 3)))
+    )
+    on_grid = st.integers(-16, 8 * t_units + 8).map(lambda i: i / 8.0)
+    start = st.one_of(on_grid, st.sampled_from([-0.0, 0.0, float(t_units)]))
+    bases = draw(st.lists(st.tuples(start, st.integers(0, 16)), min_size=1, max_size=4))
+    windows = []
+    for _ in range(draw(st.integers(1, 12))):
+        lo, eighths = draw(st.sampled_from(bases))
+        shift = draw(st.integers(-2, 2))
+        if shift:  # adding a zero shift would turn -0.0 into +0.0
+            lo += shift * eighths / 8.0
+        windows.append((lo, lo + k * eighths / 8.0))
     return UnitFeatureSequence("v", feats), windows, k
 
 
@@ -480,6 +577,14 @@ class TestPooling:
                 # dividing by the sub-span length scales it by 1/length
                 tol = 4.0 * (t_units + 2) * eps * np.abs(feats).max() / length
                 np.testing.assert_allclose(part, expected[j], rtol=0, atol=tol)
+
+    @given(_shared_span_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_batch_rows_equal_each_window_pooled_alone(self, case):
+        video, windows, k = case
+        pooled = _pool(video, windows, k)
+        for row, window in zip(pooled, windows):
+            assert row.tobytes() == _pool(video, [window], k)[0].tobytes()
 
 
 class TestTrainingSetAssembly:
