@@ -1,9 +1,9 @@
 """Command-line entry point: gen-data, train, eval, verify, curves.
 
-Configuration precedence is defaults < config file < command-line flags; the
-seed falls back to the UTAL_SEED environment variable when neither the flag
-nor the file sets one.  Every command echoes the fully-merged run config
-into its output directory so artifacts are self-describing.
+gen-data, train and eval take a run config (defaults < config file <
+command-line flags; the seed falls back to the UTAL_SEED environment variable
+when neither sets one) and echo it, fully merged, into their output directory
+so artifacts are self-describing.  verify and curves take --out only.
 
 Exit codes: 0 success, 1 usage/config/I-O error, 2 verification failure,
 3 runtime numeric failure.
@@ -36,8 +36,9 @@ from utal.detect import (
     ground_truths_by_class,
 )
 from utal.errors import ConfigError, NumericError, VerificationError
-from utal.losses import export_loss_surfaces
+from utal.losses import CONDITION_MODES, export_loss_surfaces
 from utal.model import (
+    LOSS_MODES,
     TrainConfig,
     collect_offset_stats,
     init_model,
@@ -140,11 +141,10 @@ def apply_config_entries(
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    config_file = getattr(args, "config", None)
-    entries = parse_config_file(config_file) if config_file else {}
-    cfg = apply_config_entries(RunConfig(), entries, config_file or "config file")
+    entries = parse_config_file(args.config) if args.config else {}
+    cfg = apply_config_entries(RunConfig(), entries, args.config or "config file")
     env_seed = os.environ.get("UTAL_SEED")
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
     elif env_seed is not None and "seed" not in entries:
         try:
@@ -152,9 +152,9 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"UTAL_SEED must be an integer, got {env_seed!r}") from exc
     cfg.train.seed = cfg.seed
-    if getattr(args, "loss", None):
+    if args.loss:
         cfg.train.loss_mode = args.loss
-    if getattr(args, "condition_mode", None):
+    if args.condition_mode:
         cfg.train.condition_mode = args.condition_mode
     cfg.validate()
     return cfg
@@ -294,12 +294,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_run_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=str, default=None, help="key = value config file")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--loss", choices=["l1", "kl_l1", "sampled_l1", "expected_l1"], default=None)
-    parser.add_argument("--condition-mode", dest="condition_mode", choices=["he", "paper"], default=None)
-    parser.add_argument("--out", type=str, default=None, help="output directory")
+    parser.add_argument("--loss", choices=LOSS_MODES, default=None)
+    parser.add_argument("--condition-mode", dest="condition_mode", choices=CONDITION_MODES, default=None)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -307,20 +306,19 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate the synthetic benchmark")
-    _add_common(p)
+    _add_run_config(p)
 
     p = sub.add_parser("train", help="train a model on a generated manifest")
-    _add_common(p)
+    _add_run_config(p)
     p.add_argument("--manifest", type=str, required=True)
     p.add_argument("--resume", type=str, default=None, help="start from this checkpoint")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint (mAP@tIoU)")
-    _add_common(p)
+    _add_run_config(p)
     p.add_argument("--manifest", type=str, required=True)
     p.add_argument("--checkpoint", type=str, required=True)
 
     p = sub.add_parser("verify", help="run the numeric verification suites")
-    _add_common(p)
     p.add_argument(
         "suite",
         nargs="?",
@@ -328,8 +326,9 @@ def make_parser() -> argparse.ArgumentParser:
         choices=["all", *SUITES.keys()],
     )
 
-    p = sub.add_parser("curves", help="export the regression loss surfaces as CSV")
-    _add_common(p)
+    sub.add_parser("curves", help="export the regression loss surfaces as CSV")
+    for p in sub.choices.values():
+        p.add_argument("--out", type=str, default=None, help="output directory")
     return parser
 
 
@@ -338,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
         args = make_parser().parse_args(argv)
         if args.command in ("gen-data", "train", "eval", "curves") and not args.out:
             raise ConfigError(f"{args.command} requires --out DIR")
-        cfg = build_run_config(args)
+        cfg = build_run_config(args) if args.command in ("gen-data", "train", "eval") else None
         if args.command == "gen-data":
             cmd_gen_data(cfg, Path(args.out))
         elif args.command == "train":

@@ -203,21 +203,19 @@ def nms(dets: list[Detection], tiou_thr: float) -> list[Detection]:
 def average_precision(
     dets: tuple[np.ndarray, ...],
     gts: tuple[np.ndarray, ...],
-    tiou_thr: float | tuple[float, ...],
-) -> float | None | list[float | None]:
-    """All-point interpolated AP for one class.
+    thresholds: tuple[float, ...],
+) -> list[float | None]:
+    """All-point interpolated AP for one class, one per tIoU threshold.
 
     `dets` are the columns (video, start, end, score) of the class's
     detections, `gts` the columns (video, start, end) of its ground truths,
     with videos as integer codes in the order of their ids.  Detections are
     matched in rank order (score descending, then video, start, end) to the
     highest-tIoU unmatched ground truth of the same video at or above the
-    threshold, the first in ground-truth order on a tie.  Returns None when
-    the class has no ground truths (excluded from mAP).  Given a tuple of
-    thresholds, returns one AP per threshold, all from one ranking and one
-    tIoU per same-video pair.
+    threshold, the first in ground-truth order on a tie.  An AP is None when
+    the class has no ground truths (excluded from mAP).  All thresholds share
+    one ranking and one tIoU per same-video pair.
     """
-    thresholds = tiou_thr if isinstance(tiou_thr, tuple) else (tiou_thr,)
     (video, start, end, score), (gt_video, gt_start, gt_end) = dets, gts
     n, n_gt = len(score), len(gt_video)
     aps: list[float | None] = [0.0 if n_gt else None] * len(thresholds)
@@ -251,7 +249,7 @@ def average_precision(
             mrec = np.concatenate([[0.0], recall, [recall[-1]]])
             mpre = np.maximum.accumulate(np.concatenate([[1.0], precision, [0.0]])[::-1])[::-1]
             aps[i] = float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
-    return aps if isinstance(tiou_thr, tuple) else aps[0]
+    return aps
 
 
 def video_detections(

@@ -5,9 +5,9 @@ it consumes; the gradients are exact (checked against central finite
 differences in the test suite).  The four boundary regression losses are
 elementwise: each boundary offset is given by its mean mu and, in the
 uncertainty-aware losses, its log-variance alpha = log(sigma^2), which keeps
-sigma^2 positive and the alpha-gradients bounded.  mu, alpha and the target t
-may be floats or arrays of one shape, and the results take that shape (numpy
-float64 scalars for floats).
+sigma^2 positive and the alpha-gradients bounded.  mu, alpha, the target t and
+the sampled loss's eps may be floats or arrays of one shape, and the results
+take that shape (numpy float64 scalars for floats).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from utal.errors import ConfigError
-from utal.numerics import Rng, _log
+from utal.numerics import _log
 
 ALPHA_CLAMP = 10.0
 
@@ -150,21 +150,18 @@ def kl_l1_loss(mu, alpha, t, condition_mode: str = "he") -> tuple:
     return loss[()], d_mu[()], d_alpha[()]
 
 
-def sampled_l1_loss(mu, alpha, t, rng: Rng) -> tuple:
-    """|d - sigma*eps| with fresh eps ~ N(0,1) (reparameterization trick).
+def sampled_l1_loss(mu, alpha, t, eps) -> tuple:
+    """|d - sigma*eps| at a draw eps ~ N(0,1) (reparameterization trick).
 
-    One `rng.normal(size)` call draws an eps per offset, in C order: the
-    values one `rng.normal()` per offset would give.  Sampling happens
-    outside the gradient path: loss = |t - mu - sigma*eps|, so
+    eps has the shape of the offsets and is drawn by the caller.  Sampling
+    happens outside the gradient path: loss = |t - mu - sigma*eps|, so
     d_mu = -sign(d - sigma*eps) and d_alpha = -sigma*eps*sign(...)/2.
-    Returns (loss, d_mu, d_alpha, eps) so the draws can be replayed.
+    Returns (loss, d_mu, d_alpha).
     """
-    d = t - mu
-    eps = rng.normal(np.size(d)).reshape(np.shape(d))[()]
     sigma = _exp(0.5 * alpha)
-    r = d - sigma * eps
+    r = t - mu - sigma * eps
     s = np.sign(r)
-    return np.abs(r), -s, -0.5 * sigma * eps * s, eps
+    return np.abs(r), -s, -0.5 * sigma * eps * s
 
 
 def expected_l1(d, sigma) -> tuple:

@@ -254,7 +254,8 @@ def _regression_terms(
         if cfg.loss_mode == "kl_l1":
             values, g_mu, g_alpha = kl_l1_loss(mu, alpha, target, cfg.condition_mode)
         elif cfg.loss_mode == "sampled_l1":
-            values, g_mu, g_alpha, _ = sampled_l1_loss(mu, alpha, target, eps_rng)
+            eps = eps_rng.normal(mu.size).reshape(mu.shape)  # one per offset, in C order
+            values, g_mu, g_alpha = sampled_l1_loss(mu, alpha, target, eps)
         else:  # expected_l1
             values, g_mu, g_alpha = expected_l1_training(mu, alpha, target)
         scale = 1.0 / (2.0 * pos.size)

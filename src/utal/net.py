@@ -206,7 +206,8 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
 def load_arrays(path) -> dict[str, np.ndarray]:
     """Read a "UTAL1" file back into float32 arrays.
 
-    A missing, truncated or corrupt file raises ConfigError naming it.
+    A missing, truncated or corrupt file, a non-finite value or bytes after
+    the last entry raise ConfigError naming it.
     """
     try:
         with open(path, "rb") as fh:
@@ -227,6 +228,10 @@ def load_arrays(path) -> dict[str, np.ndarray]:
                 if len(payload) != 4 * n_items:
                     raise ConfigError(f"{path}: truncated checkpoint payload for entry {name!r}")
                 arrays[name] = np.frombuffer(payload, "<f4").astype(np.float32).reshape(shape)
+                if not np.isfinite(arrays[name]).all():
+                    raise ConfigError(f"{path}: non-finite value in entry {name!r}")
+            if fh.read(1):
+                raise ConfigError(f"{path}: bytes after the last entry")
             return arrays
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc

@@ -40,15 +40,15 @@ class Rng:
 
     Output i of a stream is ``mix64(seed + (i+1) * GAMMA)``; bulk draws
     consume a contiguous counter range, so scalar and array draws interleave
-    deterministically.  The Marsaglia polar method backs `normal`
-    (rejections consume the stream and are part of the contract); `normals`
-    uses the Box-Muller transform on counter pairs.
+    deterministically.  `normal` runs the Marsaglia polar method on counter
+    blocks (rejections consume the stream) and may consume pairs past the last
+    it uses, so a stream takes all its polar draws in one call; `normals` uses
+    the Box-Muller transform on counter pairs.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._counter = 0
-        self._spare: float | None = None
 
     def split(self, *labels: int | str) -> "Rng":
         """Derive an independent sub-stream keyed by `labels`.
@@ -82,32 +82,23 @@ class Rng:
     def uniforms(self, n: int) -> np.ndarray:
         return (self._next_u64_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    def normal(self, size: int | None = None):
-        """Standard normal draws via the Marsaglia polar method.
+    def normal(self, n: int) -> np.ndarray:
+        """n standard normal draws via the Marsaglia polar method.
 
-        One float for `size=None`, else an array of `size`.  Candidate pairs
-        come from counter blocks; the counter is wound back to just after the
-        last pair used, and an accepted pair's second value waits as the
-        spare, so any mix of sizes yields the one-at-a-time stream exactly.
+        Candidate pairs come from counter blocks, and each accepted pair gives
+        its two values in order, so the n values are the first n of the
+        one-at-a-time polar stream.
         """
-        n = 1 if size is None else size
         z = np.empty(0)
-        if n and self._spare is not None:
-            z, self._spare = np.array([self._spare]), None
         while z.size < n:
             pairs = (n - z.size + 1) // 2
-            start = self._counter
             # a block of about 4/3 the pairs needed: pi/4 of all pairs are accepted
             u, v = 2.0 * self.uniforms(2 * (pairs + pairs // 3 + 2)).reshape(-1, 2).T - 1.0
             s = u * u + v * v
             ok = np.flatnonzero((0.0 < s) & (s < 1.0))[:pairs]
-            if ok.size == pairs:  # the pairs after the last one used stay unconsumed
-                self._counter = start + 2 * (int(ok[-1]) + 1)
             scale = np.sqrt(-2.0 * _log(s[ok]) / s[ok])
             z = np.concatenate((z, np.stack((u[ok] * scale, v[ok] * scale), axis=1).ravel()))
-        if z.size > n:  # one past n at most: the second value of the last pair
-            self._spare = float(z[n])
-        return float(z[0]) if size is None else z[:n]
+        return z[:n]
 
     def normals(self, n: int) -> np.ndarray:
         """Vectorized standard normal draws (Box-Muller on counter pairs)."""

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -109,14 +108,12 @@ def verify_gradients(points: int = 100, seed: int = 977, tol: float = 1e-4) -> l
                (6.0 * u[0] - 3.0, 0.1 + 2.0 * u[1]), ("d_d", "d_sigma"), 1e-5)
 
     streams = [rng.split("sampled", i) for i in range(points)]
-    u = np.array([(*r.uniforms(3), r.normal()) for r in streams]).T
-    mu, alpha, t = 2.0 * u[0] - 1.0, 2.0 * u[1] - 1.0, 4.0 * u[2] - 2.0
-    # each `normal` stands in for the points' Rngs, replaying the eps they drew above
-    resid = sampled_l1_loss(mu, alpha, t, SimpleNamespace(normal=lambda size: u[3]))[0]
+    u = np.array([(*r.uniforms(3), *r.normal(1)) for r in streams]).T
+    mu, alpha, t, eps = 2.0 * u[0] - 1.0, 2.0 * u[1] - 1.0, 4.0 * u[2] - 2.0, u[3]
+    resid = sampled_l1_loss(mu, alpha, t, eps)[0]
     at = np.flatnonzero(resid >= 1e-2)  # off the kink at t - mu = sigma * eps
-    eps = SimpleNamespace(normal=lambda size: u[3][at])
-    check_loss("sampled_l1", at, lambda *v: sampled_l1_loss(*v, eps),
-               (mu[at], alpha[at], t[at]), ("d_mu", "d_alpha"))
+    check_loss("sampled_l1", at, sampled_l1_loss,
+               (mu[at], alpha[at], t[at], eps[at]), ("d_mu", "d_alpha"))
 
     batch = 24
     scores_rng = rng.split("batch-losses").split("scores")

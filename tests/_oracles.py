@@ -83,20 +83,17 @@ def randint_shuffle_oracle(rng, n: int) -> np.ndarray:
     return perm
 
 
-def polar_normal_oracle(rng) -> float:
-    """One Marsaglia polar draw from `rng.uniform()`, keeping the pair's
-    second value in `rng._spare` for the next call."""
-    if rng._spare is not None:
-        z, rng._spare = rng._spare, None
-        return z
+def polar_normal_oracle(rng):
+    """The one-at-a-time Marsaglia polar stream from `rng.uniform()`: a
+    generator that yields both values of each accepted pair, in order."""
     while True:
         u = 2.0 * rng.uniform() - 1.0
         v = 2.0 * rng.uniform() - 1.0
         s = u * u + v * v
         if 0.0 < s < 1.0:
             scale = math.sqrt(-2.0 * math.log(s) / s)
-            rng._spare = v * scale
-            return u * scale
+            yield u * scale
+            yield v * scale
 
 
 def float64_copy(model):
@@ -187,8 +184,10 @@ def regression_terms_oracle(cfg, fwd: BatchForward, pos, t_c, t_s, t_e, eps_rng)
     Only the ground-truth class row of a positive gets gradient.  The l1 mode
     averages |r| over positives; the Gaussian modes average over both
     boundaries too.  The sampled mode draws one eps per boundary in loop
-    order.  Returns (loss, d_mu, d_alpha), d_alpha None in l1 mode.
+    order, one at a time from `polar_normal_oracle(eps_rng)`.  Returns
+    (loss, d_mu, d_alpha), d_alpha None in l1 mode.
     """
+    draws = polar_normal_oracle(eps_rng)  # a generator: it draws nothing until asked
     d_mu = np.zeros(fwd.mu.shape)
     d_alpha = None if cfg.loss_mode == "l1" else np.zeros(fwd.alpha.shape)
     if len(pos) == 0:
@@ -216,7 +215,7 @@ def regression_terms_oracle(cfg, fwd: BatchForward, pos, t_c, t_s, t_e, eps_rng)
                     g_mu = -sign_d * inv_var
                     g_alpha = 0.5 - (abs(d) - 0.5) * inv_var
             elif cfg.loss_mode == "sampled_l1":
-                eps = eps_rng.normal()
+                eps = next(draws)
                 r = d - sigma * eps
                 sign_r = 1.0 if r > 0 else (-1.0 if r < 0 else 0.0)
                 loss, g_mu, g_alpha = abs(r), -sign_r, -0.5 * sigma * eps * sign_r

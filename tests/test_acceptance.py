@@ -109,14 +109,6 @@ class TestCriterion1ExpectationIdentity:
             assert time.perf_counter() - t0 < 10.0
 
 
-class _FixedEps:
-    def __init__(self, value):
-        self.value = value
-
-    def normal(self, size):
-        return np.full(size, self.value)
-
-
 def _fd(fn, x: float, h: float = 1e-6) -> float:
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
@@ -146,18 +138,18 @@ class TestCriterion2GradientSuite:
                     _check(d_mu, _fd(lambda v: kl_l1_loss(v, alpha, t, mode)[0], mu), 1e-4)
                     _check(d_alpha, _fd(lambda v: kl_l1_loss(mu, v, t, mode)[0], alpha), 1e-4)
 
-            # sampled loss at replayed epsilon
+            # sampled loss at a drawn, then fixed, epsilon
             for i in range(120):
                 r = rng.split("sampled", i)
                 mu = 2.0 * r.uniform() - 1.0
                 alpha = 2.0 * r.uniform() - 1.0
                 t = 4.0 * r.uniform() - 2.0
-                eps = r.normal()
+                (eps,) = r.normal(1)
                 if abs((t - mu) - math.exp(0.5 * alpha) * eps) < 1e-2:
                     continue
-                _, d_mu, d_alpha, _ = sampled_l1_loss(mu, alpha, t, _FixedEps(eps))
-                _check(d_mu, _fd(lambda v: sampled_l1_loss(v, alpha, t, _FixedEps(eps))[0], mu), 1e-4)
-                _check(d_alpha, _fd(lambda v: sampled_l1_loss(mu, v, t, _FixedEps(eps))[0], alpha), 1e-4)
+                _, d_mu, d_alpha = sampled_l1_loss(mu, alpha, t, eps)
+                _check(d_mu, _fd(lambda v: sampled_l1_loss(v, alpha, t, eps)[0], mu), 1e-4)
+                _check(d_alpha, _fd(lambda v: sampled_l1_loss(mu, v, t, eps)[0], alpha), 1e-4)
 
             # expected-l1 partials
             for i in range(120):
@@ -272,7 +264,7 @@ class TestCriterion2GradientSuite:
             t_c = np.array([0, -1, 2, 1, -1])
             t_s = np.where(t_a == 1, 0.27, 0.0)
             t_e = np.where(t_a == 1, -0.19, 0.0)
-            eps_values = [r.normal() for _ in range(2 * int(t_a.sum()))]
+            eps_values = r.normal(2 * int(t_a.sum())).tolist()
 
             from utal.losses import (
                 binary_loss as _bl,
@@ -305,7 +297,7 @@ class TestCriterion2GradientSuite:
                     elif mode == "expected_l1":
                         _, g_mu, g_alpha = expected_l1_training(*pred, target)
                     else:
-                        _, g_mu, g_alpha, _ = sampled_l1_loss(*pred, target, _FixedEps(eps_values[k]))
+                        _, g_mu, g_alpha = sampled_l1_loss(*pred, target, eps_values[k])
                     k += 1
                     d_mu[i, c, bnd] += g_mu * scale
                     d_alpha[i, c, bnd] += g_alpha * scale
@@ -404,7 +396,7 @@ class TestCriterion6EvaluatorCorrectness:
                     s = r.uniform() * 50
                     dets.append(Detection("v", s, s + 1.0 + r.uniform() * 20, 0, r.uniform()))
                 thr = 0.2 + 0.5 * r.uniform()
-                assert average_precision(*ap_columns(dets, gts), thr) == pytest.approx(
+                assert average_precision(*ap_columns(dets, gts), (thr,))[0] == pytest.approx(
                     ap_enumeration_oracle(dets, gts, thr), abs=1e-10
                 )
             # NMS vs greedy-by-definition oracle, 50 instances of <= 8 detections

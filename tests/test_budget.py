@@ -5,7 +5,7 @@ from pathlib import Path
 
 # the ceiling of the project's design aim: the package may get faster and
 # better checked, but not larger than this
-MAX_SOURCE_LINES = 2592
+MAX_SOURCE_LINES = 2580
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "utal").glob("*.py"))
 
@@ -41,25 +41,22 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def unread_parameters(source: str) -> list[str]:
-    """Parameters a def's body never reads; `self` and `_`-prefixed names aside.
-
-    Lambdas are not scanned: verify's `lambda size: ...` stands in for
-    `Rng.normal` and has to take the argument it ignores.
-    """
+    """Parameters a def's or a lambda's body never reads; `self` and `_`-prefixed names aside."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         a = node.args
         params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]  # a lambda: one expression
         read = {
             n.id
-            for stmt in node.body
+            for stmt in body
             for n in ast.walk(stmt)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
         }
         found += [
-            f"line {node.lineno}: {node.name}({name})"
+            f"line {node.lineno}: {getattr(node, 'name', 'lambda')}({name})"
             for name in params
             if name != "self" and not name.startswith("_") and name not in read
         ]

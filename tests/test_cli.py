@@ -495,6 +495,8 @@ class TestEvalCommand:
             ("sidecar-with-padded-head-keys", "'pad_head_to_six'"),
             ("sidecar-missing-key", "'hidden'"),
             ("checkpoint-missing-array", "'head.weights'"),
+            ("checkpoint-nan-weight", "'fc1.weights'"),
+            ("checkpoint-appended-byte", "checkpoint.utal"),
         ],
     )
     def test_damaged_checkpoint_is_config_error(self, cli_workspace, tmp_path, capsys, damage, named):
@@ -515,9 +517,14 @@ class TestEvalCommand:
         elif damage == "sidecar-missing-key":
             del doc["hidden"]
             sidecar.write_text(json.dumps(doc))
+        elif damage == "checkpoint-appended-byte":
+            ckpt.write_bytes(ckpt.read_bytes() + b"\0")
         else:
             arrays = load_arrays(ckpt)
-            del arrays["head.weights"]
+            if damage == "checkpoint-nan-weight":
+                arrays["fc1.weights"][3, 5] = np.nan
+            else:
+                del arrays["head.weights"]
             save_arrays(ckpt, arrays)
         code = main(
             [
@@ -531,6 +538,7 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("error: ") and str(ckpt) in err and named in err
+        assert "Traceback" not in err
 
     def test_oracle_row_renders_all_hundreds(self):
         report = {"map_by_tiou": {repr(t): 1.0 for t in (0.3, 0.4, 0.5, 0.6, 0.7)}}
@@ -640,6 +648,19 @@ class TestCurvesCommand:
             assert len(grid) == 121 * 60, name
 
 
+@pytest.mark.parametrize("command", [["verify", "monotonicity"], ["curves"]], ids=["verify", "curves"])
+@pytest.mark.parametrize(
+    "flag", [["--config", "c.txt"], ["--seed", "3"], ["--loss", "l1"], ["--condition-mode", "he"]],
+    ids=["config", "seed", "loss", "condition-mode"],
+)
+def test_run_config_flags_are_usage_errors_without_a_run_config(tmp_path, capsys, command, flag):
+    """verify and curves read no run config, so a flag that would set one is refused."""
+    assert main([*command, *flag, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[0] in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "curves"])
 def test_out_naming_a_regular_file_is_config_error(
     cli_workspace, tmp_path, capsys, monkeypatch, command
@@ -659,7 +680,8 @@ def test_out_naming_a_regular_file_is_config_error(
         "eval": ["--manifest", str(data_dir / "manifest.json"),
                  "--checkpoint", str(train_dir / "checkpoint.utal")],
     }
-    args = [command, "--config", str(cfg_path), *inputs.get(command, []), "--out", str(blocker)]
+    config = [] if command == "curves" else ["--config", str(cfg_path)]  # curves takes no run config
+    args = [command, *config, *inputs.get(command, []), "--out", str(blocker)]
     assert main(args) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(blocker) in err and "Traceback" not in err

@@ -417,7 +417,7 @@ class TestAveragePrecision:
         dets, gts, thresholds = case
         expected = average_precision_scalar_oracle(dets, gts, thresholds)
         assert average_precision(*ap_columns(dets, gts), thresholds) == expected
-        assert average_precision(*ap_columns(dets, gts), thresholds[0]) == expected[0]
+        assert average_precision(*ap_columns(dets, gts), (thresholds[0],))[0] == expected[0]
 
     @pytest.mark.parametrize("first", [(10.0, 20.0), (0.0, 10.0)])
     def test_equal_tious_go_to_the_first_ground_truth(self, first):
@@ -428,20 +428,20 @@ class TestAveragePrecision:
         gts = [("v", *first), ("w", 0.0, 10.0), ("v", *second)]
         dets = [Detection("v", 5.0, 15.0, 0, 0.9), Detection("v", *second, 0, 0.8)]
         assert average_precision_scalar_oracle(dets, gts, 0.3) == pytest.approx(2.0 / 3.0)
-        assert average_precision(*ap_columns(dets, gts), 0.3) == pytest.approx(2.0 / 3.0)
+        assert average_precision(*ap_columns(dets, gts), (0.3,))[0] == pytest.approx(2.0 / 3.0)
 
     def test_single_perfect_detection(self):
         dets = [Detection("v", 0.0, 10.0, 0, 0.9)]
         gts = [("v", 0.0, 10.0)]
-        assert average_precision(*ap_columns(dets, gts), 0.5) == 1.0
+        assert average_precision(*ap_columns(dets, gts), (0.5,))[0] == 1.0
 
     def test_no_matches(self):
         dets = [Detection("v", 30.0, 40.0, 0, 0.9)]
         gts = [("v", 0.0, 10.0)]
-        assert average_precision(*ap_columns(dets, gts), 0.5) == 0.0
+        assert average_precision(*ap_columns(dets, gts), (0.5,))[0] == 0.0
 
     def test_no_ground_truth_returns_none(self):
-        assert average_precision(*ap_columns([], []), 0.5) is None
+        assert average_precision(*ap_columns([], []), (0.5,))[0] is None
 
     def test_fp_tp_tp_hand_value(self):
         gts = [("v", 0.0, 10.0), ("v", 20.0, 30.0)]
@@ -450,7 +450,7 @@ class TestAveragePrecision:
             Detection("v", 0.0, 10.0, 0, 0.8),  # TP
             Detection("v", 20.0, 30.0, 0, 0.7),  # TP
         ]
-        ap = average_precision(*ap_columns(dets, gts), 0.5)
+        ap = average_precision(*ap_columns(dets, gts), (0.5,))[0]
         assert ap == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert ap == pytest.approx(ap_enumeration_oracle(dets, gts, 0.5), abs=1e-12)
 
@@ -465,7 +465,7 @@ class TestAveragePrecision:
                 gts.append(("v", s, s + 2.0 + r.uniform() * 15))
             dets = _rand_dets(r, 1 + r.randint(10))
             thr = 0.2 + 0.5 * r.uniform()
-            ours = average_precision(*ap_columns(dets, gts), thr)
+            ours = average_precision(*ap_columns(dets, gts), (thr,))[0]
             oracle = ap_enumeration_oracle(dets, gts, thr)
             assert ours == pytest.approx(oracle, abs=1e-10)
 
@@ -473,12 +473,13 @@ class TestAveragePrecision:
         rng = Rng(777)
         gts = [("v", 5.0, 15.0), ("v", 30.0, 42.0)]
         dets = _rand_dets(rng, 9)
-        base = average_precision(*ap_columns(dets, gts), 0.4)
+        base = average_precision(*ap_columns(dets, gts), (0.4,))[0]
         squashed = [
             Detection(d.video_id, d.start, d.end, d.class_id, 0.1 + 0.5 * d.score**3)
             for d in dets
         ]
-        assert average_precision(*ap_columns(squashed, gts), 0.4) == pytest.approx(base, abs=1e-12)
+        squashed_ap = average_precision(*ap_columns(squashed, gts), (0.4,))[0]
+        assert squashed_ap == pytest.approx(base, abs=1e-12)
 
     def test_raising_threshold_never_raises_ap(self):
         rng = Rng(888)
@@ -487,7 +488,7 @@ class TestAveragePrecision:
             gts = [("v", 10.0 * g, 10.0 * g + 8.0) for g in range(3)]
             dets = _rand_dets(r, 8)
             cols = ap_columns(dets, gts)
-            aps = [average_precision(*cols, thr) for thr in (0.3, 0.4, 0.5, 0.6, 0.7)]
+            aps = [average_precision(*cols, (thr,))[0] for thr in (0.3, 0.4, 0.5, 0.6, 0.7)]
             assert all(b <= a + 1e-12 for a, b in zip(aps, aps[1:]))
 
 
@@ -565,7 +566,7 @@ class TestEvaluateDetections:
     def test_ties_across_videos_rank_in_string_order(self):
         dets, gts = _tied_across_videos()
         assert average_precision_scalar_oracle(dets, gts, 0.5) == 1.0
-        assert average_precision(*ap_columns(dets, gts), 0.5) == 1.0
+        assert average_precision(*ap_columns(dets, gts), (0.5,))[0] == 1.0
         for order in ([0, 1, 2], [2, 1, 0], [1, 0, 2]):
             report = evaluate_detections([dets[i] for i in order], {0: gts}, (0.5,))
             assert report.per_class_ap[0.5] == {0: 1.0}

@@ -26,16 +26,6 @@ from utal.losses import (
 from utal.numerics import Rng, mc_expected_l1
 
 
-class _FixedEps:
-    """rng stand-in that always yields the same epsilon."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def normal(self, size):
-        return np.full(size, self.value)
-
-
 class TestHardNegativeMining:
     def test_paper_ratio(self):
         scores = np.concatenate([np.full(2, 0.9), np.linspace(0.1, 0.8, 10)])
@@ -247,27 +237,19 @@ class TestKlL1Loss:
 
 class TestSampledL1Loss:
     def test_forced_epsilon_zero_reduces_to_abs_d(self):
-        loss, d_mu, d_alpha, eps = sampled_l1_loss(0.4, 0.7, -0.3, _FixedEps(0.0))
-        assert eps == 0.0
+        loss, d_mu, d_alpha = sampled_l1_loss(0.4, 0.7, -0.3, 0.0)
         assert loss == pytest.approx(0.7, abs=1e-12)
         assert d_alpha == 0.0
 
     def test_tiny_sigma_reduces_to_abs_d(self):
-        rng = Rng(88)
-        for _ in range(50):
-            loss, _, _, _ = sampled_l1_loss(0.0, -10.0, 1.5, rng)
+        for eps in Rng(88).normal(50):
+            loss, _, _ = sampled_l1_loss(0.0, -10.0, 1.5, eps)
             assert loss == pytest.approx(1.5, abs=0.05)
-
-    def test_epsilon_recorded_and_replayable(self):
-        pred = 0.1, 0.2
-        loss1, _, _, eps = sampled_l1_loss(*pred, 0.9, Rng(3))
-        loss2, _, _, eps2 = sampled_l1_loss(*pred, 0.9, _FixedEps(eps))
-        assert eps2 == eps and loss1 == loss2
 
     def test_mean_over_draws_matches_analytic_expectation(self):
         n = 1_000_000
         mu, alpha = np.zeros(n), np.full(n, 2.0 * math.log(0.5))  # sigma=0.5
-        loss = sampled_l1_loss(mu, alpha, np.ones(n), Rng(99))[0]  # a fresh eps per offset
+        loss = sampled_l1_loss(mu, alpha, np.ones(n), Rng(99).normal(n))[0]  # an eps per offset
         mean = loss.mean()
         stderr = loss.std(ddof=1) / math.sqrt(n)
         expected = expected_l1(1.0, 0.5)[0]
@@ -280,16 +262,12 @@ class TestSampledL1Loss:
             mu = 2.0 * r.uniform() - 1.0
             alpha = 2.0 * r.uniform() - 1.0
             t = 4.0 * r.uniform() - 2.0
-            eps = r.normal()
+            (eps,) = r.normal(1)
             if abs((t - mu) - math.exp(0.5 * alpha) * eps) < 1e-2:
                 continue
-            _, d_mu, d_alpha, _ = sampled_l1_loss(mu, alpha, t, _FixedEps(eps))
-            fd_mu = finite_difference(
-                lambda v: sampled_l1_loss(v, alpha, t, _FixedEps(eps))[0], mu
-            )
-            fd_alpha = finite_difference(
-                lambda v: sampled_l1_loss(mu, v, t, _FixedEps(eps))[0], alpha
-            )
+            _, d_mu, d_alpha = sampled_l1_loss(mu, alpha, t, eps)
+            fd_mu = finite_difference(lambda v: sampled_l1_loss(v, alpha, t, eps)[0], mu)
+            fd_alpha = finite_difference(lambda v: sampled_l1_loss(mu, v, t, eps)[0], alpha)
             assert relative_error(d_mu, fd_mu) <= 1e-4
             assert relative_error(d_alpha, fd_alpha) <= 1e-4
 
@@ -378,10 +356,10 @@ class TestElementwise:
     ALPHA = np.array([[-10.0, 0.3, 10.0], [-1.0, 0.0, 2.5]])
     T = np.array([[1.25, 0.5, 1.0], [-3.0, 2.5, 0.0]])  # |d| == 1 and d == 0 included
 
-    def _per_element(self, fn):
+    def _per_element(self, fn, *more):
         outs = [
-            fn(float(m), float(a), float(t))
-            for m, a, t in zip(self.MU.ravel(), self.ALPHA.ravel(), self.T.ravel())
+            fn(*map(float, args))
+            for args in zip(self.MU.ravel(), self.ALPHA.ravel(), self.T.ravel(), *more)
         ]
         return [np.reshape(col, self.MU.shape) for col in zip(*outs)]
 
@@ -397,19 +375,17 @@ class TestElementwise:
             np.testing.assert_array_equal(g, want)
 
     def test_sampled_l1_draws_one_eps_per_offset_in_c_order(self):
-        rng = Rng(11)
-        got = sampled_l1_loss(self.MU, self.ALPHA, self.T, rng)
-        ref_rng = Rng(11)
-        want = self._per_element(lambda m, a, t: sampled_l1_loss(m, a, t, ref_rng))
-        for g, w in zip(got, want):
+        """eps as training draws it: one normal(n) call, reshaped in C order."""
+        eps = Rng(11).normal(self.MU.size)
+        got = sampled_l1_loss(self.MU, self.ALPHA, self.T, eps.reshape(self.MU.shape))
+        for g, w in zip(got, self._per_element(sampled_l1_loss, eps)):
             np.testing.assert_array_equal(g, w)
-        assert rng.normal() == ref_rng.normal()
 
     def test_scalar_inputs_give_scalars(self):
         pred = 0.1, -0.4
         outs = (
             *kl_l1_loss(*pred, 0.7),
-            *sampled_l1_loss(*pred, 0.7, Rng(1)),
+            *sampled_l1_loss(*pred, 0.7, 0.3),
             *expected_l1_training(*pred, 0.7),
             *expected_l1(0.6, 0.5),
         )
