@@ -186,11 +186,7 @@ def cmd_train(
     dataset = load_dataset(manifest)
     if resume is not None:
         model, _ = load_checkpoint(resume)
-        if model.d_feat != dataset.d_feat or model.num_classes != dataset.num_classes:
-            raise ConfigError(
-                f"resume checkpoint {resume} expects d_feat={model.d_feat}, C={model.num_classes}; "
-                f"dataset has d_feat={dataset.d_feat}, C={dataset.num_classes}"
-            )
+        _check_fits(model, resume, dataset, manifest)
         fit = (cfg.train.k, cfg.train.hidden, cfg.train.loss_mode != "l1")
         if (model.k, model.hidden, model.uncertainty) != fit:
             raise ConfigError(
@@ -225,23 +221,27 @@ def cmd_train(
     return ckpt_path
 
 
-def _format_map_row(report_dict: dict) -> str:
-    by_tiou = report_dict["map_by_tiou"]
-    pairs = sorted((float(t), v) for t, v in by_tiou.items())
-    header = " ".join(f"{t:g}" for t, _ in pairs)
-    row = " ".join(f"{100.0 * v:.1f}" for _, v in pairs)
+def _check_fits(model, checkpoint: Path, dataset, manifest: Path) -> None:
+    """A checkpoint must read the dataset's feature width and classes."""
+    if (model.d_feat, model.num_classes) != (dataset.d_feat, dataset.num_classes):
+        raise ConfigError(
+            f"checkpoint {checkpoint} expects d_feat={model.d_feat}, C={model.num_classes}; "
+            f"manifest {manifest} has d_feat={dataset.d_feat}, C={dataset.num_classes}"
+        )
+
+
+def _format_map_row(map_by_tiou: dict[float, float]) -> str:
+    thresholds = sorted(map_by_tiou)
+    header = " ".join(f"{t:g}" for t in thresholds)
+    row = " ".join(f"{100.0 * map_by_tiou[t]:.1f}" for t in thresholds)
     return f"mAP@tIoU {header} (%): {row}"
 
 
-def cmd_eval(cfg: RunConfig, checkpoint: Path, manifest: Path, out_dir: Path) -> dict:
+def cmd_eval(cfg: RunConfig, checkpoint: Path, manifest: Path, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before any work
     model, _ = load_checkpoint(checkpoint)
     dataset = load_dataset(manifest)
-    if model.d_feat != dataset.d_feat or model.num_classes != dataset.num_classes:
-        raise ConfigError(
-            f"checkpoint expects d_feat={model.d_feat}, C={model.num_classes}; "
-            f"dataset has d_feat={dataset.d_feat}, C={dataset.num_classes}"
-        )
+    _check_fits(model, checkpoint, dataset, manifest)
     dets = collect_detections(model, dataset, cfg.detect, cfg.proposals)
     report = evaluate_detections(
         dets, ground_truths_by_class(dataset), cfg.detect.tiou_thresholds
@@ -249,17 +249,14 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, manifest: Path, out_dir: Path) ->
     if report.no_detections:
         print("warning: no detections above the score floor", file=sys.stderr)
     report.config = asdict(cfg)
-    report_dict = report.to_dict()
-    (out_dir / "report.json").write_text(
-        json.dumps(report_dict, indent=2, sort_keys=True) + "\n"
-    )
+    report_json = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    (out_dir / "report.json").write_text(report_json + "\n")
     with open(out_dir / "detections.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["video_id", "class_id", "start", "end", "score"])
         writer.writerows((d.video_id, d.class_id, d.start, d.end, d.score) for d in dets)
     _write_config_echo(cfg, out_dir)
-    print(_format_map_row(report_dict))
-    return report_dict
+    print(_format_map_row(report.map_by_tiou))
 
 
 def cmd_curves(out_dir: Path) -> Path:
@@ -271,7 +268,7 @@ def cmd_curves(out_dir: Path) -> Path:
     return path
 
 
-def cmd_verify(selector: str, out_dir: Path | None) -> None:
+def cmd_verify(selector: str, out_dir: Path) -> None:
     names = list(SUITES) if selector == "all" else [selector]
     all_failures: list[str] = []
     for name in names:
@@ -281,7 +278,7 @@ def cmd_verify(selector: str, out_dir: Path | None) -> None:
         for line in failures:
             print(f"    {line}")
         all_failures.extend(failures)
-    cmd_curves(out_dir if out_dir is not None else Path("utal-verify"))
+    cmd_curves(out_dir)
     if all_failures:
         raise VerificationError(f"{len(all_failures)} verification failure(s)")
 
@@ -310,13 +307,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a generated manifest")
     _add_run_config(p)
-    p.add_argument("--manifest", type=str, required=True)
-    p.add_argument("--resume", type=str, default=None, help="start from this checkpoint")
+    p.add_argument("--manifest", type=Path, required=True)
+    p.add_argument("--resume", type=Path, default=None, help="start from this checkpoint")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint (mAP@tIoU)")
     _add_run_config(p)
-    p.add_argument("--manifest", type=str, required=True)
-    p.add_argument("--checkpoint", type=str, required=True)
+    p.add_argument("--manifest", type=Path, required=True)
+    p.add_argument("--checkpoint", type=Path, required=True)
 
     p = sub.add_parser("verify", help="run the numeric verification suites")
     p.add_argument(
@@ -327,28 +324,26 @@ def make_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser("curves", help="export the regression loss surfaces as CSV")
-    for p in sub.choices.values():
-        p.add_argument("--out", type=str, default=None, help="output directory")
+    for name, p in sub.choices.items():  # verify alone may omit --out
+        p.add_argument("--out", type=Path, required=name != "verify", default="utal-verify",
+                       help="output directory")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = make_parser().parse_args(argv)
-        if args.command in ("gen-data", "train", "eval", "curves") and not args.out:
-            raise ConfigError(f"{args.command} requires --out DIR")
         cfg = build_run_config(args) if args.command in ("gen-data", "train", "eval") else None
         if args.command == "gen-data":
-            cmd_gen_data(cfg, Path(args.out))
+            cmd_gen_data(cfg, args.out)
         elif args.command == "train":
-            resume = Path(args.resume) if args.resume else None
-            cmd_train(cfg, Path(args.manifest), Path(args.out), resume)
+            cmd_train(cfg, args.manifest, args.out, args.resume)
         elif args.command == "eval":
-            cmd_eval(cfg, Path(args.checkpoint), Path(args.manifest), Path(args.out))
+            cmd_eval(cfg, args.checkpoint, args.manifest, args.out)
         elif args.command == "verify":
-            cmd_verify(args.suite, Path(args.out) if args.out else None)
+            cmd_verify(args.suite, args.out)
         elif args.command == "curves":
-            cmd_curves(Path(args.out))
+            cmd_curves(args.out)
         return EXIT_OK
     except (ConfigError, OSError) as exc:  # OSError: say, an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)

@@ -114,7 +114,7 @@ class UnitFeatureSequence:
     """Per-video matrix of unit-level feature vectors."""
 
     video_id: str
-    features: np.ndarray  # [T x d_feat]
+    features: np.ndarray  # [T x d_feat] float32, as in its .f32 file
 
     @property
     def num_units(self) -> int:
@@ -265,8 +265,8 @@ def generate_synthetic_dataset(
             js, je = _jitter_annotation(vid_rng, s, e, cfg.boundary_jitter)
             annotations.append(ActionAnnotation(class_id=class_id, start=js, end=je))
         video_id = f"vid{vi:04d}"
-        feature_file = out / "features" / f"{video_id}.f32"
-        feature_file.write_bytes(np.ascontiguousarray(feats, dtype="<f4").tobytes())
+        feats = np.ascontiguousarray(feats, dtype="<f4")  # the file's format, kept in memory too
+        (out / "features" / f"{video_id}.f32").write_bytes(feats.tobytes())
         videos.append(VideoItem(UnitFeatureSequence(video_id, feats), annotations))
 
     class_names = [f"class_{c:02d}" for c in range(cfg.num_classes)]
@@ -344,7 +344,7 @@ def _load_video(rec: dict, base: Path, d_feat: int, num_classes: int) -> VideoIt
     if int(rec["d_feat"]) != d_feat:
         raise ConfigError(f"video {rec['video_id']}: d_feat mismatch")
     path = base / rec["feature_file"]
-    feats = np.frombuffer(path.read_bytes(), dtype="<f4").astype(np.float64)
+    feats = np.fromfile(path, dtype="<f4")
     if feats.size != t_units * d_feat:
         raise ConfigError(
             f"video {rec['video_id']}: feature file {path} holds {feats.size} floats, "
@@ -467,7 +467,7 @@ def pool_k_parts(video: UnitFeatureSequence, starts, ends, k: int) -> np.ndarray
     """
     if k < 1:
         raise ConfigError("k must be at least 1")
-    feats = video.features
+    feats = np.asarray(video.features, dtype=np.float64)  # float32 units, float64 sums
     t_units = feats.shape[0]
     starts = np.asarray(starts, dtype=np.float64)
     ends = np.asarray(ends, dtype=np.float64)

@@ -11,6 +11,7 @@ float32; their outputs are handed on, and every loss computed, in float64.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -384,7 +385,7 @@ def collect_offset_stats(
 
 
 def save_checkpoint(model: Model, path: str | Path, cfg: TrainConfig) -> Path:
-    """Binary weights plus a JSON sidecar describing shapes and config.
+    """Binary weights plus a JSON sidecar of shapes, config and the weights' SHA-256.
 
     Both go to temporaries beside them and are renamed into place, so a
     failed write leaves the previous checkpoint whole.
@@ -399,6 +400,7 @@ def save_checkpoint(model: Model, path: str | Path, cfg: TrainConfig) -> Path:
     temps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, sidecar_path)]
     try:
         save_arrays(temps[0], arrays)
+        sidecar["weights_sha256"] = hashlib.sha256(temps[0].read_bytes()).hexdigest()
         temps[1].write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
         os.replace(temps[0], path)
         os.replace(temps[1], sidecar_path)
@@ -411,8 +413,8 @@ def save_checkpoint(model: Model, path: str | Path, cfg: TrainConfig) -> Path:
 def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
     """Rebuild a model from save_checkpoint's weights and sidecar.
 
-    Any unreadable, truncated or mismatched file raises ConfigError naming
-    the file (and the offending key, where there is one).
+    Any unreadable, truncated or mismatched file, or weights unlike the SHA-256
+    the sidecar records (if it records one), raises ConfigError naming the file.
     """
     path = Path(path)
     sidecar_path = Path(str(path) + ".json")
@@ -441,4 +443,7 @@ def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
             )
         layer.weights[...] = w
         layer.biases[...] = b
+    digest = sidecar.get("weights_sha256")
+    if digest is not None and digest != hashlib.sha256(path.read_bytes()).hexdigest():
+        raise ConfigError(f"checkpoint {path} does not match the SHA-256 in {sidecar_path}")
     return model, cfg

@@ -19,6 +19,7 @@ from utal.cli import (
     parse_config_file,
 )
 from utal.errors import ConfigError
+from utal.model import init_model, load_checkpoint, save_checkpoint
 from utal.net import DenseLayer, L2NormalizeLayer, ReluLayer, load_arrays, save_arrays
 from utal.verify import (
     verify_expectation,
@@ -469,22 +470,28 @@ class TestEvalCommand:
         assert err.startswith("error: ") and key in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
-    def test_shape_mismatch_names_both(self, cli_workspace, tmp_path):
+    def test_shape_mismatch_names_both(self, cli_workspace, tmp_path, capsys):
+        """eval and train --resume name the checkpoint and the manifest that do not fit."""
         root, cfg_path, data_dir, train_dir, _ = cli_workspace
         other_cfg = tmp_path / "other.cfg"
         other_cfg.write_text(SMALL_DATA.replace("data.d_feat = 16", "data.d_feat = 24"))
         other_data = tmp_path / "other"
         main(["gen-data", "--config", str(other_cfg), "--seed", "3", "--out", str(other_data)])
-        code = main(
-            [
-                "eval",
-                "--config", str(other_cfg),
-                "--checkpoint", str(train_dir / "checkpoint.utal"),
-                "--manifest", str(other_data / "manifest.json"),
-                "--out", str(tmp_path / "x"),
-            ]
-        )
-        assert code == EXIT_CONFIG
+        checkpoint, manifest = train_dir / "checkpoint.utal", other_data / "manifest.json"
+        capsys.readouterr()
+        for command in (["eval", "--checkpoint"], ["train", "--resume"]):
+            code = main(
+                [
+                    *command, str(checkpoint),
+                    "--config", str(other_cfg),
+                    "--manifest", str(manifest),
+                    "--out", str(tmp_path / "x"),
+                ]
+            )
+            err = capsys.readouterr().err
+            assert code == EXIT_CONFIG
+            assert err.startswith("error: ") and "d_feat=16" in err and "d_feat=24" in err
+            assert str(checkpoint) in err and str(manifest) in err
 
     @pytest.mark.parametrize(
         "damage, named",
@@ -497,6 +504,7 @@ class TestEvalCommand:
             ("checkpoint-missing-array", "'head.weights'"),
             ("checkpoint-nan-weight", "'fc1.weights'"),
             ("checkpoint-appended-byte", "checkpoint.utal"),
+            ("checkpoint-from-another-save", "SHA-256"),
         ],
     )
     def test_damaged_checkpoint_is_config_error(self, cli_workspace, tmp_path, capsys, damage, named):
@@ -519,6 +527,10 @@ class TestEvalCommand:
             sidecar.write_text(json.dumps(doc))
         elif damage == "checkpoint-appended-byte":
             ckpt.write_bytes(ckpt.read_bytes() + b"\0")
+        elif damage == "checkpoint-from-another-save":  # same shapes, other weights
+            model, cfg = load_checkpoint(ckpt)
+            other = init_model(cfg, model.d_feat, model.num_classes, seed=model.seed + 1)
+            shutil.copy(save_checkpoint(other, tmp_path / "other.utal", cfg), ckpt)
         else:
             arrays = load_arrays(ckpt)
             if damage == "checkpoint-nan-weight":
@@ -541,8 +553,7 @@ class TestEvalCommand:
         assert "Traceback" not in err
 
     def test_oracle_row_renders_all_hundreds(self):
-        report = {"map_by_tiou": {repr(t): 1.0 for t in (0.3, 0.4, 0.5, 0.6, 0.7)}}
-        row = _format_map_row(report)
+        row = _format_map_row({t: 1.0 for t in (0.3, 0.4, 0.5, 0.6, 0.7)})
         assert row.endswith("100.0 100.0 100.0 100.0 100.0")
 
 

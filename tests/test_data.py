@@ -66,7 +66,7 @@ class TestGeneration:
                 s, e = int(ann.start), int(ann.end)
                 for u in range(s, e):
                     rel = (u + 0.5 - s) / (e - s)
-                    expected = prototype_at(protos, ramp_dirs, ann.class_id, rel)
+                    expected = prototype_at(protos, ramp_dirs, ann.class_id, rel).astype(np.float32)
                     np.testing.assert_array_equal(item.sequence.features[u], expected)
                     checked += 1
         assert checked > 0
@@ -128,10 +128,22 @@ class TestManifestRoundTrip:
         assert loaded.class_names == dataset.class_names
         for a, b in zip(loaded.videos, dataset.videos):
             assert a.sequence.video_id == b.sequence.video_id
-            np.testing.assert_array_equal(
-                a.sequence.features, b.sequence.features.astype("<f4").astype(np.float64)
-            )
+            np.testing.assert_array_equal(a.sequence.features, b.sequence.features)
             assert a.annotations == b.annotations
+
+    def test_generated_dataset_is_the_loaded_one(self, tmp_path):
+        """Features are float32 in memory as on disk, so both give the same training set."""
+        generated, manifest = generate_synthetic_dataset(DataConfig(num_videos=8), 7, tmp_path)
+        loaded = load_dataset(manifest)
+        for a, b in zip(generated.videos, loaded.videos, strict=True):
+            assert a.sequence.features.dtype == b.sequence.features.dtype == np.float32
+            assert a.sequence.features.tobytes() == b.sequence.features.tobytes()
+            assert b.sequence.features.flags.writeable
+            assert a.annotations == b.annotations
+        sets = [build_training_set(d, ProposalConfig(), 4) for d in (generated, loaded)]
+        for name in ("x", "t_a", "t_c", "t_s", "t_e"):
+            a, b = (getattr(s, name) for s in sets)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     def test_loader_rejects_corrupt_features(self, tmp_path):
         cfg = DataConfig(num_videos=2)

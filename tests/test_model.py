@@ -1,5 +1,7 @@
 """Network assembly, end-to-end gradients, training behavior, checkpoints."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -523,6 +525,31 @@ class TestCheckpoint:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         loaded, _ = load_checkpoint(path)
         assert loaded.seed == 1
+
+    def test_sidecar_records_weights_sha256(self, tmp_path):
+        cfg = TrainConfig(hidden=12)
+        path = save_checkpoint(init_model(cfg, 8, 2, seed=1), tmp_path / "m.utal", cfg)
+        sidecar = json.loads((tmp_path / "m.utal.json").read_text())
+        assert sidecar["weights_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_sidecar_without_sha256_still_loads(self, tmp_path):
+        cfg = TrainConfig(hidden=12)
+        path = save_checkpoint(init_model(cfg, 8, 2, seed=1), tmp_path / "m.utal", cfg)
+        sidecar_path = tmp_path / "m.utal.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        del sidecar["weights_sha256"]
+        sidecar_path.write_text(json.dumps(sidecar))
+        assert load_checkpoint(path)[0].seed == 1
+
+    def test_weights_of_another_save_rejected(self, tmp_path):
+        """Same shapes, so only the recorded SHA-256 tells the pairing is wrong."""
+        cfg = TrainConfig(hidden=12)
+        path = save_checkpoint(init_model(cfg, 8, 2, seed=1), tmp_path / "m.utal", cfg)
+        other = save_checkpoint(init_model(cfg, 8, 2, seed=2), tmp_path / "o.utal", cfg)
+        path.write_bytes(other.read_bytes())
+        with pytest.raises(ConfigError, match="SHA-256") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value) and str(tmp_path / "m.utal.json") in str(err.value)
 
     def test_missing_sidecar_rejected(self, tmp_path):
         cfg = TrainConfig(hidden=12)
