@@ -121,6 +121,8 @@ def apply_config_entries(
     for key, value in entries.items():
         if key == "seed":
             section, field_name, annotation = cfg, "seed", "int"
+        elif key == "train.seed":  # build_run_config copies `seed` there
+            raise ConfigError(f"{source}: train.seed is not a config key; set seed instead")
         else:
             if "." not in key:
                 raise ConfigError(f"unknown config key {key!r} (expected section.key)")

@@ -410,11 +410,7 @@ def compute_offsets(starts, ends, gt_starts, gt_ends) -> tuple[np.ndarray, np.nd
 
 
 def label_proposals(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    gt: np.ndarray,
-    pos_thr: float = 0.5,
-    neg_thr: float = 0.3,
+    starts: np.ndarray, ends: np.ndarray, gt: np.ndarray, pos_thr: float, neg_thr: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Assign actioness labels and regression targets by max tIoU.
 

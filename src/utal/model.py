@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +59,8 @@ FC1_INIT_GAIN = 8.0
 # the sampled loss feed sign-noise into mu for many epochs.
 ALPHA_BIAS_INIT = -2.0
 
-# the Model arguments a checkpoint sidecar records beside the train config
-_MODEL_KEYS = ("d_feat", "num_classes", "k", "hidden", "uncertainty", "seed")
+# init_model's arguments a checkpoint sidecar records beside the train config
+_INIT_ARGS = ("d_feat", "num_classes", "seed")
 
 
 @dataclass
@@ -75,11 +75,13 @@ class TrainConfig:
     k: int = 4
     hidden: int = 1000
     condition_mode: str = "he"
-    w_bin: float = 1.0
-    w_cls: float = 1.0
-    w_reg: float = 1.0
 
     def validate(self) -> None:
+        for f in fields(self):  # a float field takes an int too; no field takes a bool
+            value, kind = getattr(self, f.name), type(f.default)
+            kinds = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"{f.name} must be {kind.__name__}, got {value!r}")
         if self.loss_mode not in LOSS_MODES:
             raise ConfigError(f"loss_mode must be one of {LOSS_MODES}")
         if self.condition_mode not in CONDITION_MODES:
@@ -88,9 +90,8 @@ class TrainConfig:
             raise ConfigError("mining_ratio must be positive and finite")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
-        for key in ("lr", "w_bin", "w_cls", "w_reg"):
-            if not (getattr(self, key) >= 0 and math.isfinite(getattr(self, key))):
-                raise ConfigError(f"{key} must be nonnegative and finite")
+        if not (self.lr >= 0 and math.isfinite(self.lr)):
+            raise ConfigError("lr must be nonnegative and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.epochs < 0:
@@ -209,8 +210,9 @@ class Model:
 
 def init_model(cfg: TrainConfig, d_feat: int, num_classes: int, seed: int) -> Model:
     cfg.validate()
-    if d_feat < 1 or num_classes < 2:
-        raise ConfigError("need d_feat >= 1 and num_classes >= 2")
+    ints = (d_feat, num_classes, seed)
+    if any(type(n) is not int for n in ints) or d_feat < 1 or num_classes < 2:
+        raise ConfigError(f"need integers d_feat >= 1, num_classes >= 2 and seed, got {ints}")
     return Model(
         d_feat=d_feat,
         num_classes=num_classes,
@@ -262,9 +264,9 @@ def _regression_terms(
         scale = 1.0 / (2.0 * pos.size)
         # a running total in C order (positive, then start/end), not np.sum's pairwise one
         loss = float(np.cumsum(values * scale)[-1])
-    d_mu[pos, classes] = g_mu * scale * cfg.w_reg
+    d_mu[pos, classes] = g_mu * scale
     if g_alpha is not None:
-        d_alpha[pos, classes] = g_alpha * scale * cfg.w_reg
+        d_alpha[pos, classes] = g_alpha * scale
     return loss, d_mu, d_alpha
 
 
@@ -281,13 +283,13 @@ def train(
     sampled-loss epsilon draws all come from sub-streams of cfg.seed.
     """
     cfg.validate()
+    prop_cfg = prop_cfg or ProposalConfig()
     if training_set is None:
-        training_set = build_training_set(dataset, prop_cfg or ProposalConfig(), cfg.k)
+        training_set = build_training_set(dataset, prop_cfg, cfg.k)
     if not training_set.t_a.any():
-        pc = prop_cfg or ProposalConfig()
         raise ConfigError(
             "training set has no positive proposals "
-            f"(pos_thr={pc.pos_thr}, neg_thr={pc.neg_thr})"
+            f"(pos_thr={prop_cfg.pos_thr}, neg_thr={prop_cfg.neg_thr})"
         )
 
     x_all, t_a, t_c, t_s, t_e = (
@@ -310,10 +312,8 @@ def train(
             pos = mining.positive_indices
 
             loss_bin, d_scores = binary_loss(fwd.y_a, mining)
-            d_za = d_scores * fwd.y_a * (1.0 - fwd.y_a) * cfg.w_bin
-
+            d_za = d_scores * fwd.y_a * (1.0 - fwd.y_a)
             loss_cls, d_logits = multiclass_loss(fwd.logits, t_c[idx], pos)
-            d_logits = d_logits * cfg.w_cls
 
             eps_rng = (
                 root.split("epsilon", epoch, batch_index)
@@ -324,8 +324,7 @@ def train(
                 model, cfg, fwd, pos, t_c[idx], t_s[idx], t_e[idx], eps_rng
             )
 
-            total = cfg.w_bin * loss_bin + cfg.w_cls * loss_cls + cfg.w_reg * loss_reg
-            if not math.isfinite(total):
+            if not math.isfinite(loss_bin + loss_cls + loss_reg):
                 raise NumericError(
                     f"non-finite total loss at epoch {epoch} batch {batch_index}"
                 )
@@ -336,18 +335,11 @@ def train(
 
             sums += (loss_bin, loss_cls, loss_reg)
             batches += 1
-            if model.uncertainty:
-                if pos.size:
-                    classes = t_c[idx][pos].astype(int)
-                    sigma_pos.extend(
-                        np.exp(0.5 * fwd.alpha[pos, classes, :]).ravel().tolist()
-                    )
+            if model.uncertainty:  # sigma of positives' classes and hard negatives' top classes
                 neg = mining.negative_indices
-                if neg.size:
-                    hard_cls = fwd.logits[neg].argmax(axis=1)
-                    sigma_neg.extend(
-                        np.exp(0.5 * fwd.alpha[neg, hard_cls, :]).ravel().tolist()
-                    )
+                classes, hard_cls = t_c[idx][pos].astype(int), fwd.logits[neg].argmax(axis=1)
+                sigma_pos += np.exp(0.5 * fwd.alpha[pos, classes]).ravel().tolist()
+                sigma_neg += np.exp(0.5 * fwd.alpha[neg, hard_cls]).ravel().tolist()
 
         curve.append(
             EpochStats(
@@ -385,7 +377,8 @@ def collect_offset_stats(
 
 
 def save_checkpoint(model: Model, path: str | Path, cfg: TrainConfig) -> Path:
-    """Binary weights plus a JSON sidecar of shapes, config and the weights' SHA-256.
+    """Binary weights plus a JSON sidecar: the train config, init_model's other
+    arguments and the weights' SHA-256.
 
     Both go to temporaries beside them and are renamed into place, so a
     failed write leaves the previous checkpoint whole.
@@ -396,7 +389,7 @@ def save_checkpoint(model: Model, path: str | Path, cfg: TrainConfig) -> Path:
     for layer in model.dense_layers:
         arrays[f"{layer.name}.weights"] = layer.weights
         arrays[f"{layer.name}.biases"] = layer.biases
-    sidecar = {"train_config": asdict(cfg), **{key: getattr(model, key) for key in _MODEL_KEYS}}
+    sidecar = {"train_config": asdict(cfg), **{key: getattr(model, key) for key in _INIT_ARGS}}
     temps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, sidecar_path)]
     try:
         save_arrays(temps[0], arrays)
@@ -413,8 +406,9 @@ def save_checkpoint(model: Model, path: str | Path, cfg: TrainConfig) -> Path:
 def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
     """Rebuild a model from save_checkpoint's weights and sidecar.
 
-    Any unreadable, truncated or mismatched file, or weights unlike the SHA-256
-    the sidecar records (if it records one), raises ConfigError naming the file.
+    Any unreadable, truncated or mismatched file, a train config that lacks a
+    key or fails TrainConfig.validate, or weights unlike the SHA-256 the sidecar
+    records (if it records one), raises ConfigError naming the file.
     """
     path = Path(path)
     sidecar_path = Path(str(path) + ".json")
@@ -423,11 +417,15 @@ def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read checkpoint sidecar {sidecar_path}: {exc}") from exc
     try:
-        cfg = TrainConfig(**sidecar["train_config"])
-        model = Model(**{key: sidecar[key] for key in _MODEL_KEYS})
+        saved = sidecar["train_config"]
+        cfg = TrainConfig(**saved)  # an unknown key is a TypeError naming it
+        missing = [f.name for f in fields(cfg) if f.name not in saved]
+        if missing:
+            raise KeyError(missing[0])
+        model = init_model(cfg, *(sidecar[key] for key in _INIT_ARGS))
     except KeyError as exc:
         raise ConfigError(f"checkpoint sidecar {sidecar_path} lacks key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint sidecar {sidecar_path}: {exc}") from exc
     arrays = load_arrays(path)
     for layer in model.dense_layers:
@@ -438,12 +436,12 @@ def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
             raise ConfigError(f"checkpoint {path} has no array {exc.args[0]!r}") from exc
         if w.shape != layer.weights.shape or b.shape != layer.biases.shape:
             raise ConfigError(
-                f"checkpoint shape mismatch for {layer.name}: "
+                f"checkpoint {path} does not fit {sidecar_path} in {layer.name}: "
                 f"{w.shape}/{b.shape} vs {layer.weights.shape}/{layer.biases.shape}"
             )
         layer.weights[...] = w
         layer.biases[...] = b
-    digest = sidecar.get("weights_sha256")
-    if digest is not None and digest != hashlib.sha256(path.read_bytes()).hexdigest():
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    if sidecar.get("weights_sha256", digest) != digest:
         raise ConfigError(f"checkpoint {path} does not match the SHA-256 in {sidecar_path}")
     return model, cfg

@@ -10,6 +10,8 @@ overwriting the previous ones, for `sgd_step` to spend.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -217,16 +219,17 @@ def load_arrays(path) -> dict[str, np.ndarray]:
                     f"{path}: bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"
                 )
             (count,) = struct.unpack("<I", fh.read(4))
+            size = os.fstat(fh.fileno()).st_size
             arrays: dict[str, np.ndarray] = {}
             for _ in range(count):
                 (name_len,) = struct.unpack("<H", fh.read(2))
                 name = fh.read(name_len).decode("utf-8")
                 (ndim,) = struct.unpack("<B", fh.read(1))
                 shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-                n_items = int(np.prod(shape)) if ndim else 1
-                payload = fh.read(4 * n_items)
-                if len(payload) != 4 * n_items:
+                n_bytes = 4 * math.prod(shape)  # a corrupt dim must not ask for a huge read
+                if n_bytes > size - fh.tell():
                     raise ConfigError(f"{path}: truncated checkpoint payload for entry {name!r}")
+                payload = fh.read(n_bytes)
                 arrays[name] = np.frombuffer(payload, "<f4").astype(np.float32).reshape(shape)
                 if not np.isfinite(arrays[name]).all():
                     raise ConfigError(f"{path}: non-finite value in entry {name!r}")

@@ -226,9 +226,9 @@ def regression_terms_oracle(cfg, fwd: BatchForward, pos, t_c, t_s, t_e, eps_rng)
                 g_mu = -erf
                 g_alpha = 0.5 * sigma * density  # dE/dsigma * dsigma/dalpha
             total += loss * scale
-            d_mu[i, c, b] += g_mu * scale * cfg.w_reg
+            d_mu[i, c, b] += g_mu * scale
             if d_alpha is not None:
-                d_alpha[i, c, b] += g_alpha * scale * cfg.w_reg
+                d_alpha[i, c, b] += g_alpha * scale
     return total, d_mu, d_alpha
 
 

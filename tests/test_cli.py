@@ -6,6 +6,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from utal import cli
 from utal.cli import (
@@ -32,6 +34,40 @@ from utal.verify import (
 def _write_config(path, text):
     path.write_text(text)
     return str(path)
+
+
+def _eval_checkpoint(workspace, checkpoint, capsys) -> tuple[int, str]:
+    """`utal eval` of `checkpoint` on the workspace's data: exit code and stderr."""
+    _, cfg_path, data_dir, _, _ = workspace
+    capsys.readouterr()
+    code = main(
+        [
+            "eval",
+            "--config", str(cfg_path),
+            "--checkpoint", str(checkpoint),
+            "--manifest", str(data_dir / "manifest.json"),
+            "--out", str(checkpoint.parent / "x"),
+        ]
+    )
+    return code, capsys.readouterr().err
+
+
+# one strategy per JSON kind, for retyping a sidecar value
+_JSON_KINDS = (
+    (type(None), st.none()),
+    (bool, st.booleans()),
+    (int, st.integers()),
+    (float, st.floats()),
+    (str, st.text(max_size=4)),
+    (list, st.lists(st.integers(), max_size=2)),
+    (dict, st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)),
+)
+
+
+def _retyped(value):
+    """A JSON value of another kind than `value`; an int counts as a float."""
+    same = (int, float) if type(value) is float else (type(value),)
+    return st.one_of([strategy for kind, strategy in _JSON_KINDS if kind not in same])
 
 
 SMALL_DATA = """
@@ -88,9 +124,6 @@ class TestConfigFile:
             "train.mining_ratio = inf",
             "train.lr = nan",
             "train.lr = inf",
-            "train.w_bin = nan",
-            "train.w_cls = inf",
-            "train.w_reg = -1",
             "data.noise_level = nan",
         ],
     )
@@ -100,6 +133,23 @@ class TestConfigFile:
         err = capsys.readouterr().err
         key = line.split("=")[0].strip().split(".")[1]
         assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("line", ["train.w_bin = nan", "train.w_cls = inf", "train.w_reg = -1"])
+    def test_removed_loss_weight_is_unknown_key(self, tmp_path, capsys, line):
+        """The three terms are summed with unit weights; there is no weight to set."""
+        path = _write_config(tmp_path / "bad.cfg", SMALL_DATA + line + "\n")
+        assert main(["gen-data", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        key = line.split("=")[0].strip()
+        assert err.startswith(f"error: unknown config key {key!r}") and "Traceback" not in err
+
+    def test_train_seed_is_config_error_pointing_to_seed(self, tmp_path, capsys):
+        """`seed` alone sets the training seed; train.seed used to be overwritten silently."""
+        path = _write_config(tmp_path / "bad.cfg", SMALL_DATA + "train.seed = 9\n")
+        assert main(["gen-data", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: train.seed ") and "set seed instead" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestGenData:
@@ -508,7 +558,7 @@ class TestEvalCommand:
         ],
     )
     def test_damaged_checkpoint_is_config_error(self, cli_workspace, tmp_path, capsys, damage, named):
-        _, cfg_path, data_dir, train_dir, _ = cli_workspace
+        _, _, _, train_dir, _ = cli_workspace
         ckpt, sidecar = tmp_path / "checkpoint.utal", tmp_path / "checkpoint.utal.json"
         shutil.copy(train_dir / ckpt.name, ckpt)
         shutil.copy(train_dir / sidecar.name, sidecar)
@@ -523,7 +573,7 @@ class TestEvalCommand:
             doc["pad_head_to_six"] = doc["train_config"]["pad_head_to_six"] = False
             sidecar.write_text(json.dumps(doc))
         elif damage == "sidecar-missing-key":
-            del doc["hidden"]
+            del doc["train_config"]["hidden"]
             sidecar.write_text(json.dumps(doc))
         elif damage == "checkpoint-appended-byte":
             ckpt.write_bytes(ckpt.read_bytes() + b"\0")
@@ -538,19 +588,67 @@ class TestEvalCommand:
             else:
                 del arrays["head.weights"]
             save_arrays(ckpt, arrays)
-        code = main(
-            [
-                "eval",
-                "--config", str(cfg_path),
-                "--checkpoint", str(ckpt),
-                "--manifest", str(data_dir / "manifest.json"),
-                "--out", str(tmp_path / "x"),
-            ]
-        )
-        err = capsys.readouterr().err
+        code, err = _eval_checkpoint(cli_workspace, ckpt, capsys)
         assert code == EXIT_CONFIG
         assert err.startswith("error: ") and str(ckpt) in err and named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("lr", "x"), ("loss_mode", "bogus"), ("epochs", -1), ("hidden", 32.0)]
+    )
+    def test_bad_train_config_in_sidecar_is_config_error(
+        self, cli_workspace, tmp_path, capsys, key, value
+    ):
+        """The sidecar's train_config is validated, not shadowed by a second copy."""
+        _, _, _, train_dir, _ = cli_workspace
+        ckpt, sidecar = tmp_path / "checkpoint.utal", tmp_path / "checkpoint.utal.json"
+        shutil.copy(train_dir / ckpt.name, ckpt)
+        doc = json.loads((train_dir / sidecar.name).read_text())
+        doc["train_config"][key] = value
+        sidecar.write_text(json.dumps(doc))
+        code, err = _eval_checkpoint(cli_workspace, ckpt, capsys)
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"error: checkpoint sidecar {sidecar}: {key} ")
+
+    @given(data=st.data())
+    @settings(  # each example rewrites both files in tmp_path
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_any_damage_ends_in_error_naming_a_file(self, cli_workspace, tmp_path, capsys, data):
+        """Byte flips, truncations, appended bytes, sidecar keys deleted or retyped."""
+        _, _, _, train_dir, _ = cli_workspace
+        weights = (train_dir / "checkpoint.utal").read_bytes()
+        sidecar = (train_dir / "checkpoint.utal.json").read_text()
+        doc = json.loads(sidecar)
+        fault = data.draw(
+            st.sampled_from(["flip", "truncate", "append", "truncate-sidecar", "delete", "retype"])
+        )
+        if fault == "flip":
+            at = data.draw(st.integers(0, len(weights) - 1))
+            flipped = weights[at] ^ data.draw(st.integers(1, 255))
+            weights = weights[:at] + bytes([flipped]) + weights[at + 1 :]
+        elif fault == "truncate":
+            weights = weights[: data.draw(st.integers(0, len(weights) - 1))]
+        elif fault == "append":
+            weights += data.draw(st.binary(min_size=1, max_size=8))
+        elif fault == "truncate-sidecar":  # by more than its final newline
+            sidecar = sidecar[: data.draw(st.integers(0, len(sidecar) - 2))]
+        else:  # a sidecar without the digest is an older one, and loads
+            keys = [(key,) for key in doc if fault == "retype" or key != "weights_sha256"]
+            keys += [("train_config", key) for key in doc["train_config"]]
+            *section, key = data.draw(st.sampled_from(keys))
+            owner = doc["train_config"] if section else doc
+            if fault == "delete":
+                del owner[key]
+            else:
+                owner[key] = data.draw(_retyped(owner[key]))
+            sidecar = json.dumps(doc)
+        ckpt = tmp_path / "checkpoint.utal"
+        ckpt.write_bytes(weights)
+        (tmp_path / "checkpoint.utal.json").write_text(sidecar)
+        code, err = _eval_checkpoint(cli_workspace, ckpt, capsys)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and str(ckpt) in err and "Traceback" not in err
 
     def test_oracle_row_renders_all_hundreds(self):
         row = _format_map_row({t: 1.0 for t in (0.3, 0.4, 0.5, 0.6, 0.7)})

@@ -444,9 +444,12 @@ class TestLabeling:
 
     def test_positive_offsets_round_trip_to_matched_annotation(self, small_dataset):
         dataset, _ = small_dataset
+        pcfg = ProposalConfig()
         for item in dataset.videos[:4]:
             starts, ends = sliding_windows(item.sequence.num_units, (8, 16, 32), 0.5)
-            keep, t_c, t_s, t_e = label_proposals(starts, ends, _gt(item.annotations))
+            keep, t_c, t_s, t_e = label_proposals(
+                starts, ends, _gt(item.annotations), pcfg.pos_thr, pcfg.neg_thr
+            )
             pos = keep[t_c >= 0]
             assert pos.size
             out_s, out_e = apply_offsets(

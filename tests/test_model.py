@@ -140,7 +140,7 @@ def _total_loss_for_model(model, cfg, x_batch, t_a, t_c, t_s, t_e, eps_values):
                     val = sampled_l1_loss(*pred, target, eps_values[k])[0]
                 k += 1
                 loss_reg += val * scale
-    return cfg.w_bin * loss_bin + cfg.w_cls * loss_cls + cfg.w_reg * loss_reg
+    return loss_bin + loss_cls + loss_reg
 
 
 class TestEndToEndGradient:
@@ -270,12 +270,10 @@ def _regression_batch(draw):
 
 class TestRegressionTerms:
     @staticmethod
-    def _both(batch, mode, condition_mode, seed, w_reg=1.0):
+    def _both(batch, mode, condition_mode, seed):
         """_regression_terms and the per-positive oracle on one batch."""
         mu, alpha, t_c, t_s, t_e = batch
-        cfg = TrainConfig(
-            loss_mode=mode, condition_mode=condition_mode, w_reg=w_reg, k=1, hidden=2
-        )
+        cfg = TrainConfig(loss_mode=mode, condition_mode=condition_mode, k=1, hidden=2)
         model = init_model(cfg, d_feat=1, num_classes=mu.shape[1], seed=0)
         zeros = np.zeros(mu.shape[0])
         fwd = BatchForward(
@@ -291,7 +289,6 @@ class TestRegressionTerms:
         mode=st.sampled_from(LOSS_MODES),
         condition_mode=st.sampled_from(CONDITION_MODES),
         seed=st.integers(0, 2**16),
-        w_reg=st.sampled_from([1.0, 0.3]),
     )
     @example(  # |d| == 1 on both sides, alpha at both clamps, one class twice
         batch=(
@@ -301,16 +298,16 @@ class TestRegressionTerms:
             np.array([1.25, 0.0, 0.5]),
             np.array([-1.5, 3.0, 0.0]),
         ),
-        mode="kl_l1", condition_mode="he", seed=0, w_reg=1.0,
+        mode="kl_l1", condition_mode="he", seed=0,
     )
     @example(  # no positives
         batch=(np.ones((2, 2, 2)), np.zeros((2, 2, 2)), np.array([-1, -1]), np.zeros(2), np.zeros(2)),
-        mode="sampled_l1", condition_mode="he", seed=3, w_reg=1.0,
+        mode="sampled_l1", condition_mode="he", seed=3,
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_per_positive_oracle(self, batch, mode, condition_mode, seed, w_reg):
+    def test_matches_per_positive_oracle(self, batch, mode, condition_mode, seed):
         (loss, d_mu, d_alpha), (ref_loss, ref_mu, ref_alpha) = self._both(
-            batch, mode, condition_mode, seed, w_reg
+            batch, mode, condition_mode, seed
         )
         assert loss == pytest.approx(ref_loss, rel=1e-15, abs=0.0)
         mu, _, t_c, _, _ = batch
