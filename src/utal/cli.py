@@ -117,7 +117,7 @@ _SECTIONS = ("data", "proposals", "train", "detect")
 def apply_config_entries(
     cfg: RunConfig, entries: dict[str, str], source: str = "config file"
 ) -> RunConfig:
-    """Set each `section.key` (or `seed`); a value that does not parse names `source`."""
+    """Set each `section.key` (or `seed`); every error names `source`."""
     for key, value in entries.items():
         if key == "seed":
             section, field_name, annotation = cfg, "seed", "int"
@@ -125,14 +125,14 @@ def apply_config_entries(
             raise ConfigError(f"{source}: train.seed is not a config key; set seed instead")
         else:
             if "." not in key:
-                raise ConfigError(f"unknown config key {key!r} (expected section.key)")
+                raise ConfigError(f"{source}: unknown config key {key!r} (expected section.key)")
             section_name, field_name = key.split(".", 1)
             if section_name not in _SECTIONS:
-                raise ConfigError(f"unknown config section {section_name!r}")
+                raise ConfigError(f"{source}: unknown config section {section_name!r}")
             section = getattr(cfg, section_name)
             types = {f.name: str(f.type) for f in fields(section)}
             if field_name not in types:
-                raise ConfigError(f"unknown config key {key!r}")
+                raise ConfigError(f"{source}: unknown config key {key!r}")
             annotation = types[field_name]
         try:
             parsed = _coerce(value, getattr(section, field_name), annotation)

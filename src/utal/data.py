@@ -304,8 +304,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     base = manifest_path.parent
     where = "top level"
     try:
-        d_feat = int(manifest["d_feat"])
-        num_classes = int(manifest["num_classes"])
+        d_feat = _json_number(manifest, "d_feat")
+        num_classes = _json_number(manifest, "num_classes")
         class_names = [f"class_{c:02d}" for c in range(num_classes)]
         table = manifest.get("class_table")
         if table:  # a named table must exist; without one the names default
@@ -325,7 +325,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         raise ConfigError(
             f"manifest {manifest_path}: {where}: cannot read {exc.filename}: {exc.strerror}"
         ) from exc
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:  # a JSON int no float holds overflows
         raise ConfigError(f"manifest {manifest_path}: {where}: {exc}") from exc
     first: dict = {}  # evaluation codes detections by video id, so ids must be unique
     for index, item in enumerate(videos):
@@ -336,12 +336,19 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     return Dataset(videos, class_names, d_feat, num_classes)
 
 
+def _json_number(record: dict, key: str, kinds: tuple = ("int",)):
+    """record[key] if its JSON type is one of `kinds`: a bool, string or float is no int."""
+    if type(record[key]).__name__ not in kinds:
+        raise ConfigError(f"{key} must be {' or '.join(kinds)}, got {record[key]!r}")
+    return record[key]
+
+
 def _load_video(rec: dict, base: Path, d_feat: int, num_classes: int) -> VideoItem:
     """One manifest video record plus its feature file, with every invariant checked."""
-    t_units = int(rec["T"])
+    t_units = _json_number(rec, "T")
     if t_units < 1:
         raise ConfigError(f"video {rec['video_id']}: T must be >= 1")
-    if int(rec["d_feat"]) != d_feat:
+    if _json_number(rec, "d_feat") != d_feat:
         raise ConfigError(f"video {rec['video_id']}: d_feat mismatch")
     path = base / rec["feature_file"]
     feats = np.fromfile(path, dtype="<f4")
@@ -355,7 +362,8 @@ def _load_video(rec: dict, base: Path, d_feat: int, num_classes: int) -> VideoIt
         raise ConfigError(f"video {rec['video_id']}: non-finite values in feature file {path}")
     annotations = []
     for a in rec["annotations"]:
-        ann = ActionAnnotation(int(a["class_id"]), float(a["start"]), float(a["end"]))
+        start, end = (float(_json_number(a, key, ("int", "float"))) for key in ("start", "end"))
+        ann = ActionAnnotation(_json_number(a, "class_id"), start, end)
         if not 0 <= ann.start < ann.end <= t_units:
             raise ConfigError(
                 f"video {rec['video_id']}: annotation [{ann.start}, {ann.end}] "

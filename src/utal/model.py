@@ -59,8 +59,9 @@ FC1_INIT_GAIN = 8.0
 # the sampled loss feed sign-noise into mu for many epochs.
 ALPHA_BIAS_INIT = -2.0
 
-# init_model's arguments a checkpoint sidecar records beside the train config
-_INIT_ARGS = ("d_feat", "num_classes", "seed")
+# a class's head row without and with uncertainty: its logit, then mu (and alpha) per boundary
+_HEAD_COLS = (3, 5)
+_PARTS = ("weights", "biases")  # a dense layer's arrays in a checkpoint
 
 
 @dataclass
@@ -123,39 +124,21 @@ class EpochStats:
 
 
 class Model:
-    def __init__(
-        self,
-        d_feat: int,
-        num_classes: int,
-        k: int,
-        hidden: int,
-        uncertainty: bool,
-        seed: int,
-    ):
-        self.d_feat = d_feat
-        self.num_classes = num_classes
-        self.k = k
-        self.hidden = hidden
-        self.uncertainty = uncertainty
-        self.seed = seed
-        self.offset_cols = 4 if uncertainty else 2
-        self.head_cols = 1 + self.offset_cols
+    """The network on its three dense layers, fc1 [hidden x k*d_feat], actioness
+    [1 x hidden] and head [C*(5 or 3) x hidden]; hidden, d_feat and C are their shapes."""
 
-        rng = Rng(seed).split("model-init")
-        in_dim = k * d_feat
+    def __init__(
+        self, fc1: DenseLayer, fc_act: DenseLayer, fc_head: DenseLayer, k: int, uncertainty: bool
+    ):
+        self.fc1, self.fc_act, self.fc_head = fc1, fc_act, fc_head
+        self.k = k
+        self.uncertainty = uncertainty
+        self.head_cols = _HEAD_COLS[uncertainty]
+        self.hidden = fc1.out_dim
+        self.d_feat = fc1.in_dim // k
+        self.num_classes = fc_head.out_dim // self.head_cols
         self.norm = L2NormalizeLayer()
         self.relu = ReluLayer()
-        fc1 = init_dense(rng.split("fc1"), hidden, in_dim, name="fc1")
-        fc1.weights *= FC1_INIT_GAIN
-        fc_act = init_dense(rng.split("actioness"), 1, hidden, name="actioness")
-        fc_head = init_dense(rng.split("head"), num_classes * self.head_cols, hidden, name="head")
-        if uncertainty:
-            head_bias = fc_head.biases.reshape(num_classes, self.head_cols)
-            head_bias[:, (2, 4)] = ALPHA_BIAS_INIT
-        self.fc1, self.fc_act, self.fc_head = (
-            DenseLayer(lay.weights.astype(np.float32), lay.biases.astype(np.float32), lay.name)
-            for lay in (fc1, fc_act, fc_head)
-        )
 
     @property
     def dense_layers(self) -> list[DenseLayer]:
@@ -213,14 +196,18 @@ def init_model(cfg: TrainConfig, d_feat: int, num_classes: int, seed: int) -> Mo
     ints = (d_feat, num_classes, seed)
     if any(type(n) is not int for n in ints) or d_feat < 1 or num_classes < 2:
         raise ConfigError(f"need integers d_feat >= 1, num_classes >= 2 and seed, got {ints}")
-    return Model(
-        d_feat=d_feat,
-        num_classes=num_classes,
-        k=cfg.k,
-        hidden=cfg.hidden,
-        uncertainty=cfg.loss_mode != "l1",
-        seed=seed,
-    )
+    uncertainty = cfg.loss_mode != "l1"
+    head_cols = _HEAD_COLS[uncertainty]
+    rng = Rng(seed).split("model-init")
+    fc1 = init_dense(rng.split("fc1"), cfg.hidden, cfg.k * d_feat, name="fc1")
+    fc1.weights *= FC1_INIT_GAIN
+    fc_act = init_dense(rng.split("actioness"), 1, cfg.hidden, name="actioness")
+    fc_head = init_dense(rng.split("head"), num_classes * head_cols, cfg.hidden, name="head")
+    if uncertainty:
+        fc_head.biases.reshape(num_classes, head_cols)[:, (2, 4)] = ALPHA_BIAS_INIT
+    f32 = [DenseLayer(lay.weights.astype(np.float32), lay.biases.astype(np.float32), lay.name)
+           for lay in (fc1, fc_act, fc_head)]
+    return Model(*f32, cfg.k, uncertainty)
 
 
 def _regression_terms(
@@ -377,19 +364,17 @@ def collect_offset_stats(
 
 
 def save_checkpoint(model: Model, path: str | Path, cfg: TrainConfig) -> Path:
-    """Binary weights plus a JSON sidecar: the train config, init_model's other
-    arguments and the weights' SHA-256.
+    """Binary weights of the three dense layers plus a JSON sidecar holding the
+    train config and the weights' SHA-256.
 
     Both go to temporaries beside them and are renamed into place, so a
     failed write leaves the previous checkpoint whole.
     """
     path = Path(path)
     sidecar_path = Path(str(path) + ".json")
-    arrays: dict[str, np.ndarray] = {}
-    for layer in model.dense_layers:
-        arrays[f"{layer.name}.weights"] = layer.weights
-        arrays[f"{layer.name}.biases"] = layer.biases
-    sidecar = {"train_config": asdict(cfg), **{key: getattr(model, key) for key in _INIT_ARGS}}
+    layers = model.dense_layers
+    arrays = {f"{lay.name}.{part}": getattr(lay, part) for lay in layers for part in _PARTS}
+    sidecar = {"train_config": asdict(cfg)}
     temps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, sidecar_path)]
     try:
         save_arrays(temps[0], arrays)
@@ -404,11 +389,13 @@ def save_checkpoint(model: Model, path: str | Path, cfg: TrainConfig) -> Path:
 
 
 def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
-    """Rebuild a model from save_checkpoint's weights and sidecar.
+    """Build a model on the arrays save_checkpoint wrote, as the sidecar's train
+    config reads them; other top-level sidecar keys are ignored.
 
     Any unreadable, truncated or mismatched file, a train config that lacks a
-    key or fails TrainConfig.validate, or weights unlike the SHA-256 the sidecar
-    records (if it records one), raises ConfigError naming the file.
+    key or fails TrainConfig.validate, a missing, extra or misshapen array, or
+    weights unlike the SHA-256 the sidecar records (if it records one), raises
+    ConfigError naming the file.
     """
     path = Path(path)
     sidecar_path = Path(str(path) + ".json")
@@ -422,26 +409,30 @@ def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
         missing = [f.name for f in fields(cfg) if f.name not in saved]
         if missing:
             raise KeyError(missing[0])
-        model = init_model(cfg, *(sidecar[key] for key in _INIT_ARGS))
+        cfg.validate()
     except KeyError as exc:
         raise ConfigError(f"checkpoint sidecar {sidecar_path} lacks key {exc.args[0]!r}") from exc
-    except (ConfigError, TypeError, ValueError) as exc:
+    except (ConfigError, TypeError) as exc:
         raise ConfigError(f"checkpoint sidecar {sidecar_path}: {exc}") from exc
     arrays = load_arrays(path)
-    for layer in model.dense_layers:
-        try:
-            w = arrays[f"{layer.name}.weights"]
-            b = arrays[f"{layer.name}.biases"]
-        except KeyError as exc:
-            raise ConfigError(f"checkpoint {path} has no array {exc.args[0]!r}") from exc
-        if w.shape != layer.weights.shape or b.shape != layer.biases.shape:
-            raise ConfigError(
-                f"checkpoint {path} does not fit {sidecar_path} in {layer.name}: "
-                f"{w.shape}/{b.shape} vs {layer.weights.shape}/{layer.biases.shape}"
-            )
-        layer.weights[...] = w
-        layer.biases[...] = b
+    k, hidden, cols = cfg.k, cfg.hidden, _HEAD_COLS[cfg.loss_mode != "l1"]
+    shapes = {  # each layer's weight shape, in words and as a test of (rows, columns)
+        "fc1": ("hidden x k·d (d >= 1)", lambda r, c: r == hidden and c >= k and c % k == 0),
+        "actioness": ("1 x hidden", lambda r, c: (r, c) == (1, hidden)),
+        "head": (f"C·{cols} x hidden (C >= 2)",
+                 lambda r, c: r >= 2 * cols and r % cols == 0 and c == hidden),
+    }
+    misfit = f"checkpoint {path} does not fit {sidecar_path}"
+    odd = sorted({f"{name}.{part}" for name in shapes for part in _PARTS} ^ arrays.keys())
+    if odd:  # an array missing or extra
+        raise ConfigError(f"{misfit}: {'extra' if odd[0] in arrays else 'no'} array {odd[0]!r}")
+    for name, (words, fits) in shapes.items():
+        w, b = arrays[f"{name}.weights"], arrays[f"{name}.biases"]
+        if not (w.ndim == 2 and fits(*w.shape) and b.shape == w.shape[:1]):
+            raise ConfigError(f"{misfit} in {name}: weights {w.shape} and biases {b.shape}; k={k}, "
+                              f"hidden={hidden} need {words} weights and one bias per row")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     if sidecar.get("weights_sha256", digest) != digest:
         raise ConfigError(f"checkpoint {path} does not match the SHA-256 in {sidecar_path}")
-    return model, cfg
+    layers = (DenseLayer(arrays[f"{n}.weights"], arrays[f"{n}.biases"], n) for n in shapes)
+    return Model(*layers, k, cfg.loss_mode != "l1"), cfg

@@ -96,9 +96,16 @@ class TestConfigFile:
         assert cfg.proposals.scales == (8, 16, 32)
 
     def test_unknown_key_rejected(self, tmp_path):
-        path = _write_config(tmp_path / "run.cfg", "data.bogus_field = 1\n")
-        with pytest.raises(ConfigError, match="bogus_field"):
-            apply_config_entries(RunConfig(), parse_config_file(path))
+        """An unknown key, section or dotless key is an error naming the file and the key."""
+        for line, named in [
+            ("data.bogus_field = 1", "unknown config key 'data.bogus_field'"),
+            ("trian.epochs = 1", "unknown config section 'trian'"),
+            ("epochs = 1", "unknown config key 'epochs' (expected section.key)"),
+        ]:
+            path = _write_config(tmp_path / "run.cfg", line + "\n")
+            with pytest.raises(ConfigError) as err:
+                apply_config_entries(RunConfig(), parse_config_file(path), path)
+            assert str(err.value) == f"{path}: {named}"
 
     def test_malformed_line_rejected(self, tmp_path):
         path = _write_config(tmp_path / "run.cfg", "data.num_videos 6\n")
@@ -141,7 +148,8 @@ class TestConfigFile:
         assert main(["gen-data", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         key = line.split("=")[0].strip()
-        assert err.startswith(f"error: unknown config key {key!r}") and "Traceback" not in err
+        assert err.startswith(f"error: {path}: unknown config key {key!r}")
+        assert "Traceback" not in err
 
     def test_train_seed_is_config_error_pointing_to_seed(self, tmp_path, capsys):
         """`seed` alone sets the training seed; train.seed used to be overwritten silently."""
@@ -555,6 +563,8 @@ class TestEvalCommand:
             ("checkpoint-nan-weight", "'fc1.weights'"),
             ("checkpoint-appended-byte", "checkpoint.utal"),
             ("checkpoint-from-another-save", "SHA-256"),
+            ("sidecar-huge-hidden", "hidden"),
+            ("checkpoint-extra-array", "extra array 'fc2.weights'"),
         ],
     )
     def test_damaged_checkpoint_is_config_error(self, cli_workspace, tmp_path, capsys, damage, named):
@@ -575,16 +585,21 @@ class TestEvalCommand:
         elif damage == "sidecar-missing-key":
             del doc["train_config"]["hidden"]
             sidecar.write_text(json.dumps(doc))
+        elif damage == "sidecar-huge-hidden":  # a model this size needs GiBs; the shapes refuse it
+            doc["train_config"]["hidden"] = 10**7
+            sidecar.write_text(json.dumps(doc))
         elif damage == "checkpoint-appended-byte":
             ckpt.write_bytes(ckpt.read_bytes() + b"\0")
         elif damage == "checkpoint-from-another-save":  # same shapes, other weights
             model, cfg = load_checkpoint(ckpt)
-            other = init_model(cfg, model.d_feat, model.num_classes, seed=model.seed + 1)
+            other = init_model(cfg, model.d_feat, model.num_classes, seed=8)
             shutil.copy(save_checkpoint(other, tmp_path / "other.utal", cfg), ckpt)
         else:
             arrays = load_arrays(ckpt)
             if damage == "checkpoint-nan-weight":
                 arrays["fc1.weights"][3, 5] = np.nan
+            elif damage == "checkpoint-extra-array":
+                arrays["fc2.weights"] = arrays["fc1.weights"]
             else:
                 del arrays["head.weights"]
             save_arrays(ckpt, arrays)

@@ -155,7 +155,14 @@ class TestManifestRoundTrip:
         assert str(err.value).startswith(f"manifest {manifest}: video record ")
         assert str(victim) in str(err.value)
 
-    @pytest.mark.parametrize("damage", ["T-zero", "T-too-large", "non-finite", "short-class-table"])
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "T-zero", "T-too-large", "non-finite", "short-class-table",
+            "d_feat-float", "num_classes-float", "T-float", "T-bool", "record-d_feat-string",
+            "class_id-float", "start-string", "end-bool", "start-beyond-float",
+        ],
+    )
     def test_loader_errors_name_manifest_record_and_file(self, tmp_path, damage):
         _, manifest = generate_synthetic_dataset(DataConfig(num_videos=2), 13, tmp_path)
         doc = json.loads(manifest.read_text())
@@ -170,9 +177,29 @@ class TestManifestRoundTrip:
             feats[5] = np.nan
             feature_file.write_bytes(feats.tobytes())
             named = f"non-finite values in feature file {feature_file}"
-        else:
+        elif damage == "short-class-table":
             (tmp_path / "classes.txt").write_text("a\nb\n")
             where, named = "top level", f"class table {tmp_path / 'classes.txt'} lists 2 names"
+        elif damage == "start-beyond-float":  # a JSON number, but no float holds it
+            record["annotations"][0]["start"] = 10**400
+            named = "int too large to convert to float"
+        else:  # a JSON value of the wrong type, which int() or float() would have let through
+            annotation = record["annotations"][0]
+            owner, key, value = {
+                "d_feat-float": (doc, "d_feat", 64.9),
+                "num_classes-float": (doc, "num_classes", 5.5),
+                "T-float": (record, "T", 94.5),
+                "T-bool": (record, "T", True),
+                "record-d_feat-string": (record, "d_feat", "64"),
+                "class_id-float": (annotation, "class_id", 3.7),
+                "start-string": (annotation, "start", "1.5"),
+                "end-bool": (annotation, "end", True),
+            }[damage]
+            owner[key] = value
+            if owner is doc:
+                where = "top level"
+            kind = "int or float" if key in ("start", "end") else "int"
+            named = f"{key} must be {kind}, got {value!r}"
         manifest.write_text(json.dumps(doc))
         with pytest.raises(ConfigError) as err:
             load_dataset(manifest)

@@ -50,6 +50,7 @@ from utal.model import (
     save_checkpoint,
     train,
 )
+from utal.net import load_arrays, save_arrays
 from utal.numerics import Rng
 
 
@@ -417,7 +418,7 @@ class TestTraining:
         dataset = _toy_dataset()
         cfg = TrainConfig(loss_mode="l1", epochs=1, hidden=16, batch_size=16)
         model = init_model(cfg, dataset.d_feat, dataset.num_classes, 3)
-        assert model.offset_cols == 2
+        assert model.fc_head.out_dim == dataset.num_classes * 3  # logit, mu_s, mu_e
         model, _ = train(model, dataset, cfg, ProposalConfig(scales=(8, 16, 32)))
         fwd = model.forward_batch(np.ones((2, dataset.d_feat * cfg.k)))
         assert fwd.alpha is None
@@ -521,7 +522,7 @@ class TestCheckpoint:
         monkeypatch.undo()
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         loaded, _ = load_checkpoint(path)
-        assert loaded.seed == 1
+        np.testing.assert_array_equal(loaded.fc1.weights, init_model(cfg, 8, 2, seed=1).fc1.weights)
 
     def test_sidecar_records_weights_sha256(self, tmp_path):
         cfg = TrainConfig(hidden=12)
@@ -536,7 +537,82 @@ class TestCheckpoint:
         sidecar = json.loads(sidecar_path.read_text())
         del sidecar["weights_sha256"]
         sidecar_path.write_text(json.dumps(sidecar))
-        assert load_checkpoint(path)[0].seed == 1
+        loaded, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.fc1.weights, init_model(cfg, 8, 2, seed=1).fc1.weights)
+
+    def test_older_sidecar_with_init_arguments_loads(self, tmp_path):
+        """Sidecars once recorded d_feat, num_classes and seed; the shapes give the first
+        two and train_config.seed the run seed, so those keys are ignored."""
+        cfg = TrainConfig(hidden=12)
+        path = save_checkpoint(init_model(cfg, 8, 2, seed=1), tmp_path / "m.utal", cfg)
+        sidecar_path = tmp_path / "m.utal.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        assert set(sidecar) == {"train_config", "weights_sha256"}
+        sidecar.update(d_feat=8, num_classes=2, seed=1)
+        sidecar_path.write_text(json.dumps(sidecar))
+        loaded, _ = load_checkpoint(path)
+        assert (loaded.d_feat, loaded.num_classes, loaded.hidden) == (8, 2, 12)
+
+    @pytest.mark.parametrize(
+        "damage, layer",
+        [
+            ("fc1-width-not-a-multiple-of-k", "fc1"),
+            ("fc1-three-dimensional", "fc1"),
+            ("fc1-bias-short", "fc1"),
+            ("actioness-two-rows", "actioness"),
+            ("head-one-class", "head"),
+            ("head-rows-not-a-multiple-of-five", "head"),
+        ],
+    )
+    def test_misshapen_array_names_both_files_and_the_layer(self, tmp_path, damage, layer):
+        cfg = TrainConfig(loss_mode="kl_l1", hidden=12, k=2)
+        path = save_checkpoint(init_model(cfg, 8, 3, seed=1), tmp_path / "m.utal", cfg)
+        arrays = load_arrays(path)
+        w, b = arrays[f"{layer}.weights"], arrays[f"{layer}.biases"]
+        if damage == "fc1-width-not-a-multiple-of-k":
+            w = w[:, :-1]
+        elif damage == "fc1-three-dimensional":
+            w = w.reshape(12, 2, 8)
+        elif damage == "fc1-bias-short":
+            b = b[:-1]
+        elif damage == "actioness-two-rows":
+            w, b = np.vstack((w, w)), np.tile(b, 2)
+        elif damage == "head-one-class":
+            w, b = w[:5], b[:5]
+        else:
+            w, b = w[:-1], b[:-1]
+        arrays[f"{layer}.weights"], arrays[f"{layer}.biases"] = w, b
+        save_arrays(path, arrays)
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(
+            f"checkpoint {path} does not fit {tmp_path / 'm.utal.json'} in {layer}: "
+        )
+
+    @pytest.mark.parametrize("mode", LOSS_MODES)
+    def test_load_builds_on_the_saved_arrays_without_drawing(self, tmp_path, monkeypatch, mode):
+        """No layer is initialised and no random number drawn: the arrays read are the layers."""
+        import utal.model as model_mod
+
+        cfg = TrainConfig(loss_mode=mode, hidden=12, k=2)
+        path = save_checkpoint(init_model(cfg, 8, 3, seed=1), tmp_path / "m.utal", cfg)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random weights")
+
+        monkeypatch.setattr(model_mod, "init_dense", no_draw)
+        monkeypatch.setattr(Rng, "__init__", no_draw)
+        loaded, _ = load_checkpoint(path)
+        monkeypatch.undo()
+        saved = load_arrays(path)
+        assert len(saved) == 2 * len(loaded.dense_layers)
+        for layer in loaded.dense_layers:
+            for part in ("weights", "biases"):
+                array = getattr(layer, part)
+                assert array.dtype == np.float32
+                assert array.tobytes() == saved[f"{layer.name}.{part}"].tobytes()
+        assert (loaded.d_feat, loaded.num_classes, loaded.k) == (8, 3, 2)
+        assert loaded.uncertainty == (mode != "l1")
 
     def test_weights_of_another_save_rejected(self, tmp_path):
         """Same shapes, so only the recorded SHA-256 tells the pairing is wrong."""
