@@ -1,9 +1,10 @@
 """Command-line entry point: gen-data, train, eval, verify, curves.
 
 gen-data, train and eval take a run config (defaults < config file <
-command-line flags; the seed falls back to the UTAL_SEED environment variable
-when neither sets one) and echo it, fully merged, into their output directory
-so artifacts are self-describing.  verify and curves take --out only.
+command-line flags), check every setting in it before any work, and echo it,
+fully merged, into their output directory so artifacts are self-describing.
+A setting too large to allocate ends in "error: out of memory: Unable to
+allocate ..." naming the array's shape.  verify and curves take --out only.
 
 Exit codes: 0 success, 1 usage/config/I-O error, 2 verification failure,
 3 runtime numeric failure.
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -145,14 +145,8 @@ def apply_config_entries(
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     entries = parse_config_file(args.config) if args.config else {}
     cfg = apply_config_entries(RunConfig(), entries, args.config or "config file")
-    env_seed = os.environ.get("UTAL_SEED")
     if args.seed is not None:
         cfg.seed = args.seed
-    elif env_seed is not None and "seed" not in entries:
-        try:
-            cfg.seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"UTAL_SEED must be an integer, got {env_seed!r}") from exc
     cfg.train.seed = cfg.seed
     if args.loss:
         cfg.train.loss_mode = args.loss
@@ -349,6 +343,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except (ConfigError, OSError) as exc:  # OSError: say, an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a setting too large to allocate, say train.hidden = 10**12
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

@@ -383,12 +383,8 @@ def sliding_windows(t_units: float, scales, overlap: float) -> tuple[np.ndarray,
     appended.  A scale longer than T contributes the single window [0, T].
     The windows of all scales are ordered by start, then by scale.
     """
-    if not 0.0 <= overlap < 1.0:
-        raise ConfigError("overlap must lie in [0, 1)")
     starts, ends = [], []
     for length in scales:
-        if length < 1:
-            raise ConfigError("window scales must be >= 1")
         if length > t_units:
             s, e = np.zeros(1), np.full(1, float(t_units))
         else:
@@ -429,8 +425,6 @@ def label_proposals(
     neg_thr; windows in between are discarded.  Returns the kept windows'
     indices, class (-1 for negatives) and start and end offsets (0 for negatives).
     """
-    if not 0.0 <= neg_thr <= pos_thr <= 1.0:
-        raise ConfigError("need 0 <= neg_thr <= pos_thr <= 1")
     gt = np.broadcast_to(gt, (starts.shape[0], *gt.shape[1:]))
     # column 0 stands for "no annotation": argmax takes the first maximum, so
     # it wins only where no annotation overlaps the window at all
@@ -469,8 +463,6 @@ def pool_k_parts(video: UnitFeatureSequence, starts, ends, k: int) -> np.ndarray
     falls back to the unit containing its midpoint.  Sub-spans whose bounds
     are equal bit for bit are pooled once and share the result.
     """
-    if k < 1:
-        raise ConfigError("k must be at least 1")
     feats = np.asarray(video.features, dtype=np.float64)  # float32 units, float64 sums
     t_units = feats.shape[0]
     starts = np.asarray(starts, dtype=np.float64)

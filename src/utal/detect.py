@@ -121,8 +121,6 @@ def refine_cascade(
     actioness scores [N] and class logits [N x C] of each window's last
     forward pass.
     """
-    if steps < 1:
-        raise ConfigError("cascade needs at least one step")
     t_max = float(video.num_units)
     starts = np.array(starts, dtype=np.float64)
     ends = np.array(ends, dtype=np.float64)
@@ -279,6 +277,8 @@ def collect_detections(
     prop_cfg: ProposalConfig,
 ) -> list[Detection]:
     """Inference over every video, in fixed video order."""
+    det_cfg.validate()
+    prop_cfg.validate()
     out: list[Detection] = []
     for item in sorted(dataset.videos, key=lambda v: v.sequence.video_id):
         out.extend(video_detections(model, item.sequence, det_cfg, prop_cfg))
@@ -345,7 +345,5 @@ def evaluate(
     """mAP at each configured tIoU threshold over the whole dataset."""
     det_cfg = det_cfg or DetectConfig()
     prop_cfg = prop_cfg or ProposalConfig()
-    det_cfg.validate()
-    prop_cfg.validate()
     all_dets = collect_detections(model, dataset, det_cfg, prop_cfg)
     return evaluate_detections(all_dets, ground_truths_by_class(dataset), det_cfg.tiou_thresholds)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from utal.errors import ConfigError
 from utal.numerics import _log
 
 ALPHA_CLAMP = 10.0
@@ -53,8 +52,6 @@ def select_hard_negatives(
     Hardest means highest actioness score; ties break toward the smaller
     sample index.  A batch without positives yields an empty negative set.
     """
-    if mining_ratio <= 0:
-        raise ConfigError("mining ratio must be positive")
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     positives = np.flatnonzero(labels == 1)
@@ -134,8 +131,6 @@ def kl_l1_loss(mu, alpha, t, condition_mode: str = "he") -> tuple:
     "paper" swaps the two regions.  Returns (loss, d_loss/d_mu,
     d_loss/d_alpha).
     """
-    if condition_mode not in CONDITION_MODES:
-        raise ConfigError(f"unknown condition mode {condition_mode!r}")
     d = t - mu
     inv_var = _exp(-alpha)
     quadratic = (np.abs(d) <= 1.0) == (condition_mode == "he")

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -87,11 +88,12 @@ class TrainConfig:
             raise ConfigError(f"loss_mode must be one of {LOSS_MODES}")
         if self.condition_mode not in CONDITION_MODES:
             raise ConfigError(f"condition_mode must be one of {CONDITION_MODES}")
-        if not (self.mining_ratio > 0 and math.isfinite(self.mining_ratio)):
+        # exact int-float comparisons: nan, inf and an int too large for a float fail them
+        if not 0 < self.mining_ratio <= sys.float_info.max:
             raise ConfigError("mining_ratio must be positive and finite")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
-        if not (self.lr >= 0 and math.isfinite(self.lr)):
+        if not 0 <= self.lr <= sys.float_info.max:
             raise ConfigError("lr must be nonnegative and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")

@@ -167,10 +167,6 @@ def sgd_step(layers: list[DenseLayer], lr: float, momentum: float = 0.0) -> None
     or velocity moves, if any gradient is non-finite.  Each gradient buffer
     is spent by the step: it ends up holding lr*v, the step subtracted.
     """
-    if lr <= 0:
-        raise ConfigError("learning rate must be positive")
-    if not 0.0 <= momentum < 1.0:
-        raise ConfigError("momentum must lie in [0, 1)")
     for layer in layers:
         for block, grad in (("weights", layer.grad_w), ("biases", layer.grad_b)):
             if not np.all(np.isfinite(grad)):

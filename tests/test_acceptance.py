@@ -334,6 +334,9 @@ class TestCriterion3KlVarianceBehavior:
             d, sigma = bench_runs[("kl_l1", SEEDS[0])].offset_stats
             d_abs = np.abs(d).ravel()
             sigma = sigma.ravel()
+            coverage = np.mean(d_abs <= sigma)  # a calibrated Gaussian's is 0.683
+            print(f"  criterion3 kl_l1 seed {SEEDS[0]}: 1-sigma coverage {coverage:.3f}")
+            assert 0.5 <= coverage <= 0.9, coverage
             large = d_abs > 1.0
             small = d_abs < 0.2
             assert large.sum() >= 5, f"only {large.sum()} positives with |d| > 1"

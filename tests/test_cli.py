@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import shutil
 
 import numpy as np
@@ -65,9 +66,11 @@ _JSON_KINDS = (
 
 
 def _retyped(value):
-    """A JSON value of another kind than `value`; an int counts as a float."""
-    same = (int, float) if type(value) is float else (type(value),)
-    return st.one_of([strategy for kind, strategy in _JSON_KINDS if kind not in same])
+    """A JSON value of another kind than `value`; an int counts as a float unless
+    it is too large for one."""
+    if type(value) is not float:
+        return st.one_of([strategy for kind, strategy in _JSON_KINDS if kind is not type(value)])
+    return st.one_of([st.just(10**400)] + [s for kind, s in _JSON_KINDS if kind not in (int, float)])
 
 
 SMALL_DATA = """
@@ -132,14 +135,44 @@ class TestConfigFile:
             "train.lr = nan",
             "train.lr = inf",
             "data.noise_level = nan",
+            "proposals.overlap = 1",
+            "proposals.scales = 0",
+            "proposals.pos_thr = 0.2",  # below neg_thr 0.3
+            "train.k = 0",
+            "train.mining_ratio = 0",
+            "train.condition_mode = smooth",
+            "train.momentum = 1",
+            "detect.cascade_steps = 0",
         ],
     )
     def test_non_finite_or_negative_value_is_config_error(self, tmp_path, capsys, line):
+        """Each value outside its range is refused by its config, before any work;
+        the functions that use the value do not check it again."""
         path = _write_config(tmp_path / "bad.cfg", SMALL_DATA + line + "\n")
         assert main(["gen-data", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         key = line.split("=")[0].strip().split(".")[1]
-        assert err.startswith("error: ") and key in err and "Traceback" not in err
+        assert err.startswith("error: ") and re.search(rf"\b{key}\b", err), err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [("train", "train.hidden = 1000000000000"), ("gen-data", "data.d_feat = 10000000000000")],
+    )
+    def test_setting_too_large_to_allocate_is_config_error(
+        self, cli_workspace, tmp_path, capsys, command, line
+    ):
+        """The first array each run asks for (466 and 218 TiB) lies past the 128 TiB
+        user address space, so numpy refuses it before any memory is touched."""
+        _, _, data_dir, _, _ = cli_workspace
+        path = _write_config(tmp_path / "big.cfg", SMALL_DATA + line + "\n")
+        argv = [command, "--config", path, "--out", str(tmp_path / "o")]
+        if command == "train":
+            argv += ["--manifest", str(data_dir / "manifest.json")]
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate") and "Traceback" not in err
 
     @pytest.mark.parametrize("line", ["train.w_bin = nan", "train.w_cls = inf", "train.w_reg = -1"])
     def test_removed_loss_weight_is_unknown_key(self, tmp_path, capsys, line):
@@ -181,24 +214,6 @@ class TestGenData:
 
     def test_missing_out_is_usage_error(self, tmp_path):
         assert main(["gen-data"]) == EXIT_CONFIG
-
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        cfg = _write_config(tmp_path / "run.cfg", SMALL_DATA)
-        monkeypatch.setenv("UTAL_SEED", "99")
-        main(["gen-data", "--config", cfg, "--out", str(tmp_path / "env")])
-        echo = json.loads((tmp_path / "env/run_config.json").read_text())
-        assert echo["seed"] == 99
-        monkeypatch.setenv("UTAL_SEED", "not-a-number")
-        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
-
-    def test_seed_flag_wins_over_malformed_env_seed(self, tmp_path, monkeypatch, capsys):
-        """UTAL_SEED is a fallback only: with --seed given it is never read."""
-        cfg = _write_config(tmp_path / "run.cfg", SMALL_DATA)
-        monkeypatch.setenv("UTAL_SEED", "abc")
-        out = tmp_path / "flag"
-        assert main(["gen-data", "--config", cfg, "--seed", "5", "--out", str(out)]) == EXIT_OK
-        assert json.loads((out / "run_config.json").read_text())["seed"] == 5
-        assert "error" not in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -609,7 +624,15 @@ class TestEvalCommand:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "key, value", [("lr", "x"), ("loss_mode", "bogus"), ("epochs", -1), ("hidden", 32.0)]
+        "key, value",
+        [
+            ("lr", "x"),
+            pytest.param("lr", 10**400, id="lr-10**400"),  # an int too large for a float
+            pytest.param("mining_ratio", 10**400, id="mining_ratio-10**400"),
+            ("loss_mode", "bogus"),
+            ("epochs", -1),
+            ("hidden", 32.0),
+        ],
     )
     def test_bad_train_config_in_sidecar_is_config_error(
         self, cli_workspace, tmp_path, capsys, key, value

@@ -9,7 +9,6 @@ from scipy.optimize import minimize_scalar
 
 from _oracles import finite_difference, relative_error
 from utal.cli import CURVES_D_GRID, CURVES_SIGMA_GRID
-from utal.errors import ConfigError
 from utal.losses import (
     MiningResult,
     _expected_l1_foil,
@@ -64,10 +63,6 @@ class TestHardNegativeMining:
             n_neg_avail = int((labels == 0).sum())
             assert res.negative_indices.size == min(3 * n_pos, n_neg_avail)
             assert not set(res.positive_indices) & set(res.negative_indices)
-
-    def test_rejects_nonpositive_ratio(self):
-        with pytest.raises(ConfigError):
-            select_hard_negatives(np.array([0.5]), np.array([1]), 0.0)
 
 
 class TestBinaryLoss:
@@ -229,10 +224,6 @@ class TestKlL1Loss:
                 )
                 assert relative_error(d_mu, fd_mu) <= 1e-4
                 assert relative_error(d_alpha, fd_alpha) <= 1e-4
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            kl_l1_loss(0.0, 0.0, 1.0, "smooth")
 
 
 class TestSampledL1Loss:

@@ -349,13 +349,6 @@ class TestSgd:
                 assert got.dtype == want.dtype == dtype
                 np.testing.assert_array_equal(got, want)
 
-    def test_invalid_hyperparameters(self):
-        layer = self._scalar_layer(1.0)
-        with pytest.raises(ConfigError):
-            sgd_step([layer], lr=0.0)
-        with pytest.raises(ConfigError):
-            sgd_step([layer], lr=0.1, momentum=1.0)
-
 
 class TestComposition:
     def test_two_layer_input_gradient(self):
