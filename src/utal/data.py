@@ -13,8 +13,9 @@ inconsistent human boundary labels; the feature matrix always reflects the
 true extent.
 
 File formats:
-  manifest.json  JSON with per-video records {video_id, T, d_feat,
-                 feature_file, annotations:[{class_id, start, end}]}
+  manifest.json  JSON with d_feat, num_classes, class_table and per-video
+                 records {video_id, T, d_feat, feature_file,
+                 annotations:[{class_id, start, end}]}
   *.f32          raw little-endian float32, row-major [T x d_feat], no header
   classes.txt    one class name per line, line number = class_id
 """
@@ -75,11 +76,11 @@ class DataConfig:
             raise ConfigError("t_range must satisfy 16 <= lo <= hi")
         if self.instances_per_video < 1:
             raise ConfigError("instances_per_video must be at least 1")
-        if lo // self.instances_per_video < _LEN_RANGE[0] + 2 * _SLOT_MARGIN:
-            raise ConfigError(
-                "instances_per_video too large for t_range: slots shorter than "
-                f"{_LEN_RANGE[0] + 2 * _SLOT_MARGIN} units"
-            )
+        # a slot's bounds round inward (ceil, then floor), which can cost it one unit
+        min_slot = _LEN_RANGE[0] + 2 * _SLOT_MARGIN + 1
+        if lo // self.instances_per_video < min_slot:
+            raise ConfigError(f"instances_per_video too large for t_range: t_range lo // "
+                              f"instances_per_video must be at least {min_slot}")
         if not (self.noise_level >= 0 and math.isfinite(self.noise_level)):
             raise ConfigError("noise_level must be nonnegative and finite")
         if not 0.0 <= self.boundary_jitter <= 1.0:
@@ -304,17 +305,18 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     base = manifest_path.parent
     where = "top level"
     try:
-        d_feat = _json_number(manifest, "d_feat")
-        num_classes = _json_number(manifest, "num_classes")
-        class_names = [f"class_{c:02d}" for c in range(num_classes)]
-        table = manifest.get("class_table")
-        if table:  # a named table must exist; without one the names default
-            class_names = (base / table).read_text().splitlines()
-            if len(class_names) != num_classes:
-                raise ConfigError(f"class table {base / table} lists {len(class_names)} "
-                                  f"names, manifest says {num_classes}")
+        d_feat = _json_field(manifest, "d_feat")
+        num_classes = _json_field(manifest, "num_classes")
+        if d_feat < 1 or num_classes < 2:
+            raise ConfigError(f"need d_feat >= 1 and num_classes >= 2, got d_feat={d_feat}, "
+                              f"num_classes={num_classes}")
+        table = base / _json_field(manifest, "class_table", ("str",))
+        class_names = table.read_text().splitlines()
+        if len(class_names) != num_classes:
+            raise ConfigError(f"class table {table} lists {len(class_names)} names, "
+                              f"manifest says {num_classes}")
         videos: list[VideoItem] = []
-        for index, rec in enumerate(manifest["videos"]):
+        for index, rec in enumerate(_json_field(manifest, "videos", ("list",))):
             where = f"video record {index}"
             videos.append(_load_video(rec, base, d_feat, num_classes))
     except ConfigError as exc:  # the checks above and in _load_video name no manifest
@@ -336,8 +338,9 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     return Dataset(videos, class_names, d_feat, num_classes)
 
 
-def _json_number(record: dict, key: str, kinds: tuple = ("int",)):
-    """record[key] if its JSON type is one of `kinds`: a bool, string or float is no int."""
+def _json_field(record: dict, key: str, kinds: tuple = ("int",)):
+    """record[key] if its JSON type is one of `kinds` ("int", "float", "str", "list"):
+    a bool, string or float is no int."""
     if type(record[key]).__name__ not in kinds:
         raise ConfigError(f"{key} must be {' or '.join(kinds)}, got {record[key]!r}")
     return record[key]
@@ -345,34 +348,35 @@ def _json_number(record: dict, key: str, kinds: tuple = ("int",)):
 
 def _load_video(rec: dict, base: Path, d_feat: int, num_classes: int) -> VideoItem:
     """One manifest video record plus its feature file, with every invariant checked."""
-    t_units = _json_number(rec, "T")
+    video_id = _json_field(rec, "video_id", ("str",))
+    t_units = _json_field(rec, "T")
     if t_units < 1:
-        raise ConfigError(f"video {rec['video_id']}: T must be >= 1")
-    if _json_number(rec, "d_feat") != d_feat:
-        raise ConfigError(f"video {rec['video_id']}: d_feat mismatch")
+        raise ConfigError(f"video {video_id}: T must be >= 1")
+    if _json_field(rec, "d_feat") != d_feat:
+        raise ConfigError(f"video {video_id}: d_feat mismatch")
     path = base / rec["feature_file"]
     feats = np.fromfile(path, dtype="<f4")
     if feats.size != t_units * d_feat:
         raise ConfigError(
-            f"video {rec['video_id']}: feature file {path} holds {feats.size} floats, "
+            f"video {video_id}: feature file {path} holds {feats.size} floats, "
             f"expected {t_units * d_feat}"
         )
     feats = feats.reshape(t_units, d_feat)
     if not np.all(np.isfinite(feats)):
-        raise ConfigError(f"video {rec['video_id']}: non-finite values in feature file {path}")
+        raise ConfigError(f"video {video_id}: non-finite values in feature file {path}")
     annotations = []
-    for a in rec["annotations"]:
-        start, end = (float(_json_number(a, key, ("int", "float"))) for key in ("start", "end"))
-        ann = ActionAnnotation(_json_number(a, "class_id"), start, end)
+    for a in _json_field(rec, "annotations", ("list",)):
+        start, end = (float(_json_field(a, key, ("int", "float"))) for key in ("start", "end"))
+        ann = ActionAnnotation(_json_field(a, "class_id"), start, end)
         if not 0 <= ann.start < ann.end <= t_units:
             raise ConfigError(
-                f"video {rec['video_id']}: annotation [{ann.start}, {ann.end}] "
+                f"video {video_id}: annotation [{ann.start}, {ann.end}] "
                 f"outside [0, {t_units}]"
             )
         if not 0 <= ann.class_id < num_classes:
-            raise ConfigError(f"video {rec['video_id']}: class_id {ann.class_id} out of range")
+            raise ConfigError(f"video {video_id}: class_id {ann.class_id} out of range")
         annotations.append(ann)
-    return VideoItem(UnitFeatureSequence(rec["video_id"], feats), annotations)
+    return VideoItem(UnitFeatureSequence(video_id, feats), annotations)
 
 
 def sliding_windows(t_units: float, scales, overlap: float) -> tuple[np.ndarray, np.ndarray]:
@@ -408,8 +412,6 @@ def compute_offsets(starts, ends, gt_starts, gt_ends) -> tuple[np.ndarray, np.nd
     Elementwise; the inverse of `detect.apply_offsets` inside [0, T].
     """
     length = ends - starts
-    if np.any(length <= 0):
-        raise ConfigError("proposal length must be positive")
     return (gt_starts - starts) / length, (gt_ends - ends) / length
 
 

@@ -91,8 +91,6 @@ def apply_offsets(
     centered at their midpoint (pushed back inside [0, t_max]) is used.
     """
     length = ends - starts
-    if np.any(length <= 0):
-        raise ConfigError("proposal length must be positive")
     s = np.minimum(np.maximum(starts + y_s * length, 0.0), t_max)
     e = np.minimum(np.maximum(ends + y_e * length, 0.0), t_max)
     span = min(_MIN_LENGTH, t_max)

@@ -160,7 +160,7 @@ def sampled_l1_loss(mu, alpha, t, eps) -> tuple:
 
 
 def expected_l1(d, sigma) -> tuple:
-    """Closed-form E|d - sigma*eps| for eps ~ N(0,1), with exact partials.
+    """Closed-form E|d - sigma*eps| for eps ~ N(0,1), sigma > 0, with exact partials.
 
     d - sigma*eps is Gaussian with mean d and std sigma, so the expectation
     is the folded-normal mean
@@ -172,8 +172,6 @@ def expected_l1(d, sigma) -> tuple:
     dE/dsigma = sqrt(2/pi) * exp(-d^2/(2 sigma^2)), both strictly positive in
     sigma, so the value is >= |d| and increasing in sigma.
     """
-    if np.any(sigma <= 0):
-        raise ValueError("sigma must be positive")
     gauss = _exp(-(d * d) / (2.0 * sigma * sigma))
     d_d = _erf(d / (sigma * math.sqrt(2.0)))
     value = d * d_d + sigma * _SQRT_2_OVER_PI * gauss

@@ -148,7 +148,7 @@ class Model:
 
     def forward_batch(self, x: np.ndarray) -> BatchForward:
         """Network forward on a [B x k*d_feat] batch in the layers' dtype; every
-        output is float64.  Another shape is a ConfigError from l2norm or fc1."""
+        output is float64."""
         x = np.asarray(x, dtype=self.fc1.weights.dtype)
         h = self.relu.forward(self.fc1.forward(self.norm.forward(x)))
         z_a = self.fc_act.forward(h)[:, 0].astype(np.float64)
@@ -195,9 +195,6 @@ class Model:
 
 def init_model(cfg: TrainConfig, d_feat: int, num_classes: int, seed: int) -> Model:
     cfg.validate()
-    ints = (d_feat, num_classes, seed)
-    if any(type(n) is not int for n in ints) or d_feat < 1 or num_classes < 2:
-        raise ConfigError(f"need integers d_feat >= 1, num_classes >= 2 and seed, got {ints}")
     uncertainty = cfg.loss_mode != "l1"
     head_cols = _HEAD_COLS[uncertainty]
     rng = Rng(seed).split("model-init")

@@ -1,11 +1,11 @@
 """Dense-network building blocks with hand-derived backward passes.
 
 No autodiff: every layer caches what its forward pass saw and its backward
-pass returns the gradient with respect to that input.  Dense and
-l2-normalize layers take a [batch x dim] matrix only (one row is x[None]),
-so a batch is pushed through in one call.  A dense layer's backward also
-writes the batch's parameter gradients into its `grad_w` and `grad_b`,
-overwriting the previous ones, for `sgd_step` to spend.
+pass returns the gradient with respect to that input.  Unchecked
+preconditions: dense and l2-normalize layers take a [batch x dim] matrix of
+their width (one row is x[None]), and a backward follows its layer's forward.
+A dense layer's backward also writes the batch's parameter gradients into its
+`grad_w` and `grad_b`, overwriting the previous ones, for `sgd_step` to spend.
 """
 
 from __future__ import annotations
@@ -29,13 +29,6 @@ def _float_dtype(x) -> type:
     return np.float32 if np.asarray(x).dtype == np.float32 else np.float64
 
 
-def _as_batch(x: np.ndarray, dtype: type, layer: str) -> np.ndarray:
-    x = np.asarray(x, dtype=dtype)
-    if x.ndim != 2:
-        raise ConfigError(f"layer {layer}: expected a [batch x dim] matrix, got shape {x.shape}")
-    return x
-
-
 class DenseLayer:
     """y = W x + b in the weights' dtype, with cached input for the backward pass."""
 
@@ -43,10 +36,6 @@ class DenseLayer:
         dtype = _float_dtype(weights)
         weights = np.asarray(weights, dtype=dtype)
         biases = np.asarray(biases, dtype=dtype)
-        if weights.ndim != 2 or biases.shape != (weights.shape[0],):
-            raise ConfigError(
-                f"layer {name}: weights {weights.shape} and biases {biases.shape} disagree"
-            )
         self.name = name
         self.weights = weights
         self.biases = biases
@@ -65,25 +54,13 @@ class DenseLayer:
         return self.weights.shape[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        xb = _as_batch(x, self.weights.dtype, self.name)
-        if xb.shape[1] != self.in_dim:
-            raise ConfigError(
-                f"layer {self.name}: input dim {xb.shape[1]}, expected {self.in_dim}"
-            )
-        self._x = xb
-        y = xb @ self.weights.T
+        self._x = np.asarray(x, dtype=self.weights.dtype)
+        y = self._x @ self.weights.T
         y += self.biases
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise NumericError(f"layer {self.name}: backward before forward")
-        dyb = _as_batch(dy, self.weights.dtype, self.name)
-        if dyb.shape != (self._x.shape[0], self.out_dim):
-            raise ConfigError(
-                f"layer {self.name}: upstream grad shape {dyb.shape} does not match "
-                f"output ({self._x.shape[0]}, {self.out_dim})"
-            )
+        dyb = np.asarray(dy, dtype=self.weights.dtype)
         np.matmul(dyb.T, self._x, out=self.grad_w)
         np.sum(dyb, axis=0, out=self.grad_b)
         return dyb * self.weights if self.out_dim == 1 else dyb @ self.weights  # outer product
@@ -100,8 +77,6 @@ class ReluLayer:
         return np.maximum(self._x, 0.0)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise NumericError("relu: backward before forward")
         return dy * (self._x > 0.0)
 
 
@@ -117,16 +92,14 @@ class L2NormalizeLayer:
         self._norm: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        xb = _as_batch(x, _float_dtype(x), "l2_normalize")
+        xb = np.asarray(x, dtype=_float_dtype(x))
         norm = np.linalg.norm(xb, axis=1, keepdims=True)
         self._y = xb / np.maximum(norm, _L2_EPS)
         self._norm = norm
         return self._y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._y is None or self._norm is None:
-            raise NumericError("l2_normalize: backward before forward")
-        dyb = _as_batch(dy, self._y.dtype, "l2_normalize")
+        dyb = np.asarray(dy, dtype=self._y.dtype)
         dx = dyb - self._y * np.sum(self._y * dyb, axis=1, keepdims=True)
         dx /= np.maximum(self._norm, _L2_EPS)
         small = ~(self._norm[:, 0] > _L2_EPS)  # norm <= eps: plain scaling instead

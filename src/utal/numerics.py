@@ -112,9 +112,7 @@ class Rng:
         return out[:n]
 
     def randint(self, n: int) -> int:
-        """Uniform integer in [0, n) without modulo bias."""
-        if n <= 0:
-            raise ValueError("randint bound must be positive")
+        """Uniform integer in [0, n), n >= 1, without modulo bias."""
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             x = self.next_u64()
@@ -144,13 +142,9 @@ class Rng:
 def mc_expected_l1(d: float, sigma: float, n: int, rng: Rng) -> tuple[float, float]:
     """Monte Carlo mean and standard error of |d - sigma*eps|, eps ~ N(0,1).
 
-    This is the independent oracle for the closed-form expectation of the
-    sampled l1 regression loss.
+    For sigma > 0 and n >= 1; the independent oracle for the closed-form
+    expectation of the sampled l1 regression loss.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if n < 1:
-        raise ValueError("n must be at least 1")
     vals = np.abs(d - sigma * rng.normals(n))
     mean = float(vals.mean())
     if n == 1:

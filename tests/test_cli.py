@@ -2,8 +2,12 @@
 
 import csv
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +207,16 @@ class TestGenData:
     def test_zero_videos_is_config_error(self, tmp_path):
         cfg = _write_config(tmp_path / "run.cfg", "data.num_videos = 0\n")
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_slots_a_unit_too_short_are_config_error(self, tmp_path, capsys):
+        """61 units hold 5 slots of 12.2; rounding inward leaves one of them 7 units
+        between its margins, less than the shortest instance, 8."""
+        text = "data.t_range = 61, 61\ndata.instances_per_video = 5\n"
+        cfg = _write_config(tmp_path / "run.cfg", text)
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "instances_per_video" in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
 
     def test_manifest_loads_cleanly(self, tmp_path):
         from utal.data import load_dataset
@@ -459,6 +473,26 @@ class TestTrainCommand:
         (manifest.parent / "classes.txt").unlink()
         err = self._train_error(cfg_path, manifest, tmp_path, capsys)
         assert str(manifest.parent / "classes.txt") in err and "Traceback" not in err
+
+    def test_huge_num_classes_is_refused_before_any_allocation(self, cli_workspace, tmp_path):
+        """The class table is read before anything is sized by num_classes, so 10**12
+        classes end in the table's error; a child under a 1 GiB address-space cap
+        runs it, so a regression fails the test instead of exhausting the host."""
+        cfg_path, manifest = self._copy_data(cli_workspace, tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["num_classes"] = 10**12
+        manifest.write_text(json.dumps(doc))
+        child = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                 "from utal.cli import entry; entry()")
+        args = ["train", "--config", str(cfg_path), "--manifest", str(manifest),
+                "--out", str(tmp_path / "t")]
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", child, *args], capture_output=True, text=True,
+                             env=env, timeout=300)
+        assert run.returncode == EXIT_CONFIG and run.stderr.startswith("error: "), run.stderr
+        assert f"manifest {manifest}: top level: class table " in run.stderr
+        assert "manifest says 1000000000000" in run.stderr
 
     def test_repeated_video_id_names_manifest_and_id(self, cli_workspace, tmp_path, capsys):
         cfg_path, manifest = self._copy_data(cli_workspace, tmp_path)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -102,6 +103,30 @@ class TestGeneration:
         with pytest.raises(ConfigError, match="noise_level"):
             DataConfig(noise_level=-1.0).validate()
 
+    @given(
+        n=st.integers(1, 12),
+        quotient=st.integers(11, 15),
+        rest=st.integers(0, 11),
+        extra=st.integers(0, 6),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=5, quotient=12, rest=1, extra=0, seed=0)  # t_range 61, 61: 61 // 5 is 12
+    @settings(max_examples=60, deadline=None)
+    def test_every_accepted_config_generates(self, n, quotient, rest, extra, seed):
+        """Slot bounds round inward and can cost a slot one unit, so validate
+        refuses t_range lo // instances_per_video below 13; every config it
+        accepts generates, the slots that lose a unit included."""
+        lo = max(16, n * quotient + rest % n)
+        cfg = DataConfig(num_videos=3, t_range=(lo, lo + extra), d_feat=8, instances_per_video=n)
+        try:
+            cfg.validate()
+        except ConfigError:
+            assert lo // n < 13
+            return
+        with tempfile.TemporaryDirectory() as out:
+            dataset, _ = generate_synthetic_dataset(cfg, seed, out)
+        assert all(len(item.annotations) == n for item in dataset.videos)
+
     def test_jittered_annotation_keeps_majority_overlap(self, tmp_path):
         cfg = DataConfig(num_videos=40, boundary_jitter=1.0)
         dataset, _ = generate_synthetic_dataset(cfg, 3, tmp_path)
@@ -158,9 +183,11 @@ class TestManifestRoundTrip:
     @pytest.mark.parametrize(
         "damage",
         [
-            "T-zero", "T-too-large", "non-finite", "short-class-table",
-            "d_feat-float", "num_classes-float", "T-float", "T-bool", "record-d_feat-string",
-            "class_id-float", "start-string", "end-bool", "start-beyond-float",
+            "T-zero", "T-too-large", "non-finite", "short-class-table", "d_feat-zero",
+            "num_classes-one", "d_feat-float", "num_classes-float", "T-float", "T-bool",
+            "record-d_feat-string", "class_id-float", "start-string", "end-bool",
+            "start-beyond-float", "video_id-list", "video_id-int", "videos-string",
+            "annotations-object",
         ],
     )
     def test_loader_errors_name_manifest_record_and_file(self, tmp_path, damage):
@@ -180,25 +207,41 @@ class TestManifestRoundTrip:
         elif damage == "short-class-table":
             (tmp_path / "classes.txt").write_text("a\nb\n")
             where, named = "top level", f"class table {tmp_path / 'classes.txt'} lists 2 names"
+        elif damage == "d_feat-zero":  # every record and feature file agrees with it
+            doc["d_feat"] = 0
+            for rec in doc["videos"]:
+                rec["d_feat"] = 0
+                (tmp_path / rec["feature_file"]).write_bytes(b"")
+            where, named = "top level", "got d_feat=0, num_classes=5"
+        elif damage == "num_classes-one":  # the class table and every annotation agree with it
+            doc["num_classes"] = 1
+            (tmp_path / "classes.txt").write_text("class_00\n")
+            for rec in doc["videos"]:
+                for annotation in rec["annotations"]:
+                    annotation["class_id"] = 0
+            where, named = "top level", "got d_feat=64, num_classes=1"
         elif damage == "start-beyond-float":  # a JSON number, but no float holds it
             record["annotations"][0]["start"] = 10**400
             named = "int too large to convert to float"
-        else:  # a JSON value of the wrong type, which int() or float() would have let through
+        else:  # a JSON value of the wrong type, which int(), float() or a loop would let through
             annotation = record["annotations"][0]
-            owner, key, value = {
-                "d_feat-float": (doc, "d_feat", 64.9),
-                "num_classes-float": (doc, "num_classes", 5.5),
-                "T-float": (record, "T", 94.5),
-                "T-bool": (record, "T", True),
-                "record-d_feat-string": (record, "d_feat", "64"),
-                "class_id-float": (annotation, "class_id", 3.7),
-                "start-string": (annotation, "start", "1.5"),
-                "end-bool": (annotation, "end", True),
+            owner, key, value, kind = {
+                "d_feat-float": (doc, "d_feat", 64.9, "int"),
+                "num_classes-float": (doc, "num_classes", 5.5, "int"),
+                "T-float": (record, "T", 94.5, "int"),
+                "T-bool": (record, "T", True, "int"),
+                "record-d_feat-string": (record, "d_feat", "64", "int"),
+                "class_id-float": (annotation, "class_id", 3.7, "int"),
+                "start-string": (annotation, "start", "1.5", "int or float"),
+                "end-bool": (annotation, "end", True, "int or float"),
+                "video_id-list": (record, "video_id", ["vid0001"], "str"),
+                "video_id-int": (record, "video_id", 1, "str"),
+                "videos-string": (doc, "videos", "", "list"),
+                "annotations-object": (record, "annotations", {}, "list"),
             }[damage]
             owner[key] = value
             if owner is doc:
                 where = "top level"
-            kind = "int or float" if key in ("start", "end") else "int"
             named = f"{key} must be {kind}, got {value!r}"
         manifest.write_text(json.dumps(doc))
         with pytest.raises(ConfigError) as err:
@@ -214,13 +257,15 @@ class TestManifestRoundTrip:
         assert str(err.value).startswith(f"manifest {manifest}: top level: ")
         assert str(tmp_path / "classes.txt") in str(err.value)
 
-    def test_manifest_without_class_table_keeps_default_names(self, tmp_path):
+    def test_manifest_without_class_table_is_config_error(self, tmp_path):
+        """The class names come from the table alone; there are no default names."""
         _, manifest = generate_synthetic_dataset(DataConfig(num_videos=2), 13, tmp_path)
         doc = json.loads(manifest.read_text())
         del doc["class_table"]
         manifest.write_text(json.dumps(doc))
-        (tmp_path / "classes.txt").write_text("a\nb\nc\nd\ne\n")  # not named, not read
-        assert load_dataset(manifest).class_names == [f"class_{c:02d}" for c in range(5)]
+        with pytest.raises(ConfigError) as err:
+            load_dataset(manifest)
+        assert str(err.value) == f"manifest {manifest}: top level lacks key 'class_table'"
 
     def test_loader_rejects_repeated_video_id(self, tmp_path):
         _, manifest = generate_synthetic_dataset(DataConfig(num_videos=3), 13, tmp_path)
@@ -340,10 +385,6 @@ class TestOffsets:
         out_s, out_e = apply_offsets(starts, ends, t_s, t_e, 100.0)
         np.testing.assert_allclose(out_s, gt_starts, rtol=0, atol=1e-9)
         np.testing.assert_allclose(out_e, gt_ends, rtol=0, atol=1e-9)
-
-    def test_rejects_empty_window(self):
-        with pytest.raises(ConfigError):
-            compute_offsets(*_windows((4.0, 4.0)), np.array([1.0]), np.array([2.0]))
 
 
 # windows and annotations on a half-unit grid, so ties, shared boundaries

@@ -29,7 +29,6 @@ from utal.detect import (
     nms,
     refine_cascade,
 )
-from utal.errors import ConfigError
 from utal.model import LOSS_MODES, BatchForward, TrainConfig, init_model
 from utal.numerics import Rng
 
@@ -59,10 +58,6 @@ class TestApplyOffsets:
         # midpoints 15, 0.2 and 63.9: centered, pushed right, pushed left
         s, e = _offsets([10.0, 0.0, 62.0], [20.0, 2.0, 64.0], [1.5, 0.1, 2.0], [-1.5, -0.9, -0.1], 64.0)
         assert (s, e) == ([14.5, 0.0, 63.0], [15.5, 1.0, 64.0])
-
-    def test_rejects_degenerate_input(self):
-        with pytest.raises(ConfigError):
-            _offsets([1.0, 5.0], [2.0, 5.0], [0.0, 0.0], [0.0, 0.0], 10.0)
 
 
 def _zero_model(d_feat=8, num_classes=3, k=2, mode="kl_l1"):

@@ -98,19 +98,26 @@ class TestForward:
         for name in ("z_a", "y_a", "logits", "mu", "alpha"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
-    def test_dimension_mismatch_hard_error(self):
-        model = init_model(TrainConfig(hidden=16), 8, 3, seed=5)
-        with pytest.raises(ConfigError, match="layer fc1: input dim 7"):
-            model.forward_batch(np.ones((1, 7)))
-        with pytest.raises(ConfigError, match="layer l2_normalize: expected a"):
-            model.forward_batch(np.ones(8 * 4))
-
     def test_alpha_rows_clamped(self):
         model = init_model(TrainConfig(loss_mode="kl_l1", hidden=8), 4, 2, seed=1)
         model.fc_head.biases[...] = 99.0  # push raw alphas far out of range
         out = model.forward_batch(np.ones((1, 16)))
         assert np.all(out.alpha == 10.0)
         assert not np.any(out.alpha_pass)
+
+    def test_clamped_alpha_sends_no_gradient_to_the_head(self):
+        """A clamped alpha is the constant ALPHA_CLAMP, so the head's alpha rows
+        get no gradient from the entries where |raw alpha| exceeds it."""
+        model = init_model(TrainConfig(loss_mode="kl_l1", hidden=8), 4, 2, seed=1)
+        rows = model.fc_head.biases.reshape(2, 5)  # per class: logit, mu_s, alpha_s, mu_e, alpha_e
+        rows[0, 2], rows[1, 4] = 99.0, -99.0  # class 0 alpha_s over the clamp, class 1 alpha_e under
+        fwd = model.forward_batch(Rng(2).uniforms(3 * 16).reshape(3, 16))
+        assert np.abs(fwd.alpha).max() == ALPHA_CLAMP and fwd.alpha_pass.sum() == 6
+        d_alpha = np.ones((3, 2, 2))
+        model.backward_batch(fwd, np.zeros(3), np.zeros((3, 2)), np.zeros((3, 2, 2)), d_alpha)
+        grad_b, grad_w = model.fc_head.grad_b.reshape(2, 5), model.fc_head.grad_w.reshape(2, 5, 8)
+        assert grad_b[0, 2] == grad_b[1, 4] == 0.0 and not grad_w[[0, 1], [2, 4]].any()
+        assert grad_b[0, 4] == grad_b[1, 2] == 3.0  # the unclamped alpha rows: one per sample
 
 
 def _total_loss_for_model(model, cfg, x_batch, t_a, t_c, t_s, t_e, eps_values):

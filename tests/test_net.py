@@ -116,23 +116,6 @@ class TestDenseLayer:
                 np.testing.assert_array_equal(layer.grad_w, dy.T @ x)
                 np.testing.assert_array_equal(layer.grad_b, dy.sum(0))
 
-    def test_dimension_mismatch_is_hard_error(self):
-        layer = DenseLayer(np.zeros((2, 3)), np.zeros(2))
-        with pytest.raises(ConfigError, match="input dim 4, expected 3"):
-            layer.forward(np.ones((1, 4)))
-
-
-@pytest.mark.parametrize(
-    "layer", [DenseLayer(np.zeros((2, 3)), np.zeros(2)), L2NormalizeLayer()], ids=["dense", "l2norm"]
-)
-def test_vector_input_is_config_error(layer):
-    """Dense and l2-normalize layers take [batch x dim] only; one row is x[None]."""
-    with pytest.raises(ConfigError, match=r"expected a \[batch x dim\] matrix, got shape \(3,\)"):
-        layer.forward(np.ones(3))
-    width = layer.forward(np.ones((1, 3))).shape[1]
-    with pytest.raises(ConfigError, match=rf"got shape \({width},\)"):
-        layer.backward(np.ones(width))
-
 
 class TestRelu:
     def test_examples(self):

@@ -199,9 +199,3 @@ class TestMcExpectedL1:
         _, se_4n = mc_expected_l1(0.5, 1.0, 1_000_000, Rng(5))
         ratio = se_n / se_4n
         assert 2.0 * 0.8 < ratio < 2.0 * 1.2
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            mc_expected_l1(0.0, 0.0, 10, Rng(1))
-        with pytest.raises(ValueError):
-            mc_expected_l1(0.0, 1.0, 0, Rng(1))
