@@ -152,7 +152,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         cfg.train.loss_mode = args.loss
     if args.condition_mode:
         cfg.train.condition_mode = args.condition_mode
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ConfigError as exc:  # defaults and flags are in range, so the config file set it
+        raise ConfigError(f"{args.config}: {exc}") from exc
     return cfg
 
 
@@ -175,9 +178,7 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
     return manifest_path
 
 
-def cmd_train(
-    cfg: RunConfig, manifest: Path, out_dir: Path, resume: Path | None = None
-) -> Path:
+def cmd_train(cfg: RunConfig, manifest: Path, out_dir: Path, resume: Path | None) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before any work
     dataset = load_dataset(manifest)
     if resume is not None:
@@ -242,10 +243,9 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, manifest: Path, out_dir: Path) ->
     report = evaluate_detections(
         dets, ground_truths_by_class(dataset), cfg.detect.tiou_thresholds
     )
-    if report.no_detections:
+    if report.num_detections == 0:
         print("warning: no detections above the score floor", file=sys.stderr)
-    report.config = asdict(cfg)
-    report_json = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    report_json = json.dumps({**report.to_dict(), "config": asdict(cfg)}, indent=2, sort_keys=True)
     (out_dir / "report.json").write_text(report_json + "\n")
     with open(out_dir / "detections.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -134,13 +134,12 @@ class TrainingSet:
     """The labeled windows of every video as columns, one row per window."""
 
     x: np.ndarray  # [N x k*d_feat] pooled features
-    t_a: np.ndarray  # [N] actioness label, 1 positive and 0 negative
     t_c: np.ndarray  # [N] class of the matched annotation, -1 for negatives
     t_s: np.ndarray  # [N] start offset, 0 for negatives
     t_e: np.ndarray  # [N] end offset, 0 for negatives
 
     def __len__(self) -> int:
-        return self.t_a.shape[0]
+        return self.t_c.shape[0]
 
 
 @dataclass
@@ -311,6 +310,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
             raise ConfigError(f"need d_feat >= 1 and num_classes >= 2, got d_feat={d_feat}, "
                               f"num_classes={num_classes}")
         table = base / _json_field(manifest, "class_table", ("str",))
+        if not table.is_file():  # a device or a fifo could be read without end
+            raise ConfigError(f"class table {table} is missing or not a regular file")
         class_names = table.read_text().splitlines()
         if len(class_names) != num_classes:
             raise ConfigError(f"class table {table} lists {len(class_names)} names, "
@@ -528,4 +529,4 @@ def build_training_set(dataset: Dataset, prop_cfg: ProposalConfig, k: int) -> Tr
     for item, hi in zip(videos, np.searchsorted(keep, np.cumsum(counts))):
         x[lo:hi] = pool_k_parts(item.sequence, starts[keep[lo:hi]], ends[keep[lo:hi]], k)
         lo = hi
-    return TrainingSet(x, (t_c >= 0).astype(int), t_c, t_s, t_e)
+    return TrainingSet(x, t_c, t_s, t_e)

@@ -9,7 +9,7 @@ precision at several tIoU thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -64,8 +64,6 @@ class EvalReport:
     per_class_ap: dict[float, dict[int, float | None]]
     num_detections: int
     num_ground_truths: int
-    no_detections: bool = False
-    config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -76,8 +74,7 @@ class EvalReport:
             },
             "num_detections": self.num_detections,
             "num_ground_truths": self.num_ground_truths,
-            "no_detections": self.no_detections,
-            "config": self.config,
+            "no_detections": self.num_detections == 0,
         }
 
 
@@ -330,18 +327,15 @@ def evaluate_detections(
         per_class_ap=per_class_ap,
         num_detections=len(all_dets),
         num_ground_truths=num_gt,
-        no_detections=len(all_dets) == 0,
     )
 
 
 def evaluate(
     model: Model,
     dataset: Dataset,
-    det_cfg: DetectConfig | None = None,
-    prop_cfg: ProposalConfig | None = None,
+    det_cfg: DetectConfig,
+    prop_cfg: ProposalConfig,
 ) -> EvalReport:
     """mAP at each configured tIoU threshold over the whole dataset."""
-    det_cfg = det_cfg or DetectConfig()
-    prop_cfg = prop_cfg or ProposalConfig()
     all_dets = collect_detections(model, dataset, det_cfg, prop_cfg)
     return evaluate_detections(all_dets, ground_truths_by_class(dataset), det_cfg.tiou_thresholds)

@@ -49,8 +49,9 @@ def select_hard_negatives(
 ) -> MiningResult:
     """Keep all positives and the floor(|positives|/ratio) hardest negatives.
 
-    Hardest means highest actioness score; ties break toward the smaller
-    sample index.  A batch without positives yields an empty negative set.
+    Labels are 1 positive and 0 negative, or a boolean positive mask.  Hardest
+    means highest actioness score; ties break toward the smaller sample index.
+    A batch without positives yields an empty negative set.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)

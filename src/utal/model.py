@@ -62,6 +62,8 @@ ALPHA_BIAS_INIT = -2.0
 
 # a class's head row without and with uncertainty: its logit, then mu (and alpha) per boundary
 _HEAD_COLS = (3, 5)
+_MU_COLS = ((1, 2), (1, 3))  # a row's (start, end) mu columns, without and with uncertainty
+_ALPHA_COLS = (2, 4)  # its (start, end) alpha columns, with uncertainty
 _PARTS = ("weights", "biases")  # a dense layer's arrays in a checkpoint
 
 
@@ -107,7 +109,6 @@ class TrainConfig:
 class BatchForward:
     """Outputs of one batched forward pass, cached for the backward pass."""
 
-    z_a: np.ndarray  # [B] raw actioness logits
     y_a: np.ndarray  # [B] sigmoid scores
     logits: np.ndarray  # [B x C]
     mu: np.ndarray  # [B x C x 2] (start, end)
@@ -137,7 +138,7 @@ class Model:
         self.uncertainty = uncertainty
         self.head_cols = _HEAD_COLS[uncertainty]
         self.hidden = fc1.out_dim
-        self.d_feat = fc1.in_dim // k
+        self.d_feat = fc1.weights.shape[1] // k
         self.num_classes = fc_head.out_dim // self.head_cols
         self.norm = L2NormalizeLayer()
         self.relu = ReluLayer()
@@ -151,19 +152,16 @@ class Model:
         output is float64."""
         x = np.asarray(x, dtype=self.fc1.weights.dtype)
         h = self.relu.forward(self.fc1.forward(self.norm.forward(x)))
-        z_a = self.fc_act.forward(h)[:, 0].astype(np.float64)
+        y_a = sigmoid(self.fc_act.forward(h)[:, 0])
         block = self.fc_head.forward(h).astype(np.float64)
         block = block.reshape(-1, self.num_classes, self.head_cols)
-        logits = block[:, :, 0]
+        mu = block[:, :, _MU_COLS[self.uncertainty]]
+        alpha, alpha_pass = None, None
         if self.uncertainty:
-            mu = block[:, :, (1, 3)]
-            alpha_raw = block[:, :, (2, 4)]
+            alpha_raw = block[:, :, _ALPHA_COLS]
             alpha = np.clip(alpha_raw, -ALPHA_CLAMP, ALPHA_CLAMP)
             alpha_pass = np.abs(alpha_raw) <= ALPHA_CLAMP
-        else:
-            mu = block[:, :, (1, 2)]
-            alpha, alpha_pass = None, None
-        return BatchForward(z_a, sigmoid(z_a), logits, mu, alpha, alpha_pass)
+        return BatchForward(y_a, block[:, :, 0], mu, alpha, alpha_pass)
 
     def backward_batch(
         self,
@@ -181,12 +179,9 @@ class Model:
         batch = d_za.shape[0]
         d_block = np.zeros((batch, self.num_classes, self.head_cols))
         d_block[:, :, 0] = d_logits
+        d_block[:, :, _MU_COLS[self.uncertainty]] = d_mu
         if self.uncertainty:
-            d_block[:, :, (1, 3)] = d_mu
-            if d_alpha is not None:
-                d_block[:, :, (2, 4)] = d_alpha * fwd.alpha_pass
-        else:
-            d_block[:, :, (1, 2)] = d_mu
+            d_block[:, :, _ALPHA_COLS] = d_alpha * fwd.alpha_pass
         dh_head = self.fc_head.backward(d_block.reshape(batch, -1))
         dh_head += self.fc_act.backward(d_za[:, None])
         dx = self.fc1.backward(self.relu.backward(dh_head))
@@ -203,14 +198,13 @@ def init_model(cfg: TrainConfig, d_feat: int, num_classes: int, seed: int) -> Mo
     fc_act = init_dense(rng.split("actioness"), 1, cfg.hidden, name="actioness")
     fc_head = init_dense(rng.split("head"), num_classes * head_cols, cfg.hidden, name="head")
     if uncertainty:
-        fc_head.biases.reshape(num_classes, head_cols)[:, (2, 4)] = ALPHA_BIAS_INIT
+        fc_head.biases.reshape(num_classes, head_cols)[:, _ALPHA_COLS] = ALPHA_BIAS_INIT
     f32 = [DenseLayer(lay.weights.astype(np.float32), lay.biases.astype(np.float32), lay.name)
            for lay in (fc1, fc_act, fc_head)]
     return Model(*f32, cfg.k, uncertainty)
 
 
 def _regression_terms(
-    model: Model,
     cfg: TrainConfig,
     fwd: BatchForward,
     pos: np.ndarray,
@@ -226,14 +220,13 @@ def _regression_terms(
     receives gradient.
     """
     d_mu = np.zeros_like(fwd.mu)
-    d_alpha = np.zeros_like(fwd.alpha) if model.uncertainty else None
+    d_alpha = None if fwd.alpha is None else np.zeros_like(fwd.alpha)
     if pos.size == 0:
         return 0.0, d_mu, d_alpha
 
     classes = t_c[pos].astype(int)
     mu = fwd.mu[pos, classes]  # [P x 2] (start, end)
     target = np.stack((t_s[pos], t_e[pos]), axis=1)
-    g_alpha = None
     if cfg.loss_mode == "l1":
         values, g_mu = l1_loss(mu, target)
         scale = 1.0 / pos.size
@@ -250,9 +243,8 @@ def _regression_terms(
         scale = 1.0 / (2.0 * pos.size)
         # a running total in C order (positive, then start/end), not np.sum's pairwise one
         loss = float(np.cumsum(values * scale)[-1])
-    d_mu[pos, classes] = g_mu * scale
-    if g_alpha is not None:
         d_alpha[pos, classes] = g_alpha * scale
+    d_mu[pos, classes] = g_mu * scale
     return loss, d_mu, d_alpha
 
 
@@ -260,7 +252,7 @@ def train(
     model: Model,
     dataset: Dataset,
     cfg: TrainConfig,
-    prop_cfg: ProposalConfig | None = None,
+    prop_cfg: ProposalConfig,
     training_set: TrainingSet | None = None,
 ) -> tuple[Model, list[EpochStats]]:
     """Mini-batch SGD over the labeled proposals of `dataset`.
@@ -269,18 +261,15 @@ def train(
     sampled-loss epsilon draws all come from sub-streams of cfg.seed.
     """
     cfg.validate()
-    prop_cfg = prop_cfg or ProposalConfig()
     if training_set is None:
         training_set = build_training_set(dataset, prop_cfg, cfg.k)
-    if not training_set.t_a.any():
+    if not (training_set.t_c >= 0).any():
         raise ConfigError(
             "training set has no positive proposals "
             f"(pos_thr={prop_cfg.pos_thr}, neg_thr={prop_cfg.neg_thr})"
         )
 
-    x_all, t_a, t_c, t_s, t_e = (
-        training_set.x, training_set.t_a, training_set.t_c, training_set.t_s, training_set.t_e
-    )
+    x_all, t_c, t_s, t_e = training_set.x, training_set.t_c, training_set.t_s, training_set.t_e
     n = len(training_set)
 
     root = Rng(cfg.seed)
@@ -294,7 +283,7 @@ def train(
         for batch_index, lo in enumerate(range(0, n, cfg.batch_size)):
             idx = order[lo : lo + cfg.batch_size]
             fwd = model.forward_batch(x_all[idx])
-            mining = select_hard_negatives(fwd.y_a, t_a[idx], cfg.mining_ratio)
+            mining = select_hard_negatives(fwd.y_a, t_c[idx] >= 0, cfg.mining_ratio)
             pos = mining.positive_indices
 
             loss_bin, d_scores = binary_loss(fwd.y_a, mining)
@@ -307,7 +296,7 @@ def train(
                 else None
             )
             loss_reg, d_mu, d_alpha = _regression_terms(
-                model, cfg, fwd, pos, t_c[idx], t_s[idx], t_e[idx], eps_rng
+                cfg, fwd, pos, t_c[idx], t_s[idx], t_e[idx], eps_rng
             )
 
             if not math.isfinite(loss_bin + loss_cls + loss_reg):
@@ -341,14 +330,15 @@ def train(
 
 
 def collect_offset_stats(
-    model: Model, training_set: TrainingSet, batch_size: int = 512
+    model: Model, training_set: TrainingSet
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Forward all positives once; return d = t - mu and sigma, each [P x 2].
 
     Columns are (start, end), rows the positives in training-set order;
     sigma is None in baseline mode.
     """
-    positives = np.flatnonzero(training_set.t_a == 1)
+    positives = np.flatnonzero(training_set.t_c >= 0)
+    batch_size = 512  # positives per forward pass
     d = np.empty((positives.size, 2))
     alpha = np.empty((positives.size, 2)) if model.uncertainty else None
     for lo in range(0, positives.size, batch_size):
@@ -414,7 +404,8 @@ def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
     except (ConfigError, TypeError) as exc:
         raise ConfigError(f"checkpoint sidecar {sidecar_path}: {exc}") from exc
     arrays = load_arrays(path)
-    k, hidden, cols = cfg.k, cfg.hidden, _HEAD_COLS[cfg.loss_mode != "l1"]
+    k, hidden, uncertainty = cfg.k, cfg.hidden, cfg.loss_mode != "l1"
+    cols = _HEAD_COLS[uncertainty]
     shapes = {  # each layer's weight shape, in words and as a test of (rows, columns)
         "fc1": ("hidden x k·d (d >= 1)", lambda r, c: r == hidden and c >= k and c % k == 0),
         "actioness": ("1 x hidden", lambda r, c: (r, c) == (1, hidden)),
@@ -434,4 +425,4 @@ def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
     if sidecar.get("weights_sha256", digest) != digest:
         raise ConfigError(f"checkpoint {path} does not match the SHA-256 in {sidecar_path}")
     layers = (DenseLayer(arrays[f"{n}.weights"], arrays[f"{n}.biases"], n) for n in shapes)
-    return Model(*layers, k, cfg.loss_mode != "l1"), cfg
+    return Model(*layers, k, uncertainty), cfg

@@ -49,10 +49,6 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = np.asarray(x, dtype=self.weights.dtype)
         y = self._x @ self.weights.T

@@ -241,7 +241,7 @@ def offset_stats_oracle(model, training_set, batch_size: int = 512):
     out alone, its sigmas with math.exp.  Returns ([P x 2] d, [P x 2] sigma
     or None), columns (start, end).
     """
-    positives = [int(i) for i in np.flatnonzero(training_set.t_a == 1)]
+    positives = [int(i) for i in np.flatnonzero(training_set.t_c >= 0)]
     d_rows, sigma_rows = [], []
     for lo in range(0, len(positives), batch_size):
         rows = positives[lo : lo + batch_size]
@@ -455,8 +455,7 @@ class OracleModel:
         y_a = match.max(axis=1)
         logits = 10.0 * match
         mu = np.zeros((batch, self.num_classes, 2))
-        z_a = np.where(y_a > 0, 10.0 * y_a, -10.0)
-        return BatchForward(z_a, y_a, logits, mu, None, None)
+        return BatchForward(y_a, logits, mu, None, None)
 
 
 def aligned_oracle_dataset(num_videos: int = 6, num_classes: int = 3, d_feat: int = 16):

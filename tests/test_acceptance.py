@@ -307,7 +307,7 @@ class TestCriterion2GradientSuite:
             h = 1e-6
             for _ in range(25):
                 a = probe.randint(model.fc1.out_dim)
-                bcol = probe.randint(model.fc1.in_dim)
+                bcol = probe.randint(model.fc1.weights.shape[1])
                 orig = model.fc1.weights[a, bcol]
                 model.fc1.weights[a, bcol] = orig + h
                 up = _total_loss_for_model(model, cfg, x, t_a, t_c, t_s, t_e, eps_values)

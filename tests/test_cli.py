@@ -156,7 +156,7 @@ class TestConfigFile:
         assert main(["gen-data", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         key = line.split("=")[0].strip().split(".")[1]
-        assert err.startswith("error: ") and re.search(rf"\b{key}\b", err), err
+        assert err.startswith(f"error: {path}: ") and re.search(rf"\b{key}\b", err), err
         assert "Traceback" not in err and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -215,7 +215,7 @@ class TestGenData:
         cfg = _write_config(tmp_path / "run.cfg", text)
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "instances_per_video" in err
+        assert err.startswith(f"error: {cfg}: ") and "instances_per_video" in err
         assert "Traceback" not in err and not (tmp_path / "o").exists()
 
     def test_manifest_loads_cleanly(self, tmp_path):
@@ -474,14 +474,11 @@ class TestTrainCommand:
         err = self._train_error(cfg_path, manifest, tmp_path, capsys)
         assert str(manifest.parent / "classes.txt") in err and "Traceback" not in err
 
-    def test_huge_num_classes_is_refused_before_any_allocation(self, cli_workspace, tmp_path):
-        """The class table is read before anything is sized by num_classes, so 10**12
-        classes end in the table's error; a child under a 1 GiB address-space cap
-        runs it, so a regression fails the test instead of exhausting the host."""
-        cfg_path, manifest = self._copy_data(cli_workspace, tmp_path)
-        doc = json.loads(manifest.read_text())
-        doc["num_classes"] = 10**12
-        manifest.write_text(json.dumps(doc))
+    @staticmethod
+    def _capped_train_error(cfg_path, manifest, tmp_path) -> str:
+        """`utal train` in a child under a 1 GiB address-space cap, so a regression
+        that reads or allocates without bound fails the test instead of exhausting
+        the host; returns its stderr, after checking it is one config error."""
         child = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
                  "from utal.cli import entry; entry()")
         args = ["train", "--config", str(cfg_path), "--manifest", str(manifest),
@@ -491,8 +488,29 @@ class TestTrainCommand:
         run = subprocess.run([sys.executable, "-c", child, *args], capture_output=True, text=True,
                              env=env, timeout=300)
         assert run.returncode == EXIT_CONFIG and run.stderr.startswith("error: "), run.stderr
-        assert f"manifest {manifest}: top level: class table " in run.stderr
-        assert "manifest says 1000000000000" in run.stderr
+        assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr, run.stderr
+        return run.stderr
+
+    def test_huge_num_classes_is_refused_before_any_allocation(self, cli_workspace, tmp_path):
+        """The class table is read before anything is sized by num_classes, so 10**12
+        classes end in the table's error."""
+        cfg_path, manifest = self._copy_data(cli_workspace, tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["num_classes"] = 10**12
+        manifest.write_text(json.dumps(doc))
+        err = self._capped_train_error(cfg_path, manifest, tmp_path)
+        assert f"manifest {manifest}: top level: class table " in err
+        assert "manifest says 1000000000000" in err
+
+    def test_class_table_that_is_a_device_is_refused_unread(self, cli_workspace, tmp_path):
+        """A class table must be a regular file: /dev/zero would be read until memory
+        runs out, and the error would name neither the manifest nor the table."""
+        cfg_path, manifest = self._copy_data(cli_workspace, tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["class_table"] = "/dev/zero"
+        manifest.write_text(json.dumps(doc))
+        err = self._capped_train_error(cfg_path, manifest, tmp_path)
+        assert err.startswith(f"error: manifest {manifest}: top level: class table /dev/zero ")
 
     def test_repeated_video_id_names_manifest_and_id(self, cli_workspace, tmp_path, capsys):
         cfg_path, manifest = self._copy_data(cli_workspace, tmp_path)

@@ -166,7 +166,7 @@ class TestManifestRoundTrip:
             assert b.sequence.features.flags.writeable
             assert a.annotations == b.annotations
         sets = [build_training_set(d, ProposalConfig(), 4) for d in (generated, loaded)]
-        for name in ("x", "t_a", "t_c", "t_s", "t_e"):
+        for name in ("x", "t_c", "t_s", "t_e"):
             a, b = (getattr(s, name) for s in sets)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
@@ -667,12 +667,12 @@ class TestTrainingSetAssembly:
         dataset, _ = small_dataset
         tset = build_training_set(dataset, ProposalConfig(), 4)
         assert len(tset) > 100
-        assert tset.t_a.sum() > 20
+        assert (tset.t_c >= 0).sum() > 20
         assert tset.x.shape == (len(tset), 4 * dataset.d_feat)
         assert tset.x.dtype == np.float32  # what the network computes in
         assert np.isfinite(tset.x).all()
-        assert ((tset.t_a == 1) == (tset.t_c >= 0)).all()
-        negatives = tset.t_a == 0
+        negatives = tset.t_c < 0
+        assert (tset.t_c[negatives] == -1).all()
         assert not tset.t_s[negatives].any() and not tset.t_e[negatives].any()
 
     def test_order_is_by_video_then_start_then_scale(self, small_dataset):
@@ -701,7 +701,6 @@ class TestTrainingSetAssembly:
         assert tset.x.dtype == np.float32
         np.testing.assert_array_equal(tset.x, np.concatenate(x).astype(np.float32))
         assert tset.t_c.tolist() == t_c
-        assert tset.t_a.tolist() == [int(c >= 0) for c in t_c]
         assert tset.t_s.tolist() == t_s and tset.t_e.tolist() == t_e
 
     def test_no_videos_gives_empty_columns(self, small_dataset):

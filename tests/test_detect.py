@@ -28,6 +28,7 @@ from utal.detect import (
     fuse_scores,
     nms,
     refine_cascade,
+    video_detections,
 )
 from utal.model import LOSS_MODES, BatchForward, TrainConfig, init_model
 from utal.numerics import Rng
@@ -80,13 +81,13 @@ class _RowByRow:
 
     def forward_batch(self, x):
         rows = [self.model.forward_batch(row[None, :]) for row in x]
-        z_a, y_a, logits, mu = (
-            np.concatenate([getattr(r, name) for r in rows]) for name in ("z_a", "y_a", "logits", "mu")
+        y_a, logits, mu = (
+            np.concatenate([getattr(r, name) for r in rows]) for name in ("y_a", "logits", "mu")
         )
         if self.gap is not None:
             mu[:, :, 0] = 0.5 - self.gap
             mu[:, :, 1] = self.gap - 0.5
-        return BatchForward(z_a, y_a, logits, mu, None, None)
+        return BatchForward(y_a, logits, mu, None, None)
 
 
 def _video(t_units=32, d_feat=8, seed=4):
@@ -142,7 +143,7 @@ class TestRefineCascade:
                 mu[:, 0, 1] = (target[1] - end) / (end - start)
                 logits = np.zeros((batch, 2))
                 logits[:, 0] = 5.0
-                return BatchForward(np.zeros(batch), np.full(batch, 0.9), logits, mu, None, None)
+                return BatchForward(np.full(batch, 0.9), logits, mu, None, None)
 
         starts, ends, y_a, _ = refine_cascade(StubModel(), _video(), [start], [end], 1)
         assert starts[0] == pytest.approx(target[0], abs=1e-12)
@@ -548,7 +549,7 @@ class TestEvaluateDetections:
             assert report.map_by_tiou[thr] == float(np.mean(valid))
         assert report.num_detections == len(dets)
         assert report.num_ground_truths == sum(map(len, gts_by_class.values()))
-        assert report.no_detections == (not dets)
+        assert report.to_dict()["no_detections"] == (not dets)
 
     @given(_eval_cases(), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
@@ -567,6 +568,21 @@ class TestEvaluateDetections:
             assert report.per_class_ap[0.5] == {0: 1.0}
 
 
+class TestVideoDetections:
+    def test_score_floor_keeps_a_score_equal_to_it(self):
+        """The floor is inclusive: set to a class's top fused score, exactly, it keeps
+        that class's top detection and drops every lower one."""
+        model = init_model(TrainConfig(hidden=16, k=2), 8, 3, seed=2)
+        video, prop_cfg, det_cfg = _video(), ProposalConfig(scales=(8, 16)), DetectConfig()
+        starts, ends = sliding_windows(video.num_units, prop_cfg.scales, prop_cfg.overlap)
+        _, _, y_a, logits = refine_cascade(model, video, starts, ends, det_cfg.cascade_steps)
+        fused = fuse_scores(y_a, logits)
+        c = int(fused.max(axis=0).argmax())  # the class holding the top score of all
+        det_cfg.score_floor = float(fused[:, c].max())
+        dets = video_detections(model, video, det_cfg, prop_cfg)
+        assert [(d.class_id, d.score) for d in dets] == [(c, det_cfg.score_floor)]
+
+
 class TestEvaluate:
     def test_oracle_detector_achieves_perfect_map(self):
         dataset, (protos, dirs) = aligned_oracle_dataset()
@@ -575,7 +591,7 @@ class TestEvaluate:
         assert len(report.map_by_tiou) == 5
         for thr, value in report.map_by_tiou.items():
             assert value == pytest.approx(1.0, abs=1e-12), f"mAP@{thr}"
-        assert not report.no_detections
+        assert not report.to_dict()["no_detections"]
         assert report.num_ground_truths == len(dataset.videos)
 
     def test_zero_weight_model_scores_near_zero(self, default_dataset):
@@ -589,7 +605,7 @@ class TestEvaluate:
         model = OracleModel(protos, dirs, k=4)
         cfg = DetectConfig(tiou_thresholds=(0.3, 0.4, 0.5, 0.6, 0.7), score_floor=2.0)
         report = evaluate(model, dataset, cfg, ProposalConfig())
-        assert report.no_detections
+        assert report.to_dict()["no_detections"]
         assert report.num_detections == 0
         assert all(v == 0.0 for v in report.map_by_tiou.values())
         assert len(report.map_by_tiou) == 5

@@ -95,7 +95,7 @@ class TestForward:
         x = Rng(1).uniforms(3 * 8 * 4).reshape(3, -1)
         a = model.forward_batch(x)
         b = model.forward_batch(x)
-        for name in ("z_a", "y_a", "logits", "mu", "alpha"):
+        for name in ("y_a", "logits", "mu", "alpha"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_alpha_rows_clamped(self):
@@ -175,7 +175,7 @@ class TestEndToEndGradient:
         _, d_logits = multiclass_loss(fwd.logits, t_c, pos)
 
         eps_rng = rng.split("epsilon")  # the stream eps_values came from, unread
-        _, d_mu, d_alpha = _regression_terms(model, cfg, fwd, pos, t_c, t_s, t_e, eps_rng)
+        _, d_mu, d_alpha = _regression_terms(cfg, fwd, pos, t_c, t_s, t_e, eps_rng)
         model.backward_batch(fwd, d_za, d_logits, d_mu, d_alpha)
         grad = model.fc1.grad_w.copy()
 
@@ -183,7 +183,7 @@ class TestEndToEndGradient:
         h = 1e-6
         for _ in range(40):
             i = probe.randint(model.fc1.out_dim)
-            j = probe.randint(model.fc1.in_dim)
+            j = probe.randint(model.fc1.weights.shape[1])
             orig = model.fc1.weights[i, j]
             model.fc1.weights[i, j] = orig + h
             up = _total_loss_for_model(model, cfg, x, t_a, t_c, t_s, t_e, eps_values)
@@ -203,7 +203,7 @@ def _upstream_grads(model, cfg, fwd, t_a, t_c, t_s, t_e):
     pos = mining.positive_indices
     _, d_scores = binary_loss(fwd.y_a, mining)
     _, d_logits = multiclass_loss(fwd.logits, t_c, pos)
-    _, d_mu, d_alpha = _regression_terms(model, cfg, fwd, pos, t_c, t_s, t_e, Rng(3))
+    _, d_mu, d_alpha = _regression_terms(cfg, fwd, pos, t_c, t_s, t_e, Rng(3))
     return d_scores * fwd.y_a * (1.0 - fwd.y_a), d_logits, d_mu, d_alpha
 
 
@@ -226,14 +226,14 @@ class TestFloat32Network:
         model, _ = train(model, dataset, cfg, pcfg, tset)
         ref = float64_copy(model)
         fwd, fwd_ref = model.forward_batch(tset.x), ref.forward_batch(tset.x)
-        for name in ("z_a", "y_a", "logits", "mu", "alpha"):
+        for name in ("y_a", "logits", "mu", "alpha"):
             got, want = getattr(fwd, name), getattr(fwd_ref, name)
             if want is None:
                 assert got is None
                 continue
             assert got.dtype == want.dtype == np.float64
             assert np.abs(got - want).max() <= self.REL * np.abs(want).max()
-        upstream = _upstream_grads(ref, cfg, fwd_ref, tset.t_a, tset.t_c, tset.t_s, tset.t_e)
+        upstream = _upstream_grads(ref, cfg, fwd_ref, tset.t_c >= 0, tset.t_c, tset.t_s, tset.t_e)
         for net, out in ((model, fwd), (ref, fwd_ref)):
             net.backward_batch(out, *upstream)
         for layer, ref_layer in ((model.fc1, ref.fc1), (model.fc_head, ref.fc_head)):
@@ -248,7 +248,7 @@ class TestFloat32Network:
             for block in (layer.weights, layer.biases, layer.grad_w, layer.vel_w):
                 assert block.dtype == np.float32
         out = model.forward_batch(Rng(1).uniforms(3 * 8 * 4).reshape(3, -1))
-        for value in (out.z_a, out.y_a, out.logits, out.mu):
+        for value in (out.y_a, out.logits, out.mu):
             assert value.dtype == np.float64
         assert (out.alpha is None) == (mode == "l1")
         assert out.alpha is None or out.alpha.dtype == np.float64
@@ -282,13 +282,11 @@ class TestRegressionTerms:
         """_regression_terms and the per-positive oracle on one batch."""
         mu, alpha, t_c, t_s, t_e = batch
         cfg = TrainConfig(loss_mode=mode, condition_mode=condition_mode, k=1, hidden=2)
-        model = init_model(cfg, d_feat=1, num_classes=mu.shape[1], seed=0)
-        zeros = np.zeros(mu.shape[0])
         fwd = BatchForward(
-            zeros, zeros, mu[:, :, 0], mu, alpha if model.uncertainty else None, None
+            np.zeros(mu.shape[0]), mu[:, :, 0], mu, alpha if mode != "l1" else None, None
         )
         pos = np.flatnonzero(t_c >= 0)
-        got = _regression_terms(model, cfg, fwd, pos, t_c, t_s, t_e, Rng(seed))
+        got = _regression_terms(cfg, fwd, pos, t_c, t_s, t_e, Rng(seed))
         ref = regression_terms_oracle(cfg, fwd, pos, t_c, t_s, t_e, Rng(seed))
         return got, ref
 
@@ -328,21 +326,41 @@ class TestRegressionTerms:
                 assert not grad[~gt].any()
                 np.testing.assert_array_max_ulp(grad[gt], ref[gt], maxulp=4)
 
+    def test_gaussian_loss_is_a_running_total(self):
+        """The loss adds values * scale left to right in C order (positive, then start
+        and end), not in np.sum's pairwise grouping, which rounds differently here."""
+        n, classes = 24, 3
+        r = Rng(5)
+        mu = 4.0 * r.uniforms(n * classes * 2).reshape(n, classes, 2) - 2.0
+        alpha = 6.0 * r.uniforms(n * classes * 2).reshape(n, classes, 2) - 3.0
+        t_c = np.array([r.randint(classes) for _ in range(n)])
+        t_s, t_e = 4.0 * r.uniforms(n) - 2.0, 4.0 * r.uniforms(n) - 2.0
+        cfg = TrainConfig(loss_mode="kl_l1")
+        fwd = BatchForward(np.zeros(n), mu[:, :, 0], mu, alpha, None)
+        pos = np.arange(n)
+        loss, _, _ = _regression_terms(cfg, fwd, pos, t_c, t_s, t_e, None)
+        target = np.stack((t_s, t_e), axis=1)
+        values = kl_l1_loss(mu[pos, t_c], alpha[pos, t_c], target, cfg.condition_mode)[0]
+        terms = values * (1.0 / (2.0 * n))
+        total = 0.0
+        for term in terms.ravel().tolist():
+            total += term
+        assert float(np.sum(terms)) != total  # the two orders round apart on this batch
+        assert loss == total
+
     @pytest.mark.parametrize("mode", LOSS_MODES)
     @pytest.mark.parametrize("condition_mode", CONDITION_MODES)
     def test_zero_residual_gives_no_mu_gradient(self, mode, condition_mode):
         """r == 0: with t == mu (and sigma*eps == 0 for the sampled loss) mu gets no gradient."""
         mu = np.full((2, 2, 2), 0.375)
         cfg = TrainConfig(loss_mode=mode, condition_mode=condition_mode, k=1, hidden=2)
-        model = init_model(cfg, d_feat=1, num_classes=2, seed=0)
-        zeros = np.zeros(2)
         # sampled: sigma = exp(-750) underflows to 0, so sigma*eps == 0 for any eps drawn
         log_var = -1500.0 if mode == "sampled_l1" else -1.0
-        alpha = np.full((2, 2, 2), log_var) if model.uncertainty else None
-        fwd = BatchForward(zeros, zeros, mu[:, :, 0], mu, alpha, None)
+        alpha = np.full((2, 2, 2), log_var) if mode != "l1" else None
+        fwd = BatchForward(np.zeros(2), mu[:, :, 0], mu, alpha, None)
         t_c, t_s = np.array([1, 1]), np.full(2, 0.375)
         pos = np.arange(2)
-        got = _regression_terms(model, cfg, fwd, pos, t_c, t_s, t_s, Rng(0))
+        got = _regression_terms(cfg, fwd, pos, t_c, t_s, t_s, Rng(0))
         ref = regression_terms_oracle(cfg, fwd, pos, t_c, t_s, t_s, Rng(0))
         assert not got[1].any() and not ref[1].any()
         assert got[0] == ref[0]
@@ -440,7 +458,7 @@ class TestTraining:
             assert (curve[0].mean_sigma_pos is not None) == has_sigma
             tset = build_training_set(dataset, pcfg, cfg.k)
             d, sigma = collect_offset_stats(model, tset)
-            assert d.shape == (int(tset.t_a.sum()), 2) and d.size
+            assert d.shape == (int((tset.t_c >= 0).sum()), 2) and d.size
             assert (sigma is not None) == has_sigma
 
 
@@ -454,14 +472,14 @@ class TestOffsetStats:
         t_s, t_e = r.uniforms(n) - 0.5, r.uniforms(n) - 0.5
         t_s[t_c < 0] = t_e[t_c < 0] = 0.0
         x = (r.uniforms(n * k * d_feat).reshape(n, -1) - 0.5).astype(np.float32)
-        tset = TrainingSet(x, (t_c >= 0).astype(int), t_c, t_s, t_e)
-        assert tset.t_a.sum() > 512
+        tset = TrainingSet(x, t_c, t_s, t_e)
+        assert (t_c >= 0).sum() > 512
         cfg = TrainConfig(loss_mode=mode, k=k, hidden=16)
         model = init_model(cfg, d_feat, classes, seed=2)
         model.fc_head.weights *= 40.0  # spread mu and alpha well away from their init
         d, sigma = collect_offset_stats(model, tset)
         d_ref, sigma_ref = offset_stats_oracle(model, tset)
-        assert d.shape == (tset.t_a.sum(), 2)
+        assert d.shape == ((t_c >= 0).sum(), 2)
         np.testing.assert_array_equal(d, d_ref)
         if mode == "l1":
             assert sigma is None and sigma_ref is None
@@ -493,7 +511,7 @@ class TestCheckpoint:
             assert layer.weights.dtype == layer.biases.dtype == np.float32
         x = Rng(2).uniforms(5 * dataset.d_feat * cfg.k).reshape(5, -1)
         out, out_loaded = model.forward_batch(x), loaded.forward_batch(x)
-        for name in ("z_a", "y_a", "logits", "mu", "alpha"):
+        for name in ("y_a", "logits", "mu", "alpha"):
             np.testing.assert_array_equal(getattr(out, name), getattr(out_loaded, name))
 
     def test_second_save_is_byte_identical(self, tmp_path):
