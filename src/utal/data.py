@@ -462,11 +462,11 @@ def pool_k_parts(video: UnitFeatureSequence, starts, ends, k: int) -> np.ndarray
     Each window's k equal sub-spans are clipped to [0, T] and average the
     units they overlap, weighted by overlap length.  With F the piecewise-
     linear cumulative sum of the unit features (an integral image), the mean
-    over [lo, hi] is (F(hi) - F(lo)) / (hi - lo).  A zero-length sub-span
-    falls back to the unit containing its midpoint.  Sub-spans whose bounds
-    are equal bit for bit are pooled once and share the result.
+    over [lo, hi] is (F(hi) - F(lo)) / (hi - lo), in float64, rounded once
+    into rows of the features' dtype.  A zero-length sub-span falls back to
+    the unit at its midpoint.  Bit-equal sub-spans are pooled once.
     """
-    feats = np.asarray(video.features, dtype=np.float64)  # float32 units, float64 sums
+    feats = np.asarray(video.features)  # float32 units widen exactly in float64 arithmetic
     t_units = feats.shape[0]
     starts = np.asarray(starts, dtype=np.float64)
     ends = np.asarray(ends, dtype=np.float64)
@@ -485,16 +485,17 @@ def pool_k_parts(video: UnitFeatureSequence, starts, ends, k: int) -> np.ndarray
     lo_c = np.clip(lo, 0.0, t_units)
     hi_c = np.clip(hi, 0.0, t_units)
     cum = np.zeros((t_units + 1, feats.shape[1]))
-    np.cumsum(feats, axis=0, out=cum[1:])
+    np.cumsum(feats, axis=0, dtype=np.float64, out=cum[1:])
     # F(t) = C[u] + (t - u) * x[u], u = floor(t) (T - 1 at t = T); the C terms
     # cancel exactly when both ends lie in one unit
     u_lo = np.minimum(np.floor(lo_c), t_units - 1).astype(np.intp)
     u_hi = np.minimum(np.floor(hi_c), t_units - 1).astype(np.intp)
-    num = cum[u_hi] - cum[u_lo] + (hi_c - u_hi)[:, None] * feats[u_hi]
+    num = cum[u_hi] - cum[u_lo]  # one buffer, summed in place in the order of F(hi) - F(lo)
+    num += (hi_c - u_hi)[:, None] * feats[u_hi]
     num -= (lo_c - u_lo)[:, None] * feats[u_lo]
-    length = hi_c - lo_c
-    covered = length > 0.0
-    pooled = num / np.where(covered, length, 1.0)[:, None]
+    covered = hi_c > lo_c  # as hi_c - lo_c > 0: unequal floats never subtract to 0
+    pooled = np.empty_like(num, feats.dtype)
+    np.divide(num, np.where(covered, hi_c - lo_c, 1.0)[:, None], out=pooled)
     if not covered.all():
         mid = np.clip(np.floor((lo + hi) / 2.0), 0, t_units - 1).astype(np.intp)
         pooled[~covered] = feats[mid[~covered]]

@@ -184,10 +184,10 @@ def nms(dets: list[Detection], tiou_thr: float) -> list[Detection]:
     a = np.repeat(by_start, count)
     b = by_start[np.arange(count.sum()) + np.repeat(nxt - np.cumsum(count) + count, count)]
     hit = pairwise_tiou(starts[a], ends[a], starts[b], ends[b]) >= tiou_thr
-    first, later = np.minimum(a[hit], b[hit]), np.maximum(a[hit], b[hit])
-    order = np.argsort(first, kind="stable")
+    a, b = a[hit], b[hit]  # by earlier rank; a kept one kills its later ones in any order
+    first, later = np.divmod(np.sort(np.minimum(a, b) * len(dets) + np.maximum(a, b)), len(dets))
     dead = bytearray(len(dets))
-    for rank, other in zip(first[order].tolist(), later[order].tolist()):
+    for rank, other in zip(first.tolist(), later.tolist()):
         if not dead[rank]:
             dead[other] = 1
     return [dets[i] for i, gone in zip(ranked.tolist(), dead) if not gone]

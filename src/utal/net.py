@@ -3,9 +3,9 @@
 No autodiff: every layer caches what its forward pass saw and its backward
 pass returns the gradient with respect to that input.  Unchecked
 preconditions: dense and l2-normalize layers take a [batch x dim] matrix of
-their width (one row is x[None]), and a backward follows its layer's forward.
-A dense layer's backward also writes the batch's parameter gradients into its
-`grad_w` and `grad_b`, overwriting the previous ones, for `sgd_step` to spend.
+their width (one row is x[None]), ReLU overwrites the array it is given, and a
+backward follows its layer's forward.  A dense layer's backward overwrites
+`grad_w` and `grad_b` with the batch's parameter gradients for `sgd_step`.
 """
 
 from __future__ import annotations
@@ -63,17 +63,17 @@ class DenseLayer:
 
 
 class ReluLayer:
-    """Elementwise max(0, x) in the input's dtype; subgradient at 0 is 0."""
+    """Elementwise max(0, x) in the input's dtype, written over x; subgradient at 0 is 0."""
 
     def __init__(self):
-        self._x: np.ndarray | None = None
+        self._y: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = np.asarray(x, dtype=_float_dtype(x))
-        return np.maximum(self._x, 0.0)
+        self._y = np.asarray(x, dtype=_float_dtype(x))
+        return np.maximum(self._y, 0.0, out=self._y)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy * (self._x > 0.0)
+        return dy * (self._y > 0.0)  # y > 0 exactly where x > 0, NaN and -0.0 included
 
 
 class L2NormalizeLayer:
@@ -89,9 +89,8 @@ class L2NormalizeLayer:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         xb = np.asarray(x, dtype=_float_dtype(x))
-        norm = np.linalg.norm(xb, axis=1, keepdims=True)
-        self._y = xb / np.maximum(norm, _L2_EPS)
-        self._norm = norm
+        self._norm = np.sqrt(np.add.reduce(xb * xb, axis=1, keepdims=True))  # np.linalg.norm's sum
+        self._y = xb / np.maximum(self._norm, _L2_EPS)
         return self._y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:

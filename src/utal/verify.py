@@ -164,7 +164,7 @@ def verify_gradients(points: int = 100) -> list[str]:
             if np.any(np.abs(x) < 1e-2):
                 continue  # ReLU's kink; the l2norm inputs are >= 0.2
             layer = make()
-            layer.forward(x[None])
+            layer.forward(x[None].copy())  # ReLU writes over its input; x stays the FD point
             check([f"{name} dx[{j}] @{i}" for j in range(x.size)], layer.backward(dy[None])[0],
                   lambda v: float(make().forward(v[None])[0] @ dy), x, range(x.size))
 

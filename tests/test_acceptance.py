@@ -226,7 +226,7 @@ class TestCriterion2GradientSuite:
                 dyr = r.uniforms(5) - 0.5
                 if np.all(np.abs(xr) > 1e-2):
                     relu = ReluLayer()
-                    relu.forward(xr)
+                    relu.forward(xr.copy())  # it writes over its input; xr stays the FD point
                     dxr = relu.backward(dyr)
                     def f_r(v):
                         x2 = xr.copy()

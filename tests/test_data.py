@@ -301,6 +301,12 @@ class TestSlidingWindows:
         spans = _spans(*sliding_windows(33, [16], 0.5))
         assert spans[-1] == (17.0, 33.0)
 
+    def test_last_window_within_slack_of_the_end_gets_no_tail(self):
+        # stride 10 * (1 - 0.9) rounds to 1 - 2**-52: the 31st window ends
+        # 7e-15 short of T, inside the 1e-9 slack, so no [30, 40] follows it
+        starts, ends = sliding_windows(40, [10], 0.9)
+        assert starts.size == 31 and 40.0 - 1e-9 < ends[-1] < 40.0
+
     def test_full_coverage(self):
         for t_units in (17, 32, 63, 100):
             starts, ends = sliding_windows(t_units, [8, 16, 32, 64], 0.75)
@@ -531,6 +537,15 @@ def _pool(video, windows, k):
     )
 
 
+def _assert_float32_rows_are_float64_rows_rounded(video, windows, k):
+    """Float32 features pool to the float64 pooling of the same values, rounded once."""
+    feats = video.features.astype(np.float32)
+    got = _pool(UnitFeatureSequence("v", feats), windows, k)
+    wide = _pool(UnitFeatureSequence("v", feats.astype(np.float64)), windows, k)
+    assert got.dtype == np.float32 and wide.dtype == np.float64
+    assert got.tobytes() == wide.astype(np.float32).tobytes()
+
+
 @st.composite
 def _pooling_cases(draw):
     """A random video and windows on a 1/8 grid or anywhere, incl. degenerate ones."""
@@ -652,6 +667,7 @@ class TestPooling:
                 # dividing by the sub-span length scales it by 1/length
                 tol = 4.0 * (t_units + 2) * eps * np.abs(feats).max() / length
                 np.testing.assert_allclose(part, expected[j], rtol=0, atol=tol)
+        _assert_float32_rows_are_float64_rows_rounded(video, windows, k)
 
     @given(_shared_span_batches())
     @settings(max_examples=300, deadline=None)
@@ -660,6 +676,7 @@ class TestPooling:
         pooled = _pool(video, windows, k)
         for row, window in zip(pooled, windows):
             assert row.tobytes() == _pool(video, [window], k)[0].tobytes()
+        _assert_float32_rows_are_float64_rows_rounded(video, windows, k)
 
 
 class TestTrainingSetAssembly:

@@ -160,6 +160,21 @@ class TestRefineCascade:
         for a, b in zip(twice, chained):
             np.testing.assert_array_equal(a, b)
 
+    def test_refinement_exactly_1e_9_long_is_degenerate(self):
+        class HalveEnd:  # moves each end halfway to its start
+            k, num_classes = 2, 2
+
+            def forward_batch(self, x):
+                mu = np.zeros((x.shape[0], 2, 2))
+                mu[:, :, 1] = -0.5
+                return BatchForward(np.full(x.shape[0], 0.5), np.zeros((x.shape[0], 2)), mu,
+                                    None, None)
+
+        # [0, 2e-9] refines to [0, 1e-9] exactly and keeps its last state;
+        # [0, 4e-9] refines to [0, 2e-9] and moves
+        _, ends, _, _ = refine_cascade(HalveEnd(), _video(), [0.0, 0.0], [2e-9, 4e-9], 1)
+        assert ends.tolist() == [2e-9, 2e-9]
+
     def test_degenerate_refinement_keeps_last_window(self):
         model = _RowByRow(_zero_model(), gap=1e-12)
         starts, ends, y_a, _ = refine_cascade(model, _video(), [4.0], [12.0], 3)

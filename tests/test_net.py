@@ -124,18 +124,20 @@ class TestRelu:
             relu.forward(np.array([-1.0, 0.0, 2.0])), np.array([0.0, 0.0, 2.0])
         )
         x = np.array([0.5, 1.0, 7.0])
-        np.testing.assert_array_equal(ReluLayer().forward(x), x)
+        np.testing.assert_array_equal(ReluLayer().forward(x.copy()), x)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_backward_equals_where_form_and_leaves_dy(self, dtype):
-        x = np.array([-2.0, -0.0, 0.0, 1e-30, 3.0, -1e-30, 0.5], dtype=dtype)
-        dy = np.array([1.5, -2.0, 7.0, -0.25, -3.0, 4.0, 0.0], dtype=dtype)
-        dy_before = dy.copy()
+        x = np.array([-2.0, -0.0, 0.0, 1e-30, 3.0, -1e-30, 0.5, np.nan, np.nan], dtype=dtype)
+        dy = np.array([1.5, -2.0, 7.0, -0.25, -3.0, 4.0, 0.0, -1.0, 2.5], dtype=dtype)
+        x_before, dy_before = x.copy(), dy.copy()
         relu = ReluLayer()
-        assert relu.forward(x).dtype == dtype
+        out = relu.forward(x)
+        assert out is x and out.dtype == dtype  # written over its input
+        np.testing.assert_array_equal(out, np.maximum(x_before, 0.0))
         dx = relu.backward(dy)
         assert dx.dtype == dtype
-        np.testing.assert_array_equal(dx, np.where(x > 0.0, dy, 0.0))
+        np.testing.assert_array_equal(dx, np.where(x_before > 0.0, dy, 0.0))
         np.testing.assert_array_equal(dy, dy_before)
 
     def test_subgradient_zero_at_zero(self):
@@ -152,7 +154,7 @@ class TestRelu:
                 continue
             dy = r.uniforms(6) - 0.5
             relu = ReluLayer()
-            relu.forward(x)
+            relu.forward(x.copy())  # it writes over its input; x stays the FD point
             dx = relu.backward(dy)
             for j in range(6):
                 fd = _fd(lambda v: float(ReluLayer().forward(v) @ dy), x, (j,))
