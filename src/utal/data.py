@@ -457,7 +457,7 @@ def pairwise_tiou(s1, e1, s2, e2) -> np.ndarray:
 
 
 def pool_k_parts(video: UnitFeatureSequence, starts, ends, k: int) -> np.ndarray:
-    """Coverage-weighted average pooling of windows [starts, ends], [N x k*d_feat].
+    """Coverage-weighted average pooling of float64 window arrays [starts, ends], [N x k*d_feat].
 
     Each window's k equal sub-spans are clipped to [0, T] and average the
     units they overlap, weighted by overlap length.  With F the piecewise-
@@ -466,10 +466,8 @@ def pool_k_parts(video: UnitFeatureSequence, starts, ends, k: int) -> np.ndarray
     into rows of the features' dtype.  A zero-length sub-span falls back to
     the unit at its midpoint.  Bit-equal sub-spans are pooled once.
     """
-    feats = np.asarray(video.features)  # float32 units widen exactly in float64 arithmetic
+    feats = video.features  # float32 units widen exactly in float64 arithmetic
     t_units = feats.shape[0]
-    starts = np.asarray(starts, dtype=np.float64)
-    ends = np.asarray(ends, dtype=np.float64)
     span = (ends - starts) / k
     lo = (starts[:, None] + np.arange(k)[None, :] * span[:, None]).ravel()  # [N*k]
     hi = lo + np.repeat(span, k)

@@ -49,12 +49,10 @@ def select_hard_negatives(
 ) -> MiningResult:
     """Keep all positives and the floor(|positives|/ratio) hardest negatives.
 
-    Labels are 1 positive and 0 negative, or a boolean positive mask.  Hardest
-    means highest actioness score; ties break toward the smaller sample index.
-    A batch without positives yields an empty negative set.
+    Takes arrays; labels are 1 positive and 0 negative, or a boolean positive
+    mask.  Hardest means highest actioness score; ties break toward the smaller
+    sample index.  A batch without positives yields an empty negative set.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
     positives = np.flatnonzero(labels == 1)
     negatives = np.flatnonzero(labels == 0)
     if positives.size == 0:
@@ -68,10 +66,9 @@ def binary_loss(scores: np.ndarray, mining: MiningResult) -> tuple[float, np.nda
     """Balanced binary cross entropy over mined indices.
 
     loss = -(sum_pos log p + sum_neg log(1-p)) / (|pos| + |neg|); the
-    gradient is nonzero only on mined indices.  Scores are clamped away from
-    exactly 0/1 before the log.
+    gradient is nonzero only on mined indices.  Takes a float64 score array;
+    scores are clamped away from exactly 0/1 before the log.
     """
-    scores = np.asarray(scores, dtype=np.float64)
     d_scores = np.zeros_like(scores)
     pos = mining.positive_indices
     neg = mining.negative_indices
@@ -91,12 +88,12 @@ def multiclass_loss(
 ) -> tuple[float, np.ndarray]:
     """Softmax cross entropy averaged over the positive rows.
 
-    Gradient is (softmax - onehot)/|positives| on positive rows and zero
-    elsewhere.  Empty positive set contributes nothing.
+    Takes arrays: float64 logits, integer labels and indices.  Gradient is
+    (softmax - onehot)/|positives| on positive rows, zero elsewhere.  Empty
+    positive set contributes nothing.
     """
-    logits = np.asarray(logits, dtype=np.float64)
     d_logits = np.zeros_like(logits)
-    pos = np.asarray(positive_indices, dtype=int)
+    pos = positive_indices
     if pos.size == 0:
         return 0.0, d_logits
     rows = logits[pos]
@@ -104,7 +101,7 @@ def multiclass_loss(
     exp = np.exp(shifted)
     total = exp.sum(axis=1, keepdims=True)
     log_z = np.log(total[:, 0])
-    labels_pos = np.asarray(labels)[pos].astype(int)
+    labels_pos = labels[pos]
     picked = shifted[np.arange(pos.size), labels_pos]
     loss = float(np.mean(log_z - picked))
     probs = exp / total

@@ -5,8 +5,8 @@ a scalar actioness logit (sigmoid), and a per-class block holding the class
 logit plus the boundary-offset parameters.  In uncertainty mode each class
 row carries (mu_s, alpha_s, mu_e, alpha_e); in baseline mode just
 (mu_s, mu_e).  All backward passes are hand-derived; regression gradients
-flow only through the ground-truth class row.  The dense layers compute in
-float32; their outputs are handed on, and every loss computed, in float64.
+flow only through the ground-truth class row.  The layers are built in float32,
+which `forward_batch` casts its input to; outputs and losses are float64.
 """
 
 from __future__ import annotations
@@ -194,14 +194,12 @@ def init_model(cfg: TrainConfig, d_feat: int, num_classes: int, seed: int) -> Mo
     head_cols = _HEAD_COLS[uncertainty]
     rng = Rng(seed).split("model-init")
     fc1 = init_dense(rng.split("fc1"), cfg.hidden, cfg.k * d_feat, name="fc1")
-    fc1.weights *= FC1_INIT_GAIN
+    fc1.weights *= FC1_INIT_GAIN  # a power of two: exact in float32
     fc_act = init_dense(rng.split("actioness"), 1, cfg.hidden, name="actioness")
     fc_head = init_dense(rng.split("head"), num_classes * head_cols, cfg.hidden, name="head")
     if uncertainty:
         fc_head.biases.reshape(num_classes, head_cols)[:, _ALPHA_COLS] = ALPHA_BIAS_INIT
-    f32 = [DenseLayer(lay.weights.astype(np.float32), lay.biases.astype(np.float32), lay.name)
-           for lay in (fc1, fc_act, fc_head)]
-    return Model(*f32, cfg.k, uncertainty)
+    return Model(fc1, fc_act, fc_head, cfg.k, uncertainty)
 
 
 def _regression_terms(
@@ -224,7 +222,7 @@ def _regression_terms(
     if pos.size == 0:
         return 0.0, d_mu, d_alpha
 
-    classes = t_c[pos].astype(int)
+    classes = t_c[pos]
     mu = fwd.mu[pos, classes]  # [P x 2] (start, end)
     target = np.stack((t_s[pos], t_e[pos]), axis=1)
     if cfg.loss_mode == "l1":
@@ -312,7 +310,7 @@ def train(
             batches += 1
             if model.uncertainty:  # sigma of positives' classes and hard negatives' top classes
                 neg = mining.negative_indices
-                classes, hard_cls = t_c[idx][pos].astype(int), fwd.logits[neg].argmax(axis=1)
+                classes, hard_cls = t_c[idx][pos], fwd.logits[neg].argmax(axis=1)
                 sigma_pos += np.exp(0.5 * fwd.alpha[pos, classes]).ravel().tolist()
                 sigma_neg += np.exp(0.5 * fwd.alpha[neg, hard_cls]).ravel().tolist()
 

@@ -3,9 +3,11 @@
 No autodiff: every layer caches what its forward pass saw and its backward
 pass returns the gradient with respect to that input.  Unchecked
 preconditions: dense and l2-normalize layers take a [batch x dim] matrix of
-their width (one row is x[None]), ReLU overwrites the array it is given, and a
-backward follows its layer's forward.  A dense layer's backward overwrites
-`grad_w` and `grad_b` with the batch's parameter gradients for `sgd_step`.
+their width (one row is x[None]), a layer takes arrays of its own dtype, and a
+dense layer's weights and biases share one float dtype; ReLU overwrites the
+array it is given, and a backward follows its layer's forward.  A dense
+layer's backward casts dy to its dtype and overwrites `grad_w` and `grad_b`
+with the batch's parameter gradients for `sgd_step`.
 """
 
 from __future__ import annotations
@@ -24,18 +26,10 @@ CHECKPOINT_MAGIC = b"UTAL1"
 _L2_EPS = 1e-12
 
 
-def _float_dtype(x) -> type:
-    """The dtype a layer computes in: float32 stays float32, anything else is float64."""
-    return np.float32 if np.asarray(x).dtype == np.float32 else np.float64
-
-
 class DenseLayer:
-    """y = W x + b in the weights' dtype, with cached input for the backward pass."""
+    """y = W x + b on float arrays of one dtype, with cached input for the backward pass."""
 
     def __init__(self, weights: np.ndarray, biases: np.ndarray, name: str = "dense"):
-        dtype = _float_dtype(weights)
-        weights = np.asarray(weights, dtype=dtype)
-        biases = np.asarray(biases, dtype=dtype)
         self.name = name
         self.weights = weights
         self.biases = biases
@@ -50,8 +44,8 @@ class DenseLayer:
         return self.weights.shape[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = np.asarray(x, dtype=self.weights.dtype)
-        y = self._x @ self.weights.T
+        self._x = x
+        y = x @ self.weights.T
         y += self.biases
         return y
 
@@ -63,21 +57,21 @@ class DenseLayer:
 
 
 class ReluLayer:
-    """Elementwise max(0, x) in the input's dtype, written over x; subgradient at 0 is 0."""
+    """Elementwise max(0, x) on a float array, written over x; subgradient at 0 is 0."""
 
     def __init__(self):
         self._y: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = np.asarray(x, dtype=_float_dtype(x))
-        return np.maximum(self._y, 0.0, out=self._y)
+        self._y = np.maximum(x, 0.0, out=x)
+        return self._y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy * (self._y > 0.0)  # y > 0 exactly where x > 0, NaN and -0.0 included
 
 
 class L2NormalizeLayer:
-    """y = x / max(||x||_2, eps), rows normalized independently, in the input's dtype.
+    """y = x / max(||x||_2, eps) on a float array, rows normalized independently.
 
     Backward applies the full Jacobian (I - y y^T)/||x||; inputs with norm
     below eps map to x/eps (plain scaling), which keeps zero vectors at zero.
@@ -88,23 +82,20 @@ class L2NormalizeLayer:
         self._norm: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        xb = np.asarray(x, dtype=_float_dtype(x))
-        self._norm = np.sqrt(np.add.reduce(xb * xb, axis=1, keepdims=True))  # np.linalg.norm's sum
-        self._y = xb / np.maximum(self._norm, _L2_EPS)
+        self._norm = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))  # np.linalg.norm's sum
+        self._y = x / np.maximum(self._norm, _L2_EPS)
         return self._y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        dyb = np.asarray(dy, dtype=self._y.dtype)
-        dx = dyb - self._y * np.sum(self._y * dyb, axis=1, keepdims=True)
+        dx = dy - self._y * np.sum(self._y * dy, axis=1, keepdims=True)
         dx /= np.maximum(self._norm, _L2_EPS)
         small = ~(self._norm[:, 0] > _L2_EPS)  # norm <= eps: plain scaling instead
-        dx[small] = dyb[small] / _L2_EPS
+        dx[small] = dy[small] / _L2_EPS
         return dx
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax along the last axis; sums to 1 within 1e-9."""
-    z = np.asarray(z, dtype=np.float64)
+    """Max-subtracted softmax of a float64 array along its last axis; sums to 1 within 1e-9."""
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -122,10 +113,10 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def init_dense(rng: Rng, out_dim: int, in_dim: int, name: str = "dense") -> DenseLayer:
-    """Uniform(+-sqrt(6/(in+out))) weights, zero biases, seeded draw order."""
+    """Uniform(+-sqrt(6/(in+out))) weights rounded once to float32, zero biases, seeded draws."""
     bound = np.sqrt(6.0 / (in_dim + out_dim))
-    w = (rng.uniforms(out_dim * in_dim) * 2.0 - 1.0) * bound
-    return DenseLayer(w.reshape(out_dim, in_dim), np.zeros(out_dim), name=name)
+    w = ((rng.uniforms(out_dim * in_dim) * 2.0 - 1.0) * bound).astype(np.float32)
+    return DenseLayer(w.reshape(out_dim, in_dim), np.zeros(out_dim, np.float32), name=name)
 
 
 def sgd_step(layers: list[DenseLayer], lr: float, momentum: float = 0.0) -> None:

@@ -19,20 +19,12 @@ _log = np.vectorize(math.log, otypes=[float])  # libm's log: np.log may differ i
 _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment of splitmix64
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 finalizer: bijective 64-bit avalanche."""
-    z &= _MASK64
+def _mix64(z):
+    """splitmix64's bijective finalizer of z mod 2^64, for an int or each uint64 entry."""
+    z = z & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # uint64 array arithmetic wraps mod 2^64, which is exactly what we want
-    z = z.astype(np.uint64, copy=True)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
 
 
 class Rng:
@@ -60,20 +52,19 @@ class Rng:
         for label in labels:
             if isinstance(label, str):
                 for byte in label.encode("utf-8"):
-                    h = _mix64((h * 0x100000001B3 + byte) & _MASK64)
+                    h = _mix64(h * 0x100000001B3 + byte)
             else:
-                h = _mix64(h ^ ((int(label) * _GAMMA) & _MASK64))
+                h = _mix64(h ^ (int(label) * _GAMMA))
         return Rng(h)
 
     def next_u64(self) -> int:
         self._counter += 1
-        return _mix64((self.seed + self._counter * _GAMMA) & _MASK64)
+        return _mix64(self.seed + self._counter * _GAMMA)
 
     def _next_u64_block(self, n: int) -> np.ndarray:
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        base = np.uint64(self.seed & _MASK64)
-        return _mix64_array(base + idx * np.uint64(_GAMMA))
+        return _mix64(np.uint64(self.seed) + idx * np.uint64(_GAMMA))
 
     def uniform(self) -> float:
         """One double in [0, 1) with 53 random bits."""

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +57,17 @@ def _eval_checkpoint(workspace, checkpoint, capsys) -> tuple[int, str]:
         ]
     )
     return code, capsys.readouterr().err
+
+
+def _run_capped(args: list[str]) -> subprocess.CompletedProcess:
+    """`utal ARGS` in a child under a 1 GiB address-space cap, so a regression that
+    reads or allocates without bound fails the test instead of exhausting the host."""
+    child = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+             "from utal.cli import entry; entry()")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", child, *args], capture_output=True, text=True,
+                          env=env, timeout=300)
 
 
 # one strategy per JSON kind, for retyping a sidecar value
@@ -476,17 +489,10 @@ class TestTrainCommand:
 
     @staticmethod
     def _capped_train_error(cfg_path, manifest, tmp_path) -> str:
-        """`utal train` in a child under a 1 GiB address-space cap, so a regression
-        that reads or allocates without bound fails the test instead of exhausting
-        the host; returns its stderr, after checking it is one config error."""
-        child = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-                 "from utal.cli import entry; entry()")
-        args = ["train", "--config", str(cfg_path), "--manifest", str(manifest),
-                "--out", str(tmp_path / "t")]
-        src = str(Path(cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        run = subprocess.run([sys.executable, "-c", child, *args], capture_output=True, text=True,
-                             env=env, timeout=300)
+        """`utal train` in a capped child; returns its stderr, after checking it is
+        one config error."""
+        run = _run_capped(["train", "--config", str(cfg_path), "--manifest", str(manifest),
+                           "--out", str(tmp_path / "t")])
         assert run.returncode == EXIT_CONFIG and run.stderr.startswith("error: "), run.stderr
         assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr, run.stderr
         return run.stderr
@@ -743,6 +749,101 @@ class TestEvalCommand:
     def test_oracle_row_renders_all_hundreds(self):
         row = _format_map_row({t: 1.0 for t in (0.3, 0.4, 0.5, 0.6, 0.7)})
         assert row.endswith("100.0 100.0 100.0 100.0 100.0")
+
+
+# a manifest value made huge, negative or non-finite
+_EXTREME = st.sampled_from(
+    [10**400, 10**12, 1e308, -1, -(10**12), -0.5, math.nan, math.inf, -math.inf]
+)
+
+# config values: in range, out of range, non-finite, too large for a float, unparsable
+_CONFIG_VALUES = st.sampled_from(
+    ["0", "1", "3", "-1", "0.5", "0.99", "1.5", "-0.25", "nan", "inf", "-inf", "1e400",
+     "1" + "0" * 400, "", "x", "true", "0x10", "1, 2", "8, 16, 32", "1,,2", "0.3, 2"]
+)
+_CONFIG_KEYS = ["seed", "train.seed", "data.bogus", "bogus", "trian.epochs", *(
+    f"{name}.{f.name}" for name in ("data", "proposals", "train", "detect")
+    for f in fields(getattr(RunConfig(), name)))]
+
+
+@st.composite
+def _config_line(draw) -> str:
+    """A `key = value` line, a line without `=` or with an empty key, or free text."""
+    kinds = ["setting", "setting", "setting", "no-equals", "empty-key", "text"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "setting":
+        key, values = draw(st.sampled_from(_CONFIG_KEYS)), _CONFIG_VALUES
+        if key == "detect.cascade_steps":  # a huge step count is a valid request for long work
+            values = values.filter(lambda v: not (v.isdigit() and len(v) > 3))
+        return f"{key} = {draw(values)}"
+    if kind == "no-equals":
+        return draw(st.sampled_from(_CONFIG_KEYS))
+    if kind == "empty-key":
+        return f"= {draw(_CONFIG_VALUES)}"
+    return draw(st.text(st.characters(blacklist_categories=["Cs"]), max_size=12))
+
+
+class TestInputFuzz:
+    """Random damage to each input `utal eval` reads besides the checkpoint, which
+    TestEvalCommand damages: the manifest, the feature files and the config file."""
+
+    @given(data=st.data())
+    @settings(  # each example rewrites the copied inputs in tmp_path
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_any_damage_exits_0_or_ends_in_error_naming_a_file(self, cli_workspace, tmp_path, data):
+        """Manifest keys deleted, retyped or made huge, negative or non-finite;
+        feature files truncated, extended or holding NaN; random config lines.
+        Each case runs in a child under an address-space cap and either exits 0
+        or ends in one `error: ...` line with exit 1 that names an input file."""
+        _, cfg_path, data_dir, train_dir, _ = cli_workspace
+        work = tmp_path / "in"
+        shutil.rmtree(work, ignore_errors=True)
+        shutil.copytree(data_dir, work)
+        manifest, config = work / "manifest.json", work / "run.cfg"
+        config.write_text(cfg_path.read_text())
+        doc = json.loads(manifest.read_text())
+        target = data.draw(st.sampled_from(["manifest", "features", "config"]))
+        if target == "manifest":  # a key of the top level, or of two videos or annotations
+            videos = doc["videos"][:2]
+            owners = [doc, *videos, *(video["annotations"][0] for video in videos)]
+            keys = [(i, key) for i, owner in enumerate(owners) for key in owner]
+            i, key = data.draw(st.sampled_from(keys))
+            fault = data.draw(st.sampled_from(["delete", "retype", "extreme"]))
+            if fault == "delete":
+                del owners[i][key]
+            else:
+                value = _retyped(owners[i][key]) if fault == "retype" else _EXTREME
+                owners[i][key] = data.draw(value)
+            manifest.write_text(json.dumps(doc))
+        elif target == "features":
+            video = data.draw(st.sampled_from(doc["videos"]))
+            path = work / video["feature_file"]
+            raw = path.read_bytes()
+            fault = data.draw(st.sampled_from(["truncate", "extend", "nan"]))
+            if fault == "truncate":
+                raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+            elif fault == "extend":
+                raw += data.draw(st.binary(min_size=1, max_size=64))
+            else:
+                values = np.frombuffer(raw, "<f4").copy()
+                values[data.draw(st.integers(0, values.size - 1))] = np.nan
+                raw = values.tobytes()
+            path.write_bytes(raw)
+        else:
+            lines = data.draw(st.lists(_config_line(), min_size=1, max_size=3))
+            config.write_text(cfg_path.read_text() + "\n".join(lines) + "\n")
+        run = _run_capped(["eval", "--config", str(config), "--manifest", str(manifest),
+                           "--checkpoint", str(train_dir / "checkpoint.utal"),
+                           "--out", str(tmp_path / "out")])
+        assert "Traceback" not in run.stderr, run.stderr
+        if run.returncode == EXIT_OK:
+            assert run.stderr in ("", "warning: no detections above the score floor\n"), run.stderr
+            return
+        assert run.returncode == EXIT_CONFIG, run.stderr
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
+        named = [str(manifest), str(config), str(work / "classes.txt"), str(work / "features")]
+        assert any(name in run.stderr for name in named), run.stderr
 
 
 class TestVerifyCommand:

@@ -40,6 +40,8 @@ from utal.losses import (
     select_hard_negatives,
 )
 from utal.model import (
+    ALPHA_BIAS_INIT,
+    FC1_INIT_GAIN,
     LOSS_MODES,
     BatchForward,
     TrainConfig,
@@ -68,6 +70,29 @@ class TestInitModel:
         for la, lb in zip(a.dense_layers, b.dense_layers):
             np.testing.assert_array_equal(la.weights, lb.weights)
             np.testing.assert_array_equal(la.biases, lb.biases)
+
+    @pytest.mark.parametrize("mode", ["l1", "kl_l1"])
+    def test_float32_layers_equal_the_float64_draw_cast_once(self, mode):
+        """init_model draws float32 weights directly; they equal, bit for bit, the
+        float64 path: draw, apply the fc1 gain and the alpha bias, then cast."""
+        cfg, d_feat, num_classes = TrainConfig(loss_mode=mode, hidden=200), 16, 5
+        model = init_model(cfg, d_feat, num_classes, seed=9)
+        rng = Rng(9).split("model-init")
+        cols = 3 if mode == "l1" else 5  # a head row: logit, mu_s, (alpha_s,) mu_e, (alpha_e)
+        shapes = {"fc1": (cfg.hidden, cfg.k * d_feat), "actioness": (1, cfg.hidden),
+                  "head": (num_classes * cols, cfg.hidden)}
+        want = {}
+        for name, (rows, width) in shapes.items():
+            bound = np.sqrt(6.0 / (rows + width))
+            w = (rng.split(name).uniforms(rows * width) * 2.0 - 1.0) * bound
+            want[name] = [w.reshape(rows, width), np.zeros(rows)]
+        want["fc1"][0] *= FC1_INIT_GAIN
+        if mode != "l1":
+            want["head"][1].reshape(num_classes, cols)[:, [2, 4]] = ALPHA_BIAS_INIT
+        for layer in model.dense_layers:
+            for got, ref in zip((layer.weights, layer.biases), want[layer.name]):
+                assert got.dtype == np.float32
+                assert got.tobytes() == ref.astype(np.float32).tobytes()
 
     def test_modes_differ_only_in_head_width(self):
         base = init_model(TrainConfig(loss_mode="l1", hidden=32), 8, 4, seed=3)
@@ -252,6 +277,26 @@ class TestFloat32Network:
             assert value.dtype == np.float64
         assert (out.alpha is None) == (mode == "l1")
         assert out.alpha is None or out.alpha.dtype == np.float64
+
+    @pytest.mark.parametrize("mode", ["l1", "kl_l1"])
+    def test_input_cast_once_and_layers_stay_float32(self, mode):
+        """forward_batch casts a float64 batch to the layers' float32 once, so it
+        gives the bits of that batch cast beforehand; backward then leaves every
+        dense layer's gradients and cached input float32."""
+        model = init_model(TrainConfig(loss_mode=mode, hidden=16), 8, 3, seed=5)
+        x = Rng(1).uniforms(6 * 8 * 4).reshape(6, -1)
+        fwd = model.forward_batch(x)
+        fwd32 = model.forward_batch(x.astype(np.float32))
+        for name in ("y_a", "logits", "mu", "alpha"):
+            got, want = getattr(fwd, name), getattr(fwd32, name)
+            assert (got is None and want is None) or got.tobytes() == want.tobytes()
+        t_c = np.array([0, -1, 2, -1, -1, 1])
+        cfg = TrainConfig(loss_mode=mode, mining_ratio=1.0)
+        t_s, t_e = np.full(6, 0.3), np.full(6, -0.2)
+        model.backward_batch(fwd, *_upstream_grads(model, cfg, fwd, t_c >= 0, t_c, t_s, t_e))
+        for layer in model.dense_layers:
+            for block in (layer.grad_w, layer.grad_b, layer._x):
+                assert block.dtype == np.float32
 
 
 _dyadic = st.integers(-24, 24).map(lambda n: n / 8.0)  # t - mu stays exact

@@ -78,10 +78,10 @@ class TestDenseLayer:
     def test_computes_in_the_weights_dtype(self):
         rng = Rng(3)
         x, dy = rng.uniforms(8).reshape(2, 4), rng.uniforms(6).reshape(2, 3)
-        for given, dtype in ((np.float32, np.float32), (np.float64, np.float64), (int, np.float64)):
-            layer = DenseLayer(np.ones((3, 4), dtype=given), np.zeros(3, dtype=given))
-            assert layer.forward(x).dtype == dtype  # the float64 input is cast
-            dx = layer.backward(dy)
+        for dtype in (np.float32, np.float64):
+            layer = DenseLayer(np.ones((3, 4), dtype=dtype), np.zeros(3, dtype=dtype))
+            assert layer.forward(x.astype(dtype)).dtype == dtype
+            dx = layer.backward(dy)  # the float64 loss gradient is cast
             assert dx.dtype == layer.grad_w.dtype == layer.grad_b.dtype == layer.vel_b.dtype == dtype
 
     def test_one_output_input_gradient_equals_matmul_form(self):
@@ -179,7 +179,7 @@ class TestL2Normalize:
     def test_keeps_the_input_dtype(self, dtype):
         layer = L2NormalizeLayer()
         assert layer.forward(np.array([[3.0, 4.0]], dtype=dtype)).dtype == dtype
-        assert layer.backward(np.ones((1, 2))).dtype == dtype  # the float64 grad is cast
+        assert layer.backward(np.ones((1, 2), dtype=dtype)).dtype == dtype
 
     def test_zero_vector_maps_to_zero(self):
         np.testing.assert_array_equal(L2NormalizeLayer().forward(np.zeros((1, 5))), np.zeros((1, 5)))

@@ -16,7 +16,7 @@ from _oracles import (
     randint_shuffle_oracle,
     std_normal_cdf,
 )
-from utal.numerics import Rng, mc_expected_l1
+from utal.numerics import _GAMMA, Rng, mc_expected_l1
 
 
 class TestErf:
@@ -87,6 +87,28 @@ class TestRng:
         a = Rng(123)
         b = Rng(123)
         assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
+
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning fails it
+    def test_splitmix64_known_answers(self):
+        """Rng(0)'s stream is splitmix64 from state 0: its published first outputs,
+        from scalar and block draws alike."""
+        want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        r = Rng(0)
+        assert [r.next_u64() for _ in range(3)] == want
+        assert Rng(0)._next_u64_block(3).tolist() == want
+
+    @pytest.mark.filterwarnings("error")
+    def test_block_wrapping_past_2_64_equals_scalar_draws(self):
+        """Counter sums that cross 2^64 wrap in the uint64 block as in the scalar
+        Python-int draws, without a numpy overflow warning."""
+        seed = (1 << 64) - 1 - 3 * _GAMMA % (1 << 64)  # sum 3 is 2^64 - 1, sum 4 wraps
+        r, ref = Rng(seed), Rng(seed)
+        r._counter = ref._counter = 1
+        block = r._next_u64_block(40)
+        assert block.dtype == np.uint64
+        assert (seed + 3 * _GAMMA) % (1 << 64) == (1 << 64) - 1
+        assert block.tolist() == [ref.next_u64() for _ in range(40)]
+        assert r._counter == ref._counter
 
     def test_same_seed_identical_normals(self):
         np.testing.assert_array_equal(Rng(5).normal(100), Rng(5).normal(100))
