@@ -165,6 +165,13 @@ def _write_config_echo(cfg: RunConfig, out_dir: Path) -> None:
     )
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:  # csv writes floats with repr, None as ""
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # ----------------------------------------------------------------------
 # commands
 
@@ -196,22 +203,15 @@ def cmd_train(cfg: RunConfig, manifest: Path, out_dir: Path, resume: Path | None
     training_set = build_training_set(dataset, cfg.proposals, cfg.train.k)
     model, curve = train(model, dataset, cfg.train, cfg.proposals, training_set)
     ckpt_path = save_checkpoint(model, out_dir / "checkpoint.utal", cfg.train)
-    with open(out_dir / "loss_curve.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["epoch", "loss_bin", "loss_cls", "loss_reg", "mean_sigma_pos", "mean_sigma_hardneg"]
-        )
-        writer.writerows(map(astuple, curve))  # csv writes floats with repr, None as ""
+    header = ["epoch", "loss_bin", "loss_cls", "loss_reg", "mean_sigma_pos", "mean_sigma_hardneg"]
+    _write_csv(out_dir / "loss_curve.csv", header, map(astuple, curve))
     d, sigma = collect_offset_stats(model, training_set)
     if sigma is None:
         header, columns = ["d_start", "d_end"], d
     else:
         header = ["d_start", "sigma_start", "d_end", "sigma_end"]
         columns = np.stack((d[:, 0], sigma[:, 0], d[:, 1], sigma[:, 1]), axis=1)
-    with open(out_dir / "offset_stats.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(columns.tolist())  # csv writes floats with repr
+    _write_csv(out_dir / "offset_stats.csv", header, columns.tolist())
     _write_config_echo(cfg, out_dir)
     print(f"trained {cfg.train.epochs} epochs ({len(training_set)} labeled proposals)")
     print(f"wrote {ckpt_path}")
@@ -247,10 +247,8 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, manifest: Path, out_dir: Path) ->
         print("warning: no detections above the score floor", file=sys.stderr)
     report_json = json.dumps({**report.to_dict(), "config": asdict(cfg)}, indent=2, sort_keys=True)
     (out_dir / "report.json").write_text(report_json + "\n")
-    with open(out_dir / "detections.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["video_id", "class_id", "start", "end", "score"])
-        writer.writerows((d.video_id, d.class_id, d.start, d.end, d.score) for d in dets)
+    _write_csv(out_dir / "detections.csv", ["video_id", "class_id", "start", "end", "score"],
+               ((d.video_id, d.class_id, d.start, d.end, d.score) for d in dets))
     _write_config_echo(cfg, out_dir)
     print(_format_map_row(report.map_by_tiou))
 

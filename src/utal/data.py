@@ -135,8 +135,7 @@ class TrainingSet:
 
     x: np.ndarray  # [N x k*d_feat] pooled features
     t_c: np.ndarray  # [N] class of the matched annotation, -1 for negatives
-    t_s: np.ndarray  # [N] start offset, 0 for negatives
-    t_e: np.ndarray  # [N] end offset, 0 for negatives
+    t_off: np.ndarray  # [N x 2] (start, end) offsets, 0 for negatives
 
     def __len__(self) -> int:
         return self.t_c.shape[0]
@@ -355,14 +354,14 @@ def _load_video(rec: dict, base: Path, d_feat: int, num_classes: int) -> VideoIt
         raise ConfigError(f"video {video_id}: T must be >= 1")
     if _json_field(rec, "d_feat") != d_feat:
         raise ConfigError(f"video {video_id}: d_feat mismatch")
-    path = base / rec["feature_file"]
-    feats = np.fromfile(path, dtype="<f4")
-    if feats.size != t_units * d_feat:
-        raise ConfigError(
-            f"video {video_id}: feature file {path} holds {feats.size} floats, "
-            f"expected {t_units * d_feat}"
-        )
-    feats = feats.reshape(t_units, d_feat)
+    path = base / _json_field(rec, "feature_file", ("str",))
+    if not path.is_file():  # a device or a fifo could be read without end
+        raise ConfigError(f"video {video_id}: feature file {path} is missing or not a regular file")
+    size, need = path.stat().st_size, 4 * t_units * d_feat  # float32s, sized before any read
+    if size != need:
+        raise ConfigError(f"video {video_id}: feature file {path} holds {size} bytes, "
+                          f"expected {need} ({t_units} x {d_feat} float32)")
+    feats = np.fromfile(path, dtype="<f4").reshape(t_units, d_feat)
     if not np.all(np.isfinite(feats)):
         raise ConfigError(f"video {video_id}: non-finite values in feature file {path}")
     annotations = []
@@ -407,18 +406,17 @@ def sliding_windows(t_units: float, scales, overlap: float) -> tuple[np.ndarray,
     return starts[order], ends[order]
 
 
-def compute_offsets(starts, ends, gt_starts, gt_ends) -> tuple[np.ndarray, np.ndarray]:
-    """Length-normalized displacements from windows to annotation boundaries.
+def compute_offsets(starts, ends, gt) -> np.ndarray:
+    """Length-normalized displacements from windows to annotation boundaries `gt` [N x 2].
 
     Elementwise; the inverse of `detect.apply_offsets` inside [0, T].
     """
-    length = ends - starts
-    return (gt_starts - starts) / length, (gt_ends - ends) / length
+    return (gt - np.stack((starts, ends), 1)) / (ends - starts)[:, None]
 
 
 def label_proposals(
     starts: np.ndarray, ends: np.ndarray, gt: np.ndarray, pos_thr: float, neg_thr: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assign actioness labels and regression targets by max tIoU.
 
     One [N x A] tIoU matrix of windows [starts, ends] against `gt` [N x A x 3],
@@ -426,7 +424,7 @@ def label_proposals(
     one video's [1 x A x 3].  Positive iff max tIoU > 0 and >= pos_thr (matched
     to the argmax annotation, ties to the earlier one); negative iff max tIoU <
     neg_thr; windows in between are discarded.  Returns the kept windows'
-    indices, class (-1 for negatives) and start and end offsets (0 for negatives).
+    indices, class (-1 for negatives) and [N x 2] offsets (0 for negatives).
     """
     gt = np.broadcast_to(gt, (starts.shape[0], *gt.shape[1:]))
     # column 0 stands for "no annotation": argmax takes the first maximum, so
@@ -439,10 +437,10 @@ def label_proposals(
     keep = np.flatnonzero(positive | (best_t < neg_thr))
     pos, hit = positive[keep], keep[positive[keep]]
     matched = gt[hit, best[hit] - 1]  # [P x 3]
-    t_c, t_s, t_e = np.full(keep.size, -1), np.zeros(keep.size), np.zeros(keep.size)
+    t_c, t_off = np.full(keep.size, -1), np.zeros((keep.size, 2))
     t_c[pos] = matched[:, 0]
-    t_s[pos], t_e[pos] = compute_offsets(starts[hit], ends[hit], matched[:, 1], matched[:, 2])
-    return keep, t_c, t_s, t_e
+    t_off[pos] = compute_offsets(starts[hit], ends[hit], matched[:, 1:])
+    return keep, t_c, t_off
 
 
 def pairwise_tiou(s1, e1, s2, e2) -> np.ndarray:
@@ -511,7 +509,7 @@ def build_training_set(dataset: Dataset, prop_cfg: ProposalConfig, k: int) -> Tr
     starts, ends = np.concatenate([np.empty((2, 0)), *(windows[t] for t in lengths)], axis=1)
     counts = np.array([windows[t].shape[1] for t in lengths], dtype=np.intp)
     sizes = np.array([len(item.annotations) for item in videos], dtype=np.intp)
-    t_c, t_s, t_e = np.full(starts.size, -2), np.empty(starts.size), np.empty(starts.size)
+    t_c, t_off = np.full(starts.size, -2), np.empty((starts.size, 2))
     for a in set(sizes.tolist()):
         members = [item.annotations for item in videos if len(item.annotations) == a]
         gt = np.array([[(x.class_id, x.start, x.end) for x in anns] for anns in members])
@@ -520,12 +518,12 @@ def build_training_set(dataset: Dataset, prop_cfg: ProposalConfig, k: int) -> Tr
         keep, *labels = label_proposals(
             starts[rows], ends[rows], gt, prop_cfg.pos_thr, prop_cfg.neg_thr
         )
-        t_c[rows[keep]], t_s[rows[keep]], t_e[rows[keep]] = labels
+        t_c[rows[keep]], t_off[rows[keep]] = labels
     keep = np.flatnonzero(t_c > -2)  # class -2: no call kept the window
-    t_c, t_s, t_e = t_c[keep], t_s[keep], t_e[keep]
+    t_c, t_off = t_c[keep], t_off[keep]
     x = np.empty((keep.size, k * dataset.d_feat), dtype=np.float32)  # the network's dtype
     lo = 0
     for item, hi in zip(videos, np.searchsorted(keep, np.cumsum(counts))):
         x[lo:hi] = pool_k_parts(item.sequence, starts[keep[lo:hi]], ends[keep[lo:hi]], k)
         lo = hi
-    return TrainingSet(x, t_c, t_s, t_e)
+    return TrainingSet(x, t_c, t_off)

@@ -79,17 +79,17 @@ class EvalReport:
 
 
 def apply_offsets(
-    starts: np.ndarray, ends: np.ndarray, y_s: np.ndarray, y_e: np.ndarray, t_max: float
+    starts: np.ndarray, ends: np.ndarray, y: np.ndarray, t_max: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of offset computation: shift boundaries by offset * length.
 
-    Elementwise over windows [starts, ends].  Each result is clamped to
-    [0, t_max]; where the boundaries cross, a window of minimum length
-    centered at their midpoint (pushed back inside [0, t_max]) is used.
+    Elementwise over windows [starts, ends] and their [N x 2] offsets.  Each
+    result is clamped to [0, t_max]; where the boundaries cross, a window of
+    minimum length centered at their midpoint (pushed back inside [0, t_max]) is used.
     """
     length = ends - starts
-    s = np.minimum(np.maximum(starts + y_s * length, 0.0), t_max)
-    e = np.minimum(np.maximum(ends + y_e * length, 0.0), t_max)
+    s = np.minimum(np.maximum(starts + y[:, 0] * length, 0.0), t_max)
+    e = np.minimum(np.maximum(ends + y[:, 1] * length, 0.0), t_max)
     span = min(_MIN_LENGTH, t_max)
     mid = 0.5 * (s + e)
     lo, hi = mid - 0.5 * span, mid + 0.5 * span
@@ -128,11 +128,8 @@ def refine_cascade(
         fwd = model.forward_batch(pool_k_parts(video, starts[live], ends[live], model.k))
         y_a[live] = fwd.y_a
         logits[live] = fwd.logits
-        rows = np.arange(live.size)
         best = fwd.logits.argmax(axis=1)
-        s, e = apply_offsets(
-            starts[live], ends[live], fwd.mu[rows, best, 0], fwd.mu[rows, best, 1], t_max
-        )
+        s, e = apply_offsets(starts[live], ends[live], fwd.mu[np.arange(live.size), best], t_max)
         moved = e - s > 1e-9
         live = live[moved]
         starts[live] = s[moved]

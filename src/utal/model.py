@@ -207,15 +207,14 @@ def _regression_terms(
     fwd: BatchForward,
     pos: np.ndarray,
     t_c: np.ndarray,
-    t_s: np.ndarray,
-    t_e: np.ndarray,
-    eps_rng: Rng | None,
+    t_off: np.ndarray,
+    eps_rng: Rng,
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """Regression loss over positives plus gradients on (mu, alpha).
 
     Per-sample losses attach to start and end independently and are averaged
     over both boundaries and all positives; only the ground-truth class row
-    receives gradient.
+    receives gradient; `t_off` is [B x 2] (start, end), and only sampled_l1 draws `eps_rng`.
     """
     d_mu = np.zeros_like(fwd.mu)
     d_alpha = None if fwd.alpha is None else np.zeros_like(fwd.alpha)
@@ -223,8 +222,7 @@ def _regression_terms(
         return 0.0, d_mu, d_alpha
 
     classes = t_c[pos]
-    mu = fwd.mu[pos, classes]  # [P x 2] (start, end)
-    target = np.stack((t_s[pos], t_e[pos]), axis=1)
+    mu, target = fwd.mu[pos, classes], t_off[pos]  # [P x 2] (start, end)
     if cfg.loss_mode == "l1":
         values, g_mu = l1_loss(mu, target)
         scale = 1.0 / pos.size
@@ -267,7 +265,7 @@ def train(
             f"(pos_thr={prop_cfg.pos_thr}, neg_thr={prop_cfg.neg_thr})"
         )
 
-    x_all, t_c, t_s, t_e = training_set.x, training_set.t_c, training_set.t_s, training_set.t_e
+    x_all, t_c, t_off = training_set.x, training_set.t_c, training_set.t_off
     n = len(training_set)
 
     root = Rng(cfg.seed)
@@ -288,13 +286,9 @@ def train(
             d_za = d_scores * fwd.y_a * (1.0 - fwd.y_a)
             loss_cls, d_logits = multiclass_loss(fwd.logits, t_c[idx], pos)
 
-            eps_rng = (
-                root.split("epsilon", epoch, batch_index)
-                if cfg.loss_mode == "sampled_l1"
-                else None
-            )
+            eps_rng = root.split("epsilon", epoch, batch_index)  # pure: no other stream moves
             loss_reg, d_mu, d_alpha = _regression_terms(
-                cfg, fwd, pos, t_c[idx], t_s[idx], t_e[idx], eps_rng
+                cfg, fwd, pos, t_c[idx], t_off[idx], eps_rng
             )
 
             if not math.isfinite(loss_bin + loss_cls + loss_reg):
@@ -343,8 +337,7 @@ def collect_offset_stats(
         rows = positives[lo : lo + batch_size]
         fwd = model.forward_batch(training_set.x[rows])
         chunk, classes = np.arange(rows.size), training_set.t_c[rows]
-        target = np.stack((training_set.t_s[rows], training_set.t_e[rows]), axis=1)
-        d[lo : lo + rows.size] = target - fwd.mu[chunk, classes]
+        d[lo : lo + rows.size] = training_set.t_off[rows] - fwd.mu[chunk, classes]
         if alpha is not None:
             alpha[lo : lo + rows.size] = fwd.alpha[chunk, classes]
     return d, None if alpha is None else _exp(0.5 * alpha)

@@ -153,10 +153,10 @@ def greedy_nms_oracle(dets, thr: float):
 def label_proposals_oracle(starts, ends, annotations, pos_thr: float, neg_thr: float):
     """Window labelling one window and one annotation at a time, scalar tIoU.
 
-    Returns plain lists (kept window indices, class, start offset, end
-    offset) with class -1 and offsets 0.0 for negatives.
+    Returns plain lists (kept window indices, class, (start offset, end
+    offset) pairs) with class -1 and offsets (0.0, 0.0) for negatives.
     """
-    keep, t_c, t_s, t_e = [], [], [], []
+    keep, t_c, t_off = [], [], []
     for i, (start, end) in enumerate(zip(starts, ends)):
         best_t, best_ann = 0.0, None
         for ann in annotations:
@@ -167,19 +167,18 @@ def label_proposals_oracle(starts, ends, annotations, pos_thr: float, neg_thr: f
             length = end - start
             keep.append(i)
             t_c.append(best_ann.class_id)
-            t_s.append((best_ann.start - start) / length)
-            t_e.append((best_ann.end - end) / length)
+            t_off.append([(best_ann.start - start) / length, (best_ann.end - end) / length])
         elif best_t < neg_thr:
             keep.append(i)
             t_c.append(-1)
-            t_s.append(0.0)
-            t_e.append(0.0)
-    return keep, t_c, t_s, t_e
+            t_off.append([0.0, 0.0])
+    return keep, t_c, t_off
 
 
-def regression_terms_oracle(cfg, fwd: BatchForward, pos, t_c, t_s, t_e, eps_rng):
+def regression_terms_oracle(cfg, fwd: BatchForward, pos, t_c, t_off, eps_rng):
     """Regression loss and its (mu, alpha) gradients, one positive and one
-    boundary at a time, each loss written out with math.exp and if/else.
+    boundary at a time, each loss written out with math.exp and if/else;
+    `t_off` holds each row's (start, end) targets.
 
     Only the ground-truth class row of a positive gets gradient.  The l1 mode
     averages |r| over positives; the Gaussian modes average over both
@@ -196,8 +195,8 @@ def regression_terms_oracle(cfg, fwd: BatchForward, pos, t_c, t_s, t_e, eps_rng)
     total = 0.0
     for i in pos:
         c = int(t_c[i])
-        for b, t in ((0, t_s[i]), (1, t_e[i])):
-            d = float(t) - float(fwd.mu[i, c, b])
+        for b in (0, 1):
+            d = float(t_off[i][b]) - float(fwd.mu[i, c, b])
             sign_d = 1.0 if d > 0 else (-1.0 if d < 0 else 0.0)
             alpha = 0.0 if d_alpha is None else float(fwd.alpha[i, c, b])
             sigma = math.exp(0.5 * alpha)
@@ -248,8 +247,8 @@ def offset_stats_oracle(model, training_set, batch_size: int = 512):
         fwd = model.forward_batch(training_set.x[rows])
         for i, row in enumerate(rows):
             c = int(training_set.t_c[row])
-            d_start = float(training_set.t_s[row]) - float(fwd.mu[i, c, 0])
-            d_end = float(training_set.t_e[row]) - float(fwd.mu[i, c, 1])
+            d_start = float(training_set.t_off[row, 0]) - float(fwd.mu[i, c, 0])
+            d_end = float(training_set.t_off[row, 1]) - float(fwd.mu[i, c, 1])
             d_rows.append((d_start, d_end))
             if model.uncertainty:
                 a_s, a_e = float(fwd.alpha[i, c, 0]), float(fwd.alpha[i, c, 1])

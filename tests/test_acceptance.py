@@ -262,8 +262,7 @@ class TestCriterion2GradientSuite:
             x = r.uniforms(batch * 10).reshape(batch, 10) + 0.05
             t_a = np.array([1, 0, 1, 1, 0])
             t_c = np.array([0, -1, 2, 1, -1])
-            t_s = np.where(t_a == 1, 0.27, 0.0)
-            t_e = np.where(t_a == 1, -0.19, 0.0)
+            t_off = np.where(t_a[:, None] == 1, [0.27, -0.19], 0.0)  # (start, end) per row
             eps_values = r.normal(2 * int(t_a.sum())).tolist()
 
             from utal.losses import (
@@ -287,7 +286,8 @@ class TestCriterion2GradientSuite:
             k = 0
             for i in pos:
                 c = int(t_c[i])
-                for bnd, target in ((0, t_s[i]), (1, t_e[i])):
+                for bnd in (0, 1):
+                    target = float(t_off[i, bnd])
                     if mode == "l1":
                         d_mu[i, c, bnd] += l1_loss(float(fwd.mu[i, c, bnd]), target)[1] * scale
                         continue
@@ -310,9 +310,9 @@ class TestCriterion2GradientSuite:
                 bcol = probe.randint(model.fc1.weights.shape[1])
                 orig = model.fc1.weights[a, bcol]
                 model.fc1.weights[a, bcol] = orig + h
-                up = _total_loss_for_model(model, cfg, x, t_a, t_c, t_s, t_e, eps_values)
+                up = _total_loss_for_model(model, cfg, x, t_a, t_c, t_off, eps_values)
                 model.fc1.weights[a, bcol] = orig - h
-                down = _total_loss_for_model(model, cfg, x, t_a, t_c, t_s, t_e, eps_values)
+                down = _total_loss_for_model(model, cfg, x, t_a, t_c, t_off, eps_values)
                 model.fc1.weights[a, bcol] = orig
                 fd = (up - down) / (2.0 * h)
                 if max(abs(fd), abs(grad[a, bcol])) < 1e-9:

@@ -59,15 +59,16 @@ def _eval_checkpoint(workspace, checkpoint, capsys) -> tuple[int, str]:
     return code, capsys.readouterr().err
 
 
-def _run_capped(args: list[str]) -> subprocess.CompletedProcess:
+def _run_capped(args: list[str], timeout: float = 300) -> subprocess.CompletedProcess:
     """`utal ARGS` in a child under a 1 GiB address-space cap, so a regression that
-    reads or allocates without bound fails the test instead of exhausting the host."""
+    reads or allocates without bound fails the test instead of exhausting the host;
+    a child still running after `timeout` seconds is killed and fails it too."""
     child = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
              "from utal.cli import entry; entry()")
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-c", child, *args], capture_output=True, text=True,
-                          env=env, timeout=300)
+                          env=env, timeout=timeout)
 
 
 # one strategy per JSON kind, for retyping a sidecar value
@@ -488,11 +489,11 @@ class TestTrainCommand:
         assert str(manifest.parent / "classes.txt") in err and "Traceback" not in err
 
     @staticmethod
-    def _capped_train_error(cfg_path, manifest, tmp_path) -> str:
+    def _capped_train_error(cfg_path, manifest, tmp_path, timeout: float = 300) -> str:
         """`utal train` in a capped child; returns its stderr, after checking it is
         one config error."""
         run = _run_capped(["train", "--config", str(cfg_path), "--manifest", str(manifest),
-                           "--out", str(tmp_path / "t")])
+                           "--out", str(tmp_path / "t")], timeout)
         assert run.returncode == EXIT_CONFIG and run.stderr.startswith("error: "), run.stderr
         assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr, run.stderr
         return run.stderr
@@ -517,6 +518,17 @@ class TestTrainCommand:
         manifest.write_text(json.dumps(doc))
         err = self._capped_train_error(cfg_path, manifest, tmp_path)
         assert err.startswith(f"error: manifest {manifest}: top level: class table /dev/zero ")
+
+    def test_feature_file_that_is_a_fifo_is_refused_unread(self, cli_workspace, tmp_path):
+        """A feature file must be a regular file: reading a fifo that no one writes
+        would block forever, so the child gets a short timeout."""
+        cfg_path, manifest = self._copy_data(cli_workspace, tmp_path)
+        fifo = manifest.parent / "features" / "vid0002.f32"
+        fifo.unlink()
+        os.mkfifo(fifo)
+        err = self._capped_train_error(cfg_path, manifest, tmp_path, timeout=30)
+        assert err.startswith(f"error: manifest {manifest}: video record 2: ")
+        assert f"feature file {fifo} is missing or not a regular file" in err
 
     def test_repeated_video_id_names_manifest_and_id(self, cli_workspace, tmp_path, capsys):
         cfg_path, manifest = self._copy_data(cli_workspace, tmp_path)
@@ -795,7 +807,8 @@ class TestInputFuzz:
         """Manifest keys deleted, retyped or made huge, negative or non-finite;
         feature files truncated, extended or holding NaN; random config lines.
         Each case runs in a child under an address-space cap and either exits 0
-        or ends in one `error: ...` line with exit 1 that names an input file."""
+        or ends in one `error: ...` line with exit 1 that names an input file;
+        a damaged feature file always ends in the error, naming that file."""
         _, cfg_path, data_dir, train_dir, _ = cli_workspace
         work = tmp_path / "in"
         shutil.rmtree(work, ignore_errors=True)
@@ -837,6 +850,8 @@ class TestInputFuzz:
                            "--checkpoint", str(train_dir / "checkpoint.utal"),
                            "--out", str(tmp_path / "out")])
         assert "Traceback" not in run.stderr, run.stderr
+        if target == "features":
+            assert run.returncode == EXIT_CONFIG and str(path) in run.stderr, run.stderr
         if run.returncode == EXIT_OK:
             assert run.stderr in ("", "warning: no detections above the score floor\n"), run.stderr
             return

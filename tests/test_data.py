@@ -166,7 +166,7 @@ class TestManifestRoundTrip:
             assert b.sequence.features.flags.writeable
             assert a.annotations == b.annotations
         sets = [build_training_set(d, ProposalConfig(), 4) for d in (generated, loaded)]
-        for name in ("x", "t_c", "t_s", "t_e"):
+        for name in ("x", "t_c", "t_off"):
             a, b = (getattr(s, name) for s in sets)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
@@ -183,11 +183,11 @@ class TestManifestRoundTrip:
     @pytest.mark.parametrize(
         "damage",
         [
-            "T-zero", "T-too-large", "non-finite", "short-class-table", "d_feat-zero",
-            "num_classes-one", "d_feat-float", "num_classes-float", "T-float", "T-bool",
-            "record-d_feat-string", "class_id-float", "start-string", "end-bool",
-            "start-beyond-float", "video_id-list", "video_id-int", "videos-string",
-            "annotations-object",
+            "T-zero", "T-too-large", "three-extra-bytes", "non-finite", "short-class-table",
+            "d_feat-zero", "num_classes-one", "d_feat-float", "num_classes-float", "T-float",
+            "T-bool", "record-d_feat-string", "class_id-float", "start-string", "end-bool",
+            "start-beyond-float", "video_id-list", "video_id-int", "feature_file-int",
+            "feature_file-list", "videos-string", "annotations-object",
         ],
     )
     def test_loader_errors_name_manifest_record_and_file(self, tmp_path, damage):
@@ -199,6 +199,10 @@ class TestManifestRoundTrip:
             record["T"], named = 0, "video vid0001: T must be >= 1"
         elif damage == "T-too-large":
             record["T"], named = record["T"] + 1, f"feature file {feature_file} holds"
+        elif damage == "three-extra-bytes":  # less than one float more than T x d_feat
+            feature_file.write_bytes(feature_file.read_bytes() + b"\0\0\0")
+            size = 4 * record["T"] * record["d_feat"]
+            named = f"feature file {feature_file} holds {size + 3} bytes, expected {size} "
         elif damage == "non-finite":
             feats = np.frombuffer(feature_file.read_bytes(), "<f4").copy()
             feats[5] = np.nan
@@ -236,6 +240,8 @@ class TestManifestRoundTrip:
                 "end-bool": (annotation, "end", True, "int or float"),
                 "video_id-list": (record, "video_id", ["vid0001"], "str"),
                 "video_id-int": (record, "video_id", 1, "str"),
+                "feature_file-int": (record, "feature_file", 1, "str"),
+                "feature_file-list": (record, "feature_file", [record["feature_file"]], "str"),
                 "videos-string": (doc, "videos", "", "list"),
                 "annotations-object": (record, "annotations", {}, "list"),
             }[damage]
@@ -374,12 +380,13 @@ def _gt(annotations):
 
 class TestOffsets:
     def test_hand_example(self):
-        t_s, t_e = compute_offsets(*_windows((10.0, 20.0)), np.array([12.0]), np.array([22.0]))
-        assert (t_s.tolist(), t_e.tolist()) == ([0.2], [0.2])
+        assert compute_offsets(*_windows((10.0, 20.0)), np.array([[12.0, 22.0]])).tolist() == [
+            [0.2, 0.2]
+        ]
 
     def test_identity(self):
-        t_s, t_e = compute_offsets(*_windows((5.0, 9.0)), np.array([5.0]), np.array([9.0]))
-        assert (t_s.tolist(), t_e.tolist()) == ([0.0], [0.0])
+        t_off = compute_offsets(*_windows((5.0, 9.0), (1.0, 3.0)), np.array([[5.0, 9.0], [1.0, 3.0]]))
+        assert t_off.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_round_trip_through_apply(self):
         rng = np.random.default_rng(0)
@@ -387,8 +394,9 @@ class TestOffsets:
         ends = starts + rng.uniform(1, 30, 100)
         gt_starts = rng.uniform(0, 60, 100)
         gt_ends = gt_starts + rng.uniform(1, 30, 100)
-        t_s, t_e = compute_offsets(starts, ends, gt_starts, gt_ends)
-        out_s, out_e = apply_offsets(starts, ends, t_s, t_e, 100.0)
+        t_off = compute_offsets(starts, ends, np.stack((gt_starts, gt_ends), axis=1))
+        assert t_off.shape == (100, 2)
+        out_s, out_e = apply_offsets(starts, ends, t_off, 100.0)
         np.testing.assert_allclose(out_s, gt_starts, rtol=0, atol=1e-9)
         np.testing.assert_allclose(out_e, gt_ends, rtol=0, atol=1e-9)
 
@@ -422,29 +430,29 @@ class TestLabeling:
         return [ActionAnnotation(2, 10.0, 20.0), ActionAnnotation(1, 40.0, 60.0)]
 
     def _label(self, spans, annotations, pos_thr=0.5, neg_thr=0.3):
-        keep, t_c, t_s, t_e = label_proposals(*_windows(*spans), _gt(annotations), pos_thr, neg_thr)
-        return keep.tolist(), t_c.tolist(), t_s.tolist(), t_e.tolist()
+        keep, t_c, t_off = label_proposals(*_windows(*spans), _gt(annotations), pos_thr, neg_thr)
+        return keep.tolist(), t_c.tolist(), t_off.tolist()
 
     def test_exact_match_is_positive_with_zero_offsets(self):
-        assert self._label([(10.0, 20.0)], self._annotations()) == ([0], [2], [0.0], [0.0])
+        assert self._label([(10.0, 20.0)], self._annotations()) == ([0], [2], [[0.0, 0.0]])
 
     def test_disjoint_is_negative(self):
-        assert self._label([(25.0, 35.0)], self._annotations()) == ([0], [-1], [0.0], [0.0])
+        assert self._label([(25.0, 35.0)], self._annotations()) == ([0], [-1], [[0.0, 0.0]])
 
     def test_above_positive_threshold_gets_offsets(self):
         # tIoU 8/12 = 0.667 with [10, 20]
-        keep, t_c, t_s, t_e = self._label([(12.0, 22.0)], self._annotations())
+        keep, t_c, t_off = self._label([(12.0, 22.0)], self._annotations())
         assert keep == [0] and t_c == [2]
-        assert t_s == [pytest.approx(-0.2)] and t_e == [pytest.approx(-0.2)]
+        assert t_off == [[pytest.approx(-0.2), pytest.approx(-0.2)]]
 
     def test_band_between_thresholds_is_discarded(self):
         # tIoU 6/16 = 0.375 with [10, 20]
-        assert self._label([(14.0, 26.0)], self._annotations()) == ([], [], [], [])
+        assert self._label([(14.0, 26.0)], self._annotations()) == ([], [], [])
 
     def test_tie_matches_earlier_annotation(self):
         anns = [ActionAnnotation(0, 0.0, 10.0), ActionAnnotation(1, 10.0, 20.0)]
         # tIoU 1/3 with both
-        _, t_c, _, _ = self._label([(5.0, 15.0)], anns, pos_thr=1.0 / 3.0, neg_thr=0.1)
+        _, t_c, _ = self._label([(5.0, 15.0)], anns, pos_thr=1.0 / 3.0, neg_thr=0.1)
         assert t_c == [0]
 
     @given(
@@ -500,7 +508,7 @@ class TestLabeling:
         items = [VideoItem(UnitFeatureSequence(f"v{i}", feats[:t_units]), annotations)
                  for i, (t_units, annotations) in enumerate(videos)]
         tset = build_training_set(Dataset(items, [f"c{c}" for c in range(5)], 2, 5), pcfg, 1)
-        x, expected = [], [[], [], []]
+        x, expected = [], [[], []]
         for item in items:
             starts, ends = sliding_windows(item.sequence.num_units, pcfg.scales, pcfg.overlap)
             keep, *labels = label_proposals_oracle(
@@ -509,7 +517,7 @@ class TestLabeling:
             x.append(_pool(item.sequence, [(starts[i], ends[i]) for i in keep], 1))
             for column, values in zip(expected, labels):
                 column += values
-        assert [tset.t_c.tolist(), tset.t_s.tolist(), tset.t_e.tolist()] == expected
+        assert [tset.t_c.tolist(), tset.t_off.tolist()] == expected
         np.testing.assert_array_equal(tset.x, np.concatenate(x).astype(np.float32))
 
     def test_positive_offsets_round_trip_to_matched_annotation(self, small_dataset):
@@ -517,13 +525,13 @@ class TestLabeling:
         pcfg = ProposalConfig()
         for item in dataset.videos[:4]:
             starts, ends = sliding_windows(item.sequence.num_units, (8, 16, 32), 0.5)
-            keep, t_c, t_s, t_e = label_proposals(
+            keep, t_c, t_off = label_proposals(
                 starts, ends, _gt(item.annotations), pcfg.pos_thr, pcfg.neg_thr
             )
             pos = keep[t_c >= 0]
             assert pos.size
             out_s, out_e = apply_offsets(
-                starts[pos], ends[pos], t_s[t_c >= 0], t_e[t_c >= 0], float(item.sequence.num_units)
+                starts[pos], ends[pos], t_off[t_c >= 0], float(item.sequence.num_units)
             )
             for start, end in zip(out_s, out_e):
                 err = min(max(abs(start - a.start), abs(end - a.end)) for a in item.annotations)
@@ -690,7 +698,7 @@ class TestTrainingSetAssembly:
         assert np.isfinite(tset.x).all()
         negatives = tset.t_c < 0
         assert (tset.t_c[negatives] == -1).all()
-        assert not tset.t_s[negatives].any() and not tset.t_e[negatives].any()
+        assert tset.t_off.shape == (len(tset), 2) and not tset.t_off[negatives].any()
 
     def test_order_is_by_video_then_start_then_scale(self, small_dataset):
         dataset, _ = small_dataset
@@ -699,7 +707,7 @@ class TestTrainingSetAssembly:
         # per-video assembly: windows sorted by (start, scale) in Python,
         # labelled by the scalar oracle, pooled video by video in float64
         # and cast to float32 once
-        x, t_c, t_s, t_e = [], [], [], []
+        x, t_c, t_off = [], [], []
         for item in sorted(dataset.videos, key=lambda v: v.sequence.video_id):
             windows = []
             for scale_id, length in enumerate(pcfg.scales):
@@ -708,21 +716,21 @@ class TestTrainingSetAssembly:
             windows.sort()
             starts = [w[0] for w in windows]
             ends = [w[2] for w in windows]
-            keep, c, s, e = label_proposals_oracle(
+            keep, c, off = label_proposals_oracle(
                 starts, ends, item.annotations, pcfg.pos_thr, pcfg.neg_thr
             )
             x.append(_pool(item.sequence, [(starts[i], ends[i]) for i in keep], 2))
             t_c += c
-            t_s += s
-            t_e += e
+            t_off += off
         assert tset.x.dtype == np.float32
         np.testing.assert_array_equal(tset.x, np.concatenate(x).astype(np.float32))
         assert tset.t_c.tolist() == t_c
-        assert tset.t_s.tolist() == t_s and tset.t_e.tolist() == t_e
+        assert tset.t_off.tolist() == t_off
 
     def test_no_videos_gives_empty_columns(self, small_dataset):
         dataset, _ = small_dataset
         empty = Dataset([], dataset.class_names, dataset.d_feat, dataset.num_classes)
         tset = build_training_set(empty, ProposalConfig(), 2)
         assert len(tset) == 0 and tset.x.shape == (0, 2 * dataset.d_feat)
+        assert tset.t_off.shape == (0, 2)
         assert tset.x.dtype == np.float32

@@ -34,30 +34,32 @@ from utal.model import LOSS_MODES, BatchForward, TrainConfig, init_model
 from utal.numerics import Rng
 
 
-def _offsets(starts, ends, y_s, y_e, t_max):
-    s, e = apply_offsets(np.array(starts), np.array(ends), np.array(y_s), np.array(y_e), t_max)
+def _offsets(starts, ends, y, t_max):
+    """apply_offsets on windows [starts, ends] and their (start, end) offset pairs `y`."""
+    s, e = apply_offsets(np.array(starts), np.array(ends), np.array(y), t_max)
     return s.tolist(), e.tolist()
 
 
 class TestApplyOffsets:
     def test_zero_offsets_identity(self):
-        assert _offsets([10.0, 0.5], [20.0, 3.0], [0.0, 0.0], [0.0, 0.0], 64.0) == (
+        assert _offsets([10.0, 0.5], [20.0, 3.0], [[0.0, 0.0], [0.0, 0.0]], 64.0) == (
             [10.0, 0.5],
             [20.0, 3.0],
         )
 
     def test_hand_arithmetic(self):
-        assert _offsets([10.0, 0.0], [20.0, 8.0], [0.2, 0.5], [0.2, -0.25], 64.0) == (
+        assert _offsets([10.0, 0.0], [20.0, 8.0], [[0.2, 0.2], [0.5, -0.25]], 64.0) == (
             [12.0, 4.0],
             [22.0, 6.0],
         )
 
     def test_clamped_to_video(self):
-        assert _offsets([0.0], [10.0], [-0.5], [2.0], 16.0) == ([0.0], [16.0])
+        assert _offsets([0.0], [10.0], [[-0.5, 2.0]], 16.0) == ([0.0], [16.0])
 
     def test_crossed_boundaries_fall_back_to_unit_window(self):
         # midpoints 15, 0.2 and 63.9: centered, pushed right, pushed left
-        s, e = _offsets([10.0, 0.0, 62.0], [20.0, 2.0, 64.0], [1.5, 0.1, 2.0], [-1.5, -0.9, -0.1], 64.0)
+        pairs = [[1.5, -1.5], [0.1, -0.9], [2.0, -0.1]]
+        s, e = _offsets([10.0, 0.0, 62.0], [20.0, 2.0, 64.0], pairs, 64.0)
         assert (s, e) == ([14.5, 0.0, 63.0], [15.5, 1.0, 64.0])
 
 

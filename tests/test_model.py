@@ -145,8 +145,9 @@ class TestForward:
         assert grad_b[0, 4] == grad_b[1, 2] == 3.0  # the unclamped alpha rows: one per sample
 
 
-def _total_loss_for_model(model, cfg, x_batch, t_a, t_c, t_s, t_e, eps_values):
-    """Total training loss recomputed functionally (for finite differences)."""
+def _total_loss_for_model(model, cfg, x_batch, t_a, t_c, t_off, eps_values):
+    """Total training loss recomputed functionally (for finite differences);
+    `t_off` holds each row's (start, end) targets."""
     fwd = model.forward_batch(x_batch)
     mining = select_hard_negatives(fwd.y_a, t_a, cfg.mining_ratio)
     loss_bin, _ = binary_loss(fwd.y_a, mining)
@@ -159,7 +160,8 @@ def _total_loss_for_model(model, cfg, x_batch, t_a, t_c, t_s, t_e, eps_values):
         k = 0
         for i in pos:
             c = int(t_c[i])
-            for b, target in ((0, t_s[i]), (1, t_e[i])):
+            for b in (0, 1):
+                target = float(t_off[i, b])
                 pred = [float(fwd.mu[i, c, b])]  # then alpha, in the Gaussian modes
                 if fwd.alpha is not None:
                     pred.append(float(fwd.alpha[i, c, b]))
@@ -186,8 +188,7 @@ class TestEndToEndGradient:
         x = rng.uniforms(batch * 12).reshape(batch, 12) + 0.05
         t_a = np.array([1, 0, 1, 0, 0, 1])
         t_c = np.array([0, -1, 2, -1, -1, 1])
-        t_s = np.where(t_a == 1, 0.31, 0.0)
-        t_e = np.where(t_a == 1, -0.22, 0.0)
+        t_off = np.where(t_a[:, None] == 1, [0.31, -0.22], 0.0)
         # the eps draws, in the order the training path takes them from the same stream
         eps_values = rng.split("epsilon").normal(2 * int(t_a.sum())).tolist()
 
@@ -200,7 +201,7 @@ class TestEndToEndGradient:
         _, d_logits = multiclass_loss(fwd.logits, t_c, pos)
 
         eps_rng = rng.split("epsilon")  # the stream eps_values came from, unread
-        _, d_mu, d_alpha = _regression_terms(cfg, fwd, pos, t_c, t_s, t_e, eps_rng)
+        _, d_mu, d_alpha = _regression_terms(cfg, fwd, pos, t_c, t_off, eps_rng)
         model.backward_batch(fwd, d_za, d_logits, d_mu, d_alpha)
         grad = model.fc1.grad_w.copy()
 
@@ -211,9 +212,9 @@ class TestEndToEndGradient:
             j = probe.randint(model.fc1.weights.shape[1])
             orig = model.fc1.weights[i, j]
             model.fc1.weights[i, j] = orig + h
-            up = _total_loss_for_model(model, cfg, x, t_a, t_c, t_s, t_e, eps_values)
+            up = _total_loss_for_model(model, cfg, x, t_a, t_c, t_off, eps_values)
             model.fc1.weights[i, j] = orig - h
-            down = _total_loss_for_model(model, cfg, x, t_a, t_c, t_s, t_e, eps_values)
+            down = _total_loss_for_model(model, cfg, x, t_a, t_c, t_off, eps_values)
             model.fc1.weights[i, j] = orig
             fd = (up - down) / (2.0 * h)
             if abs(fd) < 1e-10 and abs(grad[i, j]) < 1e-10:
@@ -221,14 +222,14 @@ class TestEndToEndGradient:
             assert relative_error(grad[i, j], fd) <= 1e-3
 
 
-def _upstream_grads(model, cfg, fwd, t_a, t_c, t_s, t_e):
+def _upstream_grads(model, cfg, fwd, t_a, t_c, t_off):
     """The training step's gradients on the network outputs (d_za, d_logits,
     d_mu, d_alpha) for one batch."""
     mining = select_hard_negatives(fwd.y_a, t_a, cfg.mining_ratio)
     pos = mining.positive_indices
     _, d_scores = binary_loss(fwd.y_a, mining)
     _, d_logits = multiclass_loss(fwd.logits, t_c, pos)
-    _, d_mu, d_alpha = _regression_terms(cfg, fwd, pos, t_c, t_s, t_e, Rng(3))
+    _, d_mu, d_alpha = _regression_terms(cfg, fwd, pos, t_c, t_off, Rng(3))
     return d_scores * fwd.y_a * (1.0 - fwd.y_a), d_logits, d_mu, d_alpha
 
 
@@ -258,7 +259,7 @@ class TestFloat32Network:
                 continue
             assert got.dtype == want.dtype == np.float64
             assert np.abs(got - want).max() <= self.REL * np.abs(want).max()
-        upstream = _upstream_grads(ref, cfg, fwd_ref, tset.t_c >= 0, tset.t_c, tset.t_s, tset.t_e)
+        upstream = _upstream_grads(ref, cfg, fwd_ref, tset.t_c >= 0, tset.t_c, tset.t_off)
         for net, out in ((model, fwd), (ref, fwd_ref)):
             net.backward_batch(out, *upstream)
         for layer, ref_layer in ((model.fc1, ref.fc1), (model.fc_head, ref.fc_head)):
@@ -292,8 +293,8 @@ class TestFloat32Network:
             assert (got is None and want is None) or got.tobytes() == want.tobytes()
         t_c = np.array([0, -1, 2, -1, -1, 1])
         cfg = TrainConfig(loss_mode=mode, mining_ratio=1.0)
-        t_s, t_e = np.full(6, 0.3), np.full(6, -0.2)
-        model.backward_batch(fwd, *_upstream_grads(model, cfg, fwd, t_c >= 0, t_c, t_s, t_e))
+        t_off = np.tile([0.3, -0.2], (6, 1))
+        model.backward_batch(fwd, *_upstream_grads(model, cfg, fwd, t_c >= 0, t_c, t_off))
         for layer in model.dense_layers:
             for block in (layer.grad_w, layer.grad_b, layer._x):
                 assert block.dtype == np.float32
@@ -308,7 +309,7 @@ _alpha = st.one_of(
 
 @st.composite
 def _regression_batch(draw):
-    """(mu, alpha, t_c, t_s, t_e) of a batch; t_c -1 marks a negative."""
+    """(mu, alpha, t_c, t_off) of a batch; t_c -1 marks a negative."""
     rows, classes = draw(st.integers(0, 12)), draw(st.integers(2, 4))
     cells = rows * classes * 2
     mu = np.reshape(draw(st.lists(_dyadic, min_size=cells, max_size=cells)), (rows, classes, 2))
@@ -318,21 +319,21 @@ def _regression_batch(draw):
     pos = np.flatnonzero(t_c >= 0)
     targets = np.zeros((rows, 2))
     targets[pos] = mu[pos, t_c[pos]] + offsets[pos]
-    return mu, alpha, t_c, targets[:, 0], targets[:, 1]
+    return mu, alpha, t_c, targets
 
 
 class TestRegressionTerms:
     @staticmethod
     def _both(batch, mode, condition_mode, seed):
         """_regression_terms and the per-positive oracle on one batch."""
-        mu, alpha, t_c, t_s, t_e = batch
+        mu, alpha, t_c, t_off = batch
         cfg = TrainConfig(loss_mode=mode, condition_mode=condition_mode, k=1, hidden=2)
         fwd = BatchForward(
             np.zeros(mu.shape[0]), mu[:, :, 0], mu, alpha if mode != "l1" else None, None
         )
         pos = np.flatnonzero(t_c >= 0)
-        got = _regression_terms(cfg, fwd, pos, t_c, t_s, t_e, Rng(seed))
-        ref = regression_terms_oracle(cfg, fwd, pos, t_c, t_s, t_e, Rng(seed))
+        got = _regression_terms(cfg, fwd, pos, t_c, t_off, Rng(seed))
+        ref = regression_terms_oracle(cfg, fwd, pos, t_c, t_off, Rng(seed))
         return got, ref
 
     @given(
@@ -346,13 +347,12 @@ class TestRegressionTerms:
             np.array([[[0.25, -0.5], [0.0, 0.0]], [[0.0, 0.0], [1.0, 2.0]], [[0.5, 0.0], [0.0, 0.0]]]),
             np.array([[[-10.0, 10.0], [0.0, 0.0]], [[0.0, 0.0], [10.0, -10.0]], [[0.3, 0.0], [0.0, 0.0]]]),
             np.array([0, 1, 0]),
-            np.array([1.25, 0.0, 0.5]),
-            np.array([-1.5, 3.0, 0.0]),
+            np.array([[1.25, -1.5], [0.0, 3.0], [0.5, 0.0]]),
         ),
         mode="kl_l1", condition_mode="he", seed=0,
     )
     @example(  # no positives
-        batch=(np.ones((2, 2, 2)), np.zeros((2, 2, 2)), np.array([-1, -1]), np.zeros(2), np.zeros(2)),
+        batch=(np.ones((2, 2, 2)), np.zeros((2, 2, 2)), np.array([-1, -1]), np.zeros((2, 2))),
         mode="sampled_l1", condition_mode="he", seed=3,
     )
     @settings(max_examples=300, deadline=None)
@@ -361,7 +361,7 @@ class TestRegressionTerms:
             batch, mode, condition_mode, seed
         )
         assert loss == pytest.approx(ref_loss, rel=1e-15, abs=0.0)
-        mu, _, t_c, _, _ = batch
+        mu, _, t_c, _ = batch
         pos = np.flatnonzero(t_c >= 0)
         gt = np.zeros(mu.shape, bool)
         gt[pos, t_c[pos]] = True
@@ -379,13 +379,12 @@ class TestRegressionTerms:
         mu = 4.0 * r.uniforms(n * classes * 2).reshape(n, classes, 2) - 2.0
         alpha = 6.0 * r.uniforms(n * classes * 2).reshape(n, classes, 2) - 3.0
         t_c = np.array([r.randint(classes) for _ in range(n)])
-        t_s, t_e = 4.0 * r.uniforms(n) - 2.0, 4.0 * r.uniforms(n) - 2.0
+        t_off = 4.0 * np.stack((r.uniforms(n), r.uniforms(n)), axis=1) - 2.0
         cfg = TrainConfig(loss_mode="kl_l1")
         fwd = BatchForward(np.zeros(n), mu[:, :, 0], mu, alpha, None)
         pos = np.arange(n)
-        loss, _, _ = _regression_terms(cfg, fwd, pos, t_c, t_s, t_e, None)
-        target = np.stack((t_s, t_e), axis=1)
-        values = kl_l1_loss(mu[pos, t_c], alpha[pos, t_c], target, cfg.condition_mode)[0]
+        loss, _, _ = _regression_terms(cfg, fwd, pos, t_c, t_off, Rng(0))
+        values = kl_l1_loss(mu[pos, t_c], alpha[pos, t_c], t_off, cfg.condition_mode)[0]
         terms = values * (1.0 / (2.0 * n))
         total = 0.0
         for term in terms.ravel().tolist():
@@ -403,10 +402,10 @@ class TestRegressionTerms:
         log_var = -1500.0 if mode == "sampled_l1" else -1.0
         alpha = np.full((2, 2, 2), log_var) if mode != "l1" else None
         fwd = BatchForward(np.zeros(2), mu[:, :, 0], mu, alpha, None)
-        t_c, t_s = np.array([1, 1]), np.full(2, 0.375)
+        t_c, t_off = np.array([1, 1]), np.full((2, 2), 0.375)
         pos = np.arange(2)
-        got = _regression_terms(cfg, fwd, pos, t_c, t_s, t_s, Rng(0))
-        ref = regression_terms_oracle(cfg, fwd, pos, t_c, t_s, t_s, Rng(0))
+        got = _regression_terms(cfg, fwd, pos, t_c, t_off, Rng(0))
+        ref = regression_terms_oracle(cfg, fwd, pos, t_c, t_off, Rng(0))
         assert not got[1].any() and not ref[1].any()
         assert got[0] == ref[0]
 
@@ -514,10 +513,10 @@ class TestOffsetStats:
         n, d_feat, k, classes = 1300, 4, 2, 3
         r = Rng(61)
         t_c = np.array([r.randint(classes + 1) - 1 for _ in range(n)])
-        t_s, t_e = r.uniforms(n) - 0.5, r.uniforms(n) - 0.5
-        t_s[t_c < 0] = t_e[t_c < 0] = 0.0
+        t_off = np.stack((r.uniforms(n), r.uniforms(n)), axis=1) - 0.5
+        t_off[t_c < 0] = 0.0
         x = (r.uniforms(n * k * d_feat).reshape(n, -1) - 0.5).astype(np.float32)
-        tset = TrainingSet(x, t_c, t_s, t_e)
+        tset = TrainingSet(x, t_c, t_off)
         assert (t_c >= 0).sum() > 512
         cfg = TrainConfig(loss_mode=mode, k=k, hidden=16)
         model = init_model(cfg, d_feat, classes, seed=2)
