@@ -36,7 +36,7 @@ from utal.detect import (
     ground_truths_by_class,
 )
 from utal.errors import ConfigError, NumericError, VerificationError
-from utal.losses import CONDITION_MODES, export_loss_surfaces
+from utal.losses import export_loss_surfaces
 from utal.model import (
     LOSS_MODES,
     TrainConfig,
@@ -150,8 +150,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     cfg.train.seed = cfg.seed
     if args.loss:
         cfg.train.loss_mode = args.loss
-    if args.condition_mode:
-        cfg.train.condition_mode = args.condition_mode
     try:
         cfg.validate()
     except ConfigError as exc:  # defaults and flags are in range, so the config file set it
@@ -185,21 +183,10 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
     return manifest_path
 
 
-def cmd_train(cfg: RunConfig, manifest: Path, out_dir: Path, resume: Path | None) -> Path:
+def cmd_train(cfg: RunConfig, manifest: Path, out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before any work
     dataset = load_dataset(manifest)
-    if resume is not None:
-        model, _ = load_checkpoint(resume)
-        _check_fits(model, resume, dataset, manifest)
-        fit = (cfg.train.k, cfg.train.hidden, cfg.train.loss_mode != "l1")
-        if (model.k, model.hidden, model.uncertainty) != fit:
-            raise ConfigError(
-                f"resume checkpoint {resume} has k={model.k}, hidden={model.hidden}, "
-                f"uncertainty={model.uncertainty}; train.k={cfg.train.k}, "
-                f"train.hidden={cfg.train.hidden} with loss {cfg.train.loss_mode} do not fit it"
-            )
-    else:
-        model = init_model(cfg.train, dataset.d_feat, dataset.num_classes, cfg.seed)
+    model = init_model(cfg.train, dataset.d_feat, dataset.num_classes, cfg.seed)
     training_set = build_training_set(dataset, cfg.proposals, cfg.train.k)
     model, curve = train(model, dataset, cfg.train, cfg.proposals, training_set)
     ckpt_path = save_checkpoint(model, out_dir / "checkpoint.utal", cfg.train)
@@ -289,7 +276,6 @@ def _add_run_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=str, default=None, help="key = value config file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--loss", choices=LOSS_MODES, default=None)
-    parser.add_argument("--condition-mode", dest="condition_mode", choices=CONDITION_MODES, default=None)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -302,7 +288,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a generated manifest")
     _add_run_config(p)
     p.add_argument("--manifest", type=Path, required=True)
-    p.add_argument("--resume", type=Path, default=None, help="start from this checkpoint")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint (mAP@tIoU)")
     _add_run_config(p)
@@ -331,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gen-data":
             cmd_gen_data(cfg, args.out)
         elif args.command == "train":
-            cmd_train(cfg, args.manifest, args.out, args.resume)
+            cmd_train(cfg, args.manifest, args.out)
         elif args.command == "eval":
             cmd_eval(cfg, args.checkpoint, args.manifest, args.out)
         elif args.command == "verify":

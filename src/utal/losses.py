@@ -124,10 +124,10 @@ def kl_l1_loss(mu, alpha, t, condition_mode: str = "he") -> tuple:
       quadratic branch: d^2/(2 sigma^2) + alpha/2 + log(2 pi)/2
       linear branch:    (|d| - 1/2)/sigma^2 + alpha/2
 
-    `condition_mode` selects which branch covers |d| <= 1: "he" (default)
-    applies the quadratic branch there, mirroring smooth-l1 semantics;
-    "paper" swaps the two regions.  Returns (loss, d_loss/d_mu,
-    d_loss/d_alpha).
+    `condition_mode` selects which branch covers |d| <= 1: "he" (default,
+    the one training uses) applies the quadratic branch there, mirroring
+    smooth-l1 semantics; "paper" swaps the two regions.  Returns (loss,
+    d_loss/d_mu, d_loss/d_alpha).
     """
     d = t - mu
     inv_var = _exp(-alpha)

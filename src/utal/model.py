@@ -25,7 +25,6 @@ from utal.data import Dataset, ProposalConfig, TrainingSet, build_training_set
 from utal.errors import ConfigError, NumericError
 from utal.losses import (
     ALPHA_CLAMP,
-    CONDITION_MODES,
     _exp,
     binary_loss,
     expected_l1_training,
@@ -78,7 +77,6 @@ class TrainConfig:
     seed: int = 7
     k: int = 4
     hidden: int = 1000
-    condition_mode: str = "he"
 
     def validate(self) -> None:
         for f in fields(self):  # a float field takes an int too; no field takes a bool
@@ -88,8 +86,6 @@ class TrainConfig:
                 raise ConfigError(f"{f.name} must be {kind.__name__}, got {value!r}")
         if self.loss_mode not in LOSS_MODES:
             raise ConfigError(f"loss_mode must be one of {LOSS_MODES}")
-        if self.condition_mode not in CONDITION_MODES:
-            raise ConfigError(f"condition_mode must be one of {CONDITION_MODES}")
         # exact int-float comparisons: nan, inf and an int too large for a float fail them
         if not 0 < self.mining_ratio <= sys.float_info.max:
             raise ConfigError("mining_ratio must be positive and finite")
@@ -137,7 +133,6 @@ class Model:
         self.k = k
         self.uncertainty = uncertainty
         self.head_cols = _HEAD_COLS[uncertainty]
-        self.hidden = fc1.out_dim
         self.d_feat = fc1.weights.shape[1] // k
         self.num_classes = fc_head.out_dim // self.head_cols
         self.norm = L2NormalizeLayer()
@@ -230,7 +225,7 @@ def _regression_terms(
     else:
         alpha = fwd.alpha[pos, classes]
         if cfg.loss_mode == "kl_l1":
-            values, g_mu, g_alpha = kl_l1_loss(mu, alpha, target, cfg.condition_mode)
+            values, g_mu, g_alpha = kl_l1_loss(mu, alpha, target)
         elif cfg.loss_mode == "sampled_l1":
             eps = eps_rng.normal(mu.size).reshape(mu.shape)  # one per offset, in C order
             values, g_mu, g_alpha = sampled_l1_loss(mu, alpha, target, eps)

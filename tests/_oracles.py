@@ -204,8 +204,7 @@ def regression_terms_oracle(cfg, fwd: BatchForward, pos, t_c, t_off, eps_rng):
                 loss, g_mu, g_alpha = abs(d), -sign_d, 0.0
             elif cfg.loss_mode == "kl_l1":
                 inv_var = math.exp(-alpha)
-                inside = abs(d) <= 1.0
-                if inside == (cfg.condition_mode == "he"):
+                if abs(d) <= 1.0:
                     loss = d * d * inv_var / 2.0 + alpha / 2.0 + math.log(2.0 * math.pi) / 2.0
                     g_mu = -d * inv_var
                     g_alpha = 0.5 - d * d * inv_var / 2.0

@@ -293,7 +293,7 @@ class TestCriterion2GradientSuite:
                         continue
                     pred = float(fwd.mu[i, c, bnd]), float(fwd.alpha[i, c, bnd])
                     if mode == "kl_l1":
-                        _, g_mu, g_alpha = kl_l1_loss(*pred, target, cfg.condition_mode)
+                        _, g_mu, g_alpha = kl_l1_loss(*pred, target)
                     elif mode == "expected_l1":
                         _, g_mu, g_alpha = expected_l1_training(*pred, target)
                     else:

@@ -158,7 +158,6 @@ class TestConfigFile:
             "proposals.pos_thr = 0.2",  # below neg_thr 0.3
             "train.k = 0",
             "train.mining_ratio = 0",
-            "train.condition_mode = smooth",
             "train.momentum = 1",
             "detect.cascade_steps = 0",
         ],
@@ -192,9 +191,13 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: Unable to allocate") and "Traceback" not in err
 
-    @pytest.mark.parametrize("line", ["train.w_bin = nan", "train.w_cls = inf", "train.w_reg = -1"])
-    def test_removed_loss_weight_is_unknown_key(self, tmp_path, capsys, line):
-        """The three terms are summed with unit weights; there is no weight to set."""
+    @pytest.mark.parametrize(
+        "line",
+        ["train.w_bin = nan", "train.w_cls = inf", "train.w_reg = -1", "train.condition_mode = he"],
+    )
+    def test_removed_key_is_unknown_key(self, tmp_path, capsys, line):
+        """The three terms are summed with unit weights, and kl_l1 trains on He et al.'s
+        branches; there is no weight or convention to set."""
         path = _write_config(tmp_path / "bad.cfg", SMALL_DATA + line + "\n")
         assert main(["gen-data", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -369,72 +372,6 @@ class TestTrainCommand:
         for la, lb in zip(trained.dense_layers, fresh.dense_layers):
             np.testing.assert_array_equal(la.weights, lb.weights.astype("<f4").astype(np.float64))
         assert (outs[0] / "checkpoint.utal").read_bytes() == (outs[1] / "checkpoint.utal").read_bytes()
-
-    def test_resume_zero_epochs_reproduces_eval_bitwise(self, cli_workspace, tmp_path):
-        root, cfg_path, data_dir, train_dir, eval_dir = cli_workspace
-        cfg0 = tmp_path / "resume.cfg"
-        cfg0.write_text(SMALL_DATA.replace("train.epochs = 2", "train.epochs = 0"))
-        resumed = tmp_path / "resumed"
-        assert (
-            main(
-                [
-                    "train",
-                    "--config", str(cfg0),
-                    "--seed", "7",
-                    "--loss", "kl_l1",
-                    "--manifest", str(data_dir / "manifest.json"),
-                    "--resume", str(train_dir / "checkpoint.utal"),
-                    "--out", str(resumed),
-                ]
-            )
-            == EXIT_OK
-        )
-        assert (resumed / "checkpoint.utal").read_bytes() == (train_dir / "checkpoint.utal").read_bytes()
-        eval2 = tmp_path / "eval2"
-        assert (
-            main(
-                [
-                    "eval",
-                    "--config", str(cfg_path),
-                    "--seed", "7",
-                    "--checkpoint", str(resumed / "checkpoint.utal"),
-                    "--manifest", str(data_dir / "manifest.json"),
-                    "--out", str(eval2),
-                ]
-            )
-            == EXIT_OK
-        )
-        assert (eval2 / "report.json").read_bytes() == (eval_dir / "report.json").read_bytes()
-
-    @pytest.mark.parametrize(
-        "checkpoint_loss, extra, loss",
-        [
-            ("l1", "", "kl_l1"),
-            ("kl_l1", "", "l1"),
-            ("kl_l1", "train.k = 2\n", "kl_l1"),
-            ("kl_l1", "train.hidden = 48\n", "kl_l1"),
-        ],
-        ids=["l1-checkpoint-kl_l1-loss", "kl_l1-checkpoint-l1-loss", "k-differs", "hidden-differs"],
-    )
-    def test_resume_mismatch_is_config_error(
-        self, cli_workspace, tmp_path, capsys, checkpoint_loss, extra, loss
-    ):
-        _, _, data_dir, _, _ = cli_workspace
-        zero = tmp_path / "zero.cfg"
-        zero.write_text(SMALL_DATA.replace("train.epochs = 2", "train.epochs = 0"))
-        manifest = str(data_dir / "manifest.json")
-        args = ["train", "--seed", "7", "--manifest", manifest]
-        first = ["--config", str(zero), "--loss", checkpoint_loss, "--out", str(tmp_path / "a")]
-        assert main(args + first) == EXIT_OK
-        checkpoint = tmp_path / "a" / "checkpoint.utal"
-        resumed = tmp_path / "resumed.cfg"
-        resumed.write_text(SMALL_DATA + extra)
-        capsys.readouterr()
-        resume = ["--config", str(resumed), "--loss", loss, "--resume", str(checkpoint)]
-        assert main(args + resume + ["--out", str(tmp_path / "b")]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(checkpoint) in err
-        assert not (tmp_path / "b" / "checkpoint.utal").exists()
 
     def test_no_positives_error(self, tmp_path):
         # instances are <= 22 units; a lone scale-64 window can never reach
@@ -614,7 +551,7 @@ class TestEvalCommand:
         assert not (tmp_path / "x").exists()
 
     def test_shape_mismatch_names_both(self, cli_workspace, tmp_path, capsys):
-        """eval and train --resume name the checkpoint and the manifest that do not fit."""
+        """eval names the checkpoint and the manifest that do not fit."""
         root, cfg_path, data_dir, train_dir, _ = cli_workspace
         other_cfg = tmp_path / "other.cfg"
         other_cfg.write_text(SMALL_DATA.replace("data.d_feat = 16", "data.d_feat = 24"))
@@ -622,19 +559,19 @@ class TestEvalCommand:
         main(["gen-data", "--config", str(other_cfg), "--seed", "3", "--out", str(other_data)])
         checkpoint, manifest = train_dir / "checkpoint.utal", other_data / "manifest.json"
         capsys.readouterr()
-        for command in (["eval", "--checkpoint"], ["train", "--resume"]):
-            code = main(
-                [
-                    *command, str(checkpoint),
-                    "--config", str(other_cfg),
-                    "--manifest", str(manifest),
-                    "--out", str(tmp_path / "x"),
-                ]
-            )
-            err = capsys.readouterr().err
-            assert code == EXIT_CONFIG
-            assert err.startswith("error: ") and "d_feat=16" in err and "d_feat=24" in err
-            assert str(checkpoint) in err and str(manifest) in err
+        code = main(
+            [
+                "eval",
+                "--checkpoint", str(checkpoint),
+                "--config", str(other_cfg),
+                "--manifest", str(manifest),
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and "d_feat=16" in err and "d_feat=24" in err
+        assert str(checkpoint) in err and str(manifest) in err
 
     @pytest.mark.parametrize(
         "damage, named",
@@ -643,6 +580,7 @@ class TestEvalCommand:
             ("truncated-header", "checkpoint.utal"),
             ("sidecar-not-json", "checkpoint.utal.json"),
             ("sidecar-with-padded-head-keys", "'pad_head_to_six'"),
+            ("sidecar-with-condition-mode", "'condition_mode'"),
             ("sidecar-missing-key", "'hidden'"),
             ("checkpoint-missing-array", "'head.weights'"),
             ("checkpoint-nan-weight", "'fc1.weights'"),
@@ -666,6 +604,9 @@ class TestEvalCommand:
             sidecar.write_text("{not json")
         elif damage == "sidecar-with-padded-head-keys":
             doc["pad_head_to_six"] = doc["train_config"]["pad_head_to_six"] = False
+            sidecar.write_text(json.dumps(doc))
+        elif damage == "sidecar-with-condition-mode":  # as every older sidecar has it
+            doc["train_config"]["condition_mode"] = "he"
             sidecar.write_text(json.dumps(doc))
         elif damage == "sidecar-missing-key":
             del doc["train_config"]["hidden"]
@@ -965,11 +906,29 @@ class TestCurvesCommand:
 
 @pytest.mark.parametrize("command", [["verify", "monotonicity"], ["curves"]], ids=["verify", "curves"])
 @pytest.mark.parametrize(
-    "flag", [["--config", "c.txt"], ["--seed", "3"], ["--loss", "l1"], ["--condition-mode", "he"]],
-    ids=["config", "seed", "loss", "condition-mode"],
+    "flag", [["--config", "c.txt"], ["--seed", "3"], ["--loss", "l1"]], ids=["config", "seed", "loss"]
 )
 def test_run_config_flags_are_usage_errors_without_a_run_config(tmp_path, capsys, command, flag):
     """verify and curves read no run config, so a flag that would set one is refused."""
+    assert main([*command, *flag, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[0] in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["train", "--manifest", "m.json"], ["--resume", "checkpoint.utal"]),
+        (["gen-data"], ["--condition-mode", "he"]),
+        (["train", "--manifest", "m.json"], ["--condition-mode", "he"]),
+        (["eval", "--manifest", "m.json", "--checkpoint", "c.utal"], ["--condition-mode", "he"]),
+    ],
+    ids=["train-resume", "gen-data-condition-mode", "train-condition-mode", "eval-condition-mode"],
+)
+def test_removed_flag_is_usage_error(tmp_path, capsys, command, flag):
+    """train always starts from init_model, and kl_l1 always trains on He et al.'s branches;
+    the flag is refused before --out is made or any input read."""
     assert main([*command, *flag, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag[0] in err and "Traceback" not in err

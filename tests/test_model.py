@@ -30,7 +30,6 @@ from utal.data import (
 from utal.errors import ConfigError
 from utal.losses import (
     ALPHA_CLAMP,
-    CONDITION_MODES,
     binary_loss,
     expected_l1_training,
     kl_l1_loss,
@@ -168,7 +167,7 @@ def _total_loss_for_model(model, cfg, x_batch, t_a, t_c, t_off, eps_values):
                 if cfg.loss_mode == "l1":
                     val = l1_loss(*pred, target)[0]
                 elif cfg.loss_mode == "kl_l1":
-                    val = kl_l1_loss(*pred, target, cfg.condition_mode)[0]
+                    val = kl_l1_loss(*pred, target)[0]
                 elif cfg.loss_mode == "expected_l1":
                     val = expected_l1_training(*pred, target)[0]
                 else:
@@ -324,10 +323,10 @@ def _regression_batch(draw):
 
 class TestRegressionTerms:
     @staticmethod
-    def _both(batch, mode, condition_mode, seed):
+    def _both(batch, mode, seed):
         """_regression_terms and the per-positive oracle on one batch."""
         mu, alpha, t_c, t_off = batch
-        cfg = TrainConfig(loss_mode=mode, condition_mode=condition_mode, k=1, hidden=2)
+        cfg = TrainConfig(loss_mode=mode, k=1, hidden=2)
         fwd = BatchForward(
             np.zeros(mu.shape[0]), mu[:, :, 0], mu, alpha if mode != "l1" else None, None
         )
@@ -339,7 +338,6 @@ class TestRegressionTerms:
     @given(
         batch=_regression_batch(),
         mode=st.sampled_from(LOSS_MODES),
-        condition_mode=st.sampled_from(CONDITION_MODES),
         seed=st.integers(0, 2**16),
     )
     @example(  # |d| == 1 on both sides, alpha at both clamps, one class twice
@@ -349,17 +347,15 @@ class TestRegressionTerms:
             np.array([0, 1, 0]),
             np.array([[1.25, -1.5], [0.0, 3.0], [0.5, 0.0]]),
         ),
-        mode="kl_l1", condition_mode="he", seed=0,
+        mode="kl_l1", seed=0,
     )
     @example(  # no positives
         batch=(np.ones((2, 2, 2)), np.zeros((2, 2, 2)), np.array([-1, -1]), np.zeros((2, 2))),
-        mode="sampled_l1", condition_mode="he", seed=3,
+        mode="sampled_l1", seed=3,
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_per_positive_oracle(self, batch, mode, condition_mode, seed):
-        (loss, d_mu, d_alpha), (ref_loss, ref_mu, ref_alpha) = self._both(
-            batch, mode, condition_mode, seed
-        )
+    def test_matches_per_positive_oracle(self, batch, mode, seed):
+        (loss, d_mu, d_alpha), (ref_loss, ref_mu, ref_alpha) = self._both(batch, mode, seed)
         assert loss == pytest.approx(ref_loss, rel=1e-15, abs=0.0)
         mu, _, t_c, _ = batch
         pos = np.flatnonzero(t_c >= 0)
@@ -384,7 +380,7 @@ class TestRegressionTerms:
         fwd = BatchForward(np.zeros(n), mu[:, :, 0], mu, alpha, None)
         pos = np.arange(n)
         loss, _, _ = _regression_terms(cfg, fwd, pos, t_c, t_off, Rng(0))
-        values = kl_l1_loss(mu[pos, t_c], alpha[pos, t_c], t_off, cfg.condition_mode)[0]
+        values = kl_l1_loss(mu[pos, t_c], alpha[pos, t_c], t_off)[0]
         terms = values * (1.0 / (2.0 * n))
         total = 0.0
         for term in terms.ravel().tolist():
@@ -393,11 +389,10 @@ class TestRegressionTerms:
         assert loss == total
 
     @pytest.mark.parametrize("mode", LOSS_MODES)
-    @pytest.mark.parametrize("condition_mode", CONDITION_MODES)
-    def test_zero_residual_gives_no_mu_gradient(self, mode, condition_mode):
+    def test_zero_residual_gives_no_mu_gradient(self, mode):
         """r == 0: with t == mu (and sigma*eps == 0 for the sampled loss) mu gets no gradient."""
         mu = np.full((2, 2, 2), 0.375)
-        cfg = TrainConfig(loss_mode=mode, condition_mode=condition_mode, k=1, hidden=2)
+        cfg = TrainConfig(loss_mode=mode, k=1, hidden=2)
         # sampled: sigma = exp(-750) underflows to 0, so sigma*eps == 0 for any eps drawn
         log_var = -1500.0 if mode == "sampled_l1" else -1.0
         alpha = np.full((2, 2, 2), log_var) if mode != "l1" else None
@@ -620,7 +615,7 @@ class TestCheckpoint:
         sidecar.update(d_feat=8, num_classes=2, seed=1)
         sidecar_path.write_text(json.dumps(sidecar))
         loaded, _ = load_checkpoint(path)
-        assert (loaded.d_feat, loaded.num_classes, loaded.hidden) == (8, 2, 12)
+        assert (loaded.d_feat, loaded.num_classes, loaded.fc1.out_dim) == (8, 2, 12)
 
     @pytest.mark.parametrize(
         "damage, layer",
