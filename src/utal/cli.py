@@ -36,7 +36,7 @@ from utal.detect import (
     ground_truths_by_class,
 )
 from utal.errors import ConfigError, NumericError, VerificationError
-from utal.losses import export_loss_surfaces
+from utal.losses import loss_surfaces
 from utal.model import (
     LOSS_MODES,
     TrainConfig,
@@ -243,8 +243,9 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, manifest: Path, out_dir: Path) ->
 def cmd_curves(out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "loss_surfaces.csv"
-    rows = export_loss_surfaces(path, CURVES_D_GRID, CURVES_SIGMA_GRID)
-    print(f"wrote {path} ({rows} rows: 3 losses x {len(CURVES_D_GRID)} d"
+    rows = loss_surfaces(CURVES_D_GRID, CURVES_SIGMA_GRID)
+    _write_csv(path, ["loss_name", "d", "sigma", "value"], rows)
+    print(f"wrote {path} ({len(rows)} rows: 3 losses x {len(CURVES_D_GRID)} d"
           f" x {len(CURVES_SIGMA_GRID)} sigma)")
     return path
 

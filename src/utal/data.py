@@ -13,11 +13,10 @@ inconsistent human boundary labels; the feature matrix always reflects the
 true extent.
 
 File formats:
-  manifest.json  JSON with d_feat, num_classes, class_table and per-video
-                 records {video_id, T, d_feat, feature_file,
-                 annotations:[{class_id, start, end}]}
+  manifest.json  JSON with format_version 2, d_feat, class_names (a class's
+                 id is its index) and per-video records {video_id, T,
+                 feature_file, annotations:[{class_id, start, end}]}
   *.f32          raw little-endian float32, row-major [T x d_feat], no header
-  classes.txt    one class name per line, line number = class_id
 """
 
 from __future__ import annotations
@@ -269,19 +268,16 @@ def generate_synthetic_dataset(
         videos.append(VideoItem(UnitFeatureSequence(video_id, feats), annotations))
 
     class_names = [f"class_{c:02d}" for c in range(cfg.num_classes)]
-    (out / "classes.txt").write_text("".join(n + "\n" for n in class_names))
     manifest = {
-        "format_version": 1,
+        "format_version": 2,
         "seed": seed,
         "d_feat": cfg.d_feat,
-        "num_classes": cfg.num_classes,
-        "class_table": "classes.txt",
+        "class_names": class_names,
         "generator_config": asdict(cfg),
         "videos": [
             {
                 "video_id": item.sequence.video_id,
                 "T": item.sequence.num_units,
-                "d_feat": cfg.d_feat,
                 "feature_file": f"features/{item.sequence.video_id}.f32",
                 "annotations": [asdict(a) for a in item.annotations],
             }
@@ -303,18 +299,15 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     base = manifest_path.parent
     where = "top level"
     try:
+        if _json_field(manifest, "format_version") != 2:
+            raise ConfigError("format_version must be 2; regenerate the set with utal gen-data")
         d_feat = _json_field(manifest, "d_feat")
-        num_classes = _json_field(manifest, "num_classes")
-        if d_feat < 1 or num_classes < 2:
-            raise ConfigError(f"need d_feat >= 1 and num_classes >= 2, got d_feat={d_feat}, "
-                              f"num_classes={num_classes}")
-        table = base / _json_field(manifest, "class_table", ("str",))
-        if not table.is_file():  # a device or a fifo could be read without end
-            raise ConfigError(f"class table {table} is missing or not a regular file")
-        class_names = table.read_text().splitlines()
-        if len(class_names) != num_classes:
-            raise ConfigError(f"class table {table} lists {len(class_names)} names, "
-                              f"manifest says {num_classes}")
+        if d_feat < 1:
+            raise ConfigError(f"d_feat must be >= 1, got {d_feat}")
+        class_names = _json_field(manifest, "class_names", ("list",))
+        num_classes = len(class_names)  # a class's id is its index
+        if num_classes < 2 or any(type(name) is not str for name in class_names):
+            raise ConfigError("class_names must be a list of two or more strings")
         videos: list[VideoItem] = []
         for index, rec in enumerate(_json_field(manifest, "videos", ("list",))):
             where = f"video record {index}"
@@ -352,8 +345,6 @@ def _load_video(rec: dict, base: Path, d_feat: int, num_classes: int) -> VideoIt
     t_units = _json_field(rec, "T")
     if t_units < 1:
         raise ConfigError(f"video {video_id}: T must be >= 1")
-    if _json_field(rec, "d_feat") != d_feat:
-        raise ConfigError(f"video {video_id}: d_feat mismatch")
     path = base / _json_field(rec, "feature_file", ("str",))
     if not path.is_file():  # a device or a fifo could be read without end
         raise ConfigError(f"video {video_id}: feature file {path} is missing or not a regular file")

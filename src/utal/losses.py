@@ -12,7 +12,6 @@ take that shape (numpy float64 scalars for floats).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -194,12 +193,9 @@ def expected_l1_training(mu, alpha, t) -> tuple:
     return value, -d_d, 0.5 * sigma * d_sigma
 
 
-def export_loss_surfaces(path, d_grid, sigma_grid) -> int:
-    """Write (loss_name, d, sigma, value) rows over the full grid.
-
-    Surfaces: both branch conventions of the KL regression loss plus the
-    expected-l1 loss.  Returns the number of data rows written.
-    """
+def loss_surfaces(d_grid, sigma_grid) -> list[tuple]:
+    """(loss_name, d, sigma, value) rows over the full grid, for both branch
+    conventions of the KL regression loss plus the expected-l1 loss."""
     d, s = np.array(np.meshgrid(d_grid, sigma_grid, indexing="ij"), dtype=float).reshape(2, -1)
     alpha = 2.0 * _log(s)
     surfaces = {
@@ -207,10 +203,5 @@ def export_loss_surfaces(path, d_grid, sigma_grid) -> int:
         "kl_l1_paper": kl_l1_loss(0.0, alpha, d, "paper")[0],
         "expected_l1": expected_l1(d, s)[0],
     }
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["loss_name", "d", "sigma", "value"])
-        for name, values in surfaces.items():
-            rows = zip(d.tolist(), s.tolist(), values.tolist())
-            writer.writerows([name, repr(dv), repr(sv), repr(v)] for dv, sv, v in rows)
-    return len(surfaces) * d.size
+    return [(name, *row) for name, values in surfaces.items()
+            for row in zip(d.tolist(), s.tolist(), values.tolist())]

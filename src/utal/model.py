@@ -367,9 +367,9 @@ def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
     """Build a model on the arrays save_checkpoint wrote, as the sidecar's train
     config reads them; other top-level sidecar keys are ignored.
 
-    Any unreadable, truncated or mismatched file, a train config that lacks a
-    key or fails TrainConfig.validate, a missing, extra or misshapen array, or
-    weights unlike the SHA-256 the sidecar records (if it records one), raises
+    Any unreadable, truncated or mismatched file, a sidecar or train config that
+    lacks a key, a train config that fails TrainConfig.validate, a missing, extra
+    or misshapen array, or weights unlike the SHA-256 the sidecar records, raises
     ConfigError naming the file.
     """
     path = Path(path)
@@ -379,7 +379,7 @@ def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read checkpoint sidecar {sidecar_path}: {exc}") from exc
     try:
-        saved = sidecar["train_config"]
+        saved, recorded = sidecar["train_config"], sidecar["weights_sha256"]
         cfg = TrainConfig(**saved)  # an unknown key is a TypeError naming it
         missing = [f.name for f in fields(cfg) if f.name not in saved]
         if missing:
@@ -407,8 +407,7 @@ def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
         if not (w.ndim == 2 and fits(*w.shape) and b.shape == w.shape[:1]):
             raise ConfigError(f"{misfit} in {name}: weights {w.shape} and biases {b.shape}; k={k}, "
                               f"hidden={hidden} need {words} weights and one bias per row")
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    if sidecar.get("weights_sha256", digest) != digest:
+    if recorded != hashlib.sha256(path.read_bytes()).hexdigest():
         raise ConfigError(f"checkpoint {path} does not match the SHA-256 in {sidecar_path}")
     layers = (DenseLayer(arrays[f"{n}.weights"], arrays[f"{n}.biases"], n) for n in shapes)
     return Model(*layers, k, uncertainty), cfg

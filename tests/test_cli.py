@@ -409,7 +409,7 @@ class TestTrainCommand:
         (manifest.parent / "features" / "vid0002.f32").unlink()
         assert "vid0002.f32" in self._train_error(cfg_path, manifest, tmp_path, capsys)
 
-    @pytest.mark.parametrize("key", ["T", "feature_file", "d_feat"])
+    @pytest.mark.parametrize("key", ["T", "feature_file"])
     def test_video_record_without_key_names_manifest_and_key(
         self, cli_workspace, tmp_path, capsys, key
     ):
@@ -419,11 +419,22 @@ class TestTrainCommand:
         manifest.write_text(json.dumps(doc))
         assert repr(key) in self._train_error(cfg_path, manifest, tmp_path, capsys)
 
-    def test_missing_class_table_names_manifest_and_table(self, cli_workspace, tmp_path, capsys):
+    def test_version_1_manifest_ends_in_one_error_to_regenerate(
+        self, cli_workspace, tmp_path, capsys
+    ):
+        """A set written before the class names moved into the manifest: a class table
+        file, num_classes and d_feat in every video record."""
         cfg_path, manifest = self._copy_data(cli_workspace, tmp_path)
-        (manifest.parent / "classes.txt").unlink()
+        doc = json.loads(manifest.read_text())
+        names = doc.pop("class_names")
+        (manifest.parent / "classes.txt").write_text("".join(n + "\n" for n in names))
+        doc.update(format_version=1, num_classes=len(names), class_table="classes.txt")
+        for record in doc["videos"]:
+            record["d_feat"] = doc["d_feat"]
+        manifest.write_text(json.dumps(doc))
         err = self._train_error(cfg_path, manifest, tmp_path, capsys)
-        assert str(manifest.parent / "classes.txt") in err and "Traceback" not in err
+        assert err == (f"error: manifest {manifest}: top level: format_version must be 2; "
+                       "regenerate the set with utal gen-data\n")
 
     @staticmethod
     def _capped_train_error(cfg_path, manifest, tmp_path, timeout: float = 300) -> str:
@@ -434,27 +445,6 @@ class TestTrainCommand:
         assert run.returncode == EXIT_CONFIG and run.stderr.startswith("error: "), run.stderr
         assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr, run.stderr
         return run.stderr
-
-    def test_huge_num_classes_is_refused_before_any_allocation(self, cli_workspace, tmp_path):
-        """The class table is read before anything is sized by num_classes, so 10**12
-        classes end in the table's error."""
-        cfg_path, manifest = self._copy_data(cli_workspace, tmp_path)
-        doc = json.loads(manifest.read_text())
-        doc["num_classes"] = 10**12
-        manifest.write_text(json.dumps(doc))
-        err = self._capped_train_error(cfg_path, manifest, tmp_path)
-        assert f"manifest {manifest}: top level: class table " in err
-        assert "manifest says 1000000000000" in err
-
-    def test_class_table_that_is_a_device_is_refused_unread(self, cli_workspace, tmp_path):
-        """A class table must be a regular file: /dev/zero would be read until memory
-        runs out, and the error would name neither the manifest nor the table."""
-        cfg_path, manifest = self._copy_data(cli_workspace, tmp_path)
-        doc = json.loads(manifest.read_text())
-        doc["class_table"] = "/dev/zero"
-        manifest.write_text(json.dumps(doc))
-        err = self._capped_train_error(cfg_path, manifest, tmp_path)
-        assert err.startswith(f"error: manifest {manifest}: top level: class table /dev/zero ")
 
     def test_feature_file_that_is_a_fifo_is_refused_unread(self, cli_workspace, tmp_path):
         """A feature file must be a regular file: reading a fifo that no one writes
@@ -682,8 +672,8 @@ class TestEvalCommand:
             weights += data.draw(st.binary(min_size=1, max_size=8))
         elif fault == "truncate-sidecar":  # by more than its final newline
             sidecar = sidecar[: data.draw(st.integers(0, len(sidecar) - 2))]
-        else:  # a sidecar without the digest is an older one, and loads
-            keys = [(key,) for key in doc if fault == "retype" or key != "weights_sha256"]
+        else:
+            keys = [(key,) for key in doc]
             keys += [("train_config", key) for key in doc["train_config"]]
             *section, key = data.draw(st.sampled_from(keys))
             owner = doc["train_config"] if section else doc
@@ -798,7 +788,7 @@ class TestInputFuzz:
             return
         assert run.returncode == EXIT_CONFIG, run.stderr
         assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
-        named = [str(manifest), str(config), str(work / "classes.txt"), str(work / "features")]
+        named = [str(manifest), str(config), str(work / "features")]
         assert any(name in run.stderr for name in named), run.stderr
 
 

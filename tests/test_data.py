@@ -151,6 +151,7 @@ class TestManifestRoundTrip:
         assert loaded.num_videos == dataset.num_videos
         assert loaded.d_feat == dataset.d_feat
         assert loaded.class_names == dataset.class_names
+        assert loaded.num_classes == dataset.num_classes == 5
         for a, b in zip(loaded.videos, dataset.videos):
             assert a.sequence.video_id == b.sequence.video_id
             np.testing.assert_array_equal(a.sequence.features, b.sequence.features)
@@ -183,10 +184,10 @@ class TestManifestRoundTrip:
     @pytest.mark.parametrize(
         "damage",
         [
-            "T-zero", "T-too-large", "three-extra-bytes", "non-finite", "short-class-table",
-            "d_feat-zero", "num_classes-one", "d_feat-float", "num_classes-float", "T-float",
-            "T-bool", "record-d_feat-string", "class_id-float", "start-string", "end-bool",
-            "start-beyond-float", "video_id-list", "video_id-int", "feature_file-int",
+            "format_version-1", "T-zero", "T-too-large", "three-extra-bytes", "non-finite",
+            "d_feat-zero", "class_names-one", "class_names-non-string", "d_feat-float",
+            "class_names-string", "T-float", "T-bool", "class_id-float", "start-string",
+            "end-bool", "start-beyond-float", "video_id-list", "video_id-int", "feature_file-int",
             "feature_file-list", "videos-string", "annotations-object",
         ],
     )
@@ -195,35 +196,30 @@ class TestManifestRoundTrip:
         doc = json.loads(manifest.read_text())
         record, where = doc["videos"][1], "video record 1"
         feature_file = tmp_path / record["feature_file"]
-        if damage == "T-zero":
+        if damage == "format_version-1":  # a set written before class_names replaced classes.txt
+            doc["format_version"], where = 1, "top level"
+            named = "format_version must be 2; regenerate the set with utal gen-data"
+        elif damage == "T-zero":
             record["T"], named = 0, "video vid0001: T must be >= 1"
         elif damage == "T-too-large":
             record["T"], named = record["T"] + 1, f"feature file {feature_file} holds"
         elif damage == "three-extra-bytes":  # less than one float more than T x d_feat
             feature_file.write_bytes(feature_file.read_bytes() + b"\0\0\0")
-            size = 4 * record["T"] * record["d_feat"]
+            size = 4 * record["T"] * doc["d_feat"]
             named = f"feature file {feature_file} holds {size + 3} bytes, expected {size} "
         elif damage == "non-finite":
             feats = np.frombuffer(feature_file.read_bytes(), "<f4").copy()
             feats[5] = np.nan
             feature_file.write_bytes(feats.tobytes())
             named = f"non-finite values in feature file {feature_file}"
-        elif damage == "short-class-table":
-            (tmp_path / "classes.txt").write_text("a\nb\n")
-            where, named = "top level", f"class table {tmp_path / 'classes.txt'} lists 2 names"
-        elif damage == "d_feat-zero":  # every record and feature file agrees with it
+        elif damage == "d_feat-zero":  # every feature file agrees with it
             doc["d_feat"] = 0
             for rec in doc["videos"]:
-                rec["d_feat"] = 0
                 (tmp_path / rec["feature_file"]).write_bytes(b"")
-            where, named = "top level", "got d_feat=0, num_classes=5"
-        elif damage == "num_classes-one":  # the class table and every annotation agree with it
-            doc["num_classes"] = 1
-            (tmp_path / "classes.txt").write_text("class_00\n")
-            for rec in doc["videos"]:
-                for annotation in rec["annotations"]:
-                    annotation["class_id"] = 0
-            where, named = "top level", "got d_feat=64, num_classes=1"
+            where, named = "top level", "d_feat must be >= 1, got 0"
+        elif damage in ("class_names-one", "class_names-non-string"):
+            doc["class_names"] = ["class_00"] if damage == "class_names-one" else ["a", 1, "c"]
+            where, named = "top level", "class_names must be a list of two or more strings"
         elif damage == "start-beyond-float":  # a JSON number, but no float holds it
             record["annotations"][0]["start"] = 10**400
             named = "int too large to convert to float"
@@ -231,10 +227,9 @@ class TestManifestRoundTrip:
             annotation = record["annotations"][0]
             owner, key, value, kind = {
                 "d_feat-float": (doc, "d_feat", 64.9, "int"),
-                "num_classes-float": (doc, "num_classes", 5.5, "int"),
+                "class_names-string": (doc, "class_names", "class_00", "list"),
                 "T-float": (record, "T", 94.5, "int"),
                 "T-bool": (record, "T", True, "int"),
-                "record-d_feat-string": (record, "d_feat", "64", "int"),
                 "class_id-float": (annotation, "class_id", 3.7, "int"),
                 "start-string": (annotation, "start", "1.5", "int or float"),
                 "end-bool": (annotation, "end", True, "int or float"),
@@ -255,23 +250,15 @@ class TestManifestRoundTrip:
         assert str(err.value).startswith(f"manifest {manifest}: {where}: ")
         assert named in str(err.value)
 
-    def test_named_class_table_must_exist(self, tmp_path):
-        _, manifest = generate_synthetic_dataset(DataConfig(num_videos=2), 13, tmp_path)
-        (tmp_path / "classes.txt").unlink()
-        with pytest.raises(ConfigError) as err:
-            load_dataset(manifest)
-        assert str(err.value).startswith(f"manifest {manifest}: top level: ")
-        assert str(tmp_path / "classes.txt") in str(err.value)
-
-    def test_manifest_without_class_table_is_config_error(self, tmp_path):
-        """The class names come from the table alone; there are no default names."""
+    def test_manifest_without_class_names_is_config_error(self, tmp_path):
+        """The class names come from the manifest alone; there are no default names."""
         _, manifest = generate_synthetic_dataset(DataConfig(num_videos=2), 13, tmp_path)
         doc = json.loads(manifest.read_text())
-        del doc["class_table"]
+        del doc["class_names"]
         manifest.write_text(json.dumps(doc))
         with pytest.raises(ConfigError) as err:
             load_dataset(manifest)
-        assert str(err.value) == f"manifest {manifest}: top level lacks key 'class_table'"
+        assert str(err.value) == f"manifest {manifest}: top level lacks key 'class_names'"
 
     def test_loader_rejects_repeated_video_id(self, tmp_path):
         _, manifest = generate_synthetic_dataset(DataConfig(num_videos=3), 13, tmp_path)

@@ -8,16 +8,16 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from _oracles import finite_difference, relative_error
-from utal.cli import CURVES_D_GRID, CURVES_SIGMA_GRID
+from utal.cli import CURVES_D_GRID, CURVES_SIGMA_GRID, _write_csv, cmd_curves
 from utal.losses import (
     MiningResult,
     _expected_l1_foil,
     binary_loss,
     expected_l1,
     expected_l1_training,
-    export_loss_surfaces,
     kl_l1_loss,
     l1_loss,
+    loss_surfaces,
     multiclass_loss,
     sampled_l1_loss,
     select_hard_negatives,
@@ -389,16 +389,13 @@ class TestElementwise:
 
 class TestLossSurfaceExport:
     def test_row_count_and_header(self, tmp_path):
-        path = tmp_path / "surfaces.csv"
         d_grid = [-1.0, 0.0, 1.0]
         s_grid = [0.1, 1.0]
-        rows = export_loss_surfaces(path, d_grid, s_grid)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "loss_name,d,sigma,value"
-        assert rows == 3 * len(d_grid) * len(s_grid)
-        assert len(lines) == 1 + rows
-        names = {line.split(",")[0] for line in lines[1:]}
-        assert names == {"kl_l1_he", "kl_l1_paper", "expected_l1"}
+        rows = loss_surfaces(d_grid, s_grid)
+        assert len(rows) == 3 * len(d_grid) * len(s_grid)
+        assert all(len(row) == 4 for row in rows)
+        assert {row[0] for row in rows} == {"kl_l1_he", "kl_l1_paper", "expected_l1"}
+        assert cmd_curves(tmp_path).read_text().splitlines()[0] == "loss_name,d,sigma,value"
 
     @pytest.mark.parametrize(
         "d_grid, s_grid",
@@ -410,7 +407,7 @@ class TestLossSurfaceExport:
     )
     def test_values_are_plain_floats_of_the_scalar_losses(self, tmp_path, d_grid, s_grid):
         path = tmp_path / "surfaces.csv"
-        export_loss_surfaces(path, d_grid, s_grid)
+        _write_csv(path, ["loss_name", "d", "sigma", "value"], loss_surfaces(d_grid, s_grid))
         scalar = {
             "kl_l1_he": lambda d, s: kl_l1_loss(0.0, 2.0 * math.log(s), d, "he")[0],
             "kl_l1_paper": lambda d, s: kl_l1_loss(0.0, 2.0 * math.log(s), d, "paper")[0],

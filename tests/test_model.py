@@ -594,15 +594,17 @@ class TestCheckpoint:
         sidecar = json.loads((tmp_path / "m.utal.json").read_text())
         assert sidecar["weights_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
-    def test_sidecar_without_sha256_still_loads(self, tmp_path):
+    def test_sidecar_without_sha256_is_refused(self, tmp_path):
+        """Without the digest a damaged weight file would load unnoticed."""
         cfg = TrainConfig(hidden=12)
         path = save_checkpoint(init_model(cfg, 8, 2, seed=1), tmp_path / "m.utal", cfg)
         sidecar_path = tmp_path / "m.utal.json"
         sidecar = json.loads(sidecar_path.read_text())
         del sidecar["weights_sha256"]
         sidecar_path.write_text(json.dumps(sidecar))
-        loaded, _ = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.fc1.weights, init_model(cfg, 8, 2, seed=1).fc1.weights)
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"checkpoint sidecar {sidecar_path} lacks key 'weights_sha256'"
 
     def test_older_sidecar_with_init_arguments_loads(self, tmp_path):
         """Sidecars once recorded d_feat, num_classes and seed; the shapes give the first
