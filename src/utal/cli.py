@@ -1,8 +1,9 @@
 """Command-line entry point: gen-data, train, eval, verify, curves.
 
 gen-data, train and eval take a run config (defaults < config file <
-command-line flags), check every setting in it before any work, and echo it,
-fully merged, into their output directory so artifacts are self-describing.
+command-line flags; --seed is gen-data's and train's, --loss train's), check
+every setting in it before any work, and record the sections each one reads
+in its output directory; eval records the checkpoint's own train config.
 A setting too large to allocate ends in "error: out of memory: Unable to
 allocate ..." naming the array's shape.  verify and curves take --out only.
 
@@ -16,7 +17,6 @@ import argparse
 import csv
 import json
 import sys
-from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -145,10 +145,10 @@ def apply_config_entries(
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     entries = parse_config_file(args.config) if args.config else {}
     cfg = apply_config_entries(RunConfig(), entries, args.config or "config file")
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     cfg.train.seed = cfg.seed
-    if args.loss:
+    if getattr(args, "loss", None):
         cfg.train.loss_mode = args.loss
     try:
         cfg.validate()
@@ -157,10 +157,11 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write_config_echo(cfg: RunConfig, out_dir: Path) -> None:
-    (out_dir / "run_config.json").write_text(
-        json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
-    )
+def _write_run_config(cfg: RunConfig, out_dir: Path, *sections: str) -> dict:
+    """Write the run config's `sections`, those the command reads, to run_config.json."""
+    record = {name: value for name, value in asdict(cfg).items() if name in sections}
+    (out_dir / "run_config.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return record
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -175,8 +176,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
     dataset, manifest_path = generate_synthetic_dataset(cfg.data, cfg.seed, out_dir)
-    _write_config_echo(cfg, out_dir)
-    counts = Counter(ann.class_id for item in dataset.videos for ann in item.annotations)
+    _write_run_config(cfg, out_dir, "seed", "data")
+    class_ids = np.concatenate([item.annotations[:, 0] for item in dataset.videos])
+    counts = np.bincount(class_ids.astype(np.intp), minlength=len(dataset.class_names))
     print(f"wrote {manifest_path} ({dataset.num_videos} videos, d_feat={dataset.d_feat})")
     for c, name in enumerate(dataset.class_names):
         print(f"  {name}: {counts[c]} instances")
@@ -199,7 +201,7 @@ def cmd_train(cfg: RunConfig, manifest: Path, out_dir: Path) -> Path:
         header = ["d_start", "sigma_start", "d_end", "sigma_end"]
         columns = np.stack((d[:, 0], sigma[:, 0], d[:, 1], sigma[:, 1]), axis=1)
     _write_csv(out_dir / "offset_stats.csv", header, columns.tolist())
-    _write_config_echo(cfg, out_dir)
+    _write_run_config(cfg, out_dir, "seed", "proposals", "train")
     print(f"trained {cfg.train.epochs} epochs ({len(training_set)} labeled proposals)")
     print(f"wrote {ckpt_path}")
     return ckpt_path
@@ -223,7 +225,7 @@ def _format_map_row(map_by_tiou: dict[float, float]) -> str:
 
 def cmd_eval(cfg: RunConfig, checkpoint: Path, manifest: Path, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before any work
-    model, _ = load_checkpoint(checkpoint)
+    model, cfg.train = load_checkpoint(checkpoint)  # the settings the model was trained with
     dataset = load_dataset(manifest)
     _check_fits(model, checkpoint, dataset, manifest)
     dets = collect_detections(model, dataset, cfg.detect, cfg.proposals)
@@ -232,11 +234,11 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, manifest: Path, out_dir: Path) ->
     )
     if report.num_detections == 0:
         print("warning: no detections above the score floor", file=sys.stderr)
-    report_json = json.dumps({**report.to_dict(), "config": asdict(cfg)}, indent=2, sort_keys=True)
+    record = _write_run_config(cfg, out_dir, "proposals", "detect", "train")
+    report_json = json.dumps({**report.to_dict(), "config": record}, indent=2, sort_keys=True)
     (out_dir / "report.json").write_text(report_json + "\n")
     _write_csv(out_dir / "detections.csv", ["video_id", "class_id", "start", "end", "score"],
                ((d.video_id, d.class_id, d.start, d.end, d.score) for d in dets))
-    _write_config_echo(cfg, out_dir)
     print(_format_map_row(report.map_by_tiou))
 
 
@@ -273,25 +275,19 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_run_config(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=str, default=None, help="key = value config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--loss", choices=LOSS_MODES, default=None)
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="utal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate the synthetic benchmark")
-    _add_run_config(p)
+    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("train", help="train a model on a generated manifest")
-    _add_run_config(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--loss", choices=LOSS_MODES, default=None)
     p.add_argument("--manifest", type=Path, required=True)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint (mAP@tIoU)")
-    _add_run_config(p)
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--checkpoint", type=Path, required=True)
 
@@ -305,6 +301,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("curves", help="export the regression loss surfaces as CSV")
     for name, p in sub.choices.items():  # verify alone may omit --out
+        if name not in ("verify", "curves"):  # they read no run config
+            p.add_argument("--config", type=str, default=None, help="key = value config file")
         p.add_argument("--out", type=Path, required=name != "verify", default="utal-verify",
                        help="output directory")
     return parser
@@ -313,7 +311,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = make_parser().parse_args(argv)
-        cfg = build_run_config(args) if args.command in ("gen-data", "train", "eval") else None
+        cfg = build_run_config(args) if "config" in args else None
         if args.command == "gen-data":
             cmd_gen_data(cfg, args.out)
         elif args.command == "train":

@@ -10,7 +10,8 @@ from windows matching a short one, and boundary offsets are decodable from
 pooled features.  Annotations may be "subjectively" mis-drawn (one boundary
 pulled inward by a sizable fraction of the instance length) to emulate
 inconsistent human boundary labels; the feature matrix always reflects the
-true extent.
+true extent.  In memory, a video's annotations are one float64 [A x 3] array
+of rows (class_id, start, end), the layout `label_proposals` reads.
 
 File formats:
   manifest.json  JSON with format_version 2, d_feat, class_names (a class's
@@ -122,13 +123,6 @@ class UnitFeatureSequence:
 
 
 @dataclass
-class ActionAnnotation:
-    class_id: int
-    start: float
-    end: float
-
-
-@dataclass
 class TrainingSet:
     """The labeled windows of every video as columns, one row per window."""
 
@@ -143,7 +137,7 @@ class TrainingSet:
 @dataclass
 class VideoItem:
     sequence: UnitFeatureSequence
-    annotations: list[ActionAnnotation]
+    annotations: np.ndarray  # [A x 3] float64 rows (class_id, start, end), (0, 3) if none
 
 
 @dataclass
@@ -165,12 +159,11 @@ def class_prototypes(seed: int, num_classes: int, d_feat: int) -> np.ndarray:
     return protos / np.linalg.norm(protos, axis=1, keepdims=True)
 
 
-def class_ramp_directions(seed: int, num_classes: int, d_feat: int) -> np.ndarray:
-    """Unit ramp direction per class, orthogonal to that class's prototype."""
-    protos = class_prototypes(seed, num_classes, d_feat)
+def class_ramp_directions(seed: int, protos: np.ndarray) -> np.ndarray:
+    """Unit ramp direction per class, orthogonal to that class's row of `protos` [C x d_feat]."""
     rng = Rng(seed).split("ramp-directions")
-    dirs = rng.normals(num_classes * d_feat).reshape(num_classes, d_feat)
-    for c in range(num_classes):
+    dirs = rng.normals(protos.size).reshape(protos.shape)
+    for c in range(protos.shape[0]):
         dirs[c] -= (dirs[c] @ protos[c]) * protos[c]
         dirs[c] /= np.linalg.norm(dirs[c])
     return dirs
@@ -243,7 +236,7 @@ def generate_synthetic_dataset(
     (out / "features").mkdir(parents=True, exist_ok=True)
     root = Rng(seed)
     protos = class_prototypes(seed, cfg.num_classes, cfg.d_feat)
-    ramp_dirs = class_ramp_directions(seed, cfg.num_classes, cfg.d_feat)
+    ramp_dirs = class_ramp_directions(seed, protos)
 
     videos: list[VideoItem] = []
     for vi in range(cfg.num_videos):
@@ -252,7 +245,7 @@ def generate_synthetic_dataset(
         feats = cfg.noise_level * vid_rng.normals(t_units * cfg.d_feat).reshape(
             t_units, cfg.d_feat
         )
-        annotations = []
+        rows = []
         for class_id, s, e in _plant_instances(vid_rng, t_units, cfg):
             rel = (np.arange(s, e) + 0.5 - s) / (e - s)
             ramp = 2.0 * rel - 1.0
@@ -260,12 +253,11 @@ def generate_synthetic_dataset(
                 protos[class_id]
                 + ramp_amplitude_for(class_id) * ramp[:, None] * ramp_dirs[class_id]
             )
-            js, je = _jitter_annotation(vid_rng, s, e, cfg.boundary_jitter)
-            annotations.append(ActionAnnotation(class_id=class_id, start=js, end=je))
+            rows.append((class_id, *_jitter_annotation(vid_rng, s, e, cfg.boundary_jitter)))
         video_id = f"vid{vi:04d}"
         feats = np.ascontiguousarray(feats, dtype="<f4")  # the file's format, kept in memory too
         (out / "features" / f"{video_id}.f32").write_bytes(feats.tobytes())
-        videos.append(VideoItem(UnitFeatureSequence(video_id, feats), annotations))
+        videos.append(VideoItem(UnitFeatureSequence(video_id, feats), np.array(rows, float)))
 
     class_names = [f"class_{c:02d}" for c in range(cfg.num_classes)]
     manifest = {
@@ -279,7 +271,8 @@ def generate_synthetic_dataset(
                 "video_id": item.sequence.video_id,
                 "T": item.sequence.num_units,
                 "feature_file": f"features/{item.sequence.video_id}.f32",
-                "annotations": [asdict(a) for a in item.annotations],
+                "annotations": [{"class_id": int(c), "start": s, "end": e}
+                                for c, s, e in item.annotations.tolist()],
             }
             for item in videos
         ],
@@ -355,19 +348,18 @@ def _load_video(rec: dict, base: Path, d_feat: int, num_classes: int) -> VideoIt
     feats = np.fromfile(path, dtype="<f4").reshape(t_units, d_feat)
     if not np.all(np.isfinite(feats)):
         raise ConfigError(f"video {video_id}: non-finite values in feature file {path}")
-    annotations = []
+    rows = []
     for a in _json_field(rec, "annotations", ("list",)):
         start, end = (float(_json_field(a, key, ("int", "float"))) for key in ("start", "end"))
-        ann = ActionAnnotation(_json_field(a, "class_id"), start, end)
-        if not 0 <= ann.start < ann.end <= t_units:
+        class_id = _json_field(a, "class_id")
+        if not 0 <= start < end <= t_units:
             raise ConfigError(
-                f"video {video_id}: annotation [{ann.start}, {ann.end}] "
-                f"outside [0, {t_units}]"
+                f"video {video_id}: annotation [{start}, {end}] outside [0, {t_units}]"
             )
-        if not 0 <= ann.class_id < num_classes:
-            raise ConfigError(f"video {video_id}: class_id {ann.class_id} out of range")
-        annotations.append(ann)
-    return VideoItem(UnitFeatureSequence(video_id, feats), annotations)
+        if not 0 <= class_id < num_classes:
+            raise ConfigError(f"video {video_id}: class_id {class_id} out of range")
+        rows.append((class_id, start, end))
+    return VideoItem(UnitFeatureSequence(video_id, feats), np.array(rows, float).reshape(-1, 3))
 
 
 def sliding_windows(t_units: float, scales, overlap: float) -> tuple[np.ndarray, np.ndarray]:
@@ -411,13 +403,12 @@ def label_proposals(
     """Assign actioness labels and regression targets by max tIoU.
 
     One [N x A] tIoU matrix of windows [starts, ends] against `gt` [N x A x 3],
-    each window's own video's annotations as rows (class_id, start, end), or
-    one video's [1 x A x 3].  Positive iff max tIoU > 0 and >= pos_thr (matched
-    to the argmax annotation, ties to the earlier one); negative iff max tIoU <
-    neg_thr; windows in between are discarded.  Returns the kept windows'
-    indices, class (-1 for negatives) and [N x 2] offsets (0 for negatives).
+    each window's own video's annotations as rows (class_id, start, end).
+    Positive iff max tIoU > 0 and >= pos_thr (matched to the argmax
+    annotation, ties to the earlier one); negative iff max tIoU < neg_thr;
+    windows in between are discarded.  Returns the kept windows' indices,
+    class (-1 for negatives) and [N x 2] offsets (0 for negatives).
     """
-    gt = np.broadcast_to(gt, (starts.shape[0], *gt.shape[1:]))
     # column 0 stands for "no annotation": argmax takes the first maximum, so
     # it wins only where no annotation overlaps the window at all
     tious = np.zeros((starts.shape[0], gt.shape[1] + 1))
@@ -502,9 +493,8 @@ def build_training_set(dataset: Dataset, prop_cfg: ProposalConfig, k: int) -> Tr
     sizes = np.array([len(item.annotations) for item in videos], dtype=np.intp)
     t_c, t_off = np.full(starts.size, -2), np.empty((starts.size, 2))
     for a in set(sizes.tolist()):
-        members = [item.annotations for item in videos if len(item.annotations) == a]
-        gt = np.array([[(x.class_id, x.start, x.end) for x in anns] for anns in members])
-        gt = np.repeat(gt.reshape(len(members), a, 3), counts[sizes == a], axis=0)  # per window
+        gt = np.stack([item.annotations for item in videos if len(item.annotations) == a])
+        gt = np.repeat(gt, counts[sizes == a], axis=0)  # each window its own video's rows
         rows = np.flatnonzero(np.repeat(sizes == a, counts))  # the members' windows, in order
         keep, *labels = label_proposals(
             starts[rows], ends[rows], gt, prop_cfg.pos_thr, prop_cfg.neg_thr

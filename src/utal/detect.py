@@ -280,10 +280,8 @@ def collect_detections(
 def ground_truths_by_class(dataset: Dataset) -> dict[int, list[tuple[str, float, float]]]:
     gts: dict[int, list[tuple[str, float, float]]] = {}
     for item in sorted(dataset.videos, key=lambda v: v.sequence.video_id):
-        for ann in item.annotations:
-            gts.setdefault(ann.class_id, []).append(
-                (item.sequence.video_id, ann.start, ann.end)
-            )
+        for class_id, start, end in item.annotations.tolist():
+            gts.setdefault(int(class_id), []).append((item.sequence.video_id, start, end))
     return gts
 
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from utal.data import ActionAnnotation, Dataset, UnitFeatureSequence, VideoItem, ramp_amplitude_for
+from utal.data import Dataset, UnitFeatureSequence, VideoItem, ramp_amplitude_for
 from utal.model import BatchForward
 from utal.net import DenseLayer
 
@@ -151,7 +151,8 @@ def greedy_nms_oracle(dets, thr: float):
 
 
 def label_proposals_oracle(starts, ends, annotations, pos_thr: float, neg_thr: float):
-    """Window labelling one window and one annotation at a time, scalar tIoU.
+    """Window labelling one window and one annotation row (class_id, start, end)
+    at a time, scalar tIoU.
 
     Returns plain lists (kept window indices, class, (start offset, end
     offset) pairs) with class -1 and offsets (0.0, 0.0) for negatives.
@@ -159,15 +160,16 @@ def label_proposals_oracle(starts, ends, annotations, pos_thr: float, neg_thr: f
     keep, t_c, t_off = [], [], []
     for i, (start, end) in enumerate(zip(starts, ends)):
         best_t, best_ann = 0.0, None
-        for ann in annotations:
-            t = tiou((start, end), (ann.start, ann.end))
+        for class_id, ann_start, ann_end in annotations:
+            t = tiou((start, end), (ann_start, ann_end))
             if t > best_t:
-                best_t, best_ann = t, ann
+                best_t, best_ann = t, (class_id, ann_start, ann_end)
         if best_ann is not None and best_t >= pos_thr:
+            class_id, ann_start, ann_end = best_ann
             length = end - start
             keep.append(i)
-            t_c.append(best_ann.class_id)
-            t_off.append([(best_ann.start - start) / length, (best_ann.end - end) / length])
+            t_c.append(int(class_id))
+            t_off.append([(ann_start - start) / length, (ann_end - end) / length])
         elif best_t < neg_thr:
             keep.append(i)
             t_c.append(-1)
@@ -477,7 +479,7 @@ def aligned_oracle_dataset(num_videos: int = 6, num_classes: int = 3, d_feat: in
         videos.append(
             VideoItem(
                 UnitFeatureSequence(f"vid{i:04d}", feats),
-                [ActionAnnotation(class_id, float(start), float(end))],
+                np.array([[class_id, start, end]], dtype=float),
             )
         )
     dataset = Dataset(

@@ -455,12 +455,13 @@ class TestCriterion8Determinism:
                 root.mkdir()
                 cfg = root / "run.cfg"
                 cfg.write_text(cfg_text)
-                args = ["--config", str(cfg), "--seed", "21", "--loss", "kl_l1"]
-                assert main(["gen-data", *args, "--out", str(root / "data")]) == 0
+                args = ["--config", str(cfg)]
+                seed = ["--seed", "21"]
+                assert main(["gen-data", *args, *seed, "--out", str(root / "data")]) == 0
                 assert (
                     main(
                         [
-                            "train", *args,
+                            "train", *args, *seed, "--loss", "kl_l1",
                             "--manifest", str(root / "data/manifest.json"),
                             "--out", str(root / "train"),
                         ]

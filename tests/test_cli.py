@@ -275,7 +275,6 @@ def cli_workspace(tmp_path_factory):
             [
                 "eval",
                 "--config", str(cfg_path),
-                "--seed", "7",
                 "--checkpoint", str(train_dir / "checkpoint.utal"),
                 "--manifest", str(data_dir / "manifest.json"),
                 "--out", str(eval_dir),
@@ -474,6 +473,16 @@ class TestEvalCommand:
         header = open(eval_dir / "detections.csv").readline().strip()
         assert header == "video_id,class_id,start,end,score"
 
+    def test_report_records_the_checkpoints_train_config(self, cli_workspace):
+        """eval reads no train.* setting of its run config; the model it evaluates was
+        trained with kl_l1, not the default sampled_l1, and the report says so."""
+        _, _, _, train_dir, eval_dir = cli_workspace
+        config = json.loads((eval_dir / "report.json").read_text())["config"]
+        sidecar = json.loads((train_dir / "checkpoint.utal.json").read_text())
+        assert config["train"] == sidecar["train_config"]
+        assert config["train"]["loss_mode"] == "kl_l1"
+        assert config == json.loads((eval_dir / "run_config.json").read_text())
+
     def test_eval_deterministic_bytes(self, cli_workspace, tmp_path):
         root, cfg_path, data_dir, train_dir, eval_dir = cli_workspace
         again = tmp_path / "again"
@@ -482,7 +491,6 @@ class TestEvalCommand:
                 [
                     "eval",
                     "--config", str(cfg_path),
-                    "--seed", "7",
                     "--checkpoint", str(train_dir / "checkpoint.utal"),
                     "--manifest", str(data_dir / "manifest.json"),
                     "--out", str(again),
@@ -499,7 +507,6 @@ class TestEvalCommand:
             [
                 "eval",
                 "--config", str(cfg_path),
-                "--seed", "7",
                 "--checkpoint", str(train_dir / "checkpoint.utal"),
                 "--manifest", str(data_dir / "manifest.json"),
                 "--out", str(out),
@@ -913,16 +920,33 @@ def test_run_config_flags_are_usage_errors_without_a_run_config(tmp_path, capsys
         (["gen-data"], ["--condition-mode", "he"]),
         (["train", "--manifest", "m.json"], ["--condition-mode", "he"]),
         (["eval", "--manifest", "m.json", "--checkpoint", "c.utal"], ["--condition-mode", "he"]),
+        (["gen-data"], ["--loss", "l1"]),
+        (["eval", "--manifest", "m.json", "--checkpoint", "c.utal"], ["--seed", "3"]),
+        (["eval", "--manifest", "m.json", "--checkpoint", "c.utal"], ["--loss", "l1"]),
     ],
-    ids=["train-resume", "gen-data-condition-mode", "train-condition-mode", "eval-condition-mode"],
+    ids=["train-resume", "gen-data-condition-mode", "train-condition-mode", "eval-condition-mode",
+         "gen-data-loss", "eval-seed", "eval-loss"],
 )
 def test_removed_flag_is_usage_error(tmp_path, capsys, command, flag):
     """train always starts from init_model, and kl_l1 always trains on He et al.'s branches;
-    the flag is refused before --out is made or any input read."""
+    gen-data trains nothing, and eval takes the seed and loss the checkpoint was trained
+    with. The flag is refused before --out is made or any input read."""
     assert main([*command, *flag, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag[0] in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "step, sections",
+    [("data", ["data", "seed"]), ("train", ["proposals", "seed", "train"]),
+     ("eval", ["detect", "proposals", "train"])],
+    ids=["gen-data", "train", "eval"],
+)
+def test_run_config_records_the_sections_its_command_reads(cli_workspace, step, sections):
+    root = cli_workspace[0]
+    record = json.loads((root / step / "run_config.json").read_text())
+    assert sorted(record) == sections
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "curves"])

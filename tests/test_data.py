@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from _oracles import label_proposals_oracle, pool_k_parts_oracle, prototype_at, tiou
 from utal.data import (
-    ActionAnnotation,
     DataConfig,
     Dataset,
     ProposalConfig,
@@ -60,14 +59,14 @@ class TestGeneration:
         cfg = DataConfig(num_videos=3, noise_level=0.0, boundary_jitter=0.0)
         dataset, _ = generate_synthetic_dataset(cfg, 5, tmp_path)
         protos = class_prototypes(5, cfg.num_classes, cfg.d_feat)
-        ramp_dirs = class_ramp_directions(5, cfg.num_classes, cfg.d_feat)
+        ramp_dirs = class_ramp_directions(5, protos)
         checked = 0
         for item in dataset.videos:
-            for ann in item.annotations:
-                s, e = int(ann.start), int(ann.end)
+            for class_id, start, end in item.annotations:
+                s, e = int(start), int(end)
                 for u in range(s, e):
                     rel = (u + 0.5 - s) / (e - s)
-                    expected = prototype_at(protos, ramp_dirs, ann.class_id, rel).astype(np.float32)
+                    expected = prototype_at(protos, ramp_dirs, int(class_id), rel).astype(np.float32)
                     np.testing.assert_array_equal(item.sequence.features[u], expected)
                     checked += 1
         assert checked > 0
@@ -77,8 +76,8 @@ class TestGeneration:
         dataset, _ = generate_synthetic_dataset(cfg, 5, tmp_path)
         item = dataset.videos[0]
         inside = np.zeros(item.sequence.num_units, dtype=bool)
-        for ann in item.annotations:
-            inside[int(ann.start) : int(ann.end)] = True
+        for _, start, end in item.annotations:
+            inside[int(start) : int(end)] = True
         assert not item.sequence.features[~inside].any()
 
     def test_nearest_prototype_classifier_on_interior_units(self, tmp_path):
@@ -87,10 +86,10 @@ class TestGeneration:
         protos = class_prototypes(9, cfg.num_classes, cfg.d_feat)
         correct = total = 0
         for item in dataset.videos:
-            for ann in item.annotations:
-                units = item.sequence.features[int(ann.start) : int(ann.end)]
+            for class_id, start, end in item.annotations:
+                units = item.sequence.features[int(start) : int(end)]
                 dists = np.linalg.norm(units[:, None, :] - protos[None, :, :], axis=2)
-                correct += int((dists.argmin(axis=1) == ann.class_id).sum())
+                correct += int((dists.argmin(axis=1) == class_id).sum())
                 total += units.shape[0]
         assert total > 500
         assert correct / total > 0.99
@@ -136,7 +135,8 @@ class TestGeneration:
         moved = 0
         for jit_item, cl_item in zip(dataset.videos, clean.videos):
             for ja, ca in zip(jit_item.annotations, cl_item.annotations):
-                t = tiou((ja.start, ja.end), (ca.start, ca.end))
+                assert ja[0] == ca[0]
+                t = tiou((ja[1], ja[2]), (ca[1], ca[2]))
                 assert 0.54 <= t <= 1.0
                 if t < 1.0:
                     moved += 1
@@ -155,7 +155,7 @@ class TestManifestRoundTrip:
         for a, b in zip(loaded.videos, dataset.videos):
             assert a.sequence.video_id == b.sequence.video_id
             np.testing.assert_array_equal(a.sequence.features, b.sequence.features)
-            assert a.annotations == b.annotations
+            assert np.array_equal(a.annotations, b.annotations)
 
     def test_generated_dataset_is_the_loaded_one(self, tmp_path):
         """Features are float32 in memory as on disk, so both give the same training set."""
@@ -165,11 +165,26 @@ class TestManifestRoundTrip:
             assert a.sequence.features.dtype == b.sequence.features.dtype == np.float32
             assert a.sequence.features.tobytes() == b.sequence.features.tobytes()
             assert b.sequence.features.flags.writeable
-            assert a.annotations == b.annotations
+            assert a.annotations.dtype == b.annotations.dtype == np.float64
+            assert np.array_equal(a.annotations, b.annotations)
         sets = [build_training_set(d, ProposalConfig(), 4) for d in (generated, loaded)]
         for name in ("x", "t_c", "t_off"):
             a, b = (getattr(s, name) for s in sets)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_loaded_annotations_are_float64_rows(self, tmp_path):
+        """A video's annotations load as one [A x 3] float64 array of rows
+        (class_id, start, end); a record with none gives (0, 3)."""
+        cfg = DataConfig(num_videos=2, instances_per_video=2)
+        _, manifest = generate_synthetic_dataset(cfg, 13, tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["videos"][1]["annotations"] = []
+        manifest.write_text(json.dumps(doc))
+        first, second = load_dataset(manifest).videos
+        records = doc["videos"][0]["annotations"]
+        assert first.annotations.dtype == second.annotations.dtype == np.float64
+        assert first.annotations.shape == (2, 3) and second.annotations.shape == (0, 3)
+        assert first.annotations.tolist() == [[r["class_id"], r["start"], r["end"]] for r in records]
 
     def test_loader_rejects_corrupt_features(self, tmp_path):
         cfg = DataConfig(num_videos=2)
@@ -360,9 +375,11 @@ def _windows(*spans):
     return np.array([w[0] for w in spans], float), np.array([w[1] for w in spans], float)
 
 
-def _gt(annotations):
-    """One video's annotations as the [1 x A x 3] rows `label_proposals` takes."""
-    return np.array([(a.class_id, a.start, a.end) for a in annotations], float).reshape(1, -1, 3)
+def _gt(annotations, windows: int):
+    """One video's annotation rows (class_id, start, end), repeated for each of
+    its `windows` windows: the [N x A x 3] `label_proposals` takes."""
+    rows = np.array(annotations, float).reshape(1, -1, 3)
+    return np.broadcast_to(rows, (windows, *rows.shape[1:]))
 
 
 class TestOffsets:
@@ -407,17 +424,19 @@ def _labelling_videos(draw):
         for _ in range(count):
             start = draw(st.integers(0, 2 * t_units - 1))
             end = draw(st.integers(start + 1, 2 * t_units))
-            annotations.append(ActionAnnotation(draw(st.integers(0, 4)), start / 2, end / 2))
-        videos.append((t_units, annotations))
+            annotations.append((draw(st.integers(0, 4)), start / 2, end / 2))
+        videos.append((t_units, np.array(annotations, float).reshape(-1, 3)))
     return videos
 
 
 class TestLabeling:
     def _annotations(self):
-        return [ActionAnnotation(2, 10.0, 20.0), ActionAnnotation(1, 40.0, 60.0)]
+        return [(2, 10.0, 20.0), (1, 40.0, 60.0)]
 
     def _label(self, spans, annotations, pos_thr=0.5, neg_thr=0.3):
-        keep, t_c, t_off = label_proposals(*_windows(*spans), _gt(annotations), pos_thr, neg_thr)
+        starts, ends = _windows(*spans)
+        gt = _gt(annotations, starts.size)
+        keep, t_c, t_off = label_proposals(starts, ends, gt, pos_thr, neg_thr)
         return keep.tolist(), t_c.tolist(), t_off.tolist()
 
     def test_exact_match_is_positive_with_zero_offsets(self):
@@ -437,7 +456,7 @@ class TestLabeling:
         assert self._label([(14.0, 26.0)], self._annotations()) == ([], [], [])
 
     def test_tie_matches_earlier_annotation(self):
-        anns = [ActionAnnotation(0, 0.0, 10.0), ActionAnnotation(1, 10.0, 20.0)]
+        anns = [(0, 0.0, 10.0), (1, 10.0, 20.0)]
         # tIoU 1/3 with both
         _, t_c, _ = self._label([(5.0, 15.0)], anns, pos_thr=1.0 / 3.0, neg_thr=0.1)
         assert t_c == [0]
@@ -467,9 +486,9 @@ class TestLabeling:
     @settings(max_examples=300, deadline=None)
     def test_matches_scalar_oracle(self, spans, gts, thresholds):
         neg_thr, pos_thr = sorted(thresholds)
-        annotations = [ActionAnnotation(c, s, e) for c, (s, e) in gts if e > s]
+        annotations = [(c, s, e) for c, (s, e) in gts if e > s]
         starts, ends = _windows(*spans)
-        got = label_proposals(starts, ends, _gt(annotations), pos_thr, neg_thr)
+        got = label_proposals(starts, ends, _gt(annotations, starts.size), pos_thr, neg_thr)
         expected = label_proposals_oracle(
             starts.tolist(), ends.tolist(), annotations, pos_thr, neg_thr
         )
@@ -478,10 +497,9 @@ class TestLabeling:
     @given(videos=_labelling_videos(), thresholds=st.tuples(_thresholds, _thresholds))
     @example(
         videos=[
-            (20, []),
-            (33, [ActionAnnotation(1, 4.0, 12.0)]),
-            (9, [ActionAnnotation(0, 0.0, 4.0), ActionAnnotation(2, 4.0, 8.0),
-                 ActionAnnotation(4, 0.0, 4.0)]),
+            (20, np.zeros((0, 3))),
+            (33, np.array([[1, 4.0, 12.0]])),
+            (9, np.array([[0, 0.0, 4.0], [2, 4.0, 8.0], [4, 0.0, 4.0]])),
         ],
         thresholds=(0.3, 0.5),
     )
@@ -513,7 +531,7 @@ class TestLabeling:
         for item in dataset.videos[:4]:
             starts, ends = sliding_windows(item.sequence.num_units, (8, 16, 32), 0.5)
             keep, t_c, t_off = label_proposals(
-                starts, ends, _gt(item.annotations), pcfg.pos_thr, pcfg.neg_thr
+                starts, ends, _gt(item.annotations, starts.size), pcfg.pos_thr, pcfg.neg_thr
             )
             pos = keep[t_c >= 0]
             assert pos.size
@@ -521,7 +539,7 @@ class TestLabeling:
                 starts[pos], ends[pos], t_off[t_c >= 0], float(item.sequence.num_units)
             )
             for start, end in zip(out_s, out_e):
-                err = min(max(abs(start - a.start), abs(end - a.end)) for a in item.annotations)
+                err = min(max(abs(start - s), abs(end - e)) for _, s, e in item.annotations)
                 assert err < 1e-9
 
 

@@ -26,6 +26,7 @@ from utal.detect import (
     evaluate,
     evaluate_detections,
     fuse_scores,
+    ground_truths_by_class,
     nms,
     refine_cascade,
     video_detections,
@@ -583,6 +584,17 @@ class TestEvaluateDetections:
         for order in ([0, 1, 2], [2, 1, 0], [1, 0, 2]):
             report = evaluate_detections([dets[i] for i in order], {0: gts}, (0.5,))
             assert report.per_class_ap[0.5] == {0: 1.0}
+
+
+class TestGroundTruthsByClass:
+    def test_keys_are_python_ints(self, small_dataset):
+        """Class ids come from float64 annotation rows; report.json names each
+        class by its key, so the key must print as "0", not "0.0"."""
+        dataset, _ = small_dataset
+        gts = ground_truths_by_class(dataset)
+        assert sorted(gts) == list(range(dataset.num_classes))
+        assert all(type(c) is int for c in gts)
+        assert sum(map(len, gts.values())) == sum(len(v.annotations) for v in dataset.videos)
 
 
 class TestVideoDetections:

@@ -17,7 +17,6 @@ from _oracles import (
     relative_error,
 )
 from utal.data import (
-    ActionAnnotation,
     DataConfig,
     Dataset,
     ProposalConfig,
@@ -470,7 +469,7 @@ class TestTraining:
 
     def test_no_positives_raises_with_thresholds(self):
         video = VideoItem(
-            UnitFeatureSequence("v", np.zeros((32, 8))), []
+            UnitFeatureSequence("v", np.zeros((32, 8))), np.zeros((0, 3))
         )
         dataset = Dataset([video], ["a", "b"], 8, 2)
         cfg = TrainConfig(loss_mode="l1", epochs=1, hidden=8, k=2)
