@@ -5,7 +5,8 @@ command-line flags; --seed is gen-data's and train's, --loss train's), check
 every setting in it before any work, and record the sections each one reads
 in its output directory; eval records the checkpoint's own train config.
 A setting too large to allocate ends in "error: out of memory: Unable to
-allocate ..." naming the array's shape.  verify and curves take --out only.
+allocate ..." naming the array's shape.  verify prints its verdicts and
+writes nothing; curves takes --out only.
 
 Exit codes: 0 success, 1 usage/config/I-O error, 2 verification failure,
 3 runtime numeric failure.
@@ -252,7 +253,7 @@ def cmd_curves(out_dir: Path) -> Path:
     return path
 
 
-def cmd_verify(selector: str, out_dir: Path) -> None:
+def cmd_verify(selector: str) -> None:
     names = list(SUITES) if selector == "all" else [selector]
     all_failures: list[str] = []
     for name in names:
@@ -262,7 +263,6 @@ def cmd_verify(selector: str, out_dir: Path) -> None:
         for line in failures:
             print(f"    {line}")
         all_failures.extend(failures)
-    cmd_curves(out_dir)
     if all_failures:
         raise VerificationError(f"{len(all_failures)} verification failure(s)")
 
@@ -300,11 +300,11 @@ def make_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser("curves", help="export the regression loss surfaces as CSV")
-    for name, p in sub.choices.items():  # verify alone may omit --out
+    for name, p in sub.choices.items():
         if name not in ("verify", "curves"):  # they read no run config
             p.add_argument("--config", type=str, default=None, help="key = value config file")
-        p.add_argument("--out", type=Path, required=name != "verify", default="utal-verify",
-                       help="output directory")
+        if name != "verify":  # it prints its verdicts and writes nothing
+            p.add_argument("--out", type=Path, required=True, help="output directory")
     return parser
 
 
@@ -319,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "eval":
             cmd_eval(cfg, args.checkpoint, args.manifest, args.out)
         elif args.command == "verify":
-            cmd_verify(args.suite, args.out)
+            cmd_verify(args.suite)
         elif args.command == "curves":
             cmd_curves(args.out)
         return EXIT_OK

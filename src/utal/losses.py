@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from utal.numerics import _log
+from utal.numerics import _erf, _exp, _log
 
 ALPHA_CLAMP = 10.0
 
@@ -26,13 +26,6 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 CONDITION_MODES = ("he", "paper")
-
-
-# libm's exp and erf, elementwise: numpy has no erf, and np.exp differs from
-# libm in the last bit on a few percent of inputs, which would move the values
-# `utal curves` writes and the trained weights
-_exp = np.vectorize(math.exp, otypes=[float])
-_erf = np.vectorize(math.erf, otypes=[float])
 
 
 @dataclass

@@ -25,7 +25,6 @@ from utal.data import Dataset, ProposalConfig, TrainingSet, build_training_set
 from utal.errors import ConfigError, NumericError
 from utal.losses import (
     ALPHA_CLAMP,
-    _exp,
     binary_loss,
     expected_l1_training,
     kl_l1_loss,
@@ -44,7 +43,7 @@ from utal.net import (
     sgd_step,
     sigmoid,
 )
-from utal.numerics import Rng
+from utal.numerics import Rng, _exp
 
 LOSS_MODES = ("l1", "kl_l1", "sampled_l1", "expected_l1")
 

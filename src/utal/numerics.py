@@ -15,8 +15,14 @@ import math
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_log = np.vectorize(math.log, otypes=[float])  # libm's log: np.log may differ in the last bit
 _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment of splitmix64
+
+# libm's exp, log and erf, elementwise: numpy has no erf, and np.exp and
+# np.log differ from libm in the last bit on some inputs, which would move the
+# trained weights and the values `utal curves` writes
+_exp = np.vectorize(math.exp, otypes=[float])
+_log = np.vectorize(math.log, otypes=[float])
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 def _mix64(z):

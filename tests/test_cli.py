@@ -808,8 +808,8 @@ class TestVerifyCommand:
     def test_gradient_suite_passes(self):
         assert verify_gradients(points=30) == []
 
-    def test_all_suites_at_their_defaults_exit_zero(self, tmp_path):
-        assert main(["verify", "--out", str(tmp_path / "verify")]) == EXIT_OK
+    def test_all_suites_at_their_defaults_exit_zero(self):
+        assert main(["verify"]) == EXIT_OK
 
     @pytest.mark.parametrize(
         "target, position, factor, named",
@@ -866,11 +866,10 @@ class TestVerifyCommand:
         assert sum("below |d|" in f for f in failures) == 11 * 60
         assert not any("limit" in f for f in failures)
 
-    def test_verify_command_exit_zero_and_curves(self, tmp_path):
-        out = tmp_path / "verify"
-        assert main(["verify", "kl-minimizer", "--out", str(out)]) == EXIT_OK
-        lines = (out / "loss_surfaces.csv").read_text().strip().splitlines()
-        assert len(lines) == 1 + 3 * 121 * 60
+    def test_verify_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "kl-minimizer"]) == EXIT_OK
+        assert list(tmp_path.iterdir()) == []
 
     def test_injected_misprint_fails_expectation_suite(self, monkeypatch):
         import utal.losses as losses
@@ -881,11 +880,11 @@ class TestVerifyCommand:
         assert failures
         assert any("analytic" in f for f in failures)
 
-    def test_verify_exit_code_on_failure(self, tmp_path, monkeypatch):
+    def test_verify_exit_code_on_failure(self, monkeypatch):
         import utal.verify as verify
 
         monkeypatch.setitem(verify.SUITES, "monotonicity", lambda: ["synthetic failure"])
-        assert main(["verify", "monotonicity", "--out", str(tmp_path / "v")]) == EXIT_VERIFY
+        assert main(["verify", "monotonicity"]) == EXIT_VERIFY
 
 
 class TestCurvesCommand:
@@ -923,14 +922,16 @@ def test_run_config_flags_are_usage_errors_without_a_run_config(tmp_path, capsys
         (["gen-data"], ["--loss", "l1"]),
         (["eval", "--manifest", "m.json", "--checkpoint", "c.utal"], ["--seed", "3"]),
         (["eval", "--manifest", "m.json", "--checkpoint", "c.utal"], ["--loss", "l1"]),
+        (["verify", "monotonicity"], ["--out", "verify"]),
     ],
     ids=["train-resume", "gen-data-condition-mode", "train-condition-mode", "eval-condition-mode",
-         "gen-data-loss", "eval-seed", "eval-loss"],
+         "gen-data-loss", "eval-seed", "eval-loss", "verify-out"],
 )
 def test_removed_flag_is_usage_error(tmp_path, capsys, command, flag):
     """train always starts from init_model, and kl_l1 always trains on He et al.'s branches;
     gen-data trains nothing, and eval takes the seed and loss the checkpoint was trained
-    with. The flag is refused before --out is made or any input read."""
+    with; verify writes nothing, and `utal curves` writes the loss surfaces. The flag is
+    refused before --out is made or any input read."""
     assert main([*command, *flag, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag[0] in err and "Traceback" not in err
