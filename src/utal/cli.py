@@ -29,6 +29,7 @@ from utal.data import (
     build_training_set,
     generate_synthetic_dataset,
     load_dataset,
+    read_input,
 )
 from utal.detect import (
     DetectConfig,
@@ -96,8 +97,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat `section.key = value` lines; '#' starts a comment."""
     entries: dict[str, str] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = read_input(path, "config file").decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -175,7 +176,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 # ----------------------------------------------------------------------
 # commands
 
-def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
+def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> None:
     dataset, manifest_path = generate_synthetic_dataset(cfg.data, cfg.seed, out_dir)
     _write_run_config(cfg, out_dir, "seed", "data")
     class_ids = np.concatenate([item.annotations[:, 0] for item in dataset.videos])
@@ -183,10 +184,9 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> Path:
     print(f"wrote {manifest_path} ({dataset.num_videos} videos, d_feat={dataset.d_feat})")
     for c, name in enumerate(dataset.class_names):
         print(f"  {name}: {counts[c]} instances")
-    return manifest_path
 
 
-def cmd_train(cfg: RunConfig, manifest: Path, out_dir: Path) -> Path:
+def cmd_train(cfg: RunConfig, manifest: Path, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before any work
     dataset = load_dataset(manifest)
     model = init_model(cfg.train, dataset.d_feat, dataset.num_classes, cfg.seed)
@@ -205,7 +205,6 @@ def cmd_train(cfg: RunConfig, manifest: Path, out_dir: Path) -> Path:
     _write_run_config(cfg, out_dir, "seed", "proposals", "train")
     print(f"trained {cfg.train.epochs} epochs ({len(training_set)} labeled proposals)")
     print(f"wrote {ckpt_path}")
-    return ckpt_path
 
 
 def _check_fits(model, checkpoint: Path, dataset, manifest: Path) -> None:

@@ -282,12 +282,24 @@ def generate_synthetic_dataset(
     return Dataset(videos, class_names, cfg.d_feat, cfg.num_classes), manifest_path
 
 
+def read_input(path: str | Path, what: str, size: int | None = None) -> bytes:
+    """The bytes of a file a command was given.  A missing or non-regular file (a
+    fifo or a device could be read without end) and, when `size` is given, a file
+    of another size are refused before any read; each error names `what` and `path`."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"{what} {path} is missing or not a regular file")
+    if size is not None and (held := path.stat().st_size) != size:
+        raise ConfigError(f"{what} {path} holds {held} bytes, expected {size}")
+    return path.read_bytes()  # an OSError names the path
+
+
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Read a manifest and its feature files; validate every invariant."""
     manifest_path = Path(manifest_path)
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        manifest = json.loads(read_input(manifest_path, "manifest").decode("utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise ConfigError(f"cannot read manifest {manifest_path}: {exc}") from exc
     base = manifest_path.parent
     where = "top level"
@@ -309,10 +321,6 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         raise ConfigError(f"manifest {manifest_path}: {where}: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"manifest {manifest_path}: {where} lacks key {exc.args[0]!r}") from exc
-    except OSError as exc:
-        raise ConfigError(
-            f"manifest {manifest_path}: {where}: cannot read {exc.filename}: {exc.strerror}"
-        ) from exc
     except (OverflowError, TypeError, ValueError) as exc:  # a JSON int no float holds overflows
         raise ConfigError(f"manifest {manifest_path}: {where}: {exc}") from exc
     first: dict = {}  # evaluation codes detections by video id, so ids must be unique
@@ -339,13 +347,8 @@ def _load_video(rec: dict, base: Path, d_feat: int, num_classes: int) -> VideoIt
     if t_units < 1:
         raise ConfigError(f"video {video_id}: T must be >= 1")
     path = base / _json_field(rec, "feature_file", ("str",))
-    if not path.is_file():  # a device or a fifo could be read without end
-        raise ConfigError(f"video {video_id}: feature file {path} is missing or not a regular file")
-    size, need = path.stat().st_size, 4 * t_units * d_feat  # float32s, sized before any read
-    if size != need:
-        raise ConfigError(f"video {video_id}: feature file {path} holds {size} bytes, "
-                          f"expected {need} ({t_units} x {d_feat} float32)")
-    feats = np.fromfile(path, dtype="<f4").reshape(t_units, d_feat)
+    data = read_input(path, f"video {video_id}: feature file", 4 * t_units * d_feat)  # float32s
+    feats = np.frombuffer(data, "<f4").reshape(t_units, d_feat).copy()  # writable, as generated
     if not np.all(np.isfinite(feats)):
         raise ConfigError(f"video {video_id}: non-finite values in feature file {path}")
     rows = []

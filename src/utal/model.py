@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from utal.data import Dataset, ProposalConfig, TrainingSet, build_training_set
+from utal.data import Dataset, ProposalConfig, TrainingSet, build_training_set, read_input
 from utal.errors import ConfigError, NumericError
 from utal.losses import (
     ALPHA_CLAMP,
@@ -351,8 +351,7 @@ def save_checkpoint(model: Model, path: str | Path, cfg: TrainConfig) -> Path:
     sidecar = {"train_config": asdict(cfg)}
     temps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, sidecar_path)]
     try:
-        save_arrays(temps[0], arrays)
-        sidecar["weights_sha256"] = hashlib.sha256(temps[0].read_bytes()).hexdigest()
+        sidecar["weights_sha256"] = hashlib.sha256(save_arrays(temps[0], arrays)).hexdigest()
         temps[1].write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
         os.replace(temps[0], path)
         os.replace(temps[1], sidecar_path)
@@ -374,8 +373,8 @@ def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
     path = Path(path)
     sidecar_path = Path(str(path) + ".json")
     try:
-        sidecar = json.loads(sidecar_path.read_text())
-    except (OSError, ValueError) as exc:
+        sidecar = json.loads(read_input(sidecar_path, "checkpoint sidecar").decode("utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise ConfigError(f"cannot read checkpoint sidecar {sidecar_path}: {exc}") from exc
     try:
         saved, recorded = sidecar["train_config"], sidecar["weights_sha256"]
@@ -388,7 +387,8 @@ def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
         raise ConfigError(f"checkpoint sidecar {sidecar_path} lacks key {exc.args[0]!r}") from exc
     except (ConfigError, TypeError) as exc:
         raise ConfigError(f"checkpoint sidecar {sidecar_path}: {exc}") from exc
-    arrays = load_arrays(path)
+    weights = read_input(path, "checkpoint")  # read once: the arrays and the SHA-256 check
+    arrays = load_arrays(weights, path)
     k, hidden, uncertainty = cfg.k, cfg.hidden, cfg.loss_mode != "l1"
     cols = _HEAD_COLS[uncertainty]
     shapes = {  # each layer's weight shape, in words and as a test of (rows, columns)
@@ -406,7 +406,7 @@ def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
         if not (w.ndim == 2 and fits(*w.shape) and b.shape == w.shape[:1]):
             raise ConfigError(f"{misfit} in {name}: weights {w.shape} and biases {b.shape}; k={k}, "
                               f"hidden={hidden} need {words} weights and one bias per row")
-    if recorded != hashlib.sha256(path.read_bytes()).hexdigest():
+    if recorded != hashlib.sha256(weights).hexdigest():
         raise ConfigError(f"checkpoint {path} does not match the SHA-256 in {sidecar_path}")
     layers = (DenseLayer(arrays[f"{n}.weights"], arrays[f"{n}.biases"], n) for n in shapes)
     return Model(*layers, k, uncertainty), cfg

@@ -12,8 +12,8 @@ with the batch's parameter gradients for `sgd_step`.
 
 from __future__ import annotations
 
+import io
 import math
-import os
 import struct
 
 import numpy as np
@@ -140,58 +140,54 @@ def sgd_step(layers: list[DenseLayer], lr: float, momentum: float = 0.0) -> None
             param -= np.multiply(vel, lr, out=grad)
 
 
-def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
-    """Write named float arrays in the versioned "UTAL1" binary format.
+def save_arrays(path, arrays: dict[str, np.ndarray]) -> bytes:
+    """Write named float arrays in the versioned "UTAL1" format; returns the bytes written.
 
     Layout: magic, uint32 entry count, then per entry a uint16 name length,
     the UTF-8 name, uint8 ndim, uint32 dims, and the row-major payload as
     little-endian float32.
     """
+    parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(arrays))]
+    for name, arr in arrays.items():
+        encoded = name.encode("utf-8")
+        arr = np.ascontiguousarray(arr, dtype="<f4")
+        parts += [struct.pack("<H", len(encoded)), encoded,
+                  struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes()]
+    data = b"".join(parts)
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            encoded = name.encode("utf-8")
-            arr = np.ascontiguousarray(arr, dtype="<f4")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+        fh.write(data)
+    return data
 
 
-def load_arrays(path) -> dict[str, np.ndarray]:
-    """Read a "UTAL1" file back into float32 arrays.
+def load_arrays(data: bytes, source) -> dict[str, np.ndarray]:
+    """Parse the bytes of a "UTAL1" file into float32 arrays.
 
-    A missing, truncated or corrupt file, a non-finite value or bytes after
-    the last entry raise ConfigError naming it.
+    A truncated or corrupt file, a non-finite value or bytes after the last
+    entry raise ConfigError naming `source`.
     """
+    fh = io.BytesIO(data)
     try:
-        with open(path, "rb") as fh:
-            magic = fh.read(len(CHECKPOINT_MAGIC))
-            if magic != CHECKPOINT_MAGIC:
-                raise ConfigError(
-                    f"{path}: bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"
-                )
-            (count,) = struct.unpack("<I", fh.read(4))
-            size = os.fstat(fh.fileno()).st_size
-            arrays: dict[str, np.ndarray] = {}
-            for _ in range(count):
-                (name_len,) = struct.unpack("<H", fh.read(2))
-                name = fh.read(name_len).decode("utf-8")
-                (ndim,) = struct.unpack("<B", fh.read(1))
-                shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-                n_bytes = 4 * math.prod(shape)  # a corrupt dim must not ask for a huge read
-                if n_bytes > size - fh.tell():
-                    raise ConfigError(f"{path}: truncated checkpoint payload for entry {name!r}")
-                payload = fh.read(n_bytes)
-                arrays[name] = np.frombuffer(payload, "<f4").astype(np.float32).reshape(shape)
-                if not np.isfinite(arrays[name]).all():
-                    raise ConfigError(f"{path}: non-finite value in entry {name!r}")
-            if fh.read(1):
-                raise ConfigError(f"{path}: bytes after the last entry")
-            return arrays
-    except OSError as exc:
-        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+        magic = fh.read(len(CHECKPOINT_MAGIC))
+        if magic != CHECKPOINT_MAGIC:
+            raise ConfigError(
+                f"{source}: bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"
+            )
+        (count,) = struct.unpack("<I", fh.read(4))
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", fh.read(2))
+            name = fh.read(name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<B", fh.read(1))
+            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+            n_bytes = 4 * math.prod(shape)  # a corrupt dim can ask for more than the file holds
+            if n_bytes > len(data) - fh.tell():
+                raise ConfigError(f"{source}: truncated checkpoint payload for entry {name!r}")
+            payload = fh.read(n_bytes)
+            arrays[name] = np.frombuffer(payload, "<f4").astype(np.float32).reshape(shape)
+            if not np.isfinite(arrays[name]).all():
+                raise ConfigError(f"{source}: non-finite value in entry {name!r}")
+        if fh.read(1):
+            raise ConfigError(f"{source}: bytes after the last entry")
+        return arrays
     except (struct.error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"truncated or corrupt checkpoint {path}: {exc}") from exc
+        raise ConfigError(f"truncated or corrupt checkpoint {source}: {exc}") from exc

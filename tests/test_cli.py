@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from utal import cli
 from utal.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VERIFY,
     RunConfig,
@@ -106,6 +107,12 @@ proposals.scales = 8, 16, 32
 
 
 class TestConfigFile:
+    def test_device_is_refused_unread(self):
+        """A character device is no config file; /dev/zero would be read without end."""
+        with pytest.raises(ConfigError) as err:
+            parse_config_file(os.devnull)
+        assert str(err.value) == f"config file {os.devnull} is missing or not a regular file"
+
     def test_parse_and_apply(self, tmp_path):
         path = _write_config(tmp_path / "run.cfg", SMALL_DATA + "train.lr = 0.01\nseed = 3\n")
         entries = parse_config_file(path)
@@ -435,26 +442,17 @@ class TestTrainCommand:
         assert err == (f"error: manifest {manifest}: top level: format_version must be 2; "
                        "regenerate the set with utal gen-data\n")
 
-    @staticmethod
-    def _capped_train_error(cfg_path, manifest, tmp_path, timeout: float = 300) -> str:
-        """`utal train` in a capped child; returns its stderr, after checking it is
-        one config error."""
-        run = _run_capped(["train", "--config", str(cfg_path), "--manifest", str(manifest),
-                           "--out", str(tmp_path / "t")], timeout)
-        assert run.returncode == EXIT_CONFIG and run.stderr.startswith("error: "), run.stderr
-        assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr, run.stderr
-        return run.stderr
-
-    def test_feature_file_that_is_a_fifo_is_refused_unread(self, cli_workspace, tmp_path):
-        """A feature file must be a regular file: reading a fifo that no one writes
-        would block forever, so the child gets a short timeout."""
-        cfg_path, manifest = self._copy_data(cli_workspace, tmp_path)
-        fifo = manifest.parent / "features" / "vid0002.f32"
-        fifo.unlink()
-        os.mkfifo(fifo)
-        err = self._capped_train_error(cfg_path, manifest, tmp_path, timeout=30)
-        assert err.startswith(f"error: manifest {manifest}: video record 2: ")
-        assert f"feature file {fifo} is missing or not a regular file" in err
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_non_finite_loss_is_numeric_failure(self, tmp_path, capsys):
+        """A learning rate that blows up the first step stops training at the next batch."""
+        cfg = _write_config(tmp_path / "run.cfg", "data.num_videos = 8\ntrain.hidden = 16\n"
+                                                  "train.epochs = 1\ntrain.lr = 1e30\n")
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "d")]) == EXIT_OK
+        capsys.readouterr()
+        args = ["--config", cfg, "--manifest", str(tmp_path / "d" / "manifest.json")]
+        assert main(["train", *args, "--out", str(tmp_path / "t")]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "numeric failure: non-finite total loss at epoch 0 batch 1"
 
     def test_repeated_video_id_names_manifest_and_id(self, cli_workspace, tmp_path, capsys):
         cfg_path, manifest = self._copy_data(cli_workspace, tmp_path)
@@ -466,6 +464,57 @@ class TestTrainCommand:
 
 
 class TestEvalCommand:
+    # each file eval reads, in the order it reads them, and the name its errors give it
+    _INPUTS = {
+        "config-file": ("run.cfg", "config file"),
+        "sidecar": ("train/checkpoint.utal.json", "checkpoint sidecar"),
+        "checkpoint": ("train/checkpoint.utal", "checkpoint"),
+        "manifest": ("data/manifest.json", "manifest"),
+        "feature-file": ("data/features/vid0002.f32", "video vid0002: feature file"),
+    }
+
+    @staticmethod
+    def _eval_args_on_copy(cli_workspace, tmp_path) -> list[str]:
+        """eval's arguments on a copy of the workspace's config, data and checkpoint."""
+        _, cfg_path, data_dir, train_dir, _ = cli_workspace
+        shutil.copy(cfg_path, tmp_path / "run.cfg")
+        shutil.copytree(data_dir, tmp_path / "data")
+        shutil.copytree(train_dir, tmp_path / "train")
+        return ["eval", "--config", str(tmp_path / "run.cfg"),
+                "--checkpoint", str(tmp_path / "train" / "checkpoint.utal"),
+                "--manifest", str(tmp_path / "data" / "manifest.json"),
+                "--out", str(tmp_path / "e")]
+
+    @pytest.mark.parametrize("victim", list(_INPUTS))
+    def test_input_that_is_a_fifo_is_refused_unread(self, cli_workspace, tmp_path, victim):
+        """Every input must be a regular file: reading a fifo that no one writes would
+        block forever, so the capped child gets a short timeout."""
+        args = self._eval_args_on_copy(cli_workspace, tmp_path)
+        relative, what = self._INPUTS[victim]
+        fifo = tmp_path / relative
+        fifo.unlink()
+        os.mkfifo(fifo)
+        expected = f"{what} {fifo} is missing or not a regular file\n"
+        if victim == "feature-file":  # the loader names the manifest and the record too
+            expected = f"manifest {tmp_path / 'data' / 'manifest.json'}: video record 2: {expected}"
+        run = _run_capped(args, timeout=30)
+        assert (run.returncode, run.stderr) == (EXIT_CONFIG, f"error: {expected}")
+
+    @pytest.mark.parametrize("victim", ["config-file", "manifest"])
+    def test_text_input_that_is_not_utf8_is_one_error(
+        self, cli_workspace, tmp_path, capsys, victim
+    ):
+        """A Latin-1 byte in a JSON or config file ends in one error naming the file."""
+        args = self._eval_args_on_copy(cli_workspace, tmp_path)
+        relative, what = self._INPUTS[victim]
+        path = tmp_path / relative
+        path.write_bytes(path.read_bytes() + "# café\n".encode("latin-1"))
+        capsys.readouterr()
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {what} {path}: 'utf-8' codec can't decode ")
+        assert "byte 0xe9" in err and err.count("\n") == 1
+
     def test_report_and_detections_written(self, cli_workspace):
         _, _, _, _, eval_dir = cli_workspace
         report = json.loads((eval_dir / "report.json").read_text())
@@ -618,7 +667,7 @@ class TestEvalCommand:
             other = init_model(cfg, model.d_feat, model.num_classes, seed=8)
             shutil.copy(save_checkpoint(other, tmp_path / "other.utal", cfg), ckpt)
         else:
-            arrays = load_arrays(ckpt)
+            arrays = load_arrays(ckpt.read_bytes(), ckpt)
             if damage == "checkpoint-nan-weight":
                 arrays["fc1.weights"][3, 5] = np.nan
             elif damage == "checkpoint-extra-array":

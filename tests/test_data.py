@@ -203,7 +203,8 @@ class TestManifestRoundTrip:
             "d_feat-zero", "class_names-one", "class_names-non-string", "d_feat-float",
             "class_names-string", "T-float", "T-bool", "class_id-float", "start-string",
             "end-bool", "start-beyond-float", "video_id-list", "video_id-int", "feature_file-int",
-            "feature_file-list", "videos-string", "annotations-object",
+            "feature_file-list", "videos-string", "annotations-object", "annotation-past-T",
+            "class_id-out-of-range",
         ],
     )
     def test_loader_errors_name_manifest_record_and_file(self, tmp_path, damage):
@@ -221,7 +222,7 @@ class TestManifestRoundTrip:
         elif damage == "three-extra-bytes":  # less than one float more than T x d_feat
             feature_file.write_bytes(feature_file.read_bytes() + b"\0\0\0")
             size = 4 * record["T"] * doc["d_feat"]
-            named = f"feature file {feature_file} holds {size + 3} bytes, expected {size} "
+            named = f"feature file {feature_file} holds {size + 3} bytes, expected {size}"
         elif damage == "non-finite":
             feats = np.frombuffer(feature_file.read_bytes(), "<f4").copy()
             feats[5] = np.nan
@@ -238,6 +239,14 @@ class TestManifestRoundTrip:
         elif damage == "start-beyond-float":  # a JSON number, but no float holds it
             record["annotations"][0]["start"] = 10**400
             named = "int too large to convert to float"
+        elif damage == "annotation-past-T":
+            annotation, t_units = record["annotations"][0], record["T"]
+            annotation["end"] = t_units + 1
+            named = (f"video vid0001: annotation [{float(annotation['start'])}, "
+                     f"{float(t_units + 1)}] outside [0, {t_units}]")
+        elif damage == "class_id-out-of-range":  # ids index class_names
+            record["annotations"][0]["class_id"] = len(doc["class_names"])
+            named = f"video vid0001: class_id {len(doc['class_names'])} out of range"
         else:  # a JSON value of the wrong type, which int(), float() or a loop would let through
             annotation = record["annotations"][0]
             owner, key, value, kind = {

@@ -632,7 +632,7 @@ class TestCheckpoint:
     def test_misshapen_array_names_both_files_and_the_layer(self, tmp_path, damage, layer):
         cfg = TrainConfig(loss_mode="kl_l1", hidden=12, k=2)
         path = save_checkpoint(init_model(cfg, 8, 3, seed=1), tmp_path / "m.utal", cfg)
-        arrays = load_arrays(path)
+        arrays = load_arrays(path.read_bytes(), path)
         w, b = arrays[f"{layer}.weights"], arrays[f"{layer}.biases"]
         if damage == "fc1-width-not-a-multiple-of-k":
             w = w[:, :-1]
@@ -669,7 +669,7 @@ class TestCheckpoint:
         monkeypatch.setattr(Rng, "__init__", no_draw)
         loaded, _ = load_checkpoint(path)
         monkeypatch.undo()
-        saved = load_arrays(path)
+        saved = load_arrays(path.read_bytes(), path)
         assert len(saved) == 2 * len(loaded.dense_layers)
         for layer in loaded.dense_layers:
             for part in ("weights", "biases"):

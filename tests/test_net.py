@@ -377,7 +377,7 @@ class TestCheckpointFormat:
         p1 = tmp_path / "a.utal"
         save_arrays(p1, arrays)
         assert p1.read_bytes()[:5] == b"UTAL1"
-        loaded = load_arrays(p1)
+        loaded = load_arrays(p1.read_bytes(), p1)
         for name in arrays:
             assert loaded[name].dtype == np.float32
             np.testing.assert_array_equal(loaded[name], arrays[name].astype(np.float32))
@@ -389,4 +389,4 @@ class TestCheckpointFormat:
         p = tmp_path / "bad.utal"
         p.write_bytes(b"NOPE!" + b"\x00" * 16)
         with pytest.raises(ConfigError):
-            load_arrays(p)
+            load_arrays(p.read_bytes(), p)
