@@ -9,14 +9,9 @@ KL-based piecewise loss, a sampled l1 loss (reparameterization trick), or
 the closed-form expectation of the l1 loss.
 """
 
-from utal.errors import ConfigError, NumericError, UtalError, VerificationError
+import os
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError",
-    "NumericError",
-    "UtalError",
-    "VerificationError",
-    "__version__",
-]
+# One BLAS thread, set before any utal module loads numpy and over whatever the
+# environment says: the thread count changes float rounding in the matmuls, so
+# a seed gives the same checkpoint and CSV bytes only on a fixed count.
+os.environ.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))

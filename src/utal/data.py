@@ -231,7 +231,6 @@ def generate_synthetic_dataset(
     Byte-deterministic for a given (cfg, seed): every random draw comes from
     sub-streams keyed by purpose and video index.
     """
-    cfg.validate()
     out = Path(out_dir)
     (out / "features").mkdir(parents=True, exist_ok=True)
     root = Rng(seed)
@@ -486,7 +485,6 @@ def pool_k_parts(video: UnitFeatureSequence, starts, ends, k: int) -> np.ndarray
 def build_training_set(dataset: Dataset, prop_cfg: ProposalConfig, k: int) -> TrainingSet:
     """Windows -> labels -> pooled features, rows by video id, window start, scale:
     windows once per length, labels once per annotation count, pooling per video."""
-    prop_cfg.validate()
     videos = sorted(dataset.videos, key=lambda v: v.sequence.video_id)
     lengths = [item.sequence.num_units for item in videos]
     windows = {t: np.stack(sliding_windows(t, prop_cfg.scales, prop_cfg.overlap))

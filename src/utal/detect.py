@@ -269,8 +269,6 @@ def collect_detections(
     prop_cfg: ProposalConfig,
 ) -> list[Detection]:
     """Inference over every video, in fixed video order."""
-    det_cfg.validate()
-    prop_cfg.validate()
     out: list[Detection] = []
     for item in sorted(dataset.videos, key=lambda v: v.sequence.video_id):
         out.extend(video_detections(model, item.sequence, det_cfg, prop_cfg))

@@ -183,7 +183,6 @@ class Model:
 
 
 def init_model(cfg: TrainConfig, d_feat: int, num_classes: int, seed: int) -> Model:
-    cfg.validate()
     uncertainty = cfg.loss_mode != "l1"
     head_cols = _HEAD_COLS[uncertainty]
     rng = Rng(seed).split("model-init")
@@ -250,7 +249,6 @@ def train(
     Deterministic given (seed, config, dataset): shuffling, mining, and the
     sampled-loss epsilon draws all come from sub-streams of cfg.seed.
     """
-    cfg.validate()
     if training_set is None:
         training_set = build_training_set(dataset, prop_cfg, cfg.k)
     if not (training_set.t_c >= 0).any():

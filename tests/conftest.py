@@ -1,13 +1,12 @@
-"""Shared fixtures. Thread caps are set before numpy loads anywhere."""
+"""Shared fixtures. `utal` is imported first, so its one-BLAS-thread pin holds."""
 
-import os
+import sys
 
-# single BLAS strand: keeps runs bit-reproducible and the acceptance timing
-# honest about "one CPU core"
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
+if "numpy" in sys.modules:  # the BLAS thread count is fixed when numpy loads
+    raise SystemExit("numpy was loaded before tests/conftest.py imported utal, so utal "
+                     "cannot pin one BLAS thread and artifacts may not be reproducible")
 
+import utal  # sets the BLAS thread variables to 1
 import pytest
 
 from utal.data import DataConfig, generate_synthetic_dataset

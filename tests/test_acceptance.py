@@ -2,14 +2,15 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 The benchmark fixture trains nine models (three loss modes x three seeds) on
-the default synthetic set and is shared by criteria 3 and 5.
+the default synthetic set and is shared by criteria 3 and 5. Criterion 5 also
+scores each model on 200 held-out videos of its seed.
 """
 
 import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -60,18 +61,33 @@ def criterion(number: int, name: str):
 @dataclass
 class BenchRun:
     map_05: float
+    held_out_map_05: float  # on videos 200-399 of the seed, which it never trained on
     train_seconds: float
     offset_stats: tuple  # collect_offset_stats's (d, sigma) columns; empty unless kl_l1
 
 
 @pytest.fixture(scope="module")
 def bench_runs(tmp_path_factory):
-    """Train and evaluate all nine default-benchmark runs once."""
+    """Train all nine default-benchmark runs once; evaluate each in-sample and held-out.
+
+    A video depends only on the seed and its index, so a 400-video set starts
+    with the default set's 200 videos: those are trained on, the rest held out.
+    """
     runs = {}
     pcfg = ProposalConfig()
     for seed in SEEDS:
-        out = tmp_path_factory.mktemp(f"bench-seed{seed}")
-        dataset, _ = generate_synthetic_dataset(DataConfig(), seed, out)
+        default, _ = generate_synthetic_dataset(
+            DataConfig(), seed, tmp_path_factory.mktemp(f"bench-seed{seed}")
+        )
+        wide, _ = generate_synthetic_dataset(
+            DataConfig(num_videos=400), seed, tmp_path_factory.mktemp(f"bench400-seed{seed}")
+        )
+        for ours, theirs in zip(wide.videos[:200], default.videos, strict=True):
+            assert ours.sequence.video_id == theirs.sequence.video_id
+            assert ours.sequence.features.tobytes() == theirs.sequence.features.tobytes()
+            assert ours.annotations.tobytes() == theirs.annotations.tobytes()
+        dataset = replace(wide, videos=wide.videos[:200])
+        held_out = replace(wide, videos=wide.videos[200:])
         training_set = build_training_set(dataset, pcfg, 4)
         for mode, epochs in EPOCHS.items():
             t0 = time.perf_counter()
@@ -83,7 +99,8 @@ def bench_runs(tmp_path_factory):
             stats = (
                 collect_offset_stats(model, training_set) if mode == "kl_l1" else ()
             )
-            runs[(mode, seed)] = BenchRun(report.map_by_tiou[0.5], elapsed, stats)
+            held_out_map = evaluate(model, held_out, DetectConfig(), pcfg).map_by_tiou[0.5]
+            runs[(mode, seed)] = BenchRun(report.map_by_tiou[0.5], held_out_map, elapsed, stats)
     return runs
 
 
@@ -370,17 +387,23 @@ class TestCriterion4ExpectedL1Monotonicity:
 class TestCriterion5SyntheticBenchmark:
     def test_all_modes_reach_085_and_uncertainty_not_inferior(self, bench_runs):
         with criterion(5, "synthetic benchmark mAP"):
-            means = {}
+            means, held_out_means = {}, {}
             for mode in EPOCHS:
                 vals = [bench_runs[(mode, seed)].map_05 for seed in SEEDS]
+                held_out = [bench_runs[(mode, seed)].held_out_map_05 for seed in SEEDS]
                 for seed, run in ((s, bench_runs[(mode, s)]) for s in SEEDS):
                     assert run.train_seconds < 300.0, (mode, seed, run.train_seconds)
                 means[mode] = float(np.mean(vals))
-                print(f"  criterion5 {mode}: per-seed {np.round(vals, 3).tolist()} mean {means[mode]:.3f}")
+                held_out_means[mode] = float(np.mean(held_out))
+                print(f"  criterion5 {mode}: per-seed {np.round(vals, 3).tolist()} mean {means[mode]:.3f}"
+                      f" | held-out per-seed {np.round(held_out, 3).tolist()}"
+                      f" mean {held_out_means[mode]:.3f}")
             for mode, mean in means.items():
                 assert mean >= 0.85, (mode, mean)
             assert means["kl_l1"] >= means["l1"] - 0.02
             assert means["sampled_l1"] >= means["l1"] - 0.02
+            for mode in ("kl_l1", "sampled_l1"):  # held-out non-inferiority; no held-out floor
+                assert held_out_means[mode] >= held_out_means["l1"] - 0.02, held_out_means
 
 
 class TestCriterion6EvaluatorCorrectness:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 # the ceiling of the project's design aim: the package may get faster and
 # better checked, but not larger than this
-MAX_SOURCE_LINES = 2410
+MAX_SOURCE_LINES = 2399
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "utal").glob("*.py"))
 
@@ -32,11 +32,7 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    found = {
-        path.name: unused_imports(path.read_text())
-        for path in SOURCES
-        if path.name != "__init__.py"
-    }
+    found = {path.name: unused_imports(path.read_text()) for path in SOURCES}
     assert not any(found.values()), {name: hits for name, hits in found.items() if hits}
 
 

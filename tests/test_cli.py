@@ -60,14 +60,15 @@ def _eval_checkpoint(workspace, checkpoint, capsys) -> tuple[int, str]:
     return code, capsys.readouterr().err
 
 
-def _run_capped(args: list[str], timeout: float = 300) -> subprocess.CompletedProcess:
+def _run_capped(args: list[str], timeout: float = 300, env=os.environ) -> subprocess.CompletedProcess:
     """`utal ARGS` in a child under a 1 GiB address-space cap, so a regression that
     reads or allocates without bound fails the test instead of exhausting the host;
-    a child still running after `timeout` seconds is killed and fails it too."""
+    a child still running after `timeout` seconds is killed and fails it too.
+    The child gets `env`, with this checkout's package put first on PYTHONPATH."""
     child = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
              "from utal.cli import entry; entry()")
     src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**env, "PYTHONPATH": os.pathsep.join([src, env.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-c", child, *args], capture_output=True, text=True,
                           env=env, timeout=timeout)
 
@@ -378,6 +379,33 @@ class TestTrainCommand:
         for la, lb in zip(trained.dense_layers, fresh.dense_layers):
             np.testing.assert_array_equal(la.weights, lb.weights.astype("<f4").astype(np.float64))
         assert (outs[0] / "checkpoint.utal").read_bytes() == (outs[1] / "checkpoint.utal").read_bytes()
+
+    def test_bytes_do_not_depend_on_the_blas_thread_variables(self, tmp_path):
+        """utal pins one BLAS thread over the environment, so a child whose thread
+        variables are 1, 2 or unset trains to the same bytes (a second thread
+        rounds the matmuls differently wherever a second core exists)."""
+        cfg = _write_config(tmp_path / "run.cfg", "data.num_videos = 20\ntrain.epochs = 1\n")
+        data = tmp_path / "data"
+        child = _run_capped(["gen-data", "--config", cfg, "--seed", "7", "--out", str(data)])
+        assert child.returncode == EXIT_OK, child.stderr
+        variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        unset = {name: value for name, value in os.environ.items() if name not in variables}
+        envs = {
+            "one": {**unset, **dict.fromkeys(variables, "1")},
+            "two": {**unset, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"},
+            "unset": unset,
+        }
+        names = ("checkpoint.utal", "checkpoint.utal.json", "loss_curve.csv", "offset_stats.csv")
+        written = {}
+        for label, env in envs.items():
+            out = tmp_path / label
+            args = ["train", "--config", cfg, "--manifest", str(data / "manifest.json"),
+                    "--out", str(out)]
+            child = _run_capped(args, env=env)
+            assert child.returncode == EXIT_OK, (label, child.stderr)
+            written[label] = {name: (out / name).read_bytes() for name in names}
+        for label in ("two", "unset"):
+            assert [n for n in names if written[label][n] != written["one"][n]] == [], label
 
     def test_no_positives_error(self, tmp_path):
         # instances are <= 22 units; a lone scale-64 window can never reach
