@@ -12,9 +12,11 @@ which `forward_batch` casts its input to; outputs and losses are float64.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
+import struct
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -38,8 +40,6 @@ from utal.net import (
     L2NormalizeLayer,
     ReluLayer,
     init_dense,
-    load_arrays,
-    save_arrays,
     sgd_step,
     sigmoid,
 )
@@ -63,6 +63,7 @@ _HEAD_COLS = (3, 5)
 _MU_COLS = ((1, 2), (1, 3))  # a row's (start, end) mu columns, without and with uncertainty
 _ALPHA_COLS = (2, 4)  # its (start, end) alpha columns, with uncertainty
 _PARTS = ("weights", "biases")  # a dense layer's arrays in a checkpoint
+CHECKPOINT_MAGIC = b"UTAL1"
 
 
 @dataclass
@@ -335,6 +336,56 @@ def collect_offset_stats(
     return d, None if alpha is None else _exp(0.5 * alpha)
 
 
+def encode_arrays(arrays: dict[str, np.ndarray]) -> bytes:
+    """Named float arrays in the versioned "UTAL1" format.
+
+    Layout: magic, uint32 entry count, then per entry a uint16 name length,
+    the UTF-8 name, uint8 ndim, uint32 dims, and the row-major payload as
+    little-endian float32.
+    """
+    parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(arrays))]
+    for name, arr in arrays.items():
+        encoded = name.encode("utf-8")
+        arr = np.ascontiguousarray(arr, dtype="<f4")
+        parts += [struct.pack("<H", len(encoded)), encoded,
+                  struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes()]
+    return b"".join(parts)
+
+
+def decode_arrays(data: bytes, source) -> dict[str, np.ndarray]:
+    """Parse the bytes of a "UTAL1" file into float32 arrays.
+
+    A truncated or corrupt file, a non-finite value or bytes after the last
+    entry raise ConfigError naming `source`.
+    """
+    fh = io.BytesIO(data)
+    try:
+        magic = fh.read(len(CHECKPOINT_MAGIC))
+        if magic != CHECKPOINT_MAGIC:
+            raise ConfigError(
+                f"{source}: bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"
+            )
+        (count,) = struct.unpack("<I", fh.read(4))
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", fh.read(2))
+            name = fh.read(name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<B", fh.read(1))
+            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+            n_bytes = 4 * math.prod(shape)  # a corrupt dim can ask for more than the file holds
+            if n_bytes > len(data) - fh.tell():
+                raise ConfigError(f"{source}: truncated checkpoint payload for entry {name!r}")
+            payload = fh.read(n_bytes)
+            arrays[name] = np.frombuffer(payload, "<f4").astype(np.float32).reshape(shape)
+            if not np.isfinite(arrays[name]).all():
+                raise ConfigError(f"{source}: non-finite value in entry {name!r}")
+        if fh.read(1):
+            raise ConfigError(f"{source}: bytes after the last entry")
+        return arrays
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"truncated or corrupt checkpoint {source}: {exc}") from exc
+
+
 def save_checkpoint(model: Model, path: str | Path, cfg: TrainConfig) -> Path:
     """Binary weights of the three dense layers plus a JSON sidecar holding the
     train config and the weights' SHA-256.
@@ -344,12 +395,12 @@ def save_checkpoint(model: Model, path: str | Path, cfg: TrainConfig) -> Path:
     """
     path = Path(path)
     sidecar_path = Path(str(path) + ".json")
-    layers = model.dense_layers
-    arrays = {f"{lay.name}.{part}": getattr(lay, part) for lay in layers for part in _PARTS}
-    sidecar = {"train_config": asdict(cfg)}
+    weights = encode_arrays({f"{lay.name}.{part}": getattr(lay, part)
+                             for lay in model.dense_layers for part in _PARTS})
+    sidecar = {"train_config": asdict(cfg), "weights_sha256": hashlib.sha256(weights).hexdigest()}
     temps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, sidecar_path)]
     try:
-        sidecar["weights_sha256"] = hashlib.sha256(save_arrays(temps[0], arrays)).hexdigest()
+        temps[0].write_bytes(weights)
         temps[1].write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
         os.replace(temps[0], path)
         os.replace(temps[1], sidecar_path)
@@ -386,7 +437,7 @@ def load_checkpoint(path: str | Path) -> tuple[Model, TrainConfig]:
     except (ConfigError, TypeError) as exc:
         raise ConfigError(f"checkpoint sidecar {sidecar_path}: {exc}") from exc
     weights = read_input(path, "checkpoint")  # read once: the arrays and the SHA-256 check
-    arrays = load_arrays(weights, path)
+    arrays = decode_arrays(weights, path)
     k, hidden, uncertainty = cfg.k, cfg.hidden, cfg.loss_mode != "l1"
     cols = _HEAD_COLS[uncertainty]
     shapes = {  # each layer's weight shape, in words and as a test of (rows, columns)

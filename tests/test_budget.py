@@ -5,7 +5,7 @@ from pathlib import Path
 
 # the ceiling of the project's design aim: the package may get faster and
 # better checked, but not larger than this
-MAX_SOURCE_LINES = 2399
+MAX_SOURCE_LINES = 2392
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "utal").glob("*.py"))
 

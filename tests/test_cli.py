@@ -29,8 +29,8 @@ from utal.cli import (
     parse_config_file,
 )
 from utal.errors import ConfigError
-from utal.model import init_model, load_checkpoint, save_checkpoint
-from utal.net import DenseLayer, L2NormalizeLayer, ReluLayer, load_arrays, save_arrays
+from utal.model import decode_arrays, encode_arrays, init_model, load_checkpoint, save_checkpoint
+from utal.net import DenseLayer, L2NormalizeLayer, ReluLayer
 from utal.verify import (
     verify_expectation,
     verify_gradients,
@@ -695,14 +695,14 @@ class TestEvalCommand:
             other = init_model(cfg, model.d_feat, model.num_classes, seed=8)
             shutil.copy(save_checkpoint(other, tmp_path / "other.utal", cfg), ckpt)
         else:
-            arrays = load_arrays(ckpt.read_bytes(), ckpt)
+            arrays = decode_arrays(ckpt.read_bytes(), ckpt)
             if damage == "checkpoint-nan-weight":
                 arrays["fc1.weights"][3, 5] = np.nan
             elif damage == "checkpoint-extra-array":
                 arrays["fc2.weights"] = arrays["fc1.weights"]
             else:
                 del arrays["head.weights"]
-            save_arrays(ckpt, arrays)
+            ckpt.write_bytes(encode_arrays(arrays))
         code, err = _eval_checkpoint(cli_workspace, ckpt, capsys)
         assert code == EXIT_CONFIG
         assert err.startswith("error: ") and str(ckpt) in err and named in err

@@ -667,6 +667,9 @@ class TestPooling:
         assert _pool(self._video(np.ones((4, 2))), [], 3).shape == (0, 6)
 
     @given(_pooling_cases())
+    @example(  # a sub-span of subnormal length: a bound stated per part would overflow
+        (UnitFeatureSequence("v", np.array([[1500.0], [-2000.0], [250.0]])), [(0.0, 1e-320)], 1)
+    )
     @settings(max_examples=300, deadline=None)
     def test_matches_one_window_oracle(self, case):
         video, windows, k = case
@@ -679,16 +682,23 @@ class TestPooling:
             span = (end - start) / k
             for j, part in enumerate(row.reshape(k, d_feat)):
                 lo = start + j * span
-                length = min(max(lo + span, 0.0), t_units) - min(max(lo, 0.0), t_units)
+                hi_c = min(max(lo + span, 0.0), t_units)
+                length = hi_c - min(max(lo, 0.0), t_units)
                 if not length > 0.0:
                     # fallback to the unit at the midpoint: a copy, exact
                     np.testing.assert_array_equal(part, expected[j])
                     continue
-                # F(hi) - F(lo) reads two cumulative sums of up to T units;
-                # each carries a rounding error of at most ~T eps max|x|, and
-                # dividing by the sub-span length scales it by 1/length
-                tol = 4.0 * (t_units + 2) * eps * np.abs(feats).max() / length
-                np.testing.assert_allclose(part, expected[j], rtol=0, atol=tol)
+                # The bound is on the numerator F(hi) - F(lo), so it stays finite
+                # for any length.  F(t) reads a cumulative sum of up to T units,
+                # with a rounding error of at most ~T eps max|x|; below t = 1 it is
+                # t x[0], whose error shrinks with t.  Subnormal products add a few
+                # of the smallest subnormals; the rounding of the division adds
+                # two eps of the part at most.
+                tol = (4.0 * (t_units + 2) * eps * np.abs(feats).max() * min(hi_c, 1.0)
+                       + 4 * np.finfo(np.float64).smallest_subnormal
+                       + 2 * eps * np.abs(expected[j]) * length)
+                err = np.abs(part - expected[j]) * length
+                assert (err <= tol).all(), (start, end, j, part, expected[j], err, tol)
         _assert_float32_rows_are_float64_rows_rounded(video, windows, k)
 
     @given(_shared_span_batches())

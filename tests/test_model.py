@@ -45,12 +45,13 @@ from utal.model import (
     TrainConfig,
     _regression_terms,
     collect_offset_stats,
+    decode_arrays,
+    encode_arrays,
     init_model,
     load_checkpoint,
     save_checkpoint,
     train,
 )
-from utal.net import load_arrays, save_arrays
 from utal.numerics import Rng
 
 
@@ -525,6 +526,34 @@ class TestOffsetStats:
             np.testing.assert_array_equal(sigma, sigma_ref)
 
 
+class TestCheckpointFormat:
+    def test_roundtrip_values_and_bytes(self):
+        rng = Rng(55)
+        arrays = {
+            "fc1.weights": rng.uniforms(12).reshape(3, 4),
+            "fc1.biases": rng.uniforms(3),
+        }
+        data = encode_arrays(arrays)
+        assert data[:5] == b"UTAL1"
+        loaded = decode_arrays(data, "a.utal")
+        for name in arrays:
+            assert loaded[name].dtype == np.float32
+            np.testing.assert_array_equal(loaded[name], arrays[name].astype(np.float32))
+        assert encode_arrays(loaded) == data  # float32 values survive a second roundtrip exactly
+
+    def test_layout_is_pinned_byte_for_byte(self):
+        """Magic, entry count, name length and name, ndim, dims, little-endian float32 payload."""
+        data = encode_arrays({"a.weights": np.array([[1.0, 2.0]], np.float32)})
+        assert data == (
+            b"UTAL1" + b"\x01\x00\x00\x00" + b"\x09\x00" + b"a.weights" + b"\x02"
+            + b"\x01\x00\x00\x00" + b"\x02\x00\x00\x00" + b"\x00\x00\x80\x3f" + b"\x00\x00\x00\x40"
+        )
+
+    def test_bad_magic_rejected(self):
+        with pytest.raises(ConfigError, match="^bad.utal: bad checkpoint magic b'NOPE!'"):
+            decode_arrays(b"NOPE!" + b"\x00" * 16, "bad.utal")
+
+
 class TestCheckpoint:
     def test_save_load_forward_bit_exact(self, tmp_path):
         cfg = TrainConfig(loss_mode="kl_l1", hidden=24)
@@ -568,16 +597,16 @@ class TestCheckpoint:
         path = save_checkpoint(init_model(cfg, 8, 2, seed=1), tmp_path / "m.utal", cfg)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
-        def half_written(out, arrays):
+        def half_written(out, data):
             with open(out, "wb") as fh:
-                fh.write(b"UTAL")
+                fh.write(data[:4])
             raise OSError("disk full")
 
         def unserializable(*args, **kwargs):
             raise OSError("disk full")
 
         if stage == "weights":
-            monkeypatch.setattr(model_mod, "save_arrays", half_written)
+            monkeypatch.setattr(model_mod.Path, "write_bytes", half_written)
         else:
             monkeypatch.setattr(model_mod.json, "dumps", unserializable)
         with pytest.raises(OSError, match="disk full"):
@@ -632,7 +661,7 @@ class TestCheckpoint:
     def test_misshapen_array_names_both_files_and_the_layer(self, tmp_path, damage, layer):
         cfg = TrainConfig(loss_mode="kl_l1", hidden=12, k=2)
         path = save_checkpoint(init_model(cfg, 8, 3, seed=1), tmp_path / "m.utal", cfg)
-        arrays = load_arrays(path.read_bytes(), path)
+        arrays = decode_arrays(path.read_bytes(), path)
         w, b = arrays[f"{layer}.weights"], arrays[f"{layer}.biases"]
         if damage == "fc1-width-not-a-multiple-of-k":
             w = w[:, :-1]
@@ -647,7 +676,7 @@ class TestCheckpoint:
         else:
             w, b = w[:-1], b[:-1]
         arrays[f"{layer}.weights"], arrays[f"{layer}.biases"] = w, b
-        save_arrays(path, arrays)
+        path.write_bytes(encode_arrays(arrays))
         with pytest.raises(ConfigError) as err:
             load_checkpoint(path)
         assert str(err.value).startswith(
@@ -669,7 +698,7 @@ class TestCheckpoint:
         monkeypatch.setattr(Rng, "__init__", no_draw)
         loaded, _ = load_checkpoint(path)
         monkeypatch.undo()
-        saved = load_arrays(path.read_bytes(), path)
+        saved = decode_arrays(path.read_bytes(), path)
         assert len(saved) == 2 * len(loaded.dense_layers)
         for layer in loaded.dense_layers:
             for part in ("weights", "biases"):

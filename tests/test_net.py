@@ -1,18 +1,16 @@
-"""Layer forward/backward passes against finite differences; SGD; checkpoints."""
+"""Layer forward/backward passes against finite differences; SGD."""
 
 import numpy as np
 import pytest
 
 from _oracles import relative_error
-from utal.errors import ConfigError, NumericError
+from utal.errors import NumericError
 from utal.net import (
     _L2_EPS,
     DenseLayer,
     L2NormalizeLayer,
     ReluLayer,
     init_dense,
-    load_arrays,
-    save_arrays,
     sgd_step,
     sigmoid,
     softmax,
@@ -366,27 +364,3 @@ class TestInit:
         assert np.all(np.abs(layer.weights) <= bound)
         assert not layer.biases.any()
 
-
-class TestCheckpointFormat:
-    def test_roundtrip_values_and_bytes(self, tmp_path):
-        rng = Rng(55)
-        arrays = {
-            "fc1.weights": rng.uniforms(12).reshape(3, 4),
-            "fc1.biases": rng.uniforms(3),
-        }
-        p1 = tmp_path / "a.utal"
-        save_arrays(p1, arrays)
-        assert p1.read_bytes()[:5] == b"UTAL1"
-        loaded = load_arrays(p1.read_bytes(), p1)
-        for name in arrays:
-            assert loaded[name].dtype == np.float32
-            np.testing.assert_array_equal(loaded[name], arrays[name].astype(np.float32))
-        p2 = tmp_path / "b.utal"
-        save_arrays(p2, loaded)  # float32 values survive a second roundtrip exactly
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "bad.utal"
-        p.write_bytes(b"NOPE!" + b"\x00" * 16)
-        with pytest.raises(ConfigError):
-            load_arrays(p.read_bytes(), p)
