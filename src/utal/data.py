@@ -142,7 +142,7 @@ class VideoItem:
 
 @dataclass
 class Dataset:
-    videos: list[VideoItem]
+    videos: list[VideoItem]  # in video_id order, the order training, inference and AP walk
     class_names: list[str]
     d_feat: int
     num_classes: int
@@ -278,6 +278,7 @@ def generate_synthetic_dataset(
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    videos.sort(key=lambda item: item.sequence.video_id)  # vid10000 follows vid1000
     return Dataset(videos, class_names, cfg.d_feat, cfg.num_classes), manifest_path
 
 
@@ -322,13 +323,12 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         raise ConfigError(f"manifest {manifest_path}: {where} lacks key {exc.args[0]!r}") from exc
     except (OverflowError, TypeError, ValueError) as exc:  # a JSON int no float holds overflows
         raise ConfigError(f"manifest {manifest_path}: {where}: {exc}") from exc
-    first: dict = {}  # evaluation codes detections by video id, so ids must be unique
-    for index, item in enumerate(videos):
-        video_id = item.sequence.video_id
-        if first.setdefault(video_id, index) != index:
-            raise ConfigError(f"manifest {manifest_path}: video record {index} repeats video_id "
-                              f"{video_id!r} of video record {first[video_id]}")
-    return Dataset(videos, class_names, d_feat, num_classes)
+    order = sorted(range(len(videos)), key=lambda i: videos[i].sequence.video_id)  # stable
+    for a, b in zip(order, order[1:]):  # evaluation codes detections by id: ids are unique
+        if (video_id := videos[a].sequence.video_id) == videos[b].sequence.video_id:
+            raise ConfigError(f"manifest {manifest_path}: video record {b} repeats video_id "
+                              f"{video_id!r} of video record {a}")
+    return Dataset([videos[i] for i in order], class_names, d_feat, num_classes)
 
 
 def _json_field(record: dict, key: str, kinds: tuple = ("int",)):
@@ -483,18 +483,17 @@ def pool_k_parts(video: UnitFeatureSequence, starts, ends, k: int) -> np.ndarray
 
 
 def build_training_set(dataset: Dataset, prop_cfg: ProposalConfig, k: int) -> TrainingSet:
-    """Windows -> labels -> pooled features, rows by video id, window start, scale:
-    windows once per length, labels once per annotation count, pooling per video."""
-    videos = sorted(dataset.videos, key=lambda v: v.sequence.video_id)
-    lengths = [item.sequence.num_units for item in videos]
+    """Windows -> labels -> pooled features, rows by video in the dataset's (id) order, window
+    start, scale: windows once per length, labels once per annotation count, pooling per video."""
+    lengths = [item.sequence.num_units for item in dataset.videos]
     windows = {t: np.stack(sliding_windows(t, prop_cfg.scales, prop_cfg.overlap))
                for t in set(lengths)}  # (starts, ends) rows per length, for this build only
     starts, ends = np.concatenate([np.empty((2, 0)), *(windows[t] for t in lengths)], axis=1)
     counts = np.array([windows[t].shape[1] for t in lengths], dtype=np.intp)
-    sizes = np.array([len(item.annotations) for item in videos], dtype=np.intp)
+    sizes = np.array([len(item.annotations) for item in dataset.videos], dtype=np.intp)
     t_c, t_off = np.full(starts.size, -2), np.empty((starts.size, 2))
     for a in set(sizes.tolist()):
-        gt = np.stack([item.annotations for item in videos if len(item.annotations) == a])
+        gt = np.stack([item.annotations for item in dataset.videos if len(item.annotations) == a])
         gt = np.repeat(gt, counts[sizes == a], axis=0)  # each window its own video's rows
         rows = np.flatnonzero(np.repeat(sizes == a, counts))  # the members' windows, in order
         keep, *labels = label_proposals(
@@ -505,7 +504,7 @@ def build_training_set(dataset: Dataset, prop_cfg: ProposalConfig, k: int) -> Tr
     t_c, t_off = t_c[keep], t_off[keep]
     x = np.empty((keep.size, k * dataset.d_feat), dtype=np.float32)  # the network's dtype
     lo = 0
-    for item, hi in zip(videos, np.searchsorted(keep, np.cumsum(counts))):
+    for item, hi in zip(dataset.videos, np.searchsorted(keep, np.cumsum(counts))):
         x[lo:hi] = pool_k_parts(item.sequence, starts[keep[lo:hi]], ends[keep[lo:hi]], k)
         lo = hi
     return TrainingSet(x, t_c, t_off)

@@ -268,16 +268,16 @@ def collect_detections(
     det_cfg: DetectConfig,
     prop_cfg: ProposalConfig,
 ) -> list[Detection]:
-    """Inference over every video, in fixed video order."""
+    """Inference over every video; the detections follow the dataset's video id order."""
     out: list[Detection] = []
-    for item in sorted(dataset.videos, key=lambda v: v.sequence.video_id):
+    for item in dataset.videos:
         out.extend(video_detections(model, item.sequence, det_cfg, prop_cfg))
     return out
 
 
 def ground_truths_by_class(dataset: Dataset) -> dict[int, list[tuple[str, float, float]]]:
     gts: dict[int, list[tuple[str, float, float]]] = {}
-    for item in sorted(dataset.videos, key=lambda v: v.sequence.video_id):
+    for item in dataset.videos:
         for class_id, start, end in item.annotations.tolist():
             gts.setdefault(int(class_id), []).append((item.sequence.video_id, start, end))
     return gts

@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, one PASS line each.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
-The benchmark fixture trains nine models (three loss modes x three seeds) on
+The benchmark fixture trains twelve models (four loss modes x three seeds) on
 the default synthetic set and is shared by criteria 3 and 5. Criterion 5 also
 scores each model on 200 held-out videos of its seed.
 """
@@ -45,7 +45,7 @@ from utal.numerics import Rng, mc_expected_l1
 pytestmark = pytest.mark.slow
 
 SEEDS = (7, 8, 9)
-EPOCHS = {"l1": 25, "kl_l1": 25, "sampled_l1": 50}  # all within the 50-epoch budget
+EPOCHS = {"l1": 25, "kl_l1": 25, "sampled_l1": 50, "expected_l1": 50}  # within the 50-epoch budget
 
 
 @contextmanager
@@ -68,7 +68,7 @@ class BenchRun:
 
 @pytest.fixture(scope="module")
 def bench_runs(tmp_path_factory):
-    """Train all nine default-benchmark runs once; evaluate each in-sample and held-out.
+    """Train all twelve default-benchmark runs once; evaluate each in-sample and held-out.
 
     A video depends only on the seed and its index, so a 400-video set starts
     with the default set's 200 videos: those are trained on, the rest held out.
@@ -400,9 +400,8 @@ class TestCriterion5SyntheticBenchmark:
                       f" mean {held_out_means[mode]:.3f}")
             for mode, mean in means.items():
                 assert mean >= 0.85, (mode, mean)
-            assert means["kl_l1"] >= means["l1"] - 0.02
-            assert means["sampled_l1"] >= means["l1"] - 0.02
-            for mode in ("kl_l1", "sampled_l1"):  # held-out non-inferiority; no held-out floor
+            for mode in ("kl_l1", "sampled_l1", "expected_l1"):  # no held-out floor
+                assert means[mode] >= means["l1"] - 0.02, means
                 assert held_out_means[mode] >= held_out_means["l1"] - 0.02, held_out_means
 
 

@@ -407,6 +407,28 @@ class TestTrainCommand:
         for label in ("two", "unset"):
             assert [n for n in names if written[label][n] != written["one"][n]] == [], label
 
+    def test_manifest_record_order_changes_no_byte(self, tmp_path):
+        """A dataset's videos are walked in video_id order, whatever order its
+        manifest lists them in: the records reversed train and evaluate to the
+        same files, byte for byte."""
+        cfg = _write_config(tmp_path / "run.cfg", "data.num_videos = 20\ntrain.epochs = 1\n")
+        data = tmp_path / "data"
+        assert main(["gen-data", "--config", cfg, "--seed", "7", "--out", str(data)]) == EXIT_OK
+        doc = json.loads((data / "manifest.json").read_text())
+        doc["videos"].reverse()
+        (data / "reversed.json").write_text(json.dumps(doc))
+        written = {}
+        for name in ("manifest", "reversed"):
+            manifest, out = str(data / f"{name}.json"), tmp_path / name
+            args = ["--config", cfg, "--manifest", manifest]
+            assert main(["train", *args, "--seed", "7", "--loss", "kl_l1",
+                         "--out", str(out / "train")]) == EXIT_OK
+            assert main(["eval", *args, "--checkpoint", str(out / "train" / "checkpoint.utal"),
+                         "--out", str(out / "eval")]) == EXIT_OK
+            written[name] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*.*")}
+        assert len(written["manifest"]) == 8 and written["reversed"].keys() == written["manifest"].keys()
+        assert [p for p, b in written["manifest"].items() if written["reversed"][p] != b] == []
+
     def test_no_positives_error(self, tmp_path):
         # instances are <= 22 units; a lone scale-64 window can never reach
         # tIoU 0.5, so labeling yields no positives

@@ -142,6 +142,15 @@ class TestGeneration:
                     moved += 1
         assert moved > 50  # jitter fraction 1.0 affects nearly every instance
 
+    def test_videos_come_back_in_id_order(self, tmp_path):
+        """Index order is id order only up to vid9999: vid10000 sorts right after
+        vid1000. The manifest keeps index order."""
+        cfg = DataConfig(num_videos=10_001, t_range=(16, 16), d_feat=8, instances_per_video=1)
+        dataset, manifest = generate_synthetic_dataset(cfg, 7, tmp_path)
+        ids = [item.sequence.video_id for item in dataset.videos]
+        assert ids == sorted(ids) and ids[1000:1003] == ["vid1000", "vid10000", "vid1001"]
+        assert json.loads(manifest.read_text())["videos"][-1]["video_id"] == "vid10000"
+
 
 class TestManifestRoundTrip:
     def test_loader_accepts_generated_manifest(self, tmp_path):
@@ -283,6 +292,21 @@ class TestManifestRoundTrip:
         with pytest.raises(ConfigError) as err:
             load_dataset(manifest)
         assert str(err.value) == f"manifest {manifest}: top level lacks key 'class_names'"
+
+    def test_loader_returns_videos_in_id_order(self, tmp_path):
+        """Training, inference and AP walk a dataset's videos as given, so a
+        manifest listing its records in reverse loads to the same dataset."""
+        dataset, manifest = generate_synthetic_dataset(DataConfig(num_videos=4), 13, tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["videos"].reverse()
+        manifest.write_text(json.dumps(doc))
+        loaded = load_dataset(manifest)
+        assert [item.sequence.video_id for item in loaded.videos] == [
+            "vid0000", "vid0001", "vid0002", "vid0003"
+        ]
+        for a, b in zip(loaded.videos, dataset.videos, strict=True):
+            assert a.sequence.features.tobytes() == b.sequence.features.tobytes()
+            assert a.annotations.tobytes() == b.annotations.tobytes()
 
     def test_loader_rejects_repeated_video_id(self, tmp_path):
         _, manifest = generate_synthetic_dataset(DataConfig(num_videos=3), 13, tmp_path)

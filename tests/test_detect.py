@@ -572,10 +572,15 @@ class TestEvaluateDetections:
     @given(_eval_cases(), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
     def test_input_order_does_not_change_the_report(self, case, random):
+        """Neither the detections' order nor the order of videos within a class's
+        ground truths (annotation order within a video kept) changes the report."""
         dets, gts_by_class, thresholds = case
         shuffled = random.sample(dets, len(dets))
         expected = evaluate_detections(dets, gts_by_class, thresholds).to_dict()
         assert evaluate_detections(shuffled, gts_by_class, thresholds).to_dict() == expected
+        rank = {v: random.random() for v in _TIE_VIDEOS}  # a random order of the videos
+        by_video = {c: sorted(gts, key=lambda g: rank[g[0]]) for c, gts in gts_by_class.items()}
+        assert evaluate_detections(dets, by_video, thresholds).to_dict() == expected
 
     def test_ties_across_videos_rank_in_string_order(self):
         dets, gts = _tied_across_videos()
