@@ -31,12 +31,7 @@ from utal.data import (
     load_dataset,
     read_input,
 )
-from utal.detect import (
-    DetectConfig,
-    collect_detections,
-    evaluate_detections,
-    ground_truths_by_class,
-)
+from utal.detect import DetectConfig, evaluate
 from utal.errors import ConfigError, NumericError, VerificationError
 from utal.losses import loss_surfaces
 from utal.model import (
@@ -76,9 +71,8 @@ class RunConfig:
         self.detect.validate()
 
 
-def _coerce(text: str, current, annotation: str):
-    """Parse a config-file value into the type of the current/default value;
-    a fixed-size tuple (annotated without `...`) takes as many values as it holds."""
+def _coerce(text: str, current):
+    """Parse a config-file value into the type of the current/default value."""
     text = text.strip()
     if isinstance(current, int):
         return int(text)
@@ -86,8 +80,6 @@ def _coerce(text: str, current, annotation: str):
         return float(text)
     if isinstance(current, tuple):
         parts = [p for p in (s.strip() for s in text.split(",")) if p]
-        if "..." not in annotation and len(parts) != len(current):
-            raise ValueError(f"expected {len(current)} comma-separated values, got {len(parts)}")
         elem = current[0] if current else 0
         return tuple(int(p) if isinstance(elem, int) else float(p) for p in parts)
     return text
@@ -122,7 +114,7 @@ def apply_config_entries(
     """Set each `section.key` (or `seed`); every error names `source`."""
     for key, value in entries.items():
         if key == "seed":
-            section, field_name, annotation = cfg, "seed", "int"
+            section, field_name = cfg, "seed"
         elif key == "train.seed":  # build_run_config copies `seed` there
             raise ConfigError(f"{source}: train.seed is not a config key; set seed instead")
         else:
@@ -132,12 +124,10 @@ def apply_config_entries(
             if section_name not in _SECTIONS:
                 raise ConfigError(f"{source}: unknown config section {section_name!r}")
             section = getattr(cfg, section_name)
-            types = {f.name: str(f.type) for f in fields(section)}
-            if field_name not in types:
+            if field_name not in {f.name for f in fields(section)}:
                 raise ConfigError(f"{source}: unknown config key {key!r}")
-            annotation = types[field_name]
         try:
-            parsed = _coerce(value, getattr(section, field_name), annotation)
+            parsed = _coerce(value, getattr(section, field_name))
         except ValueError as exc:
             raise ConfigError(f"{source}: bad value for {key}: {value!r} ({exc})") from exc
         setattr(section, field_name, parsed)
@@ -228,10 +218,7 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, manifest: Path, out_dir: Path) ->
     model, cfg.train = load_checkpoint(checkpoint)  # the settings the model was trained with
     dataset = load_dataset(manifest)
     _check_fits(model, checkpoint, dataset, manifest)
-    dets = collect_detections(model, dataset, cfg.detect, cfg.proposals)
-    report = evaluate_detections(
-        dets, ground_truths_by_class(dataset), cfg.detect.tiou_thresholds
-    )
+    dets, report = evaluate(model, dataset, cfg.detect, cfg.proposals)
     if report.num_detections == 0:
         print("warning: no detections above the score floor", file=sys.stderr)
     record = _write_run_config(cfg, out_dir, "proposals", "detect", "train")

@@ -71,6 +71,8 @@ class DataConfig:
             raise ConfigError("num_classes must be at least 2")
         if self.d_feat < 8:
             raise ConfigError("d_feat must be at least 8")
+        if len(self.t_range) != 2:
+            raise ConfigError(f"t_range must hold 2 values, lo and hi, not {len(self.t_range)}")
         lo, hi = self.t_range
         if lo < 16 or hi < lo:
             raise ConfigError("t_range must satisfy 16 <= lo <= hi")

@@ -328,7 +328,7 @@ def evaluate(
     dataset: Dataset,
     det_cfg: DetectConfig,
     prop_cfg: ProposalConfig,
-) -> EvalReport:
-    """mAP at each configured tIoU threshold over the whole dataset."""
-    all_dets = collect_detections(model, dataset, det_cfg, prop_cfg)
-    return evaluate_detections(all_dets, ground_truths_by_class(dataset), det_cfg.tiou_thresholds)
+) -> tuple[list[Detection], EvalReport]:
+    """The dataset's detections and their mAP at each configured tIoU threshold."""
+    dets = collect_detections(model, dataset, det_cfg, prop_cfg)
+    return dets, evaluate_detections(dets, ground_truths_by_class(dataset), det_cfg.tiou_thresholds)

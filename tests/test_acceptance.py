@@ -94,12 +94,12 @@ def bench_runs(tmp_path_factory):
             cfg = TrainConfig(loss_mode=mode, epochs=epochs, seed=seed)
             model = init_model(cfg, dataset.d_feat, dataset.num_classes, seed)
             model, _ = train(model, dataset, cfg, pcfg, training_set)
-            report = evaluate(model, dataset, DetectConfig(), pcfg)
+            _, report = evaluate(model, dataset, DetectConfig(), pcfg)
             elapsed = time.perf_counter() - t0
             stats = (
                 collect_offset_stats(model, training_set) if mode == "kl_l1" else ()
             )
-            held_out_map = evaluate(model, held_out, DetectConfig(), pcfg).map_by_tiou[0.5]
+            held_out_map = evaluate(model, held_out, DetectConfig(), pcfg)[1].map_by_tiou[0.5]
             runs[(mode, seed)] = BenchRun(report.map_by_tiou[0.5], held_out_map, elapsed, stats)
     return runs
 
@@ -435,7 +435,7 @@ class TestCriterion6EvaluatorCorrectness:
                 assert nms(dets, thr) == greedy_nms_oracle(dets, thr)
             # perfect detector scores mAP 1.0 at all five thresholds
             dataset, (protos, dirs) = aligned_oracle_dataset()
-            report = evaluate(OracleModel(protos, dirs, k=4), dataset, DetectConfig(), ProposalConfig())
+            _, report = evaluate(OracleModel(protos, dirs, k=4), dataset, DetectConfig(), ProposalConfig())
             assert len(report.map_by_tiou) == 5
             for thr, value in report.map_by_tiou.items():
                 assert value == pytest.approx(1.0, abs=1e-12), thr

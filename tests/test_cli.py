@@ -28,6 +28,8 @@ from utal.cli import (
     main,
     parse_config_file,
 )
+from utal.data import load_dataset
+from utal.detect import evaluate
 from utal.errors import ConfigError
 from utal.model import decode_arrays, encode_arrays, init_model, load_checkpoint, save_checkpoint
 from utal.net import DenseLayer, L2NormalizeLayer, ReluLayer
@@ -141,9 +143,7 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_file(path)
 
-    @pytest.mark.parametrize(
-        "line", ["train.epochs = three", "data.t_range = 64", "seed = x"]
-    )
+    @pytest.mark.parametrize("line", ["train.epochs = three", "seed = x"])
     def test_unparsable_value_is_config_error(self, tmp_path, capsys, line):
         path = _write_config(tmp_path / "bad.cfg", line + "\n")
         assert main(["gen-data", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -161,6 +161,7 @@ class TestConfigFile:
             "train.lr = nan",
             "train.lr = inf",
             "data.noise_level = nan",
+            "data.t_range = 64",
             "proposals.overlap = 1",
             "proposals.scales = 0",
             "proposals.pos_thr = 0.2",  # below neg_thr 0.3
@@ -566,11 +567,43 @@ class TestEvalCommand:
         assert "byte 0xe9" in err and err.count("\n") == 1
 
     def test_report_and_detections_written(self, cli_workspace):
-        _, _, _, _, eval_dir = cli_workspace
+        """`utal eval` writes the detections and scores of `detect.evaluate`, the one
+        composition of inference and scoring, on its run config's settings."""
+        _, cfg_path, data_dir, train_dir, eval_dir = cli_workspace
         report = json.loads((eval_dir / "report.json").read_text())
         assert set(report["map_by_tiou"]) == {"0.3", "0.4", "0.5", "0.6", "0.7"}
         header = open(eval_dir / "detections.csv").readline().strip()
         assert header == "video_id,class_id,start,end,score"
+        cfg = apply_config_entries(RunConfig(), parse_config_file(cfg_path))
+        model, _ = load_checkpoint(train_dir / "checkpoint.utal")
+        dets, expected = evaluate(model, load_dataset(data_dir / "manifest.json"),
+                                  cfg.detect, cfg.proposals)
+        expected = json.loads(json.dumps(expected.to_dict()))
+        keys = ("map_by_tiou", "per_class_ap", "num_detections", "num_ground_truths")
+        assert {k: report[k] for k in keys} == {k: expected[k] for k in keys}
+        with open(eval_dir / "detections.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert dets and rows == [
+            [d.video_id, str(d.class_id), repr(d.start), repr(d.end), repr(d.score)] for d in dets
+        ]
+
+    def test_no_detection_above_the_score_floor_warns_and_writes_zeros(
+        self, cli_workspace, tmp_path, capsys
+    ):
+        _, _, data_dir, train_dir, _ = cli_workspace
+        path = _write_config(tmp_path / "floor.cfg", SMALL_DATA + "detect.score_floor = 2\n")
+        capsys.readouterr()
+        out = tmp_path / "e"
+        code = main(["eval", "--config", path,
+                     "--checkpoint", str(train_dir / "checkpoint.utal"),
+                     "--manifest", str(data_dir / "manifest.json"), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            EXIT_OK, "warning: no detections above the score floor\n"
+        )
+        report = json.loads((out / "report.json").read_text())
+        assert report["no_detections"] is True and report["num_detections"] == 0
+        assert set(report["map_by_tiou"].values()) == {0.0}
+        assert (out / "detections.csv").read_text() == "video_id,class_id,start,end,score\n"
 
     def test_report_records_the_checkpoints_train_config(self, cli_workspace):
         """eval reads no train.* setting of its run config; the model it evaluates was
@@ -1059,7 +1092,7 @@ def test_out_naming_a_regular_file_is_config_error(
     def too_early(*args, **kwargs):
         raise AssertionError("work started before --out was made")
 
-    for name in ("load_dataset", "load_checkpoint", "train", "collect_detections"):
+    for name in ("load_dataset", "load_checkpoint", "train", "evaluate"):
         monkeypatch.setattr(cli, name, too_early)
     blocker = tmp_path / "afile"
     blocker.write_text("")

@@ -102,6 +102,11 @@ class TestGeneration:
         with pytest.raises(ConfigError, match="noise_level"):
             DataConfig(noise_level=-1.0).validate()
 
+    @pytest.mark.parametrize("t_range", [(64,), (64, 128, 3)])
+    def test_t_range_of_other_than_two_values_names_field(self, t_range):
+        with pytest.raises(ConfigError, match="t_range"):
+            DataConfig(t_range=t_range).validate()
+
     @given(
         n=st.integers(1, 12),
         quotient=st.integers(11, 15),

@@ -621,7 +621,7 @@ class TestEvaluate:
     def test_oracle_detector_achieves_perfect_map(self):
         dataset, (protos, dirs) = aligned_oracle_dataset()
         model = OracleModel(protos, dirs, k=4)
-        report = evaluate(model, dataset, DetectConfig(), ProposalConfig())
+        _, report = evaluate(model, dataset, DetectConfig(), ProposalConfig())
         assert len(report.map_by_tiou) == 5
         for thr, value in report.map_by_tiou.items():
             assert value == pytest.approx(1.0, abs=1e-12), f"mAP@{thr}"
@@ -631,14 +631,14 @@ class TestEvaluate:
     def test_zero_weight_model_scores_near_zero(self, default_dataset):
         dataset, _ = default_dataset
         model = _zero_model(d_feat=dataset.d_feat, num_classes=dataset.num_classes, k=4)
-        report = evaluate(model, dataset, DetectConfig(tiou_thresholds=(0.5,)), ProposalConfig())
+        _, report = evaluate(model, dataset, DetectConfig(tiou_thresholds=(0.5,)), ProposalConfig())
         assert report.map_by_tiou[0.5] < 0.2
 
     def test_report_shape_and_flags(self):
         dataset, (protos, dirs) = aligned_oracle_dataset(num_videos=3)
         model = OracleModel(protos, dirs, k=4)
         cfg = DetectConfig(tiou_thresholds=(0.3, 0.4, 0.5, 0.6, 0.7), score_floor=2.0)
-        report = evaluate(model, dataset, cfg, ProposalConfig())
+        _, report = evaluate(model, dataset, cfg, ProposalConfig())
         assert report.to_dict()["no_detections"]
         assert report.num_detections == 0
         assert all(v == 0.0 for v in report.map_by_tiou.values())
@@ -647,7 +647,7 @@ class TestEvaluate:
     def test_evaluate_deterministic(self):
         dataset, (protos, dirs) = aligned_oracle_dataset(num_videos=4)
         model = OracleModel(protos, dirs, k=4)
-        a = evaluate(model, dataset, DetectConfig(), ProposalConfig())
-        b = evaluate(model, dataset, DetectConfig(), ProposalConfig())
+        _, a = evaluate(model, dataset, DetectConfig(), ProposalConfig())
+        _, b = evaluate(model, dataset, DetectConfig(), ProposalConfig())
         assert a.map_by_tiou == b.map_by_tiou
         assert a.per_class_ap == b.per_class_ap

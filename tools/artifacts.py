@@ -4,10 +4,12 @@ Usage: python3 tools/artifacts.py --against DIR
 
 In each tree, child processes `python3 -m utal.cli` with PYTHONPATH=<tree>/src
 run `gen-data --seed 7`, then `train` (train.epochs = 2) and `eval` for every
-loss mode, in a temporary directory that is removed afterwards; neither tree
-is written to.  Each file is printed as identical, differing, or present in
-one tree only; a differing JSON file also names its differing keys, as
-dotted paths.  The exit code is 0 only when every file is identical.
+loss mode, then `curves`, in a temporary directory that is removed afterwards;
+neither tree is written to.  Each command's stdout is kept beside its --out
+directory, as <out>.stdout, and compared too.  Each file is printed as
+identical, differing, or present in one tree only; a differing JSON file also
+names its differing keys, as dotted paths.  The exit code is 0 only when every
+file is identical.
 """
 
 from __future__ import annotations
@@ -39,11 +41,13 @@ def run_pipeline(tree: Path, out: Path) -> None:
             ["eval", "--manifest", "data/manifest.json",
              "--checkpoint", f"train_{mode}/checkpoint.utal", "--out", f"eval_{mode}"],
         ]
+    commands.append(["curves", "--out", "curves"])
     for args in commands:
         done = subprocess.run([sys.executable, "-m", "utal.cli", *args], cwd=out, env=env,
                               capture_output=True, text=True)
         if done.returncode != 0:
             sys.exit(f"{tree}: utal {' '.join(args)} exited {done.returncode}\n{done.stderr}")
+        (out / f"{args[args.index('--out') + 1]}.stdout").write_text(done.stdout)
 
 
 def json_differences(a, b, path: str = "") -> list[str]:
